@@ -15,11 +15,14 @@ from .cells import (
     GateTrace,
     InitKind,
     InitScheme,
+    SequenceTrace,
     cell_backward,
     cell_forward,
     init_params,
     param_shapes,
     scheme_matrix,
+    sequence_backward,
+    sequence_forward,
     zero_state,
 )
 from .network import (
@@ -68,6 +71,17 @@ from .interpret import (
     time_analysis,
     weight_map,
 )
-from .cli import RunConfig, load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"
+
+# Re-exported lazily, so that ``python -m neuroview.cli`` does not find
+# the module already imported by this package.
+_CLI_EXPORTS = ("RunConfig", "load_checkpoint", "save_checkpoint")
+
+
+def __getattr__(name):
+    if name in _CLI_EXPORTS:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

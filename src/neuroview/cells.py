@@ -26,15 +26,51 @@ LSTM::
     c' = f * c + i * g
     h' = o * tanh(c')
 
-States and inputs may be single vectors (shape ``(n,)`` / ``(m,)``) or
-batches (``(B, n)`` / ``(B, m)``); outputs match the input's batch shape.
-All functions are pure: parameters and traces are never mutated.
+Packed layout
+-------------
+Parameters live name-keyed in ``CellParams.arrays``; checkpoints, the
+optimizer and ``param_tree`` only ever see the names. The sequence kernel
+packs them once at entry, stacking the k gates' rows with the sigmoid
+gates first, so one sigmoid call covers a contiguous slice, and appending
+each bias as a last column, so the GEMM that applies a weight matrix to
+an input with a trailing 1 also adds the bias::
+
+    kind   k   gate order      sigmoid slice
+    rnn    1   h               h
+    gru    3   r | z | n       r | z
+    lstm   4   i | f | o | g   i | f | o
+
+    W_i | b_i  (k*n, m+1)   input side
+    W_h | b_h  (k*n, n+1)   hidden side (zero bias column for rnn)
+
+With ``gi = W_i x + b_i`` and ``gh = W_h h + b_h``, the gates are the
+nonlinearities of slices of ``gi + gh``, except the GRU's n gate, which
+reads ``gi_n + r * gh_n``.
+
+Kernel
+------
+``sequence_forward`` runs one cell over all T steps of a (T, B, m) input,
+forward or reverse in time. It forms ``gi`` for every step in one batched
+GEMM, then per step does one hidden GEMM, one sigmoid over the sigmoid
+slice and a few elementwise updates, writing into preallocated
+per-timestep arrays of a ``SequenceTrace``. Per step the gates are held
+unit-major, (k*n, B), so that every gate is a contiguous block.
+``sequence_backward`` runs BPTT over that trace: per step one (k*n, B)
+gate-gradient block, one GEMM each for the incoming state and input
+gradients and one each accumulating the packed weight-and-bias
+gradients, which are unpacked to names at exit. ``cell_forward`` and
+``cell_backward`` are the T=1 case of the same kernel: they take single
+vectors (``(n,)`` / ``(m,)``) or batches (``(B, n)`` / ``(B, m)``), an
+initial state and, for the LSTM, an incoming cell-state gradient, and
+their outputs match the input's batch shape. Apart from the ``dX``
+accumulator a caller passes to ``sequence_backward``, all functions are
+pure: parameters and traces are never mutated.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -129,9 +165,6 @@ class CellParams:
             {k: v.copy() for k, v in self.arrays.items()},
         )
 
-    def zeros_like(self) -> dict:
-        return {k: np.zeros_like(v) for k, v in self.arrays.items()}
-
 
 @dataclass
 class CellState:
@@ -139,18 +172,101 @@ class CellState:
     c: Optional[np.ndarray] = None
 
 
+# Packed gate order (sigmoid gates first) and the number of sigmoid gates.
+_GATE_ORDER = {CellKind.SIMPLE_RNN: "", CellKind.GRU: "rzn", CellKind.LSTM: "ifog"}
+_SIGMOID_GATES = {CellKind.SIMPLE_RNN: 1, CellKind.GRU: 2, CellKind.LSTM: 3}
+# Names stacked into W_i, W_h, b_i, b_h, in packed row order.
+_PACKED = {
+    CellKind.SIMPLE_RNN: (("U",), ("W",), ("b",), ()),
+    **{
+        kind: tuple(tuple(f"{role}{g}" for g in _GATE_ORDER[kind])
+                    for role in ("W_i", "W_h", "b_i", "b_h"))
+        for kind in (CellKind.GRU, CellKind.LSTM)
+    },
+}
+# The per-step quantity ``SequenceTrace.aux`` holds, by its step-trace name.
+_AUX = {CellKind.SIMPLE_RNN: "pre", CellKind.GRU: "hn_affine", CellKind.LSTM: "c"}
+
+
+def _pack(p: CellParams) -> tuple:
+    """``(W_i | b_i, W_h | b_h)``: packed weights, each with its bias as a
+    trailing column (zero for the rnn's absent hidden bias)."""
+    w_i, w_h, b_i, b_h = _PACKED[p.kind]
+    a = p.arrays
+
+    def stack(w_names, b_names):
+        W = np.concatenate([a[name] for name in w_names])
+        b = np.concatenate([a[name] for name in b_names]) if b_names else np.zeros(len(W))
+        return np.hstack([W, b[:, None]])
+
+    return stack(w_i, b_i), stack(w_h, b_h)
+
+
+def _unpack(kind: CellKind, n: int, grad_i: np.ndarray, grad_h: np.ndarray) -> dict:
+    """Name-keyed gradients from packed ones, in canonical schema order."""
+    w_i, w_h, b_i, b_h = _PACKED[kind]
+    out = {}
+    for w_names, b_names, grad in ((w_i, b_i, grad_i), (w_h, b_h, grad_h)):
+        for j, name in enumerate(w_names):
+            out[name] = grad[j * n:(j + 1) * n, :-1]
+        for j, name in enumerate(b_names):
+            out[name] = grad[j * n:(j + 1) * n, -1]
+    return {name: np.ascontiguousarray(out[name]) for name in _SCHEMAS[kind]}
+
+
+def _with_ones(a: np.ndarray) -> np.ndarray:
+    """``a`` with a trailing column of ones (the bias input)."""
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=DTYPE)
+    out[..., :-1] = a
+    out[..., -1] = 1.0
+    return out
+
+
+@dataclass
+class SequenceTrace:
+    """One cell's activations over T steps, kept for ``sequence_backward``.
+
+    Arrays are indexed by timestep whichever way the run went. Per step,
+    the gate arrays are unit-major, so every gate is a contiguous (n, B)
+    block; inputs and hidden states are batch-major with a trailing ones
+    column, so one GEMM against ``W | b`` also applies the bias:
+      xa     (T, B, m+1)  inputs
+      ha     (T, B, n+1)  hidden outputs (``h`` is the (T, B, n) view)
+      gates  (T, k*n, B)  activated gates in packed order (rnn: ``h``)
+      aux    (T, n, B)    rnn: pre-activation; gru: ``W_hn h_prev + b_hn``;
+                          lstm: cell state c
+      h0a    (B, n+1)     initial hidden state;  c0 (n, B): initial cell
+                          state (lstm only)
+    """
+
+    kind: CellKind
+    reverse: bool
+    xa: np.ndarray
+    ha: np.ndarray
+    gates: np.ndarray
+    aux: np.ndarray
+    h0a: np.ndarray
+    c0: Optional[np.ndarray] = None
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.ha[..., :-1]
+
+
 @dataclass
 class GateTrace:
-    """Per-step activations cached for the backward pass.
+    """One step's activations, as returned by ``cell_forward``.
 
-    Keys by kind:
+    ``cached`` holds named (B, n) views into ``sequence``, the T=1 kernel
+    trace. Keys by kind:
       SIMPLE_RNN: pre, h
       GRU:        r, z, n, h, hn_affine  (hn_affine = W_hn h_prev + b_hn)
       LSTM:       i, f, g, o, c, h
     """
 
     kind: CellKind
-    cached: dict = field(default_factory=dict)
+    cached: dict
+    sequence: SequenceTrace
 
 
 def zero_state(kind: CellKind, hidden_dim: int, batch: Optional[int] = None) -> CellState:
@@ -158,6 +274,141 @@ def zero_state(kind: CellKind, hidden_dim: int, batch: Optional[int] = None) -> 
     h = np.zeros(shape, dtype=DTYPE)
     c = np.zeros(shape, dtype=DTYPE) if kind is CellKind.LSTM else None
     return CellState(h, c)
+
+
+def _initial_state(kind, n, B, h0, c0):
+    """``(h0a, c0)`` in trace layout; zeros where not given."""
+    h0a = _with_ones(np.zeros((B, n), dtype=DTYPE) if h0 is None else h0)
+    if kind is not CellKind.LSTM:
+        return h0a, None
+    return h0a, np.zeros((n, B), dtype=DTYPE) if c0 is None else np.array(c0.T)
+
+
+def sequence_forward(p: CellParams, X: np.ndarray, h0: Optional[np.ndarray] = None,
+                     c0: Optional[np.ndarray] = None,
+                     reverse: bool = False) -> SequenceTrace:
+    """Run one cell over a (T, B, m) input from the (B, n) state
+    ``(h0, c0)`` (zeros when omitted); ``reverse`` runs from step T-1 down
+    to 0. Shapes are trusted: callers check them once."""
+    kind = p.kind
+    T, B, _ = X.shape
+    n = p.hidden_dim
+    s = _SIGMOID_GATES[kind] * n
+    W_i, W_h = _pack(p)
+    xa = _with_ones(X)
+    ha = np.empty((T, B, n + 1), dtype=DTYPE)
+    ha[..., n] = 1.0
+    h0a, c0 = _initial_state(kind, n, B, h0, c0)
+    c = c0
+    # Input projections of every step, biases included, in one GEMM.
+    pre = np.matmul(W_i, xa.transpose(0, 2, 1))
+    if kind is CellKind.SIMPLE_RNN:
+        gates, aux = ha[..., :n].transpose(0, 2, 1), pre
+    else:
+        gates, aux = pre, np.empty((T, n, B), dtype=DTYPE)
+
+    # The running state, unit-major with a ones row: (n+1, B).
+    hc = np.array(h0a.T)
+    h = hc[:n]
+    for t in (range(T - 1, -1, -1) if reverse else range(T)):
+        g = gates[t]
+        gh = W_h @ hc
+        if kind is CellKind.SIMPLE_RNN:
+            aux[t] += gh
+            h[...] = sigmoid(aux[t])
+        elif kind is CellKind.GRU:
+            g[:s] += gh[:s]
+            g[:s] = sigmoid(g[:s])
+            aux[t] = gh[s:]
+            gh[s:] *= g[:n]
+            g[s:] += gh[s:]
+            np.tanh(g[s:], out=g[s:])
+            h *= g[n:s]
+            h += (1.0 - g[n:s]) * g[s:]
+        else:
+            g += gh
+            g[:s] = sigmoid(g[:s])
+            np.tanh(g[s:], out=g[s:])
+            c_t = aux[t]
+            np.multiply(g[n:2 * n], c, out=c_t)
+            c_t += g[:n] * g[s:]
+            np.multiply(g[2 * n:s], np.tanh(c_t), out=h)
+            c = c_t
+        ha[t, :, :n] = h.T
+
+    return SequenceTrace(kind, reverse, xa, ha, gates, aux, h0a, c0)
+
+
+def sequence_backward(p: CellParams, trace: SequenceTrace, dH: np.ndarray,
+                      grad_c: Optional[np.ndarray] = None,
+                      dX: Optional[np.ndarray] = None):
+    """BPTT through a ``sequence_forward`` trace.
+
+    ``dH`` (T, B, n) is the loss gradient arriving at each step's hidden
+    output from outside the recurrence; ``grad_c`` (B, n) is the gradient
+    at the last step's cell state (lstm only; the last step is t=0 for a
+    reverse run). When ``dX`` (T, B, m) is given, the input gradient is
+    added into it. Returns ``(grads, grad_h0, grad_c0)``: name-keyed
+    parameter gradients summed over batch and time, and the (B, n)
+    gradient at the initial state (``grad_c0`` is None unless lstm).
+    """
+    kind = p.kind
+    T, B, n1 = trace.ha.shape
+    n = n1 - 1
+    s = _SIGMOID_GATES[kind] * n
+    W_i, W_h = _pack(p)
+    W_x, W_hh = W_i[:, :-1], W_h[:, :n].T
+    grad_i, grad_h = np.zeros_like(W_i), np.zeros_like(W_h)
+    dG = np.empty((W_i.shape[0], B), dtype=DTYPE)
+    carry_h = np.zeros((n, B), dtype=DTYPE)
+    carry_c = None
+    if kind is CellKind.LSTM:
+        carry_c = np.zeros((n, B), dtype=DTYPE) if grad_c is None else np.array(grad_c.T)
+    rev = trace.reverse
+    first = T - 1 if rev else 0  # the step that read the initial state
+
+    # Backward runs against the forward direction; step t's previous state
+    # came from step t-1 (t+1 for a reverse run).
+    for t in (range(T) if rev else range(T - 1, -1, -1)):
+        tp = t + 1 if rev else t - 1
+        hp = trace.h0a if t == first else trace.ha[tp]
+        g = trace.gates[t]
+        dh = carry_h
+        dh += dH[t].T
+        # dG <- gradient at the input pre-activations (W_i x + b_i).
+        if kind is CellKind.SIMPLE_RNN:
+            np.multiply(dh * g, 1.0 - g, out=dG)
+        elif kind is CellKind.GRU:
+            z, n_g = g[n:s], g[s:]
+            np.multiply(dh * (1.0 - z), 1.0 - n_g * n_g, out=dG[s:])
+            np.multiply(dG[s:], trace.aux[t], out=dG[:n])
+            np.multiply(dh, hp[:, :n].T - n_g, out=dG[n:s])
+            dG[:s] *= g[:s] * (1.0 - g[:s])
+        else:
+            cp = trace.c0 if t == first else trace.aux[tp]
+            tanh_c = np.tanh(trace.aux[t])
+            dc = dh * g[2 * n:s] * (1.0 - tanh_c * tanh_c)
+            dc += carry_c
+            np.multiply(dc, g[s:], out=dG[:n])
+            np.multiply(dc, cp, out=dG[n:2 * n])
+            np.multiply(dh, tanh_c, out=dG[2 * n:s])
+            np.multiply(dc * g[:n], 1.0 - g[s:] * g[s:], out=dG[s:])
+            dG[:s] *= g[:s] * (1.0 - g[:s])
+            carry_c = dc * g[n:2 * n]
+        grad_i += dG @ trace.xa[t]
+        if dX is not None:
+            dX[t] += dG.T @ W_x
+        # dG <- gradient at the hidden pre-activations (W_h h + b_h); only
+        # the GRU's n block differs, as W_hn h + b_hn enters scaled by r.
+        if kind is CellKind.GRU:
+            dG[s:] *= g[:n]
+        grad_h += dG @ hp
+        carry_h = W_hh @ dG
+        if kind is CellKind.GRU:
+            carry_h += dh * z
+
+    grads = _unpack(kind, n, grad_i, grad_h)
+    return grads, carry_h.T, None if carry_c is None else carry_c.T
 
 
 def _as_batch(a, dim, what):
@@ -175,49 +426,23 @@ def _as_batch(a, dim, what):
 
 def cell_forward(p: CellParams, state: CellState, x_t: np.ndarray):
     """One recurrence step. Returns ``(new_state, trace)``."""
-    a = p.arrays
     x, x1 = _as_batch(x_t, p.input_dim, "input x_t")
     h, h1 = _as_batch(state.h, p.hidden_dim, "state h")
-    squeeze = x1 and h1
-
-    def out(arr):
-        return arr[0] if squeeze else arr
-
-    if p.kind is CellKind.SIMPLE_RNN:
-        pre = h @ a["W"].T + x @ a["U"].T + a["b"]
-        h_new = sigmoid(pre)
-        trace = GateTrace(p.kind, {"pre": out(pre), "h": out(h_new)})
-        return CellState(out(h_new)), trace
-
-    if p.kind is CellKind.GRU:
-        r = sigmoid(x @ a["W_ir"].T + a["b_ir"] + h @ a["W_hr"].T + a["b_hr"])
-        z = sigmoid(x @ a["W_iz"].T + a["b_iz"] + h @ a["W_hz"].T + a["b_hz"])
-        hn_affine = h @ a["W_hn"].T + a["b_hn"]
-        n = np.tanh(x @ a["W_in"].T + a["b_in"] + r * hn_affine)
-        h_new = (1.0 - z) * n + z * h
-        trace = GateTrace(p.kind, {
-            "r": out(r), "z": out(z), "n": out(n),
-            "h": out(h_new), "hn_affine": out(hn_affine),
-        })
-        return CellState(out(h_new)), trace
-
+    c = None
     if p.kind is CellKind.LSTM:
         if state.c is None:
             raise ValueError("LSTM state requires a cell vector c")
         c, _ = _as_batch(state.c, p.hidden_dim, "state c")
-        i = sigmoid(x @ a["W_ii"].T + a["b_ii"] + h @ a["W_hi"].T + a["b_hi"])
-        f = sigmoid(x @ a["W_if"].T + a["b_if"] + h @ a["W_hf"].T + a["b_hf"])
-        g = np.tanh(x @ a["W_ig"].T + a["b_ig"] + h @ a["W_hg"].T + a["b_hg"])
-        o = sigmoid(x @ a["W_io"].T + a["b_io"] + h @ a["W_ho"].T + a["b_ho"])
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
-        trace = GateTrace(p.kind, {
-            "i": out(i), "f": out(f), "g": out(g), "o": out(o),
-            "c": out(c_new), "h": out(h_new),
-        })
-        return CellState(out(h_new), out(c_new)), trace
+    seq = sequence_forward(p, x[None], h, c)
 
-    raise ValueError(f"unknown cell kind {p.kind!r}")
+    n = p.hidden_dim
+    cached = {g: seq.gates[0][j * n:(j + 1) * n].T
+              for j, g in enumerate(_GATE_ORDER[p.kind])}
+    cached[_AUX[p.kind]] = seq.aux[0].T
+    cached["h"] = seq.h[0]
+    if x1 and h1:
+        cached = {k: v[0] for k, v in cached.items()}
+    return CellState(cached["h"], cached.get("c")), GateTrace(p.kind, cached, seq)
 
 
 def cell_backward(
@@ -240,99 +465,26 @@ def cell_backward(
         raise ValueError(
             f"trace kind {trace.kind.value!r} does not match cell kind {p.kind.value!r}"
         )
-    a = p.arrays
     x, x1 = _as_batch(x_t, p.input_dim, "input x_t")
     hp, h1 = _as_batch(prev_state.h, p.hidden_dim, "previous h")
     dh, _ = _as_batch(grad_h, p.hidden_dim, "grad_h")
-    squeeze = x1 and h1
-
-    def out(arr):
-        return arr[0] if squeeze else arr
-
-    def cached(key):
-        arr, _ = _as_batch(trace.cached[key], p.hidden_dim, f"trace[{key}]")
-        return arr
-
-    if p.kind is CellKind.SIMPLE_RNN:
-        h = cached("h")
-        dpre = dh * h * (1.0 - h)
-        grads = {
-            "W": dpre.T @ hp,
-            "U": dpre.T @ x,
-            "b": dpre.sum(axis=0),
-        }
-        return grads, out(dpre @ a["W"]), None, out(dpre @ a["U"])
-
-    if p.kind is CellKind.GRU:
-        r, z, n = cached("r"), cached("z"), cached("n")
-        hn_affine = cached("hn_affine")
-
-        dz = dh * (hp - n)
-        dn = dh * (1.0 - z)
-        dhp = dh * z
-
-        dn_pre = dn * (1.0 - n * n)
-        dr = dn_pre * hn_affine
-        d_affine = dn_pre * r
-        dhp = dhp + d_affine @ a["W_hn"]
-
-        dz_pre = dz * z * (1.0 - z)
-        dr_pre = dr * r * (1.0 - r)
-        dhp = dhp + dz_pre @ a["W_hz"] + dr_pre @ a["W_hr"]
-
-        dx = dn_pre @ a["W_in"] + dz_pre @ a["W_iz"] + dr_pre @ a["W_ir"]
-        grads = {
-            "W_ir": dr_pre.T @ x, "W_iz": dz_pre.T @ x, "W_in": dn_pre.T @ x,
-            "W_hr": dr_pre.T @ hp, "W_hz": dz_pre.T @ hp, "W_hn": d_affine.T @ hp,
-            "b_ir": dr_pre.sum(axis=0), "b_iz": dz_pre.sum(axis=0),
-            "b_in": dn_pre.sum(axis=0), "b_hr": dr_pre.sum(axis=0),
-            "b_hz": dz_pre.sum(axis=0), "b_hn": d_affine.sum(axis=0),
-        }
-        return grads, out(dhp), None, out(dx)
-
+    cp = dc = None
     if p.kind is CellKind.LSTM:
         if prev_state.c is None:
             raise ValueError("LSTM backward requires the previous cell state c")
         cp, _ = _as_batch(prev_state.c, p.hidden_dim, "previous c")
-        i, f, g, o, c = cached("i"), cached("f"), cached("g"), cached("o"), cached("c")
-        tanh_c = np.tanh(c)
-
-        dc = dh * o * (1.0 - tanh_c * tanh_c)
         if grad_c_in is not None:
-            dc_in, _ = _as_batch(grad_c_in, p.hidden_dim, "grad_c_in")
-            dc = dc + dc_in
-        do = dh * tanh_c
-        di = dc * g
-        df = dc * cp
-        dg = dc * i
-        dcp = dc * f
+            dc, _ = _as_batch(grad_c_in, p.hidden_dim, "grad_c_in")
 
-        di_pre = di * i * (1.0 - i)
-        df_pre = df * f * (1.0 - f)
-        dg_pre = dg * (1.0 - g * g)
-        do_pre = do * o * (1.0 - o)
+    h0a, c0 = _initial_state(p.kind, p.hidden_dim, len(hp), hp, cp)
+    seq = replace(trace.sequence, xa=_with_ones(x[None]), h0a=h0a, c0=c0)
+    dX = np.zeros((1,) + x.shape, dtype=DTYPE)
+    grads, dhp, dcp = sequence_backward(p, seq, dh[None], dc, dX)
 
-        dhp = (
-            di_pre @ a["W_hi"] + df_pre @ a["W_hf"]
-            + dg_pre @ a["W_hg"] + do_pre @ a["W_ho"]
-        )
-        dx = (
-            di_pre @ a["W_ii"] + df_pre @ a["W_if"]
-            + dg_pre @ a["W_ig"] + do_pre @ a["W_io"]
-        )
-        grads = {
-            "W_ii": di_pre.T @ x, "W_if": df_pre.T @ x,
-            "W_ig": dg_pre.T @ x, "W_io": do_pre.T @ x,
-            "W_hi": di_pre.T @ hp, "W_hf": df_pre.T @ hp,
-            "W_hg": dg_pre.T @ hp, "W_ho": do_pre.T @ hp,
-            "b_ii": di_pre.sum(axis=0), "b_if": df_pre.sum(axis=0),
-            "b_ig": dg_pre.sum(axis=0), "b_io": do_pre.sum(axis=0),
-            "b_hi": di_pre.sum(axis=0), "b_hf": df_pre.sum(axis=0),
-            "b_hg": dg_pre.sum(axis=0), "b_ho": do_pre.sum(axis=0),
-        }
-        return grads, out(dhp), out(dcp), out(dx)
+    def out(arr):
+        return arr[0] if x1 and h1 else arr
 
-    raise ValueError(f"unknown cell kind {p.kind!r}")
+    return grads, out(dhp), None if dcp is None else out(dcp), out(dX[0])
 
 
 def scheme_matrix(kind: InitKind, shape, rng: np.random.Generator) -> np.ndarray:

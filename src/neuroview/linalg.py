@@ -60,14 +60,17 @@ def concat(parts: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, finite for all finite inputs."""
+    """Numerically stable logistic function, finite for all finite inputs.
+
+    Branch-free form of ``1 / (1 + exp(-x))`` for ``x >= 0`` and
+    ``exp(x) / (1 + exp(x))`` otherwise: both share ``e = exp(-|x|)``, and
+    since ``e <= 1`` the numerator ``max(e, x >= 0)`` is 1 or ``e`` as
+    needed. The result is bit-identical to evaluating the two branches
+    separately.
+    """
     x = np.asarray(x, dtype=DTYPE)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -36,15 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 from .linalg import DTYPE, relu
-from .cells import (
-    CellKind,
-    CellParams,
-    CellState,
-    GateTrace,
-    cell_backward,
-    cell_forward,
-    zero_state,
-)
+from .cells import CellKind, CellParams, sequence_backward, sequence_forward
 
 
 class HeadKind(enum.Enum):
@@ -108,15 +100,16 @@ class ForwardTrace:
 
     ``hidden[layer]`` has shape (T, B, step_width); forward-direction units
     occupy ``[:, :, :hidden_dim]`` and reverse-direction units the rest.
-    ``gate_traces[layer][direction][t]`` is the cell trace produced at
-    timestep ``t``. ``layer_inputs[layer]`` is the (T, B, in_width) input
-    sequence the layer consumed. NeuroView-only fields (``q``, ``logits``,
-    ``step_logits``) are filled by ``head_forward``.
+    ``gate_traces[layer][direction]`` is the ``SequenceTrace`` of that
+    (layer, direction): preallocated per-timestep arrays of the input it
+    consumed, its hidden outputs, its packed activated gates and its
+    per-kind auxiliary state, indexed by timestep for both directions.
+    NeuroView-only fields (``q``, ``logits``, ``step_logits``) are filled
+    by ``head_forward``.
     """
 
     hidden: List[np.ndarray]
     gate_traces: list
-    layer_inputs: List[np.ndarray]
     batched: bool
     q: Optional[np.ndarray] = None
     logits: Optional[np.ndarray] = None
@@ -172,45 +165,21 @@ def encode(cfg: EncoderConfig, cells: List[CellParams], x) -> ForwardTrace:
     """
     _check_cells(cfg, cells)
     X, batched = _as_time_major(cfg, x)
-    T = cfg.max_len
-    B = X.shape[1]
-    n = cfg.hidden_dim
 
     hidden: List[np.ndarray] = []
     gate_traces = []
-    layer_inputs: List[np.ndarray] = []
-
     for layer in range(cfg.layers):
-        layer_inputs.append(X)
-        p_f = cells[layer * cfg.directions]
-        state = zero_state(cfg.cell, n, B)
-        h_f = np.empty((T, B, n), dtype=DTYPE)
-        traces_f: List[GateTrace] = [None] * T
-        for t in range(T):
-            state, tr = cell_forward(p_f, state, X[t])
-            h_f[t] = state.h
-            traces_f[t] = tr
-        dir_traces = [traces_f]
-
-        if cfg.bidirectional:
-            p_r = cells[layer * cfg.directions + 1]
-            state = zero_state(cfg.cell, n, B)
-            h_r = np.empty((T, B, n), dtype=DTYPE)
-            traces_r: List[GateTrace] = [None] * T
-            for t in range(T - 1, -1, -1):
-                state, tr = cell_forward(p_r, state, X[t])
-                h_r[t] = state.h
-                traces_r[t] = tr
-            dir_traces.append(traces_r)
-            H = np.concatenate([h_f, h_r], axis=2)
-        else:
-            H = h_f
-
+        traces = [
+            sequence_forward(cells[layer * cfg.directions + d], X, reverse=d == 1)
+            for d in range(cfg.directions)
+        ]
+        H = traces[0].h if len(traces) == 1 else np.concatenate(
+            [tr.h for tr in traces], axis=2)
         hidden.append(H)
-        gate_traces.append(dir_traces)
+        gate_traces.append(traces)
         X = H
 
-    return ForwardTrace(hidden, gate_traces, layer_inputs, batched)
+    return ForwardTrace(hidden, gate_traces, batched)
 
 
 def _nv_features(cfg: EncoderConfig, trace: ForwardTrace) -> np.ndarray:
@@ -250,12 +219,11 @@ def head_forward(head: HeadParams, trace: ForwardTrace,
     elif head.kind is HeadKind.NEUROVIEW:
         q = _nv_features(cfg, trace)
         logits = q @ head.V.T
-        sw = cfg.step_width
-        step_logits = np.empty((cfg.layers, T, B, d), dtype=DTYPE)
-        for layer in range(cfg.layers):
-            for t in range(T):
-                block = head.V[:, (layer * T + t) * sw:(layer * T + t + 1) * sw]
-                step_logits[layer, t] = relu(trace.hidden[layer][t]) @ block.T
+        # Every (layer, t) block of q against its block of V, in one
+        # batched matmul: (L, T, B, sw) @ (L, T, sw, d).
+        shape = (cfg.layers, T, cfg.step_width)
+        step_logits = np.matmul(q.reshape(B, *shape).transpose(1, 2, 0, 3),
+                                head.V.reshape(d, *shape).transpose(1, 2, 3, 0))
         trace.q = q
         trace.step_logits = step_logits
         trace.logits = logits
@@ -290,83 +258,37 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
         raise ValueError(f"grad_logits batch {gl.shape[0]} != trace batch {B}")
 
     # Upstream gradient arriving at each layer's per-timestep output.
-    dH = [np.zeros((T, B, sw), dtype=DTYPE) for _ in range(cfg.layers)]
-
     if head.kind is HeadKind.NEUROVIEW:
         if trace.q is None:
             raise ValueError("trace has no NeuroView features; run head_forward first")
         grad_V = gl.T @ trace.q
-        grad_q = gl @ head.V
-        for layer in range(cfg.layers):
-            blocks = grad_q[:, layer * T * sw:(layer + 1) * T * sw]
-            blocks = blocks.reshape(B, T, sw).transpose(1, 0, 2)
-            dH[layer] += blocks * (trace.hidden[layer] > 0.0)
-    elif head.kind is HeadKind.LAST_STATE:
-        grad_V = gl.T @ trace.hidden[-1][T - 1]
-        dH[-1][T - 1] += gl @ head.V
-    elif head.kind is HeadKind.AVERAGE_POOL:
-        scale = 1.0 / T if head.mean_pool else 1.0
-        grad_V = scale * (gl.T @ trace.hidden[-1].sum(axis=0))
-        dH[-1] += scale * (gl @ head.V)[None, :, :]
+        # (B, d) @ (T, d, sw) per layer gives the (T, B, sw) gradient at q,
+        # which the ReLU passes where the hidden state is positive.
+        blocks = head.V.reshape(-1, cfg.layers, T, sw).transpose(1, 2, 0, 3)
+        dH = [(gl @ blocks[layer]) * (trace.hidden[layer] > 0.0)
+              for layer in range(cfg.layers)]
     else:
-        raise ValueError(f"unknown head kind {head.kind!r}")
+        dH = [np.zeros((T, B, sw), dtype=DTYPE) for _ in range(cfg.layers)]
+        if head.kind is HeadKind.LAST_STATE:
+            grad_V = gl.T @ trace.hidden[-1][T - 1]
+            dH[-1][T - 1] += gl @ head.V
+        elif head.kind is HeadKind.AVERAGE_POOL:
+            scale = 1.0 / T if head.mean_pool else 1.0
+            grad_V = scale * (gl.T @ trace.hidden[-1].sum(axis=0))
+            dH[-1] += scale * (gl @ head.V)[None, :, :]
+        else:
+            raise ValueError(f"unknown head kind {head.kind!r}")
 
-    cell_grads = [p.zeros_like() for p in cells]
-
+    cell_grads = [None] * len(cells)
     for layer in range(cfg.layers - 1, -1, -1):
-        X = trace.layer_inputs[layer]
-        H = trace.hidden[layer]
-        dX = np.zeros_like(X)
-        is_lstm = cfg.cell is CellKind.LSTM
-
-        # Forward direction: gradients flow from t to t-1.
-        idx = layer * cfg.directions
-        p_f = cells[idx]
-        traces_f = trace.gate_traces[layer][0]
-        carry_h = np.zeros((B, n), dtype=DTYPE)
-        carry_c = np.zeros((B, n), dtype=DTYPE) if is_lstm else None
-        for t in range(T - 1, -1, -1):
-            gh = dH[layer][t][:, :n] + carry_h
-            if t > 0:
-                prev = CellState(
-                    H[t - 1][:, :n],
-                    traces_f[t - 1].cached["c"] if is_lstm else None,
-                )
-            else:
-                prev = zero_state(cfg.cell, n, B)
-            grads, carry_h, carry_c, dx = cell_backward(
-                p_f, traces_f[t], prev, X[t], gh, carry_c
+        # The input gradient of layer l is the upstream gradient of layer l-1.
+        dX = dH[layer - 1] if layer > 0 else None
+        for d in range(cfg.directions):
+            idx = layer * cfg.directions + d
+            cell_grads[idx], _, _ = sequence_backward(
+                cells[idx], trace.gate_traces[layer][d],
+                dH[layer][:, :, d * n:(d + 1) * n], dX=dX,
             )
-            for k, v in grads.items():
-                cell_grads[idx][k] += v
-            dX[t] += dx
-
-        # Reverse direction: the recurrence runs t+1 -> t, so its BPTT
-        # carry flows from t to t+1.
-        if cfg.bidirectional:
-            idx_r = idx + 1
-            p_r = cells[idx_r]
-            traces_r = trace.gate_traces[layer][1]
-            carry_h = np.zeros((B, n), dtype=DTYPE)
-            carry_c = np.zeros((B, n), dtype=DTYPE) if is_lstm else None
-            for t in range(T):
-                gh = dH[layer][t][:, n:] + carry_h
-                if t < T - 1:
-                    prev = CellState(
-                        H[t + 1][:, n:],
-                        traces_r[t + 1].cached["c"] if is_lstm else None,
-                    )
-                else:
-                    prev = zero_state(cfg.cell, n, B)
-                grads, carry_h, carry_c, dx = cell_backward(
-                    p_r, traces_r[t], prev, X[t], gh, carry_c
-                )
-                for k, v in grads.items():
-                    cell_grads[idx_r][k] += v
-                dX[t] += dx
-
-        if layer > 0:
-            dH[layer - 1] += dX
 
     return grad_V, cell_grads
 

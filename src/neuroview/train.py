@@ -29,10 +29,10 @@ from .data import DataSet
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or gradient stops being finite."""
 
-    def __init__(self, epoch: int):
-        super().__init__(f"training diverged: non-finite loss at epoch {epoch}")
+    def __init__(self, epoch: int, quantity: str = "loss"):
+        super().__init__(f"training diverged: non-finite {quantity} at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -171,8 +171,12 @@ def set_param_tree(model: Model, tree: dict) -> None:
     model.head.V = tree["head.V"]
 
 
-def _clip_tree(grads: dict, max_norm: float) -> dict:
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def _global_norm(grads: dict) -> float:
+    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+
+
+def _clip_tree(grads: dict, total: float, max_norm: float) -> dict:
+    """Scale ``grads`` (whose global norm is ``total``) down to ``max_norm``."""
     if total <= max_norm or total == 0.0:
         return grads
     scale = max_norm / total
@@ -249,8 +253,11 @@ def fit(dataset: DataSet, cfg: TrainConfig, encoder: EncoderConfig,
                 model.encoder, model.cells, model.head, trace, grad_logits
             )
             grads = grad_tree(model, grad_V, cell_grads)
+            norm = _global_norm(grads)
+            if not np.isfinite(norm):
+                raise TrainingDiverged(epoch, "gradient")
             if cfg.grad_clip is not None:
-                grads = _clip_tree(grads, cfg.grad_clip)
+                grads = _clip_tree(grads, norm, cfg.grad_clip)
             tree, state = adam_step(tree, grads, state, cfg)
             set_param_tree(model, tree)
             losses.append(loss * len(idx))

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +343,17 @@ def test_help_exits_zero(capsys):
     for sub in ("train", "sweep", "evaluate", "inspect", "counterfactual", "export"):
         assert main([sub, "--help"]) == 0
         assert "usage" in capsys.readouterr().out.lower()
+
+
+def test_module_entry_point_prints_usage():
+    # ``python -m neuroview.cli`` runs the same CLI as the console script.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "neuroview.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
+    assert "Warning" not in proc.stderr

@@ -90,6 +90,31 @@ def test_sigmoid_extreme_inputs_stay_finite():
     assert out[0] == 0.0 and out[-1] == 1.0
 
 
+def test_sigmoid_bit_identical_to_two_branch_form():
+    # The branch-free sigmoid must reproduce, bit for bit, the form that
+    # evaluates 1/(1+exp(-x)) on x >= 0 and exp(x)/(1+exp(x)) elsewhere.
+    def two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(np.float64).tiny
+    extremes = np.array([
+        0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, tiny / 3, -tiny / 3,
+        1e-300, -1e-300, 36.7, -36.7, 709.8, -709.8, 745.0, -745.0,
+        745.2, -745.2, 1e4, -1e4, 1.7e308, -1.7e308,
+    ])
+    for x in (rng.normal(size=(58, 64)), rng.normal(size=500) * 300, extremes):
+        with np.errstate(under="ignore"):
+            got, want = linalg.sigmoid(x), two_branch(x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_concat_basic():
     out = linalg.concat([np.array([1.0, 2.0]), np.array([3.0])])
     np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])

@@ -6,6 +6,7 @@ from neuroview.cells import (
     CellParams,
     InitKind,
     InitScheme,
+    cell_backward,
     cell_forward,
     init_params,
     param_shapes,
@@ -353,6 +354,91 @@ def test_full_network_fd_stacked_bidirectional():
     _stacked_fd(CellKind.LSTM, HeadKind.NEUROVIEW, 2, True, seed=3)
     _stacked_fd(CellKind.SIMPLE_RNN, HeadKind.AVERAGE_POOL, 2, True, seed=0)
     _stacked_fd(CellKind.LSTM, HeadKind.LAST_STATE, 2, False, seed=0)
+
+
+def _stepwise_network(model, x, grad_logits):
+    """``encode`` + NeuroView head + ``network_backward``, rebuilt from
+    one ``cell_forward``/``cell_backward`` call per (layer, direction, t).
+    Returns the hidden states, the scores and the gradients."""
+    cfg = model.encoder
+    T, n, D = cfg.max_len, cfg.hidden_dim, cfg.directions
+    X = x.transpose(1, 0, 2)
+    B = X.shape[1]
+    inputs, hidden, steps = [], [], []
+    for layer in range(cfg.layers):
+        inputs.append(X)
+        outs, recs = [], []
+        for d in range(D):
+            state = zero_state(cfg.cell, n, B)
+            H, rec = np.empty((T, B, n)), [None] * T
+            for t in (range(T) if d == 0 else range(T - 1, -1, -1)):
+                prev = state
+                state, tr = cell_forward(model.cells[layer * D + d], prev, X[t])
+                H[t], rec[t] = state.h, (prev, tr)
+            outs.append(H)
+            recs.append(rec)
+        X = np.concatenate(outs, axis=2)
+        hidden.append(X)
+        steps.append(recs)
+
+    V = model.head.V
+    q = np.concatenate(
+        [np.maximum(H, 0.0).transpose(1, 0, 2).reshape(B, -1) for H in hidden], axis=1)
+    grad_q = (grad_logits @ V).reshape(B, cfg.layers, T, cfg.step_width)
+    dH = [grad_q[:, layer].transpose(1, 0, 2) * (hidden[layer] > 0.0)
+          for layer in range(cfg.layers)]
+    cell_grads = [None] * len(model.cells)
+    for layer in range(cfg.layers - 1, -1, -1):
+        dX = np.zeros_like(inputs[layer])
+        for d in range(D):
+            idx = layer * D + d
+            p = model.cells[idx]
+            acc = {k: np.zeros_like(v) for k, v in p.arrays.items()}
+            carry_h = np.zeros((B, n))
+            carry_c = np.zeros((B, n)) if cfg.cell is CellKind.LSTM else None
+            # The reverse direction's BPTT carry flows from t to t+1.
+            for t in (range(T - 1, -1, -1) if d == 0 else range(T)):
+                prev, tr = steps[layer][d][t]
+                grads, carry_h, carry_c, dx = cell_backward(
+                    p, tr, prev, inputs[layer][t],
+                    dH[layer][t][:, d * n:(d + 1) * n] + carry_h, carry_c)
+                for k in acc:
+                    acc[k] += grads[k]
+                dX[t] += dx
+            cell_grads[idx] = acc
+        if layer > 0:
+            dH[layer - 1] = dH[layer - 1] + dX
+    return hidden, q @ V.T, grad_logits.T @ q, cell_grads
+
+
+def _assert_rel_close(got, want, tol=1e-12):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= tol * scale
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("bidir", [False, True])
+@pytest.mark.parametrize("cell", list(CellKind))
+def test_sequence_kernel_matches_stepwise_cells(cell, bidir, layers):
+    model = make_model(cell, HeadKind.NEUROVIEW, n=4, m=3, T=6, d=3,
+                       layers=layers, bidir=bidir, seed=7)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(5, 6, 3))
+    gl = rng.normal(size=(5, 3))
+
+    logits, trace = model.forward(x)
+    grad_V, cell_grads = network_backward(
+        model.encoder, model.cells, model.head, trace, gl)
+    hidden, want_logits, want_V, want_grads = _stepwise_network(model, x, gl)
+
+    for got, want in zip(trace.hidden, hidden):
+        _assert_rel_close(got, want)
+    _assert_rel_close(logits, want_logits)
+    _assert_rel_close(grad_V, want_V)
+    for got, want in zip(cell_grads, want_grads):
+        assert list(got) == list(want)
+        for k in want:
+            _assert_rel_close(got[k], want[k])
 
 
 def test_backward_shape_errors():

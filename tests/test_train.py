@@ -202,6 +202,26 @@ def test_fit_aborts_on_non_finite_loss(monkeypatch):
         fit(ds, TrainConfig(epochs=10), enc, head, init)
 
 
+def test_fit_aborts_on_non_finite_gradient(monkeypatch):
+    # A NaN gradient behind a finite loss must stop training before the
+    # optimizer writes it into the weights.
+    ds, enc, head, init = small_setup()
+    real = train_mod.network_backward
+    calls = {"n": 0}
+
+    def poisoned(*args):
+        calls["n"] += 1
+        grad_V, cell_grads = real(*args)
+        if calls["n"] >= 2:
+            grad_V = grad_V.copy()
+            grad_V[0, 0] = np.nan
+        return grad_V, cell_grads
+
+    monkeypatch.setattr(train_mod, "network_backward", poisoned)
+    with pytest.raises(TrainingDiverged, match="non-finite gradient at epoch 2"):
+        fit(ds, TrainConfig(epochs=10), enc, head, init)
+
+
 def test_one_sample_loss_strictly_decreases():
     # 200 optimizer steps on a single sample beat the starting loss for
     # every cell kind.
