@@ -37,6 +37,7 @@ from neuroview import (
     time_analysis,
     weight_map,
 )
+from neuroview.cli import UsageError, resolve_dataset
 
 NAME = "Chinatown"
 
@@ -48,12 +49,12 @@ def find_split():
     here = Path(__file__).resolve().parent.parent
     roots += [here / "data", here / "data" / "UCRArchive_2018"]
     for root in roots:
-        d = root / NAME
-        if d.is_dir():
-            train = sorted(d.glob("*_TRAIN*"))
-            test = sorted(d.glob("*_TEST*"))
-            if train and test:
-                return train[0], test[0]
+        try:
+            train, test = resolve_dataset(NAME, str(root))
+        except UsageError:
+            continue
+        if test:
+            return train, test
     return None
 
 

@@ -7,7 +7,7 @@ states, or the per-timestep global linear readout whose weights expose how
 much each timestep contributes to each class.
 """
 
-from .linalg import concat, elementwise, matvec, relu, sigmoid, tanh
+from .linalg import relu, sigmoid
 from .cells import (
     CellKind,
     CellParams,
@@ -44,6 +44,7 @@ from .train import (
     TrainingDiverged,
     adam_step,
     build_model,
+    eval_report,
     evaluate,
     fit,
     param_tree,

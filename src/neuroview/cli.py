@@ -200,15 +200,26 @@ def save_checkpoint(path, model: Model, run_config: RunConfig,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns ``(model, run_config, metrics, adam)``."""
+    """Read a checkpoint; returns ``(model, run_config, metrics, adam)``.
+    A missing, unsupported or malformed checkpoint raises ``UsageError``."""
     path = Path(path)
     if not path.is_file():
         raise UsageError(f"checkpoint not found: {path}")
-    doc = json.loads(path.read_text())
-    version = doc.get("format_version")
+    try:
+        return _decode_checkpoint(json.loads(path.read_text()))
+    except json.JSONDecodeError as e:
+        raise UsageError(f"checkpoint {path}: invalid JSON ({e})") from None
+    except KeyError as e:
+        raise UsageError(f"checkpoint {path}: missing key {e}") from None
+    except (TypeError, ValueError, UsageError) as e:
+        raise UsageError(f"checkpoint {path}: {e}") from None
+
+
+def _decode_checkpoint(doc: dict):
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise UsageError(
-            f"checkpoint format version {version!r} not supported "
+            f"format version {version!r} not supported "
             f"(expected {CHECKPOINT_VERSION})"
         )
     enc = doc["encoder"]
@@ -421,38 +432,22 @@ def _parse_classes(spec: str, num_classes: int) -> List[int]:
     return classes
 
 
-def cmd_inspect(args) -> int:
-    model, rc, _, _ = load_checkpoint(args.checkpoint)
-    _require_nv_checkpoint(model)
-    classes = _parse_classes(args.classes, model.num_classes)
-    cfg = model.encoder
-    maps = [interpret.weight_map(model.head, cfg, c) for c in classes]
-    sim = interpret.class_similarity(model.head) if model.num_classes >= 2 else None
-    files = interpret.export_report(maps, sim, [], cfg, args.out)
-    for m in maps:
-        means = m.timestep_means()
-        top = np.argsort(-means, kind="stable")[:5]
-        steps = ", ".join(str(int(t)) for t in top)
-        print(f"class {m.class_index}: top-5 timesteps by mean weight: {steps}")
-    print(f"wrote {len(files)} files to {args.out}")
-    return 0
+def _check_k_list(ks: List[int], horizon: int) -> None:
+    for k in ks:
+        if not 0 <= k <= horizon:
+            raise UsageError(f"k={k} outside [0, {horizon}] for this model")
 
 
 def cmd_counterfactual(args) -> int:
     model, rc, _, _ = load_checkpoint(args.checkpoint)
     _require_nv_checkpoint(model)
+    _check_k_list(args.k_list, model.encoder.max_len)
     ds = _load_split(args.dataset_path, rc, model.encoder.max_len)
     mode = _parse_enum(interpret.AblationMode, args.mode, "mode")
     target = _parse_enum(interpret.AblationTarget, args.target, "target")
-    ks = args.k_list
-    for k in ks:
-        if k < 0 or k > model.encoder.max_len:
-            raise UsageError(
-                f"k={k} outside [0, {model.encoder.max_len}] for this model"
-            )
     results = [
         interpret.time_analysis(model, ds, args.class_index, k, mode, target)
-        for k in ks
+        for k in args.k_list
     ]
     rows = interpret.counterfactual_rows(results)
     text = json.dumps(rows, indent=2)
@@ -466,22 +461,26 @@ def cmd_counterfactual(args) -> int:
 
 
 def cmd_export(args) -> int:
+    """Weight maps and class similarity, plus a counterfactual sweep when a
+    dataset and a k list are given (``inspect`` is the case without)."""
     model, rc, _, _ = load_checkpoint(args.checkpoint)
     _require_nv_checkpoint(model)
     cfg = model.encoder
     classes = _parse_classes(args.classes, model.num_classes)
+    _check_k_list(args.k_list, cfg.max_len)
     maps = [interpret.weight_map(model.head, cfg, c) for c in classes]
     sim = interpret.class_similarity(model.head) if model.num_classes >= 2 else None
     results = []
     if args.dataset_path and args.k_list:
         ds = _load_split(args.dataset_path, rc, cfg.max_len)
         mode = _parse_enum(interpret.AblationMode, args.mode, "mode")
-        for c in classes:
-            for k in args.k_list:
-                if k < 0 or k > cfg.max_len:
-                    raise UsageError(f"k={k} outside [0, {cfg.max_len}]")
-                results.append(interpret.time_analysis(model, ds, c, k, mode))
+        results = [interpret.time_analysis(model, ds, c, k, mode)
+                   for c in classes for k in args.k_list]
     files = interpret.export_report(maps, sim, results, cfg, args.out)
+    for m in maps:
+        top = np.argsort(-m.timestep_means(), kind="stable")[:5]
+        steps = ", ".join(str(int(t)) for t in top)
+        print(f"class {m.class_index}: top-5 timesteps by mean weight: {steps}")
     print(f"wrote {len(files)} files to {args.out}")
     return 0
 
@@ -538,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--classes", default="all", help="'all' or comma list of class ids")
     sp.add_argument("--out", default="analysis", help="output directory")
-    sp.set_defaults(func=cmd_inspect)
+    sp.set_defaults(func=cmd_export, dataset_path=None, k_list=[])
 
     sp = sub.add_parser("counterfactual",
                         help="zero a class's top-K timesteps and re-evaluate")

@@ -9,8 +9,9 @@ material for:
 
 * weight maps   -- per-timestep mean weights and per-unit grids per class;
 * similarity    -- cosine similarity between any two classes' rows;
-* time analysis -- zero the inputs at a class's top-K (most positive or
-                   most negative) timesteps and re-evaluate the model.
+* time analysis -- zero the inputs (or the classifier blocks) at a
+                   class's top-K (most positive or most negative)
+                   timesteps and re-evaluate the model.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 
 from .linalg import DTYPE
 from .network import EncoderConfig, HeadKind, HeadParams, Model
-from .data import DataSet, SequenceSample
-from .train import EvalReport, evaluate
+from .data import DataSet
+from .train import EvalReport, eval_report, evaluate
 
 
 class AblationMode(enum.Enum):
@@ -59,17 +60,10 @@ class WeightMap:
     def timestep_means(self, layer: int = 0, direction: int = 0) -> np.ndarray:
         return self.per_timestep_mean[layer, direction]
 
-    def unit_grid(self, layer: int = 0, direction: int = 0) -> np.ndarray:
-        """(T, hidden_dim) grid of raw weights for one layer/direction."""
-        return self.per_unit[layer, :, direction, :]
-
 
 @dataclass
 class SimilarityMatrix:
     values: np.ndarray  # (d, d), symmetric, unit diagonal
-
-    def __getitem__(self, ij):
-        return self.values[ij]
 
 
 @dataclass
@@ -135,27 +129,6 @@ def rank_timesteps(head: HeadParams, cfg: EncoderConfig, class_index: int,
     return np.argsort(key, kind="stable")
 
 
-def _zero_input_steps(ds: DataSet, steps: Sequence[int]) -> DataSet:
-    samples = []
-    for s in ds.samples:
-        feats = s.features.copy()
-        feats[list(steps)] = 0.0
-        samples.append(SequenceSample(feats, s.label, s.true_length))
-    return DataSet(samples, ds.num_classes, ds.feature_dim, ds.horizon)
-
-
-def _zero_weight_steps(model: Model, steps: Sequence[int], layer: int) -> Model:
-    cfg = model.encoder
-    V = model.head.V.copy()
-    sw = cfg.step_width
-    T = cfg.max_len
-    for t in steps:
-        start = (layer * T + t) * sw
-        V[:, start:start + sw] = 0.0
-    head = HeadParams(model.head.kind, V, model.head.mean_pool)
-    return Model(cfg, model.cells, head)
-
-
 def time_analysis(model: Model, dataset: DataSet, class_index: int, k: int,
                   mode: AblationMode = AblationMode.TOP_POSITIVE,
                   target: AblationTarget = AblationTarget.INPUTS,
@@ -165,7 +138,8 @@ def time_analysis(model: Model, dataset: DataSet, class_index: int, k: int,
     Timesteps are ranked by the chosen class's mean per-step weights (one
     layer/direction block; layer 0 forward by default). The default target
     zeroes the *input* features at those steps for every sample; the
-    alternate target zeroes the classifier's weight blocks instead.
+    alternate target zeroes the classifier's weight blocks instead, which
+    equals zeroing those (layer, step) blocks of the nv features ``q``.
     """
     _require_nv(model.head)
     cfg = model.encoder
@@ -175,10 +149,20 @@ def time_analysis(model: Model, dataset: DataSet, class_index: int, k: int,
         raise ValueError(f"k must be in [0, {cfg.max_len}], got {k}")
     order = rank_timesteps(model.head, cfg, class_index, mode, layer, direction)
     steps = [int(t) for t in order[:k]]
-    if target is AblationTarget.INPUTS:
-        report = evaluate(model, _zero_input_steps(dataset, steps))
+    if len(dataset) == 0:
+        report = evaluate(model, dataset)
     else:
-        report = evaluate(_zero_weight_steps(model, steps, layer), dataset)
+        X = dataset.features()
+        if target is AblationTarget.INPUTS:
+            X[:, steps] = 0.0
+            logits, _ = model.forward(X)
+        else:
+            _, trace = model.forward(X)
+            B = len(dataset)
+            q = trace.q.reshape(B, cfg.layers, cfg.max_len, cfg.step_width)
+            q[:, layer, steps] = 0.0
+            logits = q.reshape(B, -1) @ model.head.V.T
+        report = eval_report(logits, dataset.labels(), model.num_classes)
     return CounterfactualResult(class_index, k, steps, mode, target, report)
 
 

@@ -267,21 +267,27 @@ def fit(dataset: DataSet, cfg: TrainConfig, encoder: EncoderConfig,
     return model, history
 
 
-def evaluate(model: Model, dataset: DataSet) -> EvalReport:
-    """Accuracy metrics over a dataset; confusion rows index true labels."""
-    d = model.num_classes
-    conf = np.zeros((d, d), dtype=np.int64)
-    if len(dataset) > 0:
-        logits, _ = model.forward(dataset.features())
-        pred = np.argmax(logits, axis=1)
-        for t, p in zip(dataset.labels(), pred):
-            conf[t, p] += 1
+def eval_report(logits: np.ndarray, labels: np.ndarray, num_classes: int) -> EvalReport:
+    """Accuracy metrics from ``(B, d)`` class scores; confusion rows index
+    true labels."""
+    conf = np.zeros((num_classes, num_classes), dtype=np.int64)
+    np.add.at(conf, (labels, np.argmax(logits, axis=1)), 1)
     total = conf.sum()
     overall = float(np.trace(conf) / total) if total else float("nan")
     row = conf.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         per_class = np.where(row > 0, np.diag(conf) / row, np.nan)
     return EvalReport(overall, per_class, conf)
+
+
+def evaluate(model: Model, dataset: DataSet) -> EvalReport:
+    """Accuracy metrics of a model over a dataset (NaN when it is empty)."""
+    d = model.num_classes
+    if len(dataset) == 0:
+        logits = np.zeros((0, d), dtype=DTYPE)
+    else:
+        logits, _ = model.forward(dataset.features())
+    return eval_report(logits, dataset.labels(), d)
 
 
 def save_history_csv(history: List[tuple], path) -> None:

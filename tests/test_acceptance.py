@@ -19,7 +19,13 @@ import numpy as np
 import pytest
 
 from neuroview.cells import CellKind, InitKind, InitScheme, init_params
-from neuroview.cli import RunConfig, load_checkpoint, save_checkpoint
+from neuroview.cli import (
+    RunConfig,
+    UsageError,
+    load_checkpoint,
+    resolve_dataset,
+    save_checkpoint,
+)
 from neuroview.data import load_ucr, synth_separable
 from neuroview.interpret import AblationMode, time_analysis, weight_map
 from neuroview.network import (
@@ -54,14 +60,12 @@ def _ucr_roots():
 
 def _find_ucr(name: str):
     for root in _ucr_roots():
-        if not root.is_dir():
+        try:
+            train, test = resolve_dataset(name, str(root))
+        except UsageError:
             continue
-        for child in sorted(root.iterdir()):
-            if child.is_dir() and child.name.lower() == name.lower():
-                train = sorted(child.glob("*_TRAIN*"))
-                test = sorted(child.glob("*_TEST*"))
-                if train and test:
-                    return train[0], test[0]
+        if test:
+            return train, test
     return None
 
 

@@ -17,6 +17,7 @@ from neuroview.cli import (
     resolve_dataset,
     save_checkpoint,
 )
+from neuroview import interpret
 from neuroview.data import load_ucr, save_ucr, synth_separable
 from neuroview.network import EncoderConfig, HeadKind
 from neuroview.train import TrainConfig, build_model, evaluate, fit
@@ -112,6 +113,42 @@ def test_checkpoint_version_mismatch(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(UsageError, match="version"):
         load_checkpoint(p)
+
+
+def _drop_encoder(doc):
+    del doc["encoder"]
+
+
+def _unknown_run_config_key(doc):
+    doc["run_config"]["no_such_field"] = 1
+
+
+def _bad_payload_shape(doc):
+    doc["head"]["V"]["shape"][1] += 1
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_encoder, _unknown_run_config_key, _bad_payload_shape, "truncated",
+])
+def test_malformed_checkpoint_exits_2_with_one_line(dataset_files, tmp_path,
+                                                    capsys, corrupt):
+    root, train_p, test_p = dataset_files
+    enc = EncoderConfig(CellKind.SIMPLE_RNN, 1, 3, 8)
+    model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme())
+    p = tmp_path / "ckpt.json"
+    save_checkpoint(p, model, RunConfig())
+    if corrupt == "truncated":
+        text = p.read_text()
+        p.write_text(text[:len(text) // 2])
+    else:
+        doc = json.loads(p.read_text())
+        corrupt(doc)
+        p.write_text(json.dumps(doc))
+    code = main(["evaluate", "--checkpoint", str(p), "--dataset-path", str(test_p)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {p}: ")
+    assert len(err.splitlines()) == 1
 
 
 # ------------------------------------------------------------------- train
@@ -334,6 +371,37 @@ def test_export_subcommand(dataset_files, trained_run, tmp_path):
     assert "class_similarity.csv" in manifest["files"]
     rows = json.loads((out / "counterfactuals.json").read_text())
     assert len(rows) == 4  # 2 classes x 2 k values
+
+
+def test_export_checks_k_before_scoring(dataset_files, trained_run, tmp_path,
+                                        capsys, monkeypatch):
+    root, train_p, test_p = dataset_files
+    calls = []
+    monkeypatch.setattr(interpret, "time_analysis",
+                        lambda *a, **kw: calls.append(a))
+    code = main([
+        "export", "--checkpoint", str(trained_run / "checkpoint.json"),
+        "--dataset-path", str(test_p), "--k-list", "0", "999",
+        "--out", str(tmp_path / "bundle"),
+    ])
+    assert code == 2
+    assert "k=999 outside" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_inspect_writes_what_export_writes_without_a_sweep(trained_run, tmp_path,
+                                                           capsys):
+    ckpt = str(trained_run / "checkpoint.json")
+    assert main(["inspect", "--checkpoint", ckpt, "--out", str(tmp_path / "a")]) == 0
+    inspect_out = capsys.readouterr().out
+    assert main(["export", "--checkpoint", ckpt, "--out", str(tmp_path / "b")]) == 0
+    export_out = capsys.readouterr().out
+    assert inspect_out.replace("/a\n", "/b\n") == export_out
+    names = sorted(f.name for f in (tmp_path / "a").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 # -------------------------------------------------------------------- help

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from neuroview.cells import CellKind, InitKind, InitScheme
-from neuroview.data import synth_separable
+from neuroview.data import DataSet, SequenceSample, synth_separable
 from neuroview.interpret import (
     AblationMode,
     AblationTarget,
@@ -18,7 +18,7 @@ from neuroview.interpret import (
     time_analysis,
     weight_map,
 )
-from neuroview.network import EncoderConfig, HeadKind, HeadParams
+from neuroview.network import EncoderConfig, HeadKind, HeadParams, Model
 from neuroview.train import TrainConfig, build_model, evaluate, fit
 
 
@@ -201,6 +201,58 @@ def test_time_analysis_does_not_mutate_inputs(trained):
     time_analysis(model, ds, 0, 3, target=AblationTarget.WEIGHTS)
     np.testing.assert_array_equal(model.head.V, V_before)
     np.testing.assert_array_equal(ds.samples[0].features, feats_before)
+
+
+def _rebuilt_counterfactual(model, ds, steps, target, layer):
+    """Reference for ``time_analysis``: rebuild the dataset with zeroed
+    input steps, or the model with zeroed classifier blocks, and evaluate."""
+    if target is AblationTarget.INPUTS:
+        samples = []
+        for s in ds.samples:
+            feats = s.features.copy()
+            feats[list(steps)] = 0.0
+            samples.append(SequenceSample(feats, s.label, s.true_length))
+        return evaluate(model, DataSet(samples, ds.num_classes, ds.feature_dim,
+                                       ds.horizon))
+    cfg = model.encoder
+    V = model.head.V.copy()
+    sw, T = cfg.step_width, cfg.max_len
+    for t in steps:
+        start = (layer * T + t) * sw
+        V[:, start:start + sw] = 0.0
+    head = HeadParams(model.head.kind, V, model.head.mean_pool)
+    return evaluate(Model(cfg, model.cells, head), ds)
+
+
+@pytest.mark.parametrize("cell,layers,bidir", [
+    (CellKind.GRU, 1, False),
+    (CellKind.LSTM, 2, True),
+])
+def test_time_analysis_matches_rebuilt_model_and_dataset(cell, layers, bidir):
+    T, d = 8, 3
+    ds = synth_separable(d, T, 1, 5, seed=4)
+    enc = EncoderConfig(cell, 1, 4, T, layers=layers, bidirectional=bidir)
+    model = build_model(enc, HeadKind.NEUROVIEW, d, InitScheme(InitKind.UNIFORM, 4))
+    model.head.V *= 20.0  # spread the scores so the zeroed blocks move argmaxes
+    empty = DataSet([], d, 1, T)
+    for target in AblationTarget:
+        for mode in AblationMode:
+            for k in (0, 1, 3, T):
+                for layer in range(layers):
+                    for c in range(d):
+                        r = time_analysis(model, ds, c, k, mode, target, layer)
+                        want = _rebuilt_counterfactual(
+                            model, ds, r.zeroed_steps, target, layer)
+                        np.testing.assert_array_equal(
+                            r.report.confusion, want.confusion)
+                        np.testing.assert_array_equal(
+                            r.report.per_class_accuracy, want.per_class_accuracy)
+                        assert r.report.overall_accuracy == want.overall_accuracy
+                    r = time_analysis(model, empty, 0, k, mode, target, layer)
+                    assert np.isnan(r.report.overall_accuracy)
+                    assert np.all(np.isnan(r.report.per_class_accuracy))
+                    np.testing.assert_array_equal(r.report.confusion,
+                                                  np.zeros((d, d), dtype=np.int64))
 
 
 def test_counterfactual_rows_schema(trained):
