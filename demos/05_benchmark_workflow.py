@@ -66,7 +66,7 @@ if found is None:
     sys.exit(0)
 
 train_ds = load_ucr(found[0])
-test_ds = load_ucr(found[1])
+test_ds = load_ucr(found[1], classes=train_ds.classes)
 print(f"{NAME}: {len(train_ds)} train / {len(test_ds)} test sequences, "
       f"{train_ds.horizon} steps, {train_ds.num_classes} classes")
 

@@ -53,10 +53,8 @@ from .train import (
 )
 from .data import (
     DataSet,
-    SequenceSample,
     load_ucr,
     pad_dataset,
-    pad_sequence,
     save_ucr,
     synth_separable,
 )

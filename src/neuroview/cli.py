@@ -5,9 +5,10 @@ Run configuration is a flat ``key = value`` text file; every field is
 written back explicitly on save so a run is fully self-describing.
 Checkpoints are versioned JSON with base64-encoded little-endian float64
 arrays: human-inspectable metadata, exact float round-trip, no binary
-format dependency. ``NV_SEED`` in the environment overrides the config
-seed. Exit codes: 0 success, 1 runtime/numerical failure, 2 usage or
-config error.
+format dependency. Format 2 also stores the raw label of each class id,
+and every split scored with a checkpoint maps its labels through them.
+``NV_SEED`` in the environment overrides the config seed. Exit codes:
+0 success, 1 runtime/numerical failure, 2 usage, config or input error.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .train import (
 from .data import DataSet, load_ucr, pad_dataset
 from . import interpret
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class UsageError(Exception):
@@ -166,10 +167,12 @@ def _decode_array(obj: dict) -> np.ndarray:
 
 
 def save_checkpoint(path, model: Model, run_config: RunConfig,
-                    metrics: Optional[dict] = None,
-                    adam: Optional[dict] = None) -> None:
+                    metrics: Optional[dict] = None, classes=None) -> None:
     """Write a versioned JSON checkpoint; identical state gives identical
-    bytes, so save -> load -> save is a fixed point."""
+    bytes, so save -> load -> save is a fixed point. ``classes`` holds the
+    raw label of each class id (default: the ids themselves)."""
+    if classes is None:
+        classes = np.arange(model.num_classes)
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "run_config": dataclasses.asdict(run_config),
@@ -190,7 +193,7 @@ def save_checkpoint(path, model: Model, run_config: RunConfig,
             {name: _encode_array(arr) for name, arr in p.arrays.items()}
             for p in model.cells
         ],
-        "adam": adam,
+        "classes": [float(c) for c in classes],
         "metrics": metrics,
         "seed": run_config.seed,
     }
@@ -200,27 +203,33 @@ def save_checkpoint(path, model: Model, run_config: RunConfig,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns ``(model, run_config, metrics, adam)``.
-    A missing, unsupported or malformed checkpoint raises ``UsageError``."""
+    """Read a checkpoint; returns ``(model, run_config, metrics, classes)``.
+    A missing, unsupported or malformed checkpoint raises ``UsageError``.
+    Format 1 stores no ``classes`` (None), which a warning reports."""
     path = Path(path)
     if not path.is_file():
         raise UsageError(f"checkpoint not found: {path}")
     try:
-        return _decode_checkpoint(json.loads(path.read_text()))
+        model, run_config, metrics, classes = _decode_checkpoint(
+            json.loads(path.read_text()))
     except json.JSONDecodeError as e:
         raise UsageError(f"checkpoint {path}: invalid JSON ({e})") from None
     except KeyError as e:
         raise UsageError(f"checkpoint {path}: missing key {e}") from None
     except (TypeError, ValueError, UsageError) as e:
         raise UsageError(f"checkpoint {path}: {e}") from None
+    if classes is None:
+        print(f"warning: checkpoint {path} is format 1, without class labels; "
+              "each split maps its own sorted labels", file=sys.stderr)
+    return model, run_config, metrics, classes
 
 
 def _decode_checkpoint(doc: dict):
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise UsageError(
             f"format version {version!r} not supported "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"(expected 1 or {CHECKPOINT_VERSION})"
         )
     enc = doc["encoder"]
     cfg = EncoderConfig(
@@ -246,7 +255,12 @@ def _decode_checkpoint(doc: dict):
     )
     model = Model(cfg, cells, head)
     run_config = RunConfig(**doc["run_config"])
-    return model, run_config, doc.get("metrics"), doc.get("adam")
+    classes = None
+    if version == CHECKPOINT_VERSION:
+        classes = np.asarray(doc["classes"], dtype=DTYPE)
+        if classes.shape != (model.num_classes,) or not np.all(np.diff(classes) > 0):
+            raise ValueError(f"classes must be {model.num_classes} increasing labels")
+    return model, run_config, doc.get("metrics"), classes
 
 
 def resolve_dataset(name_or_dir: str, data_root: str) -> tuple:
@@ -277,12 +291,18 @@ def resolve_dataset(name_or_dir: str, data_root: str) -> tuple:
     )
 
 
-def _load_split(path: str, run_config: RunConfig, horizon: int = 0) -> DataSet:
+def _load_split(path: str, run_config: RunConfig, horizon: int = 0,
+                classes=None) -> DataSet:
+    """Load a split, mapping its labels through ``classes`` when given and
+    padding it to ``horizon`` when nonzero; a bad file is a usage error."""
     if not path:
         raise UsageError("no dataset path given")
     if not Path(path).is_file():
         raise UsageError(f"dataset file not found: {path}")
-    ds = load_ucr(path, znorm=run_config.znorm)
+    try:
+        ds = load_ucr(path, znorm=run_config.znorm, classes=classes)
+    except ValueError as e:
+        raise UsageError(f"{path}: {e}") from None
     if horizon and ds.horizon != horizon:
         ds = pad_dataset(ds, horizon)
     return ds
@@ -315,29 +335,23 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _train_once(rc: RunConfig):
-    train_ds = _load_split(rc.train_path, rc)
-    horizon = rc.max_len or train_ds.horizon
-    if train_ds.horizon != horizon:
-        train_ds = pad_dataset(train_ds, horizon)
-    encoder = rc.encoder(train_ds.feature_dim, horizon)
+    train_ds = _load_split(rc.train_path, rc, rc.max_len)
+    # The test split is read before training, so a bad file costs no epochs.
+    test_ds = None
+    if rc.test_path:
+        test_ds = _load_split(rc.test_path, rc, train_ds.horizon, train_ds.classes)
+    encoder = rc.encoder(train_ds.feature_dim, train_ds.horizon)
     model, history = fit(
         train_ds, rc.train_config(), encoder, rc.head_kind(),
         rc.init_scheme(), rc.mean_pool,
     )
     train_report = evaluate(model, train_ds)
-    test_report = None
-    if rc.test_path:
-        test_ds = _load_split(rc.test_path, rc, horizon)
-        if test_ds.num_classes != train_ds.num_classes:
-            raise ValueError(
-                f"test split has {test_ds.num_classes} classes, "
-                f"train has {train_ds.num_classes}"
-            )
-        test_report = evaluate(model, test_ds)
-    return model, history, train_report, test_report
+    test_report = None if test_ds is None else evaluate(model, test_ds)
+    return model, history, train_report, test_report, train_ds.classes
 
 
-def _write_run_outputs(rc: RunConfig, model, history, train_report, test_report):
+def _write_run_outputs(rc: RunConfig, model, history, train_report, test_report,
+                       classes):
     out = Path(rc.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rc.save(out / "run_config.txt")
@@ -346,7 +360,7 @@ def _write_run_outputs(rc: RunConfig, model, history, train_report, test_report)
     if test_report is not None:
         metrics["test_accuracy"] = test_report.overall_accuracy
     ckpt = out / "checkpoint.json"
-    save_checkpoint(ckpt, model, rc, metrics=metrics)
+    save_checkpoint(ckpt, model, rc, metrics=metrics, classes=classes)
     return ckpt, metrics
 
 
@@ -354,8 +368,7 @@ def cmd_train(args) -> int:
     rc = _config_from_args(args)
     if not rc.train_path:
         raise UsageError("a training dataset is required (--dataset or --train-path)")
-    model, history, train_report, test_report = _train_once(rc)
-    ckpt, metrics = _write_run_outputs(rc, model, history, train_report, test_report)
+    ckpt, metrics = _write_run_outputs(rc, *_train_once(rc))
     print(f"checkpoint: {ckpt}")
     print(f"train accuracy: {metrics['train_accuracy']:.4f}")
     if "test_accuracy" in metrics:
@@ -379,8 +392,7 @@ def cmd_sweep(args) -> int:
         sub = dataclasses.replace(
             rc, hidden_dim=size, output_dir=str(out / f"hidden{size}")
         )
-        model, history, train_report, test_report = _train_once(sub)
-        ckpt, metrics = _write_run_outputs(sub, model, history, train_report, test_report)
+        ckpt, metrics = _write_run_outputs(sub, *_train_once(sub))
         acc = metrics["test_accuracy"]
         rows.append((size, acc))
         if best is None or acc > best[1] or (acc == best[1] and size < best[0]):
@@ -403,8 +415,8 @@ def _print_report(report: EvalReport) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    model, rc, _, _ = load_checkpoint(args.checkpoint)
-    ds = _load_split(args.dataset_path, rc, model.encoder.max_len)
+    model, rc, _, class_labels = load_checkpoint(args.checkpoint)
+    ds = _load_split(args.dataset_path, rc, model.encoder.max_len, class_labels)
     report = evaluate(model, ds)
     _print_report(report)
     return 0
@@ -439,10 +451,10 @@ def _check_k_list(ks: List[int], horizon: int) -> None:
 
 
 def cmd_counterfactual(args) -> int:
-    model, rc, _, _ = load_checkpoint(args.checkpoint)
+    model, rc, _, class_labels = load_checkpoint(args.checkpoint)
     _require_nv_checkpoint(model)
     _check_k_list(args.k_list, model.encoder.max_len)
-    ds = _load_split(args.dataset_path, rc, model.encoder.max_len)
+    ds = _load_split(args.dataset_path, rc, model.encoder.max_len, class_labels)
     mode = _parse_enum(interpret.AblationMode, args.mode, "mode")
     target = _parse_enum(interpret.AblationTarget, args.target, "target")
     results = [
@@ -463,7 +475,10 @@ def cmd_counterfactual(args) -> int:
 def cmd_export(args) -> int:
     """Weight maps and class similarity, plus a counterfactual sweep when a
     dataset and a k list are given (``inspect`` is the case without)."""
-    model, rc, _, _ = load_checkpoint(args.checkpoint)
+    if bool(args.dataset_path) != bool(args.k_list):
+        raise UsageError("--dataset-path and --k-list go together: give both "
+                         "for a counterfactual sweep, or neither")
+    model, rc, _, class_labels = load_checkpoint(args.checkpoint)
     _require_nv_checkpoint(model)
     cfg = model.encoder
     classes = _parse_classes(args.classes, model.num_classes)
@@ -471,8 +486,8 @@ def cmd_export(args) -> int:
     maps = [interpret.weight_map(model.head, cfg, c) for c in classes]
     sim = interpret.class_similarity(model.head) if model.num_classes >= 2 else None
     results = []
-    if args.dataset_path and args.k_list:
-        ds = _load_split(args.dataset_path, rc, cfg.max_len)
+    if args.dataset_path:
+        ds = _load_split(args.dataset_path, rc, cfg.max_len, class_labels)
         mode = _parse_enum(interpret.AblationMode, args.mode, "mode")
         results = [interpret.time_analysis(model, ds, c, k, mode)
                    for c in classes for k in args.k_list]

@@ -6,15 +6,16 @@ series values, separated by tabs or commas (autodetected). A multivariate
 extension uses tab-separated fields where each timestep field holds
 ``m`` comma-separated values.
 
-Raw labels may be arbitrary numbers ({1,2}, {-1,1}, ...); they are
-remapped to contiguous ids 0..d-1 by sorted order.
+Raw labels may be arbitrary numbers ({1,2}, {-1,1}, ...). A dataset holds
+contiguous class ids 0..d-1 plus ``classes``, the sorted raw label of each
+id. Loading another split through the same ``classes`` keeps every raw
+label on the same id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List
 
 import numpy as np
 
@@ -22,54 +23,53 @@ from .linalg import DTYPE
 
 
 @dataclass
-class SequenceSample:
-    features: np.ndarray  # (steps, feature_dim)
-    label: int
-    true_length: int
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=DTYPE)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError(
-                f"features must be a (steps, m) matrix with steps >= 1, "
-                f"got shape {self.features.shape}"
-            )
-        if self.true_length < 1:
-            raise ValueError(f"true_length must be >= 1, got {self.true_length}")
-        if self.label < 0:
-            raise ValueError(f"label must be non-negative, got {self.label}")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features contain non-finite values")
-
-
-@dataclass
 class DataSet:
-    samples: List[SequenceSample]
-    num_classes: int
-    feature_dim: int
-    horizon: int
+    """``X`` (B, T, m) float64, read-only; ``y`` (B,) class ids;
+    ``classes[i]`` the raw label of class id ``i``, strictly increasing."""
+
+    X: np.ndarray
+    y: np.ndarray
+    classes: np.ndarray
 
     def __post_init__(self):
-        for i, s in enumerate(self.samples):
-            if s.features.shape != (self.horizon, self.feature_dim):
-                raise ValueError(
-                    f"sample {i}: shape {s.features.shape} != "
-                    f"({self.horizon}, {self.feature_dim})"
-                )
-            if not 0 <= s.label < self.num_classes:
-                raise ValueError(
-                    f"sample {i}: label {s.label} outside [0, {self.num_classes})"
-                )
+        # A read-only view: the caller's own array stays writable.
+        self.X = np.asarray(self.X, dtype=DTYPE).view()
+        self.X.flags.writeable = False
+        self.y = np.asarray(self.y, dtype=np.int64)
+        self.classes = np.asarray(self.classes, dtype=DTYPE)
+        if self.X.ndim != 3 or self.y.shape != self.X.shape[:1]:
+            raise ValueError(
+                f"need features of shape (B, T, m) and labels of shape (B,), "
+                f"got {self.X.shape} and {self.y.shape}"
+            )
+        if not np.isfinite(self.X).all():
+            raise ValueError("features contain non-finite values")
+        if self.classes.ndim != 1 or not np.all(np.diff(self.classes) > 0):
+            raise ValueError("classes must be strictly increasing raw labels")
+        if np.any((self.y < 0) | (self.y >= self.num_classes)):
+            raise ValueError(f"label ids must lie in [0, {self.num_classes})")
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.X)
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.classes)
+
+    @property
+    def horizon(self) -> int:
+        return self.X.shape[1]
+
+    @property
+    def feature_dim(self) -> int:
+        return self.X.shape[2]
 
     def features(self) -> np.ndarray:
-        """All samples stacked as (B, horizon, feature_dim)."""
-        return np.stack([s.features for s in self.samples])
+        """All samples as one read-only (B, horizon, feature_dim) array."""
+        return self.X
 
     def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        return self.y
 
 
 def _parse_value(token: str, line_no: int, col: int) -> float:
@@ -86,16 +86,18 @@ def _parse_value(token: str, line_no: int, col: int) -> float:
     return v
 
 
-def load_ucr(path, znorm: bool = False) -> DataSet:
+def load_ucr(path, znorm: bool = False, classes=None) -> DataSet:
     """Load a label-first delimited archive file.
 
     Rows must all have the same number of timesteps (the archive ships
-    fixed-length splits); raw labels are remapped to 0..d-1 by sorted
-    order. ``znorm=True`` applies per-series standardization per channel.
+    fixed-length splits). Raw labels map to class ids through ``classes``
+    (sorted raw labels, as another split's ``DataSet.classes``), or else
+    through the file's own sorted labels, of which there must be at least
+    two. ``znorm=True`` applies per-series standardization per channel.
     """
-    path = Path(path)
-    text = path.read_text()
-    raw_rows = []
+    text = Path(path).read_text()
+    raw_labels = []
+    rows = []
     n_fields = None
     feature_dim = None
 
@@ -113,7 +115,7 @@ def load_ucr(path, znorm: bool = False) -> DataSet:
                 f"line {line_no}: ragged row, expected {n_fields} fields, "
                 f"got {len(fields)}"
             )
-        raw_label = _parse_value(fields[0], line_no, 0)
+        raw_labels.append(_parse_value(fields[0], line_no, 0))
         steps = []
         for col, token in enumerate(fields[1:], start=1):
             parts = token.split(",")
@@ -126,65 +128,55 @@ def load_ucr(path, znorm: bool = False) -> DataSet:
                     f"channel values, got {len(vec)}"
                 )
             steps.append(vec)
-        raw_rows.append((raw_label, np.array(steps, dtype=DTYPE)))
-
-    if not raw_rows:
-        raise ValueError(f"{path}: no data rows")
-
-    raw_labels = sorted({lab for lab, _ in raw_rows})
-    if len(raw_labels) < 2:
-        raise ValueError(
-            f"{path}: found {len(raw_labels)} class(es); need at least 2"
-        )
-    label_map = {lab: i for i, lab in enumerate(raw_labels)}
-
-    samples = []
-    for raw_label, feats in raw_rows:
+        feats = np.array(steps, dtype=DTYPE)
         if znorm:
             mu = feats.mean(axis=0)
             sd = feats.std(axis=0)
             feats = (feats - mu) / np.where(sd < 1e-12, 1.0, sd)
-        samples.append(
-            SequenceSample(feats, label_map[raw_label], feats.shape[0])
+        rows.append(feats)
+
+    if not rows:
+        raise ValueError("no data rows")
+
+    raw = np.array(raw_labels, dtype=DTYPE)
+    if classes is None:
+        classes = np.unique(raw)
+        if len(classes) < 2:
+            raise ValueError(f"found {len(classes)} class(es); need at least 2")
+    classes = np.asarray(classes, dtype=DTYPE)
+    y = np.searchsorted(classes, raw)
+    unknown = raw != classes[np.minimum(y, len(classes) - 1)]
+    if unknown.any():
+        known = ", ".join(f"{c:g}" for c in classes)
+        raise ValueError(
+            f"label {raw[unknown][0]:g} is not one of the known classes ({known})"
         )
-    horizon = samples[0].features.shape[0]
-    return DataSet(samples, len(raw_labels), feature_dim, horizon)
+    return DataSet(np.stack(rows), y, classes)
 
 
 def save_ucr(ds: DataSet, path) -> None:
-    """Re-serialize a dataset; floats are written so reloading is exact."""
+    """Re-serialize a dataset with its raw labels; floats are written so
+    reloading is exact."""
     lines = []
-    for s in ds.samples:
-        fields = [str(s.label)]
-        for step in s.features:
+    for label, x in zip(ds.classes[ds.y], ds.X):
+        fields = [np.format_float_positional(label, trim="-")]
+        for step in x:
             fields.append(",".join(repr(float(v)) for v in step))
         lines.append("\t".join(fields))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def pad_sequence(s: SequenceSample, horizon: int) -> SequenceSample:
-    """Zero-pad at the tail or keep only the first ``horizon`` steps.
-
-    The sample's original true length is preserved as metadata.
-    """
+def pad_dataset(ds: DataSet, horizon: int) -> DataSet:
+    """Zero-pad every sample at the tail or keep only its first
+    ``horizon`` steps."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    steps, m = s.features.shape
-    if steps == horizon:
-        return s
-    if steps > horizon:
-        feats = s.features[:horizon].copy()
-    else:
-        feats = np.zeros((horizon, m), dtype=DTYPE)
-        feats[:steps] = s.features
-    return SequenceSample(feats, s.label, s.true_length)
-
-
-def pad_dataset(ds: DataSet, horizon: int) -> DataSet:
-    return DataSet(
-        [pad_sequence(s, horizon) for s in ds.samples],
-        ds.num_classes, ds.feature_dim, horizon,
-    )
+    if horizon == ds.horizon:
+        return ds
+    X = np.zeros((len(ds), horizon, ds.feature_dim), dtype=DTYPE)
+    keep = min(horizon, ds.horizon)
+    X[:, :keep] = ds.X[:, :keep]
+    return DataSet(X, ds.y, ds.classes)
 
 
 def synth_separable(num_classes: int, horizon: int, feature_dim: int,
@@ -208,12 +200,9 @@ def synth_separable(num_classes: int, horizon: int, feature_dim: int,
         raise ValueError("feature_dim and n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
     window = max(1, (horizon // 2) // num_classes)
-    samples = []
+    X = rng.normal(0.0, noise, size=(num_classes * n_per_class, horizon, feature_dim))
     for k in range(num_classes):
         lo = k * window
-        hi = min(lo + window, horizon)
-        for _ in range(n_per_class):
-            feats = rng.normal(0.0, noise, size=(horizon, feature_dim))
-            feats[lo:hi] += amplitude
-            samples.append(SequenceSample(feats, k, horizon))
-    return DataSet(samples, num_classes, feature_dim, horizon)
+        X[k * n_per_class:(k + 1) * n_per_class, lo:lo + window] += amplitude
+    y = np.repeat(np.arange(num_classes), n_per_class)
+    return DataSet(X, y, np.arange(num_classes))

@@ -28,7 +28,7 @@ import numpy as np
 from .linalg import DTYPE
 from .network import EncoderConfig, HeadKind, HeadParams, Model
 from .data import DataSet
-from .train import EvalReport, eval_report, evaluate
+from .train import EvalReport, eval_report
 
 
 class AblationMode(enum.Enum):
@@ -149,20 +149,17 @@ def time_analysis(model: Model, dataset: DataSet, class_index: int, k: int,
         raise ValueError(f"k must be in [0, {cfg.max_len}], got {k}")
     order = rank_timesteps(model.head, cfg, class_index, mode, layer, direction)
     steps = [int(t) for t in order[:k]]
-    if len(dataset) == 0:
-        report = evaluate(model, dataset)
+    X = dataset.features()
+    if target is AblationTarget.INPUTS:
+        X = X.copy()
+        X[:, steps] = 0.0
+        logits, _ = model.forward(X)
     else:
-        X = dataset.features()
-        if target is AblationTarget.INPUTS:
-            X[:, steps] = 0.0
-            logits, _ = model.forward(X)
-        else:
-            _, trace = model.forward(X)
-            B = len(dataset)
-            q = trace.q.reshape(B, cfg.layers, cfg.max_len, cfg.step_width)
-            q[:, layer, steps] = 0.0
-            logits = q.reshape(B, -1) @ model.head.V.T
-        report = eval_report(logits, dataset.labels(), model.num_classes)
+        _, trace = model.forward(X)
+        q = trace.q.reshape(len(X), cfg.layers, cfg.max_len, cfg.step_width)
+        q[:, layer, steps] = 0.0
+        logits = q.reshape(trace.q.shape) @ model.head.V.T
+    report = eval_report(logits, dataset.labels(), model.num_classes)
     return CounterfactualResult(class_index, k, steps, mode, target, report)
 
 

@@ -88,6 +88,8 @@ class HeadParams:
         self.V = np.asarray(self.V, dtype=DTYPE)
         if self.V.ndim != 2:
             raise ValueError(f"head matrix must be 2-D, got shape {self.V.shape}")
+        if not np.all(np.isfinite(self.V)):
+            raise ValueError("head matrix contains non-finite entries")
 
     @property
     def num_classes(self) -> int:
@@ -135,9 +137,8 @@ def _check_cells(cfg: EncoderConfig, cells: List[CellParams]):
 
 
 def _as_time_major(cfg: EncoderConfig, x) -> tuple:
-    """Normalize input to (T, B, m); accepts (T, m), (B, T, m), or a sample."""
-    feats = getattr(x, "features", x)
-    feats = np.asarray(feats, dtype=DTYPE)
+    """Normalize input to (T, B, m); accepts (T, m) or (B, T, m)."""
+    feats = np.asarray(x, dtype=DTYPE)
     if feats.ndim == 2:
         if feats.shape != (cfg.max_len, cfg.input_dim):
             raise ValueError(
@@ -158,7 +159,7 @@ def _as_time_major(cfg: EncoderConfig, x) -> tuple:
 def encode(cfg: EncoderConfig, cells: List[CellParams], x) -> ForwardTrace:
     """Unroll the encoder over a sequence (or batch of sequences).
 
-    ``x`` may be a SequenceSample, a (T, m) array, or a (B, T, m) batch,
+    ``x`` may be a (T, m) array or a (B, T, m) batch,
     already padded/truncated to exactly ``cfg.max_len`` steps. Cells are
     ordered layer-major with the forward direction first:
     ``[l0_fwd, l0_rev, l1_fwd, l1_rev, ...]``.

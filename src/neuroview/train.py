@@ -282,12 +282,8 @@ def eval_report(logits: np.ndarray, labels: np.ndarray, num_classes: int) -> Eva
 
 def evaluate(model: Model, dataset: DataSet) -> EvalReport:
     """Accuracy metrics of a model over a dataset (NaN when it is empty)."""
-    d = model.num_classes
-    if len(dataset) == 0:
-        logits = np.zeros((0, d), dtype=DTYPE)
-    else:
-        logits, _ = model.forward(dataset.features())
-    return eval_report(logits, dataset.labels(), d)
+    logits, _ = model.forward(dataset.features())
+    return eval_report(logits, dataset.labels(), model.num_classes)
 
 
 def save_history_csv(history: List[tuple], path) -> None:

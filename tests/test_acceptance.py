@@ -87,7 +87,8 @@ def require_archive_files(name: str):
 
 def _require_ucr(name: str):
     train_path, test_path = require_archive_files(name)
-    return load_ucr(train_path), load_ucr(test_path)
+    train = load_ucr(train_path)
+    return train, load_ucr(test_path, classes=train.classes)
 
 
 def _train_nv_gru32(train_ds, seed):

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import os
@@ -18,7 +19,7 @@ from neuroview.cli import (
     save_checkpoint,
 )
 from neuroview import interpret
-from neuroview.data import load_ucr, save_ucr, synth_separable
+from neuroview.data import DataSet, load_ucr, save_ucr, synth_separable
 from neuroview.network import EncoderConfig, HeadKind
 from neuroview.train import TrainConfig, build_model, evaluate, fit
 
@@ -90,15 +91,17 @@ def test_checkpoint_roundtrip_bytes_and_predictions(tmp_path):
     model, _ = fit(ds, TrainConfig(epochs=20, seed=5), enc,
                    HeadKind.NEUROVIEW, InitScheme(InitKind.UNIFORM, 5))
     p = tmp_path / "ckpt.json"
-    save_checkpoint(p, model, RunConfig(seed=5), metrics={"train_accuracy": 1.0})
-    loaded, rc, metrics, adam = load_checkpoint(p)
+    save_checkpoint(p, model, RunConfig(seed=5), metrics={"train_accuracy": 1.0},
+                    classes=[-1.0, 2.5])
+    loaded, rc, metrics, classes = load_checkpoint(p)
     assert metrics == {"train_accuracy": 1.0}
+    np.testing.assert_array_equal(classes, [-1.0, 2.5])
     logits_a, _ = model.forward(ds.features())
     logits_b, _ = loaded.forward(ds.features())
     np.testing.assert_array_equal(logits_a, logits_b)
 
     q = tmp_path / "ckpt2.json"
-    save_checkpoint(q, loaded, rc, metrics=metrics, adam=adam)
+    save_checkpoint(q, loaded, rc, metrics=metrics, classes=classes)
     assert p.read_bytes() == q.read_bytes()
 
 
@@ -127,8 +130,35 @@ def _bad_payload_shape(doc):
     doc["head"]["V"]["shape"][1] += 1
 
 
+def _set_first(blob, value):
+    arr = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8").copy()
+    arr[0] = value
+    blob["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+
+
+def _nan_in_V(doc):
+    _set_first(doc["head"]["V"], np.nan)
+
+
+def _inf_in_V(doc):
+    _set_first(doc["head"]["V"], -np.inf)
+
+
+def _nan_in_cell(doc):
+    _set_first(doc["cells"][0]["U"], np.nan)
+
+
+def _inf_in_cell(doc):
+    _set_first(doc["cells"][0]["b"], np.inf)
+
+
+def _classes_not_increasing(doc):
+    doc["classes"] = [2.0, 1.0]
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_encoder, _unknown_run_config_key, _bad_payload_shape, "truncated",
+    _nan_in_V, _inf_in_V, _nan_in_cell, _inf_in_cell, _classes_not_increasing,
 ])
 def test_malformed_checkpoint_exits_2_with_one_line(dataset_files, tmp_path,
                                                     capsys, corrupt):
@@ -149,6 +179,30 @@ def test_malformed_checkpoint_exits_2_with_one_line(dataset_files, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint {p}: ")
     assert len(err.splitlines()) == 1
+
+
+V1_CHECKPOINT = Path(__file__).parent / "fixtures" / "checkpoint_v1_gru.json"
+
+
+def test_v1_checkpoint_loads_with_one_warning(tmp_path, capsys):
+    # Written by the format-1 writer: GRU, hidden 2, T 4, 2 classes. Format
+    # 1 stores no labels, so a split keeps its own sorted labels as ids.
+    ds = synth_separable(2, 4, 1, 6, seed=5, amplitude=1.0)
+    p = tmp_path / "split.tsv"
+    save_ucr(DataSet(ds.X, ds.y, [3.0, 8.0]), p)
+    code = main(["evaluate", "--checkpoint", str(V1_CHECKPOINT),
+                 "--dataset-path", str(p)])
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert out == ("overall accuracy: 0.6667\n"
+                   "class 0 accuracy: 0.5000\n"
+                   "class 1 accuracy: 0.8333\n")
+    assert err.startswith(f"warning: checkpoint {V1_CHECKPOINT} ")
+    assert len(err.splitlines()) == 1
+    model, rc, metrics, classes = load_checkpoint(V1_CHECKPOINT)
+    assert classes is None
+    assert metrics == {"train_accuracy": 1.0}
+    assert (model.encoder.hidden_dim, model.encoder.max_len) == (2, 4)
 
 
 # ------------------------------------------------------------------- train
@@ -206,6 +260,76 @@ def test_train_seed_env_override(dataset_files, tmp_path, monkeypatch):
     assert rc_a.seed == 11 and rc_c.seed == 12
     np.testing.assert_array_equal(a.head.V, b.head.V)
     assert not np.array_equal(a.head.V, c.head.V)
+
+
+def test_labels_keep_their_class_across_splits(tmp_path, capsys):
+    # Train on raw labels {1, 2, 3}, score splits holding {1, 3} and {3}:
+    # raw 3 is class 2 in every split, whatever else the split holds.
+    labels = [1.0, 2.0, 3.0]
+    train = synth_separable(3, 12, 1, 6, seed=0)
+    test = synth_separable(3, 12, 1, 6, seed=1)
+    train_p, test_p, only3_p = (tmp_path / n for n in ("tr.tsv", "te.tsv", "3.tsv"))
+    save_ucr(DataSet(train.X, train.y, labels), train_p)
+    for p, keep in ((test_p, test.y != 1), (only3_p, test.y == 2)):
+        save_ucr(DataSet(test.X[keep], test.y[keep], labels), p)
+    out = tmp_path / "run"
+    assert main(["train", "--train-path", str(train_p), "--test-path", str(test_p),
+                 "--hidden", "4", "--epochs", "40", "--lr", "0.01",
+                 "--out", str(out)]) == 0
+    assert "test accuracy: 1.0000" in capsys.readouterr().out
+    ckpt = str(out / "checkpoint.json")
+    np.testing.assert_array_equal(load_checkpoint(ckpt)[3], labels)
+    assert main(["evaluate", "--checkpoint", ckpt, "--dataset-path", str(test_p)]) == 0
+    assert capsys.readouterr().out == ("overall accuracy: 1.0000\n"
+                                       "class 0 accuracy: 1.0000\n"
+                                       "class 1 accuracy: n/a\n"
+                                       "class 2 accuracy: 1.0000\n")
+    assert main(["evaluate", "--checkpoint", ckpt, "--dataset-path", str(only3_p)]) == 0
+    assert capsys.readouterr().out == ("overall accuracy: 1.0000\n"
+                                       "class 0 accuracy: n/a\n"
+                                       "class 1 accuracy: n/a\n"
+                                       "class 2 accuracy: 1.0000\n")
+    bundle = tmp_path / "bundle"
+    assert main(["export", "--checkpoint", ckpt, "--dataset-path", str(test_p),
+                 "--k-list", "0", "--classes", "2", "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    rows = json.loads((bundle / "counterfactuals.json").read_text())
+    assert rows[0]["per_class_accuracy"] == [1.0, None, 1.0]
+    assert main(["counterfactual", "--checkpoint", ckpt, "--dataset-path",
+                 str(only3_p), "--class", "2", "--k-list", "0"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0]["per_class_accuracy"] == [None, None, 1.0]
+
+
+def _row(label, values):
+    return "\t".join([label] + values) + "\n"
+
+
+EIGHT = ["0.5"] * 8
+
+
+@pytest.mark.parametrize("command,text", [
+    ("evaluate", _row("0", EIGHT) + _row("1", EIGHT[:2])),
+    ("evaluate", _row("0", EIGHT) + _row("1", EIGHT[:7] + ["xyz"])),
+    ("evaluate", _row("0", EIGHT) + _row("1", ["NaN"] + EIGHT[1:])),
+    ("evaluate", ""),
+    ("evaluate", _row("0", EIGHT) + _row("7", EIGHT)),
+    ("train", _row("1", EIGHT) + _row("1", EIGHT)),
+], ids=["ragged-row", "bad-token", "nan-value", "empty-file", "unknown-label",
+        "one-class-train"])
+def test_bad_split_exits_2_with_one_line(trained_run, tmp_path, capsys,
+                                         command, text):
+    p = tmp_path / "split.tsv"
+    p.write_text(text)
+    if command == "evaluate":
+        argv = ["evaluate", "--checkpoint", str(trained_run / "checkpoint.json"),
+                "--dataset-path", str(p)]
+    else:
+        argv = ["train", "--train-path", str(p), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_train_from_config_file(dataset_files, tmp_path):
@@ -387,6 +511,22 @@ def test_export_checks_k_before_scoring(dataset_files, trained_run, tmp_path,
     assert code == 2
     assert "k=999 outside" in capsys.readouterr().err
     assert calls == []
+    assert not (tmp_path / "bundle").exists()
+
+
+@pytest.mark.parametrize("given", [["--k-list", "0", "2"], ["--dataset-path"]],
+                         ids=["k-list-only", "dataset-only"])
+def test_export_needs_dataset_and_k_list_together(dataset_files, trained_run,
+                                                  tmp_path, capsys, given):
+    root, train_p, test_p = dataset_files
+    if given == ["--dataset-path"]:
+        given = given + [str(test_p)]
+    code = main(["export", "--checkpoint", str(trained_run / "checkpoint.json"),
+                 "--out", str(tmp_path / "bundle")] + given)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--dataset-path and --k-list" in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "bundle").exists()
 
 

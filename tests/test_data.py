@@ -3,10 +3,8 @@ import pytest
 
 from neuroview.data import (
     DataSet,
-    SequenceSample,
     load_ucr,
     pad_dataset,
-    pad_sequence,
     save_ucr,
     synth_separable,
 )
@@ -26,8 +24,9 @@ def test_load_two_row_file(tmp_path):
     assert ds.num_classes == 2
     assert ds.horizon == 2
     assert ds.feature_dim == 1
-    assert [s.label for s in ds.samples] == [0, 1]
-    np.testing.assert_array_equal(ds.samples[0].features[:, 0], [0.5, 0.7])
+    assert ds.labels().tolist() == [0, 1]
+    np.testing.assert_array_equal(ds.classes, [1.0, 2.0])
+    np.testing.assert_array_equal(ds.features()[0, :, 0], [0.5, 0.7])
 
 
 def test_load_comma_delimited(tmp_path):
@@ -40,8 +39,21 @@ def test_label_remap_is_sorted_and_bijective(tmp_path):
     p = write(tmp_path, "5\t1\n-1\t2\n5\t3\n2\t4\n")
     ds = load_ucr(p)
     # raw -1 -> 0, 2 -> 1, 5 -> 2
-    assert [s.label for s in ds.samples] == [2, 0, 2, 1]
+    assert ds.labels().tolist() == [2, 0, 2, 1]
+    np.testing.assert_array_equal(ds.classes, [-1.0, 2.0, 5.0])
     assert ds.num_classes == 3
+
+
+def test_load_maps_labels_through_given_classes(tmp_path):
+    p = write(tmp_path, "3\t1\n1\t2\n3\t3\n")
+    ds = load_ucr(p, classes=[1.0, 2.0, 3.0])
+    # one id per raw label, whatever else the file holds; one class is enough
+    assert ds.labels().tolist() == [2, 0, 2]
+    assert ds.num_classes == 3
+    assert load_ucr(write(tmp_path, "2\t1\n", "one.tsv"),
+                    classes=[1.0, 2.0]).labels().tolist() == [1]
+    with pytest.raises(ValueError, match=r"^label 7 is not one of the known classes \(1, 2\)$"):
+        load_ucr(write(tmp_path, "1\t1\n7.0\t2\n", "new.tsv"), classes=[1.0, 2.0])
 
 
 def test_ragged_row_error_names_line(tmp_path):
@@ -79,7 +91,7 @@ def test_multivariate_extension(tmp_path):
     ds = load_ucr(p)
     assert ds.feature_dim == 2
     assert ds.horizon == 2
-    np.testing.assert_array_equal(ds.samples[0].features, [[0.5, 1.5], [0.7, 1.7]])
+    np.testing.assert_array_equal(ds.features()[0], [[0.5, 1.5], [0.7, 1.7]])
 
 
 def test_multivariate_ragged_channels_rejected(tmp_path):
@@ -101,9 +113,11 @@ def test_roundtrip_is_fixed_point(tmp_path):
     ds2 = load_ucr(q)
     assert ds2.num_classes == ds1.num_classes
     assert ds2.horizon == ds1.horizon
-    for a, b in zip(ds1.samples, ds2.samples):
-        assert a.label == b.label
-        np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(ds2.labels(), ds1.labels())
+    np.testing.assert_array_equal(ds2.features(), ds1.features())
+    # the raw labels survive, not just the ids
+    np.testing.assert_array_equal(ds2.classes, [1.0, 2.0, 3.0])
+    assert q.read_text().split("\t", 1)[0] == "1"
     # a second round-trip produces identical bytes
     r = tmp_path / "resaved2.tsv"
     save_ucr(ds2, r)
@@ -113,54 +127,53 @@ def test_roundtrip_is_fixed_point(tmp_path):
 def test_znorm_flag(tmp_path):
     p = write(tmp_path, "1\t1.0\t2.0\t3.0\n2\t10.0\t20.0\t30.0\n")
     ds = load_ucr(p, znorm=True)
-    for s in ds.samples:
-        assert s.features.mean() == pytest.approx(0.0, abs=1e-12)
-        assert s.features.std() == pytest.approx(1.0, rel=1e-12)
+    for x in ds.features():
+        assert x.mean() == pytest.approx(0.0, abs=1e-12)
+        assert x.std() == pytest.approx(1.0, rel=1e-12)
 
 
 # ----------------------------------------------------------------- padding
 
-def sample(steps, m=1, label=0):
-    feats = np.arange(1, steps * m + 1, dtype=float).reshape(steps, m)
-    return SequenceSample(feats, label, steps)
+def one_sample(steps, m=1, label=0):
+    X = np.arange(1, steps * m + 1, dtype=float).reshape(1, steps, m)
+    return DataSet(X, [label], [0.0, 1.0])
 
 
 def test_pad_appends_zero_steps():
-    s = pad_sequence(sample(2), 4)
-    assert s.features.shape == (4, 1)
-    np.testing.assert_array_equal(s.features[:2, 0], [1.0, 2.0])
-    np.testing.assert_array_equal(s.features[2:], np.zeros((2, 1)))
-    assert s.true_length == 2
+    X = pad_dataset(one_sample(2), 4).features()
+    assert X.shape == (1, 4, 1)
+    np.testing.assert_array_equal(X[0, :2, 0], [1.0, 2.0])
+    np.testing.assert_array_equal(X[0, 2:], np.zeros((2, 1)))
 
 
 def test_pad_identity_when_equal():
-    s0 = sample(3)
-    s1 = pad_sequence(s0, 3)
-    assert s1 is s0
+    ds0 = one_sample(3)
+    ds1 = pad_dataset(ds0, 3)
+    assert ds1 is ds0
 
 
 def test_pad_truncates_to_prefix():
-    s = pad_sequence(sample(5), 3)
-    assert s.features.shape == (3, 1)
-    np.testing.assert_array_equal(s.features[:, 0], [1.0, 2.0, 3.0])
-    assert s.true_length == 5
+    X = pad_dataset(one_sample(5), 3).features()
+    assert X.shape == (1, 3, 1)
+    np.testing.assert_array_equal(X[0, :, 0], [1.0, 2.0, 3.0])
 
 
 def test_pad_never_alters_leading_steps():
     rng = np.random.default_rng(1)
     for steps, horizon in [(4, 9), (9, 4), (6, 6)]:
         feats = rng.normal(size=(steps, 2))
-        s = SequenceSample(feats.copy(), 0, steps)
-        padded = pad_sequence(s, horizon)
+        ds = DataSet(feats[None].copy(), [0], [0.0])
+        padded = pad_dataset(ds, horizon)
         keep = min(steps, horizon)
-        np.testing.assert_array_equal(padded.features[:keep], feats[:keep])
+        np.testing.assert_array_equal(padded.features()[0, :keep], feats[:keep])
 
 
 def test_pad_dataset(tmp_path):
     ds = synth_separable(2, 6, 1, 3, seed=0)
     out = pad_dataset(ds, 9)
     assert out.horizon == 9
-    assert all(s.features.shape == (9, 1) for s in out.samples)
+    assert out.features().shape == (6, 9, 1)
+    np.testing.assert_array_equal(out.labels(), ds.labels())
 
 
 # --------------------------------------------------------------- synthetic
@@ -168,18 +181,14 @@ def test_pad_dataset(tmp_path):
 def test_synth_deterministic_per_seed():
     a = synth_separable(3, 12, 2, 4, seed=9)
     b = synth_separable(3, 12, 2, 4, seed=9)
-    for s, t in zip(a.samples, b.samples):
-        np.testing.assert_array_equal(s.features, t.features)
-        assert s.label == t.label
+    np.testing.assert_array_equal(a.features(), b.features())
+    np.testing.assert_array_equal(a.labels(), b.labels())
 
 
 def test_synth_different_seeds_differ():
     a = synth_separable(2, 12, 1, 4, seed=1)
     b = synth_separable(2, 12, 1, 4, seed=2)
-    assert any(
-        not np.array_equal(s.features, t.features)
-        for s, t in zip(a.samples, b.samples)
-    )
+    assert not np.array_equal(a.features(), b.features())
 
 
 def test_synth_rejects_degenerate_args():
@@ -209,9 +218,23 @@ def test_synth_is_trainable_to_full_accuracy():
 
 def test_dataset_validation():
     with pytest.raises(ValueError, match="label"):
-        DataSet([sample(3, label=5)], 2, 1, 3)
+        one_sample(3, label=5)
     with pytest.raises(ValueError, match="shape"):
-        DataSet([sample(3)], 2, 1, 4)
+        DataSet(np.zeros((2, 3, 1)), [0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="shape"):
+        DataSet(np.zeros((3, 1)), [0, 0, 0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        DataSet(np.full((1, 3, 1), np.inf), [0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="increasing"):
+        DataSet(np.zeros((1, 3, 1)), [0], [1.0, 0.0])
+
+
+def test_features_are_read_only_and_leave_the_caller_array_alone():
+    X = np.zeros((2, 3, 1))
+    ds = DataSet(X, [0, 1], [0.0, 1.0])
+    with pytest.raises(ValueError, match="read-only"):
+        ds.features()[0, 0, 0] = 1.0
+    X[0, 0, 0] = 1.0  # the caller's own array stays writable
 
 
 # ------------------------------------------------- archive files, if present

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from neuroview.cells import CellKind, InitKind, InitScheme
-from neuroview.data import DataSet, SequenceSample, synth_separable
+from neuroview.data import DataSet, synth_separable
 from neuroview.interpret import (
     AblationMode,
     AblationTarget,
@@ -171,8 +171,8 @@ def test_time_analysis_full_horizon_equals_zero_input(trained):
     pred_zero = int(np.argmax(logits_zero))
     # every sample collapses to the all-zero-input prediction
     expected_conf = np.zeros_like(r.report.confusion)
-    for s in ds.samples:
-        expected_conf[s.label, pred_zero] += 1
+    for label in ds.labels():
+        expected_conf[label, pred_zero] += 1
     np.testing.assert_array_equal(r.report.confusion, expected_conf)
 
 
@@ -196,24 +196,23 @@ def test_time_analysis_weights_target_full_zeroing(trained):
 def test_time_analysis_does_not_mutate_inputs(trained):
     model, ds = trained
     V_before = model.head.V.copy()
-    feats_before = ds.samples[0].features.copy()
+    feats_before = ds.features().copy()
     time_analysis(model, ds, 0, 3)
     time_analysis(model, ds, 0, 3, target=AblationTarget.WEIGHTS)
     np.testing.assert_array_equal(model.head.V, V_before)
-    np.testing.assert_array_equal(ds.samples[0].features, feats_before)
+    np.testing.assert_array_equal(ds.features(), feats_before)
 
 
 def _rebuilt_counterfactual(model, ds, steps, target, layer):
     """Reference for ``time_analysis``: rebuild the dataset with zeroed
     input steps, or the model with zeroed classifier blocks, and evaluate."""
     if target is AblationTarget.INPUTS:
-        samples = []
-        for s in ds.samples:
-            feats = s.features.copy()
+        X = []
+        for feats in ds.features():
+            feats = feats.copy()
             feats[list(steps)] = 0.0
-            samples.append(SequenceSample(feats, s.label, s.true_length))
-        return evaluate(model, DataSet(samples, ds.num_classes, ds.feature_dim,
-                                       ds.horizon))
+            X.append(feats)
+        return evaluate(model, DataSet(np.stack(X), ds.labels(), ds.classes))
     cfg = model.encoder
     V = model.head.V.copy()
     sw, T = cfg.step_width, cfg.max_len
@@ -234,7 +233,7 @@ def test_time_analysis_matches_rebuilt_model_and_dataset(cell, layers, bidir):
     enc = EncoderConfig(cell, 1, 4, T, layers=layers, bidirectional=bidir)
     model = build_model(enc, HeadKind.NEUROVIEW, d, InitScheme(InitKind.UNIFORM, 4))
     model.head.V *= 20.0  # spread the scores so the zeroed blocks move argmaxes
-    empty = DataSet([], d, 1, T)
+    empty = DataSet(np.zeros((0, T, 1)), [], np.arange(d))
     for target in AblationTarget:
         for mode in AblationMode:
             for k in (0, 1, 3, T):

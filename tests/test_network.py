@@ -261,18 +261,6 @@ def test_predict_argmax():
     assert cls == 1
 
 
-def test_predict_accepts_sequence_sample():
-    from neuroview.data import SequenceSample
-
-    model = make_model(CellKind.GRU, HeadKind.NEUROVIEW)
-    feats = np.random.default_rng(9).normal(size=(4, 2))
-    sample = SequenceSample(feats, 0, 4)
-    cls_s, logits_s = predict(model.encoder, model.cells, model.head, sample)
-    cls_a, logits_a = predict(model.encoder, model.cells, model.head, feats)
-    assert cls_s == cls_a
-    np.testing.assert_array_equal(logits_s, logits_a)
-
-
 def test_predict_argmax_invariant_under_positive_scaling():
     rng = np.random.default_rng(6)
     for seed in range(10):

@@ -6,7 +6,7 @@ import pytest
 
 import neuroview.train as train_mod
 from neuroview.cells import CellKind, InitKind, InitScheme
-from neuroview.data import synth_separable
+from neuroview.data import DataSet, synth_separable
 from neuroview.network import EncoderConfig, HeadKind
 from neuroview.train import (
     AdamState,
@@ -173,7 +173,7 @@ def test_fit_is_bit_reproducible():
 
 def test_fit_empty_dataset_rejected():
     ds, enc, head, init = small_setup()
-    ds.samples = []
+    ds = DataSet(ds.X[:0], ds.y[:0], ds.classes)
     with pytest.raises(ValueError, match="empty"):
         fit(ds, TrainConfig(epochs=1), enc, head, init)
 
@@ -227,7 +227,7 @@ def test_one_sample_loss_strictly_decreases():
     # every cell kind.
     for cell in CellKind:
         ds, enc, head, init = small_setup(cell=cell, seed=1)
-        ds.samples = ds.samples[:1]
+        ds = DataSet(ds.X[:1], ds.y[:1], ds.classes)
         model, history = fit(ds, TrainConfig(epochs=200, seed=1), enc, head, init)
         assert history[-1][1] < history[0][1]
         assert history[-1][1] >= 0.0
