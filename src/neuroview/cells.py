@@ -28,12 +28,11 @@ LSTM::
 
 Packed layout
 -------------
-Parameters live name-keyed in ``CellParams.arrays``; checkpoints, the
-optimizer and ``param_tree`` only ever see the names. The sequence kernel
-packs them once at entry, stacking the k gates' rows with the sigmoid
-gates first, so one sigmoid call covers a contiguous slice, and appending
-each bias as a last column, so the GEMM that applies a weight matrix to
-an input with a trailing 1 also adds the bias::
+Each cell's parameters live in two packed blocks, ``CellParams.packed``,
+which stack the k gates' rows with the sigmoid gates first, so one
+sigmoid call covers a contiguous slice, and carry each bias as a last
+column, so the GEMM that applies a weight matrix to an input with a
+trailing 1 also adds the bias::
 
     kind   k   gate order      sigmoid slice
     rnn    1   h               h
@@ -45,7 +44,10 @@ an input with a trailing 1 also adds the bias::
 
 With ``gi = W_i x + b_i`` and ``gh = W_h h + b_h``, the gates are the
 nonlinearities of slices of ``gi + gh``, except the GRU's n gate, which
-reads ``gi_n + r * gh_n``.
+reads ``gi_n + r * gh_n``. ``CellParams.arrays`` maps each schema name
+to a view into the blocks, which inside a ``Model`` are views into its
+flat ``params``. The rnn's hidden-side bias column is no parameter: it
+has no name, stays 0.0 and gets a zero gradient.
 
 Kernel
 ------
@@ -58,19 +60,19 @@ unit-major, (k*n, B), so that every gate is a contiguous block.
 ``sequence_backward`` runs BPTT over that trace: per step one (k*n, B)
 gate-gradient block, one GEMM each for the incoming state and input
 gradients and one each accumulating the packed weight-and-bias
-gradients, which are unpacked to names at exit. ``cell_forward`` and
+gradients, into caller-given blocks or fresh ones. ``cell_forward`` and
 ``cell_backward`` are the T=1 case of the same kernel: they take single
 vectors (``(n,)`` / ``(m,)``) or batches (``(B, n)`` / ``(B, m)``), an
 initial state and, for the LSTM, an incoming cell-state gradient, and
-their outputs match the input's batch shape. Apart from the ``dX``
-accumulator a caller passes to ``sequence_backward``, all functions are
-pure: parameters and traces are never mutated.
+their outputs match the input's batch shape. Apart from the ``dX`` and
+gradient accumulators a caller passes to ``sequence_backward``, all
+functions are pure: parameters and traces are never mutated.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -137,10 +139,15 @@ def param_shapes(kind: CellKind, input_dim: int, hidden_dim: int) -> dict:
 
 @dataclass
 class CellParams:
+    """One cell's packed blocks ``(W_i | b_i, W_h | b_h)`` and ``arrays``,
+    name -> view into them. The given ``arrays`` are copied in: into
+    ``packed`` when given (a model's buffer), else into fresh zeros."""
+
     kind: CellKind
     input_dim: int
     hidden_dim: int
     arrays: dict
+    packed: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         expected = param_shapes(self.kind, self.input_dim, self.hidden_dim)
@@ -149,6 +156,11 @@ class CellParams:
                 f"{self.kind.value} cell expects parameters "
                 f"{sorted(expected)}, got {sorted(self.arrays)}"
             )
+        if self.packed is None:
+            rows = (len(_GATE_ORDER[self.kind]) or 1) * self.hidden_dim
+            self.packed = (np.zeros((rows, self.input_dim + 1), dtype=DTYPE),
+                           np.zeros((rows, self.hidden_dim + 1), dtype=DTYPE))
+        views = named_views(self.kind, self.hidden_dim, *self.packed)
         for name, shape in expected.items():
             arr = np.asarray(self.arrays[name], dtype=DTYPE)
             if arr.shape != shape:
@@ -157,13 +169,11 @@ class CellParams:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"parameter {name!r} contains non-finite entries")
-            self.arrays[name] = arr
+            views[name][...] = arr
+        self.arrays = views
 
     def copy(self) -> "CellParams":
-        return CellParams(
-            self.kind, self.input_dim, self.hidden_dim,
-            {k: v.copy() for k, v in self.arrays.items()},
-        )
+        return CellParams(self.kind, self.input_dim, self.hidden_dim, self.arrays)
 
 
 @dataclass
@@ -188,30 +198,17 @@ _PACKED = {
 _AUX = {CellKind.SIMPLE_RNN: "pre", CellKind.GRU: "hn_affine", CellKind.LSTM: "c"}
 
 
-def _pack(p: CellParams) -> tuple:
-    """``(W_i | b_i, W_h | b_h)``: packed weights, each with its bias as a
-    trailing column (zero for the rnn's absent hidden bias)."""
-    w_i, w_h, b_i, b_h = _PACKED[p.kind]
-    a = p.arrays
-
-    def stack(w_names, b_names):
-        W = np.concatenate([a[name] for name in w_names])
-        b = np.concatenate([a[name] for name in b_names]) if b_names else np.zeros(len(W))
-        return np.hstack([W, b[:, None]])
-
-    return stack(w_i, b_i), stack(w_h, b_h)
-
-
-def _unpack(kind: CellKind, n: int, grad_i: np.ndarray, grad_h: np.ndarray) -> dict:
-    """Name-keyed gradients from packed ones, in canonical schema order."""
+def named_views(kind: CellKind, n: int, W_i: np.ndarray, W_h: np.ndarray) -> dict:
+    """Name -> view into the packed blocks, in canonical schema order (the
+    rnn's hidden-side bias column has no name)."""
     w_i, w_h, b_i, b_h = _PACKED[kind]
     out = {}
-    for w_names, b_names, grad in ((w_i, b_i, grad_i), (w_h, b_h, grad_h)):
+    for w_names, b_names, block in ((w_i, b_i, W_i), (w_h, b_h, W_h)):
         for j, name in enumerate(w_names):
-            out[name] = grad[j * n:(j + 1) * n, :-1]
+            out[name] = block[j * n:(j + 1) * n, :-1]
         for j, name in enumerate(b_names):
-            out[name] = grad[j * n:(j + 1) * n, -1]
-    return {name: np.ascontiguousarray(out[name]) for name in _SCHEMAS[kind]}
+            out[name] = block[j * n:(j + 1) * n, -1]
+    return {name: out[name] for name in _SCHEMAS[kind]}
 
 
 def _with_ones(a: np.ndarray) -> np.ndarray:
@@ -294,7 +291,7 @@ def sequence_forward(p: CellParams, X: np.ndarray, h0: Optional[np.ndarray] = No
     T, B, _ = X.shape
     n = p.hidden_dim
     s = _SIGMOID_GATES[kind] * n
-    W_i, W_h = _pack(p)
+    W_i, W_h = p.packed
     xa = _with_ones(X)
     ha = np.empty((T, B, n + 1), dtype=DTYPE)
     ha[..., n] = 1.0
@@ -341,24 +338,27 @@ def sequence_forward(p: CellParams, X: np.ndarray, h0: Optional[np.ndarray] = No
 
 def sequence_backward(p: CellParams, trace: SequenceTrace, dH: np.ndarray,
                       grad_c: Optional[np.ndarray] = None,
-                      dX: Optional[np.ndarray] = None):
+                      dX: Optional[np.ndarray] = None,
+                      grads: Optional[tuple] = None):
     """BPTT through a ``sequence_forward`` trace.
 
     ``dH`` (T, B, n) is the loss gradient arriving at each step's hidden
     output from outside the recurrence; ``grad_c`` (B, n) is the gradient
     at the last step's cell state (lstm only; the last step is t=0 for a
     reverse run). When ``dX`` (T, B, m) is given, the input gradient is
-    added into it. Returns ``(grads, grad_h0, grad_c0)``: name-keyed
-    parameter gradients summed over batch and time, and the (B, n)
-    gradient at the initial state (``grad_c0`` is None unless lstm).
+    added into it. Returns ``(grads, grad_h0, grad_c0)``: the packed
+    parameter gradients ``(dW_i, dW_h)`` summed over batch and time, and
+    the (B, n) gradient at the initial state (``grad_c0`` is None unless
+    lstm). They are added into ``grads`` when given, else into zeros;
+    the rnn's hidden-side bias column, no parameter, is left at 0.0.
     """
     kind = p.kind
     T, B, n1 = trace.ha.shape
     n = n1 - 1
     s = _SIGMOID_GATES[kind] * n
-    W_i, W_h = _pack(p)
+    W_i, W_h = p.packed
     W_x, W_hh = W_i[:, :-1], W_h[:, :n].T
-    grad_i, grad_h = np.zeros_like(W_i), np.zeros_like(W_h)
+    grad_i, grad_h = (np.zeros_like(W_i), np.zeros_like(W_h)) if grads is None else grads
     dG = np.empty((W_i.shape[0], B), dtype=DTYPE)
     carry_h = np.zeros((n, B), dtype=DTYPE)
     carry_c = None
@@ -407,8 +407,9 @@ def sequence_backward(p: CellParams, trace: SequenceTrace, dH: np.ndarray,
         if kind is CellKind.GRU:
             carry_h += dh * z
 
-    grads = _unpack(kind, n, grad_i, grad_h)
-    return grads, carry_h.T, None if carry_c is None else carry_c.T
+    if kind is CellKind.SIMPLE_RNN:
+        grad_h[:, n] = 0.0
+    return (grad_i, grad_h), carry_h.T, None if carry_c is None else carry_c.T
 
 
 def _as_batch(a, dim, what):
@@ -484,6 +485,7 @@ def cell_backward(
     def out(arr):
         return arr[0] if x1 and h1 else arr
 
+    grads = named_views(p.kind, p.hidden_dim, *grads)
     return grads, out(dhp), None if dcp is None else out(dcp), out(dX[0])
 
 

@@ -242,10 +242,8 @@ def _decode_checkpoint(doc: dict):
     )
     cells = []
     for i, blob in enumerate(doc["cells"]):
-        layer = i // cfg.directions
-        in_dim = cfg.input_dim if layer == 0 else cfg.step_width
         cells.append(CellParams(
-            cfg.cell, in_dim, cfg.hidden_dim,
+            cfg.cell, cfg.cell_input_dim(i), cfg.hidden_dim,
             {name: _decode_array(t) for name, t in blob.items()},
         ))
     head = HeadParams(
@@ -305,6 +303,16 @@ def _load_split(path: str, run_config: RunConfig, horizon: int = 0,
         raise UsageError(f"{path}: {e}") from None
     if horizon and ds.horizon != horizon:
         ds = pad_dataset(ds, horizon)
+    return ds
+
+
+def _split_for(model: Model, path: str, run_config: RunConfig, classes) -> DataSet:
+    """A split to score with ``model``; under a format-1 checkpoint (no
+    ``classes``) it may hold more labels than the model has classes."""
+    ds = _load_split(path, run_config, model.encoder.max_len, classes)
+    if ds.num_classes > model.num_classes:
+        raise UsageError(f"{path}: the split has {ds.num_classes} labels, but the "
+                         f"checkpoint has only {model.num_classes} classes")
     return ds
 
 
@@ -416,8 +424,7 @@ def _print_report(report: EvalReport) -> None:
 
 def cmd_evaluate(args) -> int:
     model, rc, _, class_labels = load_checkpoint(args.checkpoint)
-    ds = _load_split(args.dataset_path, rc, model.encoder.max_len, class_labels)
-    report = evaluate(model, ds)
+    report = evaluate(model, _split_for(model, args.dataset_path, rc, class_labels))
     _print_report(report)
     return 0
 
@@ -454,7 +461,7 @@ def cmd_counterfactual(args) -> int:
     model, rc, _, class_labels = load_checkpoint(args.checkpoint)
     _require_nv_checkpoint(model)
     _check_k_list(args.k_list, model.encoder.max_len)
-    ds = _load_split(args.dataset_path, rc, model.encoder.max_len, class_labels)
+    ds = _split_for(model, args.dataset_path, rc, class_labels)
     mode = _parse_enum(interpret.AblationMode, args.mode, "mode")
     target = _parse_enum(interpret.AblationTarget, args.target, "target")
     results = [
@@ -487,7 +494,7 @@ def cmd_export(args) -> int:
     sim = interpret.class_similarity(model.head) if model.num_classes >= 2 else None
     results = []
     if args.dataset_path:
-        ds = _load_split(args.dataset_path, rc, cfg.max_len, class_labels)
+        ds = _split_for(model, args.dataset_path, rc, class_labels)
         mode = _parse_enum(interpret.AblationMode, args.mode, "mode")
         results = [interpret.time_analysis(model, ds, c, k, mode)
                    for c in classes for k in args.k_list]

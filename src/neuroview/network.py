@@ -30,13 +30,13 @@ bidirectional encoders the per-timestep state is the concatenation
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from .linalg import DTYPE, relu
-from .cells import CellKind, CellParams, sequence_backward, sequence_forward
+from .cells import CellKind, CellParams, named_views, sequence_backward, sequence_forward
 
 
 class HeadKind(enum.Enum):
@@ -76,6 +76,10 @@ class EncoderConfig:
 
     def num_cells(self) -> int:
         return self.layers * self.directions
+
+    def cell_input_dim(self, i: int) -> int:
+        """Input width of cell ``i`` (cells are ordered layer-major)."""
+        return self.input_dim if i < self.directions else self.step_width
 
 
 @dataclass
@@ -125,8 +129,7 @@ def _check_cells(cfg: EncoderConfig, cells: List[CellParams]):
             f"({cfg.layers} layers x {cfg.directions} directions), got {len(cells)}"
         )
     for idx, p in enumerate(cells):
-        layer = idx // cfg.directions
-        want_in = cfg.input_dim if layer == 0 else cfg.step_width
+        want_in = cfg.cell_input_dim(idx)
         if p.kind is not cfg.cell:
             raise ValueError(f"cell {idx}: kind {p.kind.value!r} != config {cfg.cell.value!r}")
         if p.hidden_dim != cfg.hidden_dim or p.input_dim != want_in:
@@ -234,14 +237,28 @@ def head_forward(head: HeadParams, trace: ForwardTrace,
     return logits if trace.batched else logits[0]
 
 
+def _carve(cells: List[CellParams], V_shape, buf: Optional[np.ndarray] = None) -> tuple:
+    """``(buf, blocks, V)``: a zeroed flat buffer in the model layout
+    (fresh unless given) and its views, per cell and for ``V``."""
+    shapes = [W.shape for p in cells for W in p.packed] + [V_shape]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    buf = np.empty(sum(sizes), dtype=DTYPE) if buf is None else buf
+    buf.fill(0.0)
+    views = [part.reshape(shape) for part, shape in
+             zip(np.split(buf, np.cumsum(sizes[:-1])), shapes)]
+    return buf, list(zip(views[:-1:2], views[1:-1:2])), views[-1]
+
+
 def network_backward(cfg: EncoderConfig, cells: List[CellParams],
                      head: HeadParams, trace: ForwardTrace,
-                     grad_logits: np.ndarray):
+                     grad_logits: np.ndarray, out: Optional[np.ndarray] = None):
     """Backpropagate from class-score gradients through head and encoder.
 
-    Returns ``(grad_V, cell_grads)`` with ``cell_grads[i]`` mirroring
-    ``cells[i].arrays``. For batches, gradients are summed over the batch
-    (softmax_xent's mean reduction already carries the 1/B factor).
+    Gradients fill one flat buffer laid out like ``Model.params``: ``out``
+    when given, else a fresh one. Returns views into it, ``(grad_V,
+    cell_grads)``, with ``cell_grads[i]`` mirroring ``cells[i].arrays``.
+    For batches, gradients are summed over the batch (softmax_xent's mean
+    reduction already carries the 1/B factor).
     """
     _check_cells(cfg, cells)
     gl = np.asarray(grad_logits, dtype=DTYPE)
@@ -257,12 +274,13 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
     B = trace.hidden[0].shape[1]
     if gl.shape[0] != B:
         raise ValueError(f"grad_logits batch {gl.shape[0]} != trace batch {B}")
+    _, grad_blocks, grad_V = _carve(cells, head.V.shape, out)
 
     # Upstream gradient arriving at each layer's per-timestep output.
     if head.kind is HeadKind.NEUROVIEW:
         if trace.q is None:
             raise ValueError("trace has no NeuroView features; run head_forward first")
-        grad_V = gl.T @ trace.q
+        np.matmul(gl.T, trace.q, out=grad_V)
         # (B, d) @ (T, d, sw) per layer gives the (T, B, sw) gradient at q,
         # which the ReLU passes where the hidden state is positive.
         blocks = head.V.reshape(-1, cfg.layers, T, sw).transpose(1, 2, 0, 3)
@@ -271,36 +289,39 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
     else:
         dH = [np.zeros((T, B, sw), dtype=DTYPE) for _ in range(cfg.layers)]
         if head.kind is HeadKind.LAST_STATE:
-            grad_V = gl.T @ trace.hidden[-1][T - 1]
+            np.matmul(gl.T, trace.hidden[-1][T - 1], out=grad_V)
             dH[-1][T - 1] += gl @ head.V
         elif head.kind is HeadKind.AVERAGE_POOL:
             scale = 1.0 / T if head.mean_pool else 1.0
-            grad_V = scale * (gl.T @ trace.hidden[-1].sum(axis=0))
+            np.multiply(scale, gl.T @ trace.hidden[-1].sum(axis=0), out=grad_V)
             dH[-1] += scale * (gl @ head.V)[None, :, :]
         else:
             raise ValueError(f"unknown head kind {head.kind!r}")
 
-    cell_grads = [None] * len(cells)
     for layer in range(cfg.layers - 1, -1, -1):
         # The input gradient of layer l is the upstream gradient of layer l-1.
         dX = dH[layer - 1] if layer > 0 else None
         for d in range(cfg.directions):
             idx = layer * cfg.directions + d
-            cell_grads[idx], _, _ = sequence_backward(
-                cells[idx], trace.gate_traces[layer][d],
-                dH[layer][:, :, d * n:(d + 1) * n], dX=dX,
-            )
+            sequence_backward(cells[idx], trace.gate_traces[layer][d],
+                              dH[layer][:, :, d * n:(d + 1) * n], dX=dX,
+                              grads=grad_blocks[idx])
 
-    return grad_V, cell_grads
+    return grad_V, [named_views(p.kind, p.hidden_dim, *g) for p, g in zip(cells, grad_blocks)]
 
 
 @dataclass
 class Model:
-    """A trained (or trainable) classifier: encoder cells plus one head."""
+    """A trained (or trainable) classifier: encoder cells plus one head.
+
+    Construction copies both into a fresh flat buffer, ``params`` (cell by
+    cell ``W_i | b_i``, ``W_h | b_h``, then ``V``), and keeps cells and a
+    head whose arrays are views into it; no two models share storage."""
 
     encoder: EncoderConfig
     cells: List[CellParams]
     head: HeadParams
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_cells(self.encoder, self.cells)
@@ -309,6 +330,11 @@ class Model:
                 f"head V has {self.head.V.shape[1]} columns, encoder provides "
                 f"{self.encoder.head_width(self.head.kind)}"
             )
+        self.params, blocks, V = _carve(self.cells, self.head.V.shape)
+        self.cells = [CellParams(p.kind, p.input_dim, p.hidden_dim, p.arrays, packed)
+                      for p, packed in zip(self.cells, blocks)]
+        V[...] = self.head.V
+        self.head = HeadParams(self.head.kind, V, self.head.mean_pool)
 
     @property
     def num_classes(self) -> int:

@@ -8,7 +8,7 @@ permutation, and gradient accumulation happens in fixed index order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -54,21 +54,24 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
 
 
 @dataclass
 class AdamState:
+    """Step count, flat moments ``m``/``v`` and two scratch arrays, all
+    shaped like the parameters and updated in place by ``adam_step``."""
+
     step: int
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
+    work: np.ndarray = field(repr=False)
 
     @classmethod
-    def init(cls, tree: dict) -> "AdamState":
-        return cls(
-            0,
-            {k: np.zeros_like(a) for k, a in tree.items()},
-            {k: np.zeros_like(a) for k, a in tree.items()},
-        )
+    def init(cls, params: np.ndarray) -> "AdamState":
+        return cls(0, np.zeros_like(params), np.zeros_like(params),
+                   np.empty((2,) + params.shape, dtype=DTYPE))
 
 
 @dataclass
@@ -115,72 +118,39 @@ def softmax_xent(logits: np.ndarray, label):
     raise ValueError(f"logits must be 1-D or 2-D, got shape {logits.shape}")
 
 
-def adam_step(tree: dict, grads: dict, state: AdamState, cfg: TrainConfig):
-    """One optimizer update with bias correction.
-
-    ``tree`` and ``grads`` are name -> array maps with matching shapes.
-    Returns new ``(tree, state)``; inputs are not mutated.
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
+              cfg: TrainConfig) -> None:
+    """One bias-corrected optimizer update, in place on ``params`` and on
+    ``state``; ``grad`` is only read. Every element goes through the
+    operations of ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)`` in that
+    order, so the result matches the out-of-place formula bit for bit.
     """
-    if set(tree) != set(grads):
-        raise ValueError(
-            f"parameter/gradient key mismatch: {sorted(set(tree) ^ set(grads))}"
-        )
-    t = state.step + 1
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
-    new_tree, new_m, new_v = {}, {}, {}
-    for k in tree:
-        g = grads[k]
-        if g.shape != tree[k].shape:
-            raise ValueError(
-                f"gradient shape mismatch for {k!r}: {g.shape} vs {tree[k].shape}"
-            )
-        m = cfg.beta1 * state.m[k] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[k] + (1.0 - cfg.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        new_tree[k] = tree[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        new_m[k] = m
-        new_v[k] = v
-    return new_tree, AdamState(t, new_m, new_v)
+    if grad.shape != params.shape:
+        raise ValueError(f"gradient shape mismatch: {grad.shape} vs {params.shape}")
+    state.step += 1
+    bc1 = 1.0 - cfg.beta1 ** state.step
+    bc2 = 1.0 - cfg.beta2 ** state.step
+    m, v, (step, den) = state.m, state.v, state.work
+    m *= cfg.beta1
+    m += np.multiply(grad, 1.0 - cfg.beta1, out=step)
+    v *= cfg.beta2
+    np.multiply(grad, 1.0 - cfg.beta2, out=step)
+    v += np.multiply(step, grad, out=step)
+    np.divide(m, bc1, out=step)
+    step *= cfg.learning_rate
+    np.sqrt(np.divide(v, bc2, out=den), out=den)
+    den += cfg.eps
+    params -= np.divide(step, den, out=step)
 
 
 def param_tree(model: Model) -> dict:
-    """Flatten a model's parameters into a name -> array map."""
+    """A model's parameters as a name -> view map into ``model.params``."""
     tree = {}
     for i, p in enumerate(model.cells):
         for name, arr in p.arrays.items():
             tree[f"cell{i}.{name}"] = arr
     tree["head.V"] = model.head.V
     return tree
-
-
-def grad_tree(model: Model, grad_V: np.ndarray, cell_grads: list) -> dict:
-    tree = {}
-    for i, grads in enumerate(cell_grads):
-        for name, arr in grads.items():
-            tree[f"cell{i}.{name}"] = arr
-    tree["head.V"] = grad_V
-    return tree
-
-
-def set_param_tree(model: Model, tree: dict) -> None:
-    for i, p in enumerate(model.cells):
-        for name in p.arrays:
-            p.arrays[name] = tree[f"cell{i}.{name}"]
-    model.head.V = tree["head.V"]
-
-
-def _global_norm(grads: dict) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-
-
-def _clip_tree(grads: dict, total: float, max_norm: float) -> dict:
-    """Scale ``grads`` (whose global norm is ``total``) down to ``max_norm``."""
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return {k: g * scale for k, g in grads.items()}
 
 
 def build_model(encoder: EncoderConfig, head_kind: HeadKind, num_classes: int,
@@ -190,16 +160,9 @@ def build_model(encoder: EncoderConfig, head_kind: HeadKind, num_classes: int,
     Cell ``i`` draws from seed ``init.seed + i``; the head matrix from
     ``init.seed + 10007`` with the uniform fan-in rule.
     """
-    cells = []
-    for i in range(encoder.num_cells()):
-        layer = i // encoder.directions
-        in_dim = encoder.input_dim if layer == 0 else encoder.step_width
-        cells.append(
-            init_params(
-                encoder.cell, in_dim, encoder.hidden_dim,
-                InitScheme(init.kind, init.seed + i),
-            )
-        )
+    cells = [init_params(encoder.cell, encoder.cell_input_dim(i), encoder.hidden_dim,
+                         InitScheme(init.kind, init.seed + i))
+             for i in range(encoder.num_cells())]
     head = init_head(encoder, head_kind, num_classes, init.seed + 10007, mean_pool)
     return Model(encoder, cells, head)
 
@@ -236,8 +199,8 @@ def fit(dataset: DataSet, cfg: TrainConfig, encoder: EncoderConfig,
     B = len(dataset)
     batch = B if cfg.batch_size is None else min(cfg.batch_size, B)
     rng = np.random.default_rng(cfg.seed)
-    tree = param_tree(model)
-    state = AdamState.init(tree)
+    grad = np.zeros_like(model.params)
+    state = AdamState.init(model.params)
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(B)
@@ -249,17 +212,14 @@ def fit(dataset: DataSet, cfg: TrainConfig, encoder: EncoderConfig,
             loss, grad_logits = softmax_xent(logits, y[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
-            grad_V, cell_grads = network_backward(
-                model.encoder, model.cells, model.head, trace, grad_logits
-            )
-            grads = grad_tree(model, grad_V, cell_grads)
-            norm = _global_norm(grads)
+            network_backward(model.encoder, model.cells, model.head, trace,
+                             grad_logits, grad)
+            norm = float(np.sqrt(grad @ grad))
             if not np.isfinite(norm):
                 raise TrainingDiverged(epoch, "gradient")
-            if cfg.grad_clip is not None:
-                grads = _clip_tree(grads, norm, cfg.grad_clip)
-            tree, state = adam_step(tree, grads, state, cfg)
-            set_param_tree(model, tree)
+            if cfg.grad_clip is not None and norm > cfg.grad_clip:
+                grad *= cfg.grad_clip / norm
+            adam_step(model.params, grad, state, cfg)
             losses.append(loss * len(idx))
             hits += int((np.argmax(logits, axis=1) == y[idx]).sum())
             seen += len(idx)

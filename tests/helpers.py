@@ -35,3 +35,11 @@ def finite_diff_tree(scalar_fn, arrays, eps=1e-5):
 def max_tree_rel_err(analytic, numeric, floor=1e-8):
     assert set(analytic) == set(numeric)
     return max(rel_err(analytic[k], numeric[k], floor) for k in analytic)
+
+
+def grad_tree(grad_V, cell_grads):
+    """``network_backward``'s gradients under ``param_tree``'s names."""
+    tree = {f"cell{i}.{name}": g
+            for i, grads in enumerate(cell_grads) for name, g in grads.items()}
+    tree["head.V"] = grad_V
+    return tree

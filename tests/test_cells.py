@@ -114,8 +114,8 @@ def test_gru_carry_gate_identity():
     # Saturating the carry gate (z == 1.0 exactly in float64) must return
     # the previous hidden state bit-for-bit.
     p = random_params(CellKind.GRU, 2, 4, 3)
-    p.arrays["b_iz"] = np.full(4, 50.0)
-    p.arrays["b_hz"] = np.full(4, 50.0)
+    p.arrays["b_iz"][:] = 50.0  # views into the packed blocks the kernel reads
+    p.arrays["b_hz"][:] = 50.0
     h_prev = np.random.default_rng(5).uniform(-0.9, 0.9, 4)
     state, trace = cell_forward(p, CellState(h_prev.copy()), np.array([0.3, -0.7]))
     np.testing.assert_array_equal(trace.cached["z"], np.ones(4))

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -203,6 +204,45 @@ def test_v1_checkpoint_loads_with_one_warning(tmp_path, capsys):
     assert classes is None
     assert metrics == {"train_accuracy": 1.0}
     assert (model.encoder.hidden_dim, model.encoder.max_len) == (2, 4)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "counterfactual", "export"])
+def test_v1_checkpoint_split_with_more_labels_exits_2(tmp_path, capsys, command):
+    # Format 1 maps each split's own labels: a split with 3 labels cannot be
+    # scored by the fixture's 2-class model.
+    ds = synth_separable(3, 4, 1, 2, seed=5)
+    p = tmp_path / "split.tsv"
+    save_ucr(ds, p)
+    argv = [command, "--checkpoint", str(V1_CHECKPOINT), "--dataset-path", str(p)]
+    if command == "counterfactual":
+        argv += ["--class", "0", "--k-list", "1"]
+    elif command == "export":
+        argv += ["--k-list", "1", "--out", str(tmp_path / "bundle")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"warning: checkpoint {V1_CHECKPOINT} ")
+    assert err[1:] == [f"error: {p}: the split has 3 labels, but the checkpoint "
+                       "has only 2 classes"]
+
+
+# sha256 of format-2 checkpoints of seeded uniform-init models (2 layers,
+# bidirectional, hidden 3, T 5, 3 classes, seed 7). Checkpoint bytes must
+# not depend on how the parameters are laid out in memory.
+INIT_CHECKPOINT_SHA256 = {
+    "rnn": "f4476cd9af9c37dfe2a27e05498429517360d0ed8db120c9f25f5169c9de1234",
+    "gru": "898036166ae27e9fa93c074973bd4c3ca55be7589d45f6e013872693592a740b",
+    "lstm": "16e15492fc57e7fee3eb4563612d81c76c050c37affa7dbf637fe61cd686bda0",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(INIT_CHECKPOINT_SHA256))
+def test_init_checkpoint_bytes_are_pinned(tmp_path, cell):
+    enc = EncoderConfig(CellKind(cell), 2, 3, 5, layers=2, bidirectional=True)
+    model = build_model(enc, HeadKind.NEUROVIEW, 3, InitScheme(InitKind.UNIFORM, 7))
+    p = tmp_path / "ckpt.json"
+    save_checkpoint(p, model, RunConfig(cell=cell, hidden_dim=3, layers=2,
+                                        bidirectional=True, seed=7, epochs=0))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == INIT_CHECKPOINT_SHA256[cell]
 
 
 # ------------------------------------------------------------------- train

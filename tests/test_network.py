@@ -23,9 +23,9 @@ from neuroview.network import (
     network_backward,
     predict,
 )
-from neuroview.train import grad_tree, param_tree, softmax_xent
+from neuroview.train import param_tree, softmax_xent
 
-from helpers import finite_diff_tree, max_tree_rel_err
+from helpers import finite_diff_tree, grad_tree, max_tree_rel_err
 
 
 def make_model(cell, head, n=3, m=2, T=4, d=2, layers=1, bidir=False, seed=0):
@@ -303,7 +303,7 @@ def _full_network_fd(cell, head, layers, bidir, seed, tol=1e-6,
     logits, trace = model.forward(x)
     _, gl = softmax_xent(logits, label)
     gV, cg = network_backward(model.encoder, model.cells, model.head, trace, gl)
-    analytic = grad_tree(model, gV, cg)
+    analytic = grad_tree(gV, cg)
     numeric = finite_diff_tree(loss_of, param_tree(model))
     assert max_tree_rel_err(analytic, numeric) < tol
 
@@ -332,7 +332,7 @@ def _stacked_fd(cell, head, layers, bidir, seed, tol=1e-6, n=3, m=2, T=4, d=2):
 
     _, trace = model.forward(x)
     gV, cg = network_backward(model.encoder, model.cells, model.head, trace, w)
-    analytic = grad_tree(model, gV, cg)
+    analytic = grad_tree(gV, cg)
     numeric = finite_diff_tree(scalar, param_tree(model))
     assert max_tree_rel_err(analytic, numeric) < tol
 
@@ -441,3 +441,42 @@ def test_model_validates_head_width():
     cells = [init_params(CellKind.GRU, 2, 3, InitScheme())]
     with pytest.raises(ValueError, match="columns"):
         Model(cfg, cells, HeadParams(HeadKind.NEUROVIEW, np.zeros((2, 5))))
+
+
+# ------------------------------------------------------- flat parameter buffer
+
+def test_param_tree_views_drive_the_forward_pass():
+    # Every named array is a view into ``model.params``: an in-place change
+    # to any one entry moves the logits, and undoing it restores them. (The
+    # pooled head has no ReLU that could hide a unit's change.)
+    model = make_model(CellKind.LSTM, HeadKind.AVERAGE_POOL, layers=2, bidir=True, seed=4)
+    x = np.random.default_rng(5).normal(size=(2, 4, 2))
+    base, _ = model.forward(x)
+    for name, view in param_tree(model).items():
+        assert np.shares_memory(view, model.params), name
+        old = view.flat[0]
+        view.flat[0] = old + 0.25
+        moved, _ = model.forward(x)
+        assert not np.array_equal(moved, base), name
+        view.flat[0] = old
+    np.testing.assert_array_equal(model.forward(x)[0], base)
+
+
+def test_models_built_from_the_same_cells_do_not_alias():
+    cfg = EncoderConfig(CellKind.GRU, 2, 3, 4, layers=2, bidirectional=True)
+    cells = [init_params(CellKind.GRU, 2 if i < 2 else 6, 3,
+                         InitScheme(InitKind.UNIFORM, i)) for i in range(4)]
+    head = init_head(cfg, HeadKind.NEUROVIEW, 2, 9)
+    a, b = Model(cfg, cells, head), Model(cfg, cells, head)
+    assert not np.shares_memory(a.params, b.params)
+    for p in cells:
+        for W in p.packed:
+            assert not np.shares_memory(W, a.params)
+    assert not np.shares_memory(head.V, a.params)
+    np.testing.assert_array_equal(a.params, b.params)
+    a.params += 1.0
+    np.testing.assert_array_equal(b.params + 1.0, a.params)
+    np.testing.assert_array_equal(b.head.V, head.V)
+    for p, q in zip(b.cells, cells):
+        for k in q.arrays:
+            np.testing.assert_array_equal(p.arrays[k], q.arrays[k])

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import neuroview.train as train_mod
-from neuroview.cells import CellKind, InitKind, InitScheme
+from neuroview.cells import CellKind, InitKind, InitScheme, param_shapes
 from neuroview.data import DataSet, synth_separable
-from neuroview.network import EncoderConfig, HeadKind
+from neuroview.network import EncoderConfig, HeadKind, network_backward
 from neuroview.train import (
     AdamState,
     TrainConfig,
@@ -20,6 +20,8 @@ from neuroview.train import (
     save_history_csv,
     softmax_xent,
 )
+
+from helpers import grad_tree
 
 # ------------------------------------------------------------ softmax_xent
 
@@ -83,55 +85,58 @@ def test_xent_batched_is_mean_of_singles():
 
 # -------------------------------------------------------------------- adam
 
-def _tree(rng, shapes):
-    return {k: rng.normal(size=s) for k, s in shapes.items()}
+def _flat(rng, n):
+    return rng.normal(size=n)
 
 
 def test_adam_zero_gradient_keeps_params():
     rng = np.random.default_rng(3)
-    tree = _tree(rng, {"a": (3, 2), "b": (4,)})
-    zeros = {k: np.zeros_like(v) for k, v in tree.items()}
-    new_tree, state = adam_step(tree, zeros, AdamState.init(tree), TrainConfig())
-    for k in tree:
-        np.testing.assert_array_equal(new_tree[k], tree[k])
+    params = _flat(rng, 10)
+    before = params.copy()
+    state = AdamState.init(params)
+    adam_step(params, np.zeros_like(params), state, TrainConfig())
+    np.testing.assert_array_equal(params, before)
     assert state.step == 1
 
 
 def test_adam_first_step_hand_computed():
     # Quadratic loss 0.5 * theta^2 at theta = 1, so g = 1.
-    theta = {"t": np.array([1.0])}
-    g = {"t": np.array([1.0])}
+    theta = np.array([1.0])
     cfg = TrainConfig(learning_rate=0.001)
-    new, _ = adam_step(theta, g, AdamState.init(theta), cfg)
+    adam_step(theta, np.array([1.0]), AdamState.init(theta), cfg)
     # m_hat = 1, v_hat = 1 after bias correction; step = lr / (1 + eps)
     expected = 1.0 - 0.001 * (1.0 / (1.0 + 1e-8))
-    assert new["t"][0] == pytest.approx(expected, rel=1e-15)
+    assert theta[0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_adam_zero_learning_rate_is_identity():
     rng = np.random.default_rng(4)
-    tree = _tree(rng, {"a": (2, 2)})
-    grads = _tree(rng, {"a": (2, 2)})
+    params = _flat(rng, 4)
+    before = params.copy()
     cfg = SimpleNamespace(learning_rate=0.0, beta1=0.9, beta2=0.999, eps=1e-8)
-    new, _ = adam_step(tree, grads, AdamState.init(tree), cfg)
-    np.testing.assert_array_equal(new["a"], tree["a"])
+    adam_step(params, _flat(rng, 4), AdamState.init(params), cfg)
+    np.testing.assert_array_equal(params, before)
 
 
 def test_adam_shape_mismatch():
-    tree = {"a": np.zeros((2, 2))}
+    params = np.zeros(4)
     with pytest.raises(ValueError, match="shape mismatch"):
-        adam_step(tree, {"a": np.zeros(3)}, AdamState.init(tree), TrainConfig())
-    with pytest.raises(ValueError, match="key mismatch"):
-        adam_step(tree, {"b": np.zeros((2, 2))}, AdamState.init(tree), TrainConfig())
+        adam_step(params, np.zeros(3), AdamState.init(params), TrainConfig())
 
 
-def test_adam_does_not_mutate_inputs():
+def test_adam_updates_in_place_and_keeps_gradient():
+    # The update lands in the caller's parameter and moment arrays; the
+    # gradient is only read.
     rng = np.random.default_rng(5)
-    tree = _tree(rng, {"a": (3,)})
-    grads = _tree(rng, {"a": (3,)})
-    before = tree["a"].copy()
-    adam_step(tree, grads, AdamState.init(tree), TrainConfig())
-    np.testing.assert_array_equal(tree["a"], before)
+    params = _flat(rng, 3)
+    grad = _flat(rng, 3)
+    before, grad_before = params.copy(), grad.copy()
+    state = AdamState.init(params)
+    m, v = state.m, state.v
+    adam_step(params, grad, state, TrainConfig())
+    np.testing.assert_array_equal(grad, grad_before)
+    assert np.all(params != before)
+    assert state.m is m and state.v is v and m.any() and v.any()
 
 
 # --------------------------------------------------------------------- fit
@@ -213,8 +218,7 @@ def test_fit_aborts_on_non_finite_gradient(monkeypatch):
         calls["n"] += 1
         grad_V, cell_grads = real(*args)
         if calls["n"] >= 2:
-            grad_V = grad_V.copy()
-            grad_V[0, 0] = np.nan
+            grad_V[0, 0] = np.nan  # a view into fit's gradient buffer
         return grad_V, cell_grads
 
     monkeypatch.setattr(train_mod, "network_backward", poisoned)
@@ -231,6 +235,67 @@ def test_one_sample_loss_strictly_decreases():
         model, history = fit(ds, TrainConfig(epochs=200, seed=1), enc, head, init)
         assert history[-1][1] < history[0][1]
         assert history[-1][1] >= 0.0
+
+
+def _reference_fit(ds, cfg, enc, head, init):
+    """``fit`` as a name-keyed loop: gradients by name from
+    ``network_backward`` and the out-of-place Adam formula per array."""
+    model = build_model(enc, head, ds.num_classes, init)
+    tree = param_tree(model)
+    m = {k: np.zeros_like(a) for k, a in tree.items()}
+    v = {k: np.zeros_like(a) for k, a in tree.items()}
+    X, y, B = ds.features(), ds.labels(), len(ds)
+    batch = B if cfg.batch_size is None else cfg.batch_size
+    rng = np.random.default_rng(cfg.seed)
+    history, step = [], 0
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(B)
+        losses, hits, seen = [], 0, 0
+        for start in range(0, B, batch):
+            idx = order[start:start + batch]
+            logits, trace = model.forward(X[idx])
+            loss, grad_logits = softmax_xent(logits, y[idx])
+            grad_V, cell_grads = network_backward(
+                model.encoder, model.cells, model.head, trace, grad_logits)
+            grads = grad_tree(grad_V, cell_grads)
+            step += 1
+            bc1, bc2 = 1.0 - cfg.beta1 ** step, 1.0 - cfg.beta2 ** step
+            for k, g in grads.items():
+                m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+                v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
+                tree[k][...] = tree[k] - cfg.learning_rate * (m[k] / bc1) / (
+                    np.sqrt(v[k] / bc2) + cfg.eps)
+            losses.append(loss * len(idx))
+            hits += int((np.argmax(logits, axis=1) == y[idx]).sum())
+            seen += len(idx)
+        history.append((epoch, sum(losses) / seen, hits / seen))
+    return model, history
+
+
+@pytest.mark.parametrize("head", list(HeadKind), ids=lambda h: h.value)
+@pytest.mark.parametrize("cell", list(CellKind), ids=lambda c: c.value)
+def test_fit_matches_name_keyed_reference_bit_for_bit(cell, head):
+    # The flat in-place update is the per-array update, element by element.
+    ds = synth_separable(3, 6, 2, 3, seed=4)
+    for layers, bidir in ((1, False), (2, True)):
+        enc = EncoderConfig(cell, 2, 3, ds.horizon, layers=layers, bidirectional=bidir)
+        init = InitScheme(InitKind.UNIFORM, 6)
+        for batch in (3, None):
+            cfg = TrainConfig(epochs=5, batch_size=batch, seed=2)
+            model, history = fit(ds, cfg, enc, head, init)
+            ref, ref_history = _reference_fit(ds, cfg, enc, head, init)
+            assert history == ref_history
+            got, want = param_tree(model), param_tree(ref)
+            assert list(got) == list(want)
+            for k in want:
+                np.testing.assert_array_equal(got[k], want[k])
+            schema = sum(int(np.prod(s)) for p in model.cells
+                         for s in param_shapes(cell, p.input_dim, p.hidden_dim).values())
+            assert sum(a.size for a in got.values()) == schema + model.head.V.size
+            if cell is CellKind.SIMPLE_RNN:
+                # The hidden-side bias column is no parameter: it stays 0.0.
+                for p in model.cells:
+                    np.testing.assert_array_equal(p.packed[1][:, -1], 0.0)
 
 
 def test_grad_clip_option_trains():
@@ -291,3 +356,5 @@ def test_train_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="grad_clip"):
+        TrainConfig(grad_clip=-1.0)
