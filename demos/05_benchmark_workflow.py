@@ -25,6 +25,7 @@ import numpy as np
 
 from neuroview import (
     AblationMode,
+    AblationTarget,
     CellKind,
     EncoderConfig,
     HeadKind,
@@ -34,7 +35,7 @@ from neuroview import (
     evaluate,
     fit,
     load_ucr,
-    time_analysis,
+    sweep,
     weight_map,
 )
 from neuroview.cli import UsageError, resolve_dataset
@@ -89,6 +90,6 @@ for c in range(train_ds.num_classes):
     print(f"class {c} top-4 timesteps by mean weight: {sorted(int(t) for t in top)}")
 
 print("\ninput-zeroing counterfactual, class 0 ranking:")
-for k in (0, 1, 5, 10):
-    r = time_analysis(model, test_ds, 0, k, AblationMode.TOP_POSITIVE)
-    print(f"  k={k:2d}: overall accuracy {r.report.overall_accuracy:.4f}")
+rows = [(0, k, AblationMode.TOP_POSITIVE, AblationTarget.INPUTS) for k in (0, 1, 5, 10)]
+for r in sweep(model, test_ds, rows):
+    print(f"  k={r.k:2d}: overall accuracy {r.report.overall_accuracy:.4f}")

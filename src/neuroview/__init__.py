@@ -67,6 +67,7 @@ from .interpret import (
     class_similarity,
     export_report,
     rank_timesteps,
+    sweep,
     time_analysis,
     weight_map,
 )

@@ -343,14 +343,19 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _train_once(rc: RunConfig):
-    train_ds = _load_split(rc.train_path, rc, rc.max_len)
-    # The test split is read before training, so a bad file costs no epochs.
-    test_ds = None
-    if rc.test_path:
-        test_ds = _load_split(rc.test_path, rc, train_ds.horizon, train_ds.classes)
-    encoder = rc.encoder(train_ds.feature_dim, train_ds.horizon)
+    # Config and both splits are checked before training, so a bad value
+    # or file costs no epochs; a value the library rejects is a config error.
+    try:
+        train_config = rc.train_config()
+        train_ds = _load_split(rc.train_path, rc, rc.max_len)
+        test_ds = None
+        if rc.test_path:
+            test_ds = _load_split(rc.test_path, rc, train_ds.horizon, train_ds.classes)
+        encoder = rc.encoder(train_ds.feature_dim, train_ds.horizon)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     model, history = fit(
-        train_ds, rc.train_config(), encoder, rc.head_kind(),
+        train_ds, train_config, encoder, rc.head_kind(),
         rc.init_scheme(), rc.mean_pool,
     )
     train_report = evaluate(model, train_ds)
@@ -464,10 +469,8 @@ def cmd_counterfactual(args) -> int:
     ds = _split_for(model, args.dataset_path, rc, class_labels)
     mode = _parse_enum(interpret.AblationMode, args.mode, "mode")
     target = _parse_enum(interpret.AblationTarget, args.target, "target")
-    results = [
-        interpret.time_analysis(model, ds, args.class_index, k, mode, target)
-        for k in args.k_list
-    ]
+    results = interpret.sweep(
+        model, ds, [(args.class_index, k, mode, target) for k in args.k_list])
     rows = interpret.counterfactual_rows(results)
     text = json.dumps(rows, indent=2)
     if args.out:
@@ -496,8 +499,9 @@ def cmd_export(args) -> int:
     if args.dataset_path:
         ds = _split_for(model, args.dataset_path, rc, class_labels)
         mode = _parse_enum(interpret.AblationMode, args.mode, "mode")
-        results = [interpret.time_analysis(model, ds, c, k, mode)
-                   for c in classes for k in args.k_list]
+        inputs = interpret.AblationTarget.INPUTS
+        results = interpret.sweep(
+            model, ds, [(c, k, mode, inputs) for c in classes for k in args.k_list])
     files = interpret.export_report(maps, sim, results, cfg, args.out)
     for m in maps:
         top = np.argsort(-m.timestep_means(), kind="stable")[:5]

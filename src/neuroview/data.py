@@ -86,6 +86,31 @@ def _parse_value(token: str, line_no: int, col: int) -> float:
     return v
 
 
+def _parse_row(fields, line_no: int, feature_dim) -> tuple:
+    """``(label, (steps, m) values)`` of one row. A clean univariate row
+    is one numpy conversion, which parses each token as ``float`` does;
+    any other row takes the per-field path, which names a bad field."""
+    try:
+        vals = np.array(fields, dtype=DTYPE)
+    except ValueError:
+        vals = None
+    if vals is not None and feature_dim in (None, 1) and np.isfinite(vals).all():
+        return vals[0], vals[1:, None]
+    label = _parse_value(fields[0], line_no, 0)
+    steps = []
+    for col, token in enumerate(fields[1:], start=1):
+        vec = [_parse_value(p, line_no, col) for p in token.split(",")]
+        if feature_dim is None:
+            feature_dim = len(vec)
+        elif len(vec) != feature_dim:
+            raise ValueError(
+                f"line {line_no}, field {col}: expected {feature_dim} "
+                f"channel values, got {len(vec)}"
+            )
+        steps.append(vec)
+    return label, np.array(steps, dtype=DTYPE)
+
+
 def load_ucr(path, znorm: bool = False, classes=None) -> DataSet:
     """Load a label-first delimited archive file.
 
@@ -115,20 +140,9 @@ def load_ucr(path, znorm: bool = False, classes=None) -> DataSet:
                 f"line {line_no}: ragged row, expected {n_fields} fields, "
                 f"got {len(fields)}"
             )
-        raw_labels.append(_parse_value(fields[0], line_no, 0))
-        steps = []
-        for col, token in enumerate(fields[1:], start=1):
-            parts = token.split(",")
-            vec = [_parse_value(p, line_no, col) for p in parts]
-            if feature_dim is None:
-                feature_dim = len(vec)
-            elif len(vec) != feature_dim:
-                raise ValueError(
-                    f"line {line_no}, field {col}: expected {feature_dim} "
-                    f"channel values, got {len(vec)}"
-                )
-            steps.append(vec)
-        feats = np.array(steps, dtype=DTYPE)
+        label, feats = _parse_row(fields, line_no, feature_dim)
+        feature_dim = feats.shape[1]
+        raw_labels.append(label)
         if znorm:
             mu = feats.mean(axis=0)
             sd = feats.std(axis=0)

@@ -12,6 +12,11 @@ material for:
 * time analysis -- zero the inputs (or the classifier blocks) at a
                    class's top-K (most positive or most negative)
                    timesteps and re-evaluate the model.
+
+``sweep`` evaluates many such rows on one unablated forward pass: a
+classifier-block row masks that pass's nv features, input rows with the
+same zeroed steps share one pass, and a unidirectional encoder's pass
+resumes from the unablated states at the first zeroed step.
 """
 
 from __future__ import annotations
@@ -19,14 +24,15 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .linalg import DTYPE
-from .network import EncoderConfig, HeadKind, HeadParams, Model
+from .cells import CellKind
+from .network import EncoderConfig, ForwardTrace, HeadKind, HeadParams, Model
 from .data import DataSet
 from .train import EvalReport, eval_report
 
@@ -129,38 +135,82 @@ def rank_timesteps(head: HeadParams, cfg: EncoderConfig, class_index: int,
     return np.argsort(key, kind="stable")
 
 
+def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
+          layer: int = 0, direction: int = 0) -> List[CounterfactualResult]:
+    """Counterfactual evaluations after silencing classes' top-K timesteps,
+    one per row ``(class_index, k, mode, target)``, in row order.
+
+    Timesteps are ranked by the row class's mean per-step weights (one
+    layer/direction block; layer 0 forward by default). The INPUTS target
+    zeroes the input features at those steps for every sample; the WEIGHTS
+    target zeroes the classifier's weight blocks instead, which equals
+    zeroing those (layer, step) blocks of the nv features ``q``.
+
+    The unablated forward pass runs once. A WEIGHTS row is a masked copy
+    of that pass's ``q`` times ``V.T``; INPUTS rows with the same step set share
+    one forward pass, and an empty set reads the unablated scores. For a
+    unidirectional encoder that pass resumes from the unablated states at
+    the first zeroed step (``encode``'s ``resume``), which is bit-identical
+    to a full pass.
+    """
+    _require_nv(model.head)
+    cfg = model.encoder
+    plans = []
+    for class_index, k, mode, target in rows:
+        if not 0 <= class_index < model.num_classes:
+            raise ValueError(f"class {class_index} outside [0, {model.num_classes})")
+        if not 0 <= k <= cfg.max_len:
+            raise ValueError(f"k must be in [0, {cfg.max_len}], got {k}")
+        order = rank_timesteps(model.head, cfg, class_index, mode, layer, direction)
+        plans.append((class_index, k, [int(t) for t in order[:k]], mode, target))
+
+    X = dataset.features()
+    keep_q = any(target is AblationTarget.WEIGHTS for *_, target in plans)
+    base_logits, base = model.forward(X)
+    _keep_for_resume(base, keep_q, not cfg.bidirectional)
+    logits_of = {(target, ()): base_logits for target in AblationTarget}
+    results = []
+    for class_index, k, steps, mode, target in plans:
+        key = (target, tuple(sorted(steps)))
+        if key not in logits_of and target is AblationTarget.INPUTS:
+            Xa = X.copy()
+            Xa[:, steps] = 0.0
+            t0 = 0 if cfg.bidirectional else min(steps)
+            # The trace is dropped at once, before the next row's pass.
+            logits_of[key] = model.forward(Xa, (base, t0) if t0 else None)[0]
+        elif key not in logits_of:
+            q = base.q.reshape(len(X), cfg.layers, cfg.max_len, cfg.step_width).copy()
+            q[:, layer, steps] = 0.0
+            logits_of[key] = q.reshape(base.q.shape) @ model.head.V.T
+        report = eval_report(logits_of[key], dataset.labels(), model.num_classes)
+        results.append(CounterfactualResult(class_index, k, steps, mode, target, report))
+    return results
+
+
+def _keep_for_resume(trace: ForwardTrace, keep_q: bool, resumable: bool) -> None:
+    """Drop what no later row reads from the unablated trace: gates,
+    inputs, step logits, ``q`` unless asked, and all states unless a pass
+    may resume from them; that reads the hidden states and an lstm's cell
+    states (``aux``)."""
+    trace.step_logits = None
+    if not keep_q:
+        trace.q = None
+    if not resumable:
+        trace.hidden, trace.gate_traces = [], []
+        return
+    trace.gate_traces = [
+        [replace(tr, xa=None, gates=None,
+                 aux=tr.aux if tr.kind is CellKind.LSTM else None) for tr in traces]
+        for traces in trace.gate_traces
+    ]
+
+
 def time_analysis(model: Model, dataset: DataSet, class_index: int, k: int,
                   mode: AblationMode = AblationMode.TOP_POSITIVE,
                   target: AblationTarget = AblationTarget.INPUTS,
                   layer: int = 0, direction: int = 0) -> CounterfactualResult:
-    """Counterfactual evaluation after silencing a class's top-K timesteps.
-
-    Timesteps are ranked by the chosen class's mean per-step weights (one
-    layer/direction block; layer 0 forward by default). The default target
-    zeroes the *input* features at those steps for every sample; the
-    alternate target zeroes the classifier's weight blocks instead, which
-    equals zeroing those (layer, step) blocks of the nv features ``q``.
-    """
-    _require_nv(model.head)
-    cfg = model.encoder
-    if not 0 <= class_index < model.num_classes:
-        raise ValueError(f"class {class_index} outside [0, {model.num_classes})")
-    if not 0 <= k <= cfg.max_len:
-        raise ValueError(f"k must be in [0, {cfg.max_len}], got {k}")
-    order = rank_timesteps(model.head, cfg, class_index, mode, layer, direction)
-    steps = [int(t) for t in order[:k]]
-    X = dataset.features()
-    if target is AblationTarget.INPUTS:
-        X = X.copy()
-        X[:, steps] = 0.0
-        logits, _ = model.forward(X)
-    else:
-        _, trace = model.forward(X)
-        q = trace.q.reshape(len(X), cfg.layers, cfg.max_len, cfg.step_width)
-        q[:, layer, steps] = 0.0
-        logits = q.reshape(trace.q.shape) @ model.head.V.T
-    report = eval_report(logits, dataset.labels(), model.num_classes)
-    return CounterfactualResult(class_index, k, steps, mode, target, report)
+    """``sweep`` of the one row ``(class_index, k, mode, target)``."""
+    return sweep(model, dataset, [(class_index, k, mode, target)], layer, direction)[0]
 
 
 def _write_csv(path: Path, header: List[str], rows) -> None:

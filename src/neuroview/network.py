@@ -36,7 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 from .linalg import DTYPE, relu
-from .cells import CellKind, CellParams, named_views, sequence_backward, sequence_forward
+from .cells import CellKind, CellParams, sequence_backward, sequence_forward
 
 
 class HeadKind(enum.Enum):
@@ -55,6 +55,9 @@ class EncoderConfig:
     bidirectional: bool = False
 
     def __post_init__(self):
+        if self.input_dim < 1 or self.hidden_dim < 1:
+            raise ValueError(f"dimensions must be >= 1, got input_dim={self.input_dim}, "
+                             f"hidden_dim={self.hidden_dim}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         if self.max_len < 1:
@@ -159,29 +162,47 @@ def _as_time_major(cfg: EncoderConfig, x) -> tuple:
     raise ValueError(f"expected 2-D or 3-D input, got shape {feats.shape}")
 
 
-def encode(cfg: EncoderConfig, cells: List[CellParams], x) -> ForwardTrace:
+def encode(cfg: EncoderConfig, cells: List[CellParams], x,
+           resume: Optional[tuple] = None) -> ForwardTrace:
     """Unroll the encoder over a sequence (or batch of sequences).
 
     ``x`` may be a (T, m) array or a (B, T, m) batch,
     already padded/truncated to exactly ``cfg.max_len`` steps. Cells are
     ordered layer-major with the forward direction first:
     ``[l0_fwd, l0_rev, l1_fwd, l1_rev, ...]``.
+
+    ``resume=(base, t0)`` computes only steps ``t0..T-1`` of a
+    unidirectional encoder, for an input that equals ``base``'s before
+    step ``t0``: every layer keeps ``base.hidden`` before ``t0`` and runs
+    on from ``base``'s state at ``t0 - 1`` (an lstm reads its cell state
+    from ``base``'s gate traces' ``aux``). The results are bit-identical
+    to a full pass; the gate traces cover steps ``t0..`` only, so such a
+    trace serves the forward pass, not ``network_backward``.
     """
     _check_cells(cfg, cells)
     X, batched = _as_time_major(cfg, x)
+    base, t0 = resume or (None, 0)
+    if t0 and cfg.bidirectional:
+        raise ValueError("only a unidirectional encoder can resume mid-sequence")
 
     hidden: List[np.ndarray] = []
     gate_traces = []
+    X = X[t0:]
     for layer in range(cfg.layers):
+        state = {}
+        if t0:
+            state["h0"] = base.hidden[layer][t0 - 1]
+            if cfg.cell is CellKind.LSTM:
+                state["c0"] = base.gate_traces[layer][0].aux[t0 - 1].T
         traces = [
-            sequence_forward(cells[layer * cfg.directions + d], X, reverse=d == 1)
+            sequence_forward(cells[layer * cfg.directions + d], X,
+                             reverse=d == 1, **state)
             for d in range(cfg.directions)
         ]
-        H = traces[0].h if len(traces) == 1 else np.concatenate(
+        X = traces[0].h if len(traces) == 1 else np.concatenate(
             [tr.h for tr in traces], axis=2)
-        hidden.append(H)
+        hidden.append(np.concatenate([base.hidden[layer][:t0], X]) if t0 else X)
         gate_traces.append(traces)
-        X = H
 
     return ForwardTrace(hidden, gate_traces, batched)
 
@@ -256,7 +277,8 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
 
     Gradients fill one flat buffer laid out like ``Model.params``: ``out``
     when given, else a fresh one. Returns views into it, ``(grad_V,
-    cell_grads)``, with ``cell_grads[i]`` mirroring ``cells[i].arrays``.
+    cell_grads)``, with ``cell_grads[i]`` the packed ``(dW_i, dW_h)`` blocks
+    that mirror ``cells[i].packed``.
     For batches, gradients are summed over the batch (softmax_xent's mean
     reduction already carries the 1/B factor).
     """
@@ -307,7 +329,7 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
                               dH[layer][:, :, d * n:(d + 1) * n], dX=dX,
                               grads=grad_blocks[idx])
 
-    return grad_V, [named_views(p.kind, p.hidden_dim, *g) for p, g in zip(cells, grad_blocks)]
+    return grad_V, grad_blocks
 
 
 @dataclass
@@ -340,8 +362,9 @@ class Model:
     def num_classes(self) -> int:
         return self.head.num_classes
 
-    def forward(self, x) -> tuple:
-        trace = encode(self.encoder, self.cells, x)
+    def forward(self, x, resume: Optional[tuple] = None) -> tuple:
+        """``(logits, trace)``; ``resume`` as in ``encode``."""
+        trace = encode(self.encoder, self.cells, x, resume)
         logits = head_forward(self.head, trace, self.encoder)
         return logits, trace
 

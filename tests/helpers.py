@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from neuroview.cells import named_views
+
 
 def rel_err(a, b, floor=1e-8):
     """Relative disagreement with an absolute floor on the denominator."""
@@ -37,9 +39,15 @@ def max_tree_rel_err(analytic, numeric, floor=1e-8):
     return max(rel_err(analytic[k], numeric[k], floor) for k in analytic)
 
 
-def grad_tree(grad_V, cell_grads):
+def named_cell_grads(cells, cell_grads):
+    """Each cell's packed gradient blocks as a name -> view map."""
+    return [named_views(p.kind, p.hidden_dim, *g) for p, g in zip(cells, cell_grads)]
+
+
+def grad_tree(cells, grad_V, cell_grads):
     """``network_backward``'s gradients under ``param_tree``'s names."""
     tree = {f"cell{i}.{name}": g
-            for i, grads in enumerate(cell_grads) for name, g in grads.items()}
+            for i, grads in enumerate(named_cell_grads(cells, cell_grads))
+            for name, g in grads.items()}
     tree["head.V"] = grad_V
     return tree

@@ -152,7 +152,7 @@ def test_c01_gradient_correctness(cell, head):
     logits, trace = model.forward(x)
     _, gl = softmax_xent(logits, label)
     gV, cg = network_backward(model.encoder, model.cells, model.head, trace, gl)
-    analytic = grad_tree(gV, cg)
+    analytic = grad_tree(model.cells, gV, cg)
     numeric = finite_diff_tree(loss_of, param_tree(model), eps=1e-5)
     assert max_tree_rel_err(analytic, numeric, floor=1e-8) < 1e-6
 

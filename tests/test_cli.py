@@ -272,6 +272,19 @@ def test_train_no_dataset_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "0"), ("--epochs", "-1"), ("--batch-size", "-2"), ("--grad-clip", "-1"),
+    ("--hidden", "0"), ("--layers", "0"), ("--max-len", "-3"),
+])
+def test_train_bad_config_value_exits_2_with_one_line(dataset_files, tmp_path,
+                                                      capsys, flag, value):
+    assert run_train(dataset_files, tmp_path / "run", extra=[flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and value in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_epochs_zero_writes_initial_model(dataset_files, tmp_path):
     out = tmp_path / "run0"
     assert run_train(dataset_files, out, extra=["--epochs", "0"]) == 0
@@ -541,8 +554,7 @@ def test_export_checks_k_before_scoring(dataset_files, trained_run, tmp_path,
                                         capsys, monkeypatch):
     root, train_p, test_p = dataset_files
     calls = []
-    monkeypatch.setattr(interpret, "time_analysis",
-                        lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(interpret, "sweep", lambda *a, **kw: calls.append(a))
     code = main([
         "export", "--checkpoint", str(trained_run / "checkpoint.json"),
         "--dataset-path", str(test_p), "--k-list", "0", "999",
@@ -552,6 +564,118 @@ def test_export_checks_k_before_scoring(dataset_files, trained_run, tmp_path,
     assert "k=999 outside" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "bundle").exists()
+
+
+def _analysis_digests(tmp_path, capsys, cell, layers, bidir):
+    """sha256 of ``counterfactual`` stdout (both targets) and of the
+    ``export`` files for a seeded 3-class model. Its trained weights are
+    rounded to multiples of 2**-16, so that last-bit differences of the
+    training arithmetic between machines do not reach the digests. The
+    similarity CSV is left out for the same reason: its values come from
+    one BLAS product."""
+    T = 12
+    enc = EncoderConfig(CellKind(cell), 1, 4, T, layers=layers, bidirectional=bidir)
+    model, _ = fit(synth_separable(3, T, 1, 5, seed=3),
+                   TrainConfig(epochs=40, learning_rate=0.02, seed=4), enc,
+                   HeadKind.NEUROVIEW, InitScheme(InitKind.UNIFORM, 4))
+    model.params[...] = np.round(model.params * 2.0**16) / 2.0**16
+    ckpt, split = tmp_path / "ckpt.json", tmp_path / "split.tsv"
+    save_checkpoint(ckpt, model, RunConfig(cell=cell, hidden_dim=4, layers=layers,
+                                           bidirectional=bidir, seed=4, epochs=0))
+    save_ucr(synth_separable(3, T, 1, 5, seed=4), split)
+    common = ["--checkpoint", str(ckpt), "--dataset-path", str(split)]
+    digests = {}
+    for target in ("inputs", "weights"):
+        assert main(["counterfactual", *common, "--class", "1", "--k-list",
+                     "0", "1", "3", "5", str(T), "--target", target]) == 0
+        digests[f"counterfactual-{target}"] = capsys.readouterr().out
+    bundle = tmp_path / "bundle"
+    assert main(["export", *common, "--k-list", "0", "1", "2", "5", "10",
+                 "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    for f in sorted(bundle.iterdir()):
+        if f.name != "class_similarity.csv":
+            digests[f.name] = f.read_text()
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in digests.items()}
+
+
+# Written by the per-row counterfactual code that ``interpret.sweep``
+# replaced (one full forward pass per row); the sweep must reproduce them.
+# Keys: cell-layers-directions.
+ANALYSIS_SHA256 = {
+    "gru-1-uni": {
+        "counterfactual-inputs":
+            "aabe6c67c17c6cf6a0f59d14bb3e2af28235208c7268d62e33b9b8ccc607db2f",
+        "counterfactual-weights":
+            "3af6b1ee7c31601e71300b3d0d66ea84e36c02c99a8ee5fe3aa70ed52450bf49",
+        "counterfactuals.json":
+            "97c80c4c503e282427b80624df424c01549092071c4f6f9d5a1bbb74955956be",
+        "manifest.json":
+            "f50c2c5dcf4f9e275072fc9b2298fa798ebf52563e0567a7b4efd0de72a2c099",
+        "weight_map_class0.csv":
+            "e8b1951efa91186c3ae331923ba4e69e34a1aac9b89c5c15d34688ae822c92ae",
+        "weight_map_class1.csv":
+            "e3fae877a6a84699e1802e45b11e494ddfe8fc379aae19184d1bcc013fcf27e6",
+        "weight_map_class2.csv":
+            "38cec1b431d427ea816210d3094128bdb96359a2d68cdf925b2cdb2ee0187543",
+    },
+    "lstm-2-bidir": {
+        "counterfactual-inputs":
+            "f11dc308ab37272bade7e0becbd113d8a84a1b71e9929f9c1f2fd176807409b8",
+        "counterfactual-weights":
+            "ae580d276fb0cd6b4cb6a908cff554e91eb864f2f35f0ed9350c4dd02a0f14ac",
+        "counterfactuals.json":
+            "e5e0ad158d337a2d9b9847556112051c2f3259fce38f77ce08d24e7b487eae5c",
+        "manifest.json":
+            "f50c2c5dcf4f9e275072fc9b2298fa798ebf52563e0567a7b4efd0de72a2c099",
+        "weight_map_class0.csv":
+            "bceca0f51f9b7d5729c5fa4538dc8abb2e512d1248e2555fa7829205a397c027",
+        "weight_map_class1.csv":
+            "292d537a6849a2cd09051a25bda677d4416c03e73cf453338dbd07aeb4ebd5cc",
+        "weight_map_class2.csv":
+            "a5d4f214690fdffa853ab94e3189094907a36b725cea2f6b5b5a4661aca6bbf1",
+    },
+    "lstm-2-uni": {
+        "counterfactual-inputs":
+            "d9631114e865a2a2398906a427f1609fcb436c312660c64d3e48fa8e6db4d3d4",
+        "counterfactual-weights":
+            "7db1c36874db8b94819f7aaddd8b96c66d78d9e9b68179a06c55e5dd9bf929f2",
+        "counterfactuals.json":
+            "15035380994aab9d295cb0e2602f09a92c3cc53dcce224bbef32f1e844979271",
+        "manifest.json":
+            "f50c2c5dcf4f9e275072fc9b2298fa798ebf52563e0567a7b4efd0de72a2c099",
+        "weight_map_class0.csv":
+            "0da48a3bdf887cb7ac8a5b7269a2b7f16724388cd23e0ef49afa8e590f50d0a4",
+        "weight_map_class1.csv":
+            "d458929cdb155fc8b718ee617ebc632ab96794a02c9082a6cadc506782f1f8d3",
+        "weight_map_class2.csv":
+            "b993ad756599bfb529fcea0307600d383811c609a3920f3a72d2ba4f83ed9719",
+    },
+    "rnn-2-uni": {
+        "counterfactual-inputs":
+            "5aec9b8469cd9f24ed81f9e6ca394fd11359185806e79825159d6ed647e3ffa7",
+        "counterfactual-weights":
+            "843657d4b1bfc9a734112fc058011d8416142e603615407848e2966867fc3d39",
+        "counterfactuals.json":
+            "2424feb1f0800274a1190699fd124de70a58f4c4e145814347d2442907c4c10d",
+        "manifest.json":
+            "f50c2c5dcf4f9e275072fc9b2298fa798ebf52563e0567a7b4efd0de72a2c099",
+        "weight_map_class0.csv":
+            "6703bae76b5aba4de4890a1e194b9fb632cd658e575fdf38b949dabbe977f133",
+        "weight_map_class1.csv":
+            "f4eb04d568d7247e1c50fdcf35ed4f27607b102dff6191f52e7334fec1674f44",
+        "weight_map_class2.csv":
+            "0cd240da53228ec8b6eb3e291cd4374875032a0d45cc0ea0599baf6daa1cafb4",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_SHA256))
+def test_analysis_outputs_are_pinned(tmp_path, capsys, case):
+    cell, layers, bidir = case.split("-")
+    got = _analysis_digests(tmp_path, capsys, cell, int(layers), bidir == "bidir")
+    assert got == ANALYSIS_SHA256[case]
 
 
 @pytest.mark.parametrize("given", [["--k-list", "0", "2"], ["--dataset-path"]],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neuroview import data as data_mod
 from neuroview.data import (
     DataSet,
     load_ucr,
@@ -130,6 +131,52 @@ def test_znorm_flag(tmp_path):
     for x in ds.features():
         assert x.mean() == pytest.approx(0.0, abs=1e-12)
         assert x.std() == pytest.approx(1.0, rel=1e-12)
+
+
+TRICKY = ["1_000", " 2.5 ", "\u00a03.25", "1e-320", "4.9e-324", "-0", "+.5", "5.",
+          "1E5", "\uff11\uff12", "2.2250738585072014e-308"]
+
+
+def test_row_values_equal_float_on_tricky_tokens(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    tokens = TRICKY + [repr(float(v)) for v in
+                       rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)]
+    p = write(tmp_path, "1\t" + "\t".join(tokens) + "\n"
+              "2,  " + ",".join(reversed(tokens)) + "\n")
+
+    def per_field(*args):
+        raise AssertionError("a clean univariate row took the per-field path")
+
+    monkeypatch.setattr(data_mod, "_parse_value", per_field)
+    ds = load_ucr(p)
+    want = np.array([[float(t) for t in tokens], [float(t) for t in reversed(tokens)]])
+    assert ds.features()[..., 0].tobytes() == want.tobytes()
+    np.testing.assert_array_equal(ds.classes, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1\t0.5\tnan\n", "line 1, field 2: missing or non-finite value 'nan'"),
+    ("1\t0.5\t0.7\n2\t-inf\t0.2\n",
+     "line 2, field 1: missing or non-finite value '-inf'"),
+    ("1\t0.5\t1e999\n", "line 1, field 2: missing or non-finite value '1e999'"),
+    ("1\t0.5\t0.7\n2\t0.1\txyz\n", "line 2, field 2: could not parse 'xyz'"),
+    ("1\t0.5\t\t0.7\n", "line 1, field 2: could not parse ''"),
+    ("x\t0.5\t0.7\n", "line 1, field 0: could not parse 'x'"),
+    ("NaN\t0.5\t0.7\n", "line 1, field 0: missing or non-finite value 'NaN'"),
+    ("1\t0.5\t0.7\n2\t0.1\n", "line 2: ragged row, expected 3 fields, got 2"),
+    ("1\t0.5,1.5\t0.7\n", "line 1, field 2: expected 2 channel values, got 1"),
+    ("1\t0.5,1.5\t0.7,1.7\n2\t0.1\t0.2\n",
+     "line 2, field 1: expected 2 channel values, got 1"),
+    ("1\t0.5\t0.7\n2\t0.1,1.1\t0.2\n",
+     "line 2, field 1: expected 1 channel values, got 2"),
+    ("1\t0.5,nan\t0.7,1.7\n", "line 1, field 1: missing or non-finite value 'nan'"),
+], ids=["nan", "inf", "overflow", "garbage", "empty-field", "bad-label", "nan-label",
+        "ragged", "channels-within-row", "channels-multi-then-uni",
+        "channels-uni-then-multi", "multivariate-nan"])
+def test_row_error_messages(tmp_path, text, message):
+    with pytest.raises(ValueError) as err:
+        load_ucr(write(tmp_path, text))
+    assert str(err.value) == message
 
 
 # ----------------------------------------------------------------- padding

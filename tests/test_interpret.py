@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from neuroview.cells import CellKind, InitKind, InitScheme
-from neuroview.data import DataSet, synth_separable
+from neuroview.data import DataSet, save_ucr, synth_separable
 from neuroview.interpret import (
     AblationMode,
     AblationTarget,
@@ -15,9 +15,13 @@ from neuroview.interpret import (
     export_weight_map_csv,
     load_weight_map_csv,
     rank_timesteps,
+    sweep,
     time_analysis,
     weight_map,
+    _keep_for_resume,
 )
+from neuroview import network
+from neuroview.cli import RunConfig, main, save_checkpoint
 from neuroview.network import EncoderConfig, HeadKind, HeadParams, Model
 from neuroview.train import TrainConfig, build_model, evaluate, fit
 
@@ -252,6 +256,149 @@ def test_time_analysis_matches_rebuilt_model_and_dataset(cell, layers, bidir):
                     assert np.all(np.isnan(r.report.per_class_accuracy))
                     np.testing.assert_array_equal(r.report.confusion,
                                                   np.zeros((d, d), dtype=np.int64))
+
+
+@pytest.mark.parametrize("cell,layers,bidir", [
+    (CellKind.GRU, 1, False),
+    (CellKind.LSTM, 2, True),
+])
+def test_sweep_matches_row_by_row_time_analysis(cell, layers, bidir):
+    # The grid above, as one sweep per layer against one call per row.
+    T, d = 8, 3
+    ds = synth_separable(d, T, 1, 5, seed=4)
+    enc = EncoderConfig(cell, 1, 4, T, layers=layers, bidirectional=bidir)
+    model = build_model(enc, HeadKind.NEUROVIEW, d, InitScheme(InitKind.UNIFORM, 4))
+    model.head.V *= 20.0
+    rows = [(c, k, mode, target) for target in AblationTarget
+            for mode in AblationMode for k in (0, 1, 3, T) for c in range(d)]
+    for layer in range(layers):
+        got = sweep(model, ds, rows, layer)
+        assert len(got) == len(rows)
+        for r, row in zip(got, rows):
+            want = time_analysis(model, ds, *row, layer)
+            assert (r.class_index, r.k, r.zeroed_steps, r.mode, r.target) == (
+                want.class_index, want.k, want.zeroed_steps, want.mode, want.target)
+            np.testing.assert_array_equal(r.report.confusion, want.report.confusion)
+            np.testing.assert_array_equal(r.report.per_class_accuracy,
+                                          want.report.per_class_accuracy)
+
+
+def test_sweep_validates_every_row_before_any_forward(trained, monkeypatch):
+    model, ds = trained
+    calls = []
+    monkeypatch.setattr(Model, "forward", lambda *a, **kw: calls.append(a))
+    rows = [(0, 1, AblationMode.TOP_POSITIVE, AblationTarget.INPUTS),
+            (0, ds.horizon + 1, AblationMode.TOP_POSITIVE, AblationTarget.INPUTS)]
+    with pytest.raises(ValueError, match="k must be"):
+        sweep(model, ds, rows)
+    assert calls == []
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("cell", list(CellKind), ids=lambda c: c.value)
+def test_resumed_forward_equals_full_forward(cell, layers):
+    T = 9
+    enc = EncoderConfig(cell, 2, 4, T, layers=layers)
+    model = build_model(enc, HeadKind.NEUROVIEW, 3, InitScheme(InitKind.UNIFORM, 5))
+    X = np.random.default_rng(6).normal(size=(7, T, 2))
+    _, base = model.forward(X)
+    # Keep only what a resumed pass may read, as ``sweep`` does.
+    base_hidden = [H.copy() for H in base.hidden]
+    _keep_for_resume(base, keep_q=False, resumable=True)
+    for steps in ([0], [T - 1], [2, 3, 6]):
+        Xa = X.copy()
+        Xa[:, steps] = 0.0
+        want, full = model.forward(Xa)
+        got, resumed = model.forward(Xa, (base, min(steps)))
+        np.testing.assert_array_equal(got, want)
+        for layer in range(layers):
+            np.testing.assert_array_equal(resumed.hidden[layer], full.hidden[layer])
+            np.testing.assert_array_equal(base.hidden[layer], base_hidden[layer])
+            if cell is CellKind.LSTM:
+                np.testing.assert_array_equal(
+                    resumed.gate_traces[layer][0].aux,
+                    full.gate_traces[layer][0].aux[min(steps):])
+
+
+def test_bidirectional_encoder_does_not_resume():
+    model = nv_model(T=5, bidir=True)
+    X = np.ones((2, 5, 1))
+    _, base = model.forward(X)
+    with pytest.raises(ValueError, match="unidirectional"):
+        model.forward(X, (base, 2))
+
+
+def _count_passes(monkeypatch):
+    """Patch ``Model.forward`` to record each pass: ``(resumed, trace)``."""
+    passes = []
+    real = Model.forward
+
+    def counted(self, x, resume=None):
+        logits, trace = real(self, x, resume)
+        passes.append((resume is not None, trace))
+        return logits, trace
+
+    monkeypatch.setattr(Model, "forward", counted)
+    encodes = []
+    real_encode = network.encode
+    monkeypatch.setattr(network, "encode",
+                        lambda *a, **kw: encodes.append(a) or real_encode(*a, **kw))
+    return passes, encodes
+
+
+@pytest.fixture
+def analysis_files(tmp_path):
+    # k = T zeroes every step, so the export's k = 20 rows share one set.
+    T, d = 20, 3
+    enc = EncoderConfig(CellKind.GRU, 1, 4, T)
+    model = build_model(enc, HeadKind.NEUROVIEW, d, InitScheme(InitKind.UNIFORM, 8))
+    ckpt, split = tmp_path / "ckpt.json", tmp_path / "split.tsv"
+    save_checkpoint(ckpt, model, RunConfig(hidden_dim=4, seed=8, epochs=0))
+    save_ucr(synth_separable(d, T, 1, 4, seed=8), split)
+    return ["--checkpoint", str(ckpt), "--dataset-path", str(split)]
+
+
+def test_weights_counterfactual_makes_one_forward(analysis_files, monkeypatch, capsys):
+    passes, encodes = _count_passes(monkeypatch)
+    assert main(["counterfactual", *analysis_files, "--class", "1", "--target",
+                 "weights", "--k-list", "0", "1", "5", "10"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+    assert [resumed for resumed, _ in passes] == [False]
+    assert len(encodes) == 1
+
+
+def test_export_makes_one_forward_per_distinct_step_set(analysis_files, tmp_path,
+                                                        monkeypatch, capsys):
+    passes, encodes = _count_passes(monkeypatch)
+    out = tmp_path / "bundle"
+    assert main(["export", *analysis_files, "--k-list", "0", "1", "2", "5", "10",
+                 "20", "--out", str(out)]) == 0
+    rows = json.loads((out / "counterfactuals.json").read_text())
+    assert len(rows) == 18
+    sets = {tuple(sorted(r["zeroed_steps"])) for r in rows} - {()}
+    assert len(sets) < 15
+    # One unablated pass; a set that zeroes step 0 has no prefix to reuse.
+    full = 1 + sum(1 for s in sets if s[0] == 0)
+    assert len(passes) == len(encodes) == 1 + len(sets)
+    assert [resumed for resumed, _ in passes].count(False) == full
+    assert full < len(passes)
+
+
+@pytest.mark.parametrize("cell", [CellKind.GRU, CellKind.LSTM], ids=lambda c: c.value)
+@pytest.mark.parametrize("target", list(AblationTarget), ids=lambda t: t.value)
+def test_sweep_keeps_no_gate_arrays(trained, monkeypatch, cell, target):
+    _, ds = trained
+    enc = EncoderConfig(cell, 1, 4, ds.horizon, layers=2)
+    model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme(InitKind.UNIFORM, 1))
+    passes, _ = _count_passes(monkeypatch)
+    sweep(model, ds, [(0, 3, AblationMode.TOP_POSITIVE, target)])
+    base = passes[0][1]
+    assert base.step_logits is None
+    assert (base.q is not None) == (target is AblationTarget.WEIGHTS)
+    for traces in base.gate_traces:
+        for tr in traces:
+            assert tr.gates is None and tr.xa is None
+            assert (tr.aux is not None) == (cell is CellKind.LSTM)
 
 
 def test_counterfactual_rows_schema(trained):

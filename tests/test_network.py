@@ -25,7 +25,7 @@ from neuroview.network import (
 )
 from neuroview.train import param_tree, softmax_xent
 
-from helpers import finite_diff_tree, grad_tree, max_tree_rel_err
+from helpers import finite_diff_tree, grad_tree, max_tree_rel_err, named_cell_grads
 
 
 def make_model(cell, head, n=3, m=2, T=4, d=2, layers=1, bidir=False, seed=0):
@@ -284,7 +284,7 @@ def test_backward_zero_upstream_gives_zero_grads():
         )
         assert not gV.any()
         for grads in cell_grads:
-            for g in grads.values():
+            for g in grads:
                 assert not g.any()
 
 
@@ -303,7 +303,7 @@ def _full_network_fd(cell, head, layers, bidir, seed, tol=1e-6,
     logits, trace = model.forward(x)
     _, gl = softmax_xent(logits, label)
     gV, cg = network_backward(model.encoder, model.cells, model.head, trace, gl)
-    analytic = grad_tree(gV, cg)
+    analytic = grad_tree(model.cells, gV, cg)
     numeric = finite_diff_tree(loss_of, param_tree(model))
     assert max_tree_rel_err(analytic, numeric) < tol
 
@@ -332,7 +332,7 @@ def _stacked_fd(cell, head, layers, bidir, seed, tol=1e-6, n=3, m=2, T=4, d=2):
 
     _, trace = model.forward(x)
     gV, cg = network_backward(model.encoder, model.cells, model.head, trace, w)
-    analytic = grad_tree(gV, cg)
+    analytic = grad_tree(model.cells, gV, cg)
     numeric = finite_diff_tree(scalar, param_tree(model))
     assert max_tree_rel_err(analytic, numeric) < tol
 
@@ -423,7 +423,7 @@ def test_sequence_kernel_matches_stepwise_cells(cell, bidir, layers):
         _assert_rel_close(got, want)
     _assert_rel_close(logits, want_logits)
     _assert_rel_close(grad_V, want_V)
-    for got, want in zip(cell_grads, want_grads):
+    for got, want in zip(named_cell_grads(model.cells, cell_grads), want_grads):
         assert list(got) == list(want)
         for k in want:
             _assert_rel_close(got[k], want[k])

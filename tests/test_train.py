@@ -257,7 +257,7 @@ def _reference_fit(ds, cfg, enc, head, init):
             loss, grad_logits = softmax_xent(logits, y[idx])
             grad_V, cell_grads = network_backward(
                 model.encoder, model.cells, model.head, trace, grad_logits)
-            grads = grad_tree(grad_V, cell_grads)
+            grads = grad_tree(model.cells, grad_V, cell_grads)
             step += 1
             bc1, bc2 = 1.0 - cfg.beta1 ** step, 1.0 - cfg.beta2 ** step
             for k, g in grads.items():
