@@ -55,7 +55,8 @@ Kernel
 forward or reverse in time. It forms ``gi`` for every step in one batched
 GEMM, then per step does one hidden GEMM, one sigmoid over the sigmoid
 slice and a few elementwise updates, writing into preallocated
-per-timestep arrays of a ``SequenceTrace``. Per step the gates are held
+per-timestep arrays of a ``SequenceTrace``: fresh ones, or those of an
+earlier trace passed as ``out``. Per step the gates are held
 unit-major, (k*n, B), so that every gate is a contiguous block.
 ``sequence_backward`` runs BPTT over that trace: per step one (k*n, B)
 gate-gradient block, one GEMM each for the incoming state and input
@@ -65,8 +66,10 @@ gradients, into caller-given blocks or fresh ones. ``cell_forward`` and
 vectors (``(n,)`` / ``(m,)``) or batches (``(B, n)`` / ``(B, m)``), an
 initial state and, for the LSTM, an incoming cell-state gradient, and
 their outputs match the input's batch shape. Apart from the ``dX`` and
-gradient accumulators a caller passes to ``sequence_backward``, all
-functions are pure: parameters and traces are never mutated.
+gradient accumulators a caller passes to ``sequence_backward`` and the
+trace it passes to ``sequence_forward`` as ``out``, whose arrays are
+overwritten, all functions are pure: parameters and traces are never
+mutated.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DTYPE, sigmoid
+from .linalg import DTYPE, scratch, sigmoid
 
 
 class CellKind(enum.Enum):
@@ -211,9 +214,10 @@ def named_views(kind: CellKind, n: int, W_i: np.ndarray, W_h: np.ndarray) -> dic
     return {name: out[name] for name in _SCHEMAS[kind]}
 
 
-def _with_ones(a: np.ndarray) -> np.ndarray:
-    """``a`` with a trailing column of ones (the bias input)."""
-    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=DTYPE)
+def _with_ones(a: np.ndarray, old: Optional[np.ndarray] = None) -> np.ndarray:
+    """``a`` with a trailing column of ones (the bias input), written into
+    ``old`` when it has the shape."""
+    out = scratch(old, a.shape[:-1] + (a.shape[-1] + 1,))
     out[..., :-1] = a
     out[..., -1] = 1.0
     return out
@@ -282,27 +286,34 @@ def _initial_state(kind, n, B, h0, c0):
 
 
 def sequence_forward(p: CellParams, X: np.ndarray, h0: Optional[np.ndarray] = None,
-                     c0: Optional[np.ndarray] = None,
-                     reverse: bool = False) -> SequenceTrace:
+                     c0: Optional[np.ndarray] = None, reverse: bool = False,
+                     out: Optional[SequenceTrace] = None) -> SequenceTrace:
     """Run one cell over a (T, B, m) input from the (B, n) state
     ``(h0, c0)`` (zeros when omitted); ``reverse`` runs from step T-1 down
-    to 0. Shapes are trusted: callers check them once."""
+    to 0. Shapes are trusted: callers check them once.
+
+    ``out``, an earlier trace, lends its per-timestep arrays: each one of
+    the right shape is overwritten instead of allocated, with the values a
+    fresh run would give; ``out`` must not be read afterwards."""
     kind = p.kind
     T, B, _ = X.shape
     n = p.hidden_dim
     s = _SIGMOID_GATES[kind] * n
     W_i, W_h = p.packed
-    xa = _with_ones(X)
-    ha = np.empty((T, B, n + 1), dtype=DTYPE)
+    old = out if out is not None else SequenceTrace(kind, reverse, *[None] * 5)
+    xa = _with_ones(X, old.xa)
+    ha = scratch(old.ha, (T, B, n + 1))
     ha[..., n] = 1.0
     h0a, c0 = _initial_state(kind, n, B, h0, c0)
     c = c0
     # Input projections of every step, biases included, in one GEMM.
-    pre = np.matmul(W_i, xa.transpose(0, 2, 1))
     if kind is CellKind.SIMPLE_RNN:
+        pre = np.matmul(W_i, xa.transpose(0, 2, 1), out=scratch(old.aux, (T, n, B)))
         gates, aux = ha[..., :n].transpose(0, 2, 1), pre
     else:
-        gates, aux = pre, np.empty((T, n, B), dtype=DTYPE)
+        pre = np.matmul(W_i, xa.transpose(0, 2, 1),
+                        out=scratch(old.gates, (T, W_i.shape[0], B)))
+        gates, aux = pre, scratch(old.aux, (T, n, B))
 
     # The running state, unit-major with a ones row: (n+1, B).
     hc = np.array(h0a.T)

@@ -443,6 +443,12 @@ def _require_nv_checkpoint(model: Model):
         )
 
 
+def _check_classes(classes: List[int], num_classes: int) -> None:
+    for c in classes:
+        if not 0 <= c < num_classes:
+            raise UsageError(f"class {c} outside [0, {num_classes})")
+
+
 def _parse_classes(spec: str, num_classes: int) -> List[int]:
     if spec == "all":
         return list(range(num_classes))
@@ -450,9 +456,9 @@ def _parse_classes(spec: str, num_classes: int) -> List[int]:
         classes = [int(c) for c in spec.split(",") if c.strip() != ""]
     except ValueError:
         raise UsageError(f"bad class list {spec!r}") from None
-    for c in classes:
-        if not 0 <= c < num_classes:
-            raise UsageError(f"class {c} outside [0, {num_classes})")
+    _check_classes(classes, num_classes)
+    if len(set(classes)) != len(classes):
+        raise UsageError(f"duplicate class ids in --classes: {spec}")
     return classes
 
 
@@ -460,11 +466,14 @@ def _check_k_list(ks: List[int], horizon: int) -> None:
     for k in ks:
         if not 0 <= k <= horizon:
             raise UsageError(f"k={k} outside [0, {horizon}] for this model")
+    if len(set(ks)) != len(ks):
+        raise UsageError(f"duplicate values in --k-list: {' '.join(map(str, ks))}")
 
 
 def cmd_counterfactual(args) -> int:
     model, rc, _, class_labels = load_checkpoint(args.checkpoint)
     _require_nv_checkpoint(model)
+    _check_classes([args.class_index], model.num_classes)
     _check_k_list(args.k_list, model.encoder.max_len)
     ds = _split_for(model, args.dataset_path, rc, class_labels)
     mode = _parse_enum(interpret.AblationMode, args.mode, "mode")

@@ -150,8 +150,10 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
     of that pass's ``q`` times ``V.T``; INPUTS rows with the same step set share
     one forward pass, and an empty set reads the unablated scores. For a
     unidirectional encoder that pass resumes from the unablated states at
-    the first zeroed step (``encode``'s ``resume``), which is bit-identical
-    to a full pass.
+    the first zeroed step (``encode``'s ``resume``): it builds the states
+    and nv features of the steps from there on and takes the earlier
+    features from the unablated ``q``, and its scores are bit-identical to
+    a full pass's.
     """
     _require_nv(model.head)
     cfg = model.encoder
@@ -165,9 +167,12 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
         plans.append((class_index, k, [int(t) for t in order[:k]], mode, target))
 
     X = dataset.features()
-    keep_q = any(target is AblationTarget.WEIGHTS for *_, target in plans)
+    resumable = not cfg.bidirectional
+    # Weights rows mask the unablated q; resumed passes copy its prefix.
+    keep_q = any(target is AblationTarget.WEIGHTS or (resumable and min(steps) > 0)
+                 for _, _, steps, _, target in plans if steps)
     base_logits, base = model.forward(X)
-    _keep_for_resume(base, keep_q, not cfg.bidirectional)
+    _keep_for_resume(base, keep_q, resumable)
     logits_of = {(target, ()): base_logits for target in AblationTarget}
     results = []
     for class_index, k, steps, mode, target in plans:
@@ -175,7 +180,7 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
         if key not in logits_of and target is AblationTarget.INPUTS:
             Xa = X.copy()
             Xa[:, steps] = 0.0
-            t0 = 0 if cfg.bidirectional else min(steps)
+            t0 = min(steps) if resumable else 0
             # The trace is dropped at once, before the next row's pass.
             logits_of[key] = model.forward(Xa, (base, t0) if t0 else None)[0]
         elif key not in logits_of:
@@ -192,7 +197,7 @@ def _keep_for_resume(trace: ForwardTrace, keep_q: bool, resumable: bool) -> None
     inputs, step logits, ``q`` unless asked, and all states unless a pass
     may resume from them; that reads the hidden states and an lstm's cell
     states (``aux``)."""
-    trace.step_logits = None
+    trace.step_logits, trace.buffers = None, {}
     if not keep_q:
         trace.q = None
     if not resumable:

@@ -1,5 +1,5 @@
-"""The float64 dtype and the elementwise maps shared by the numerical
-modules.
+"""The float64 dtype, the elementwise maps shared by the numerical
+modules, and the rule by which they reuse work arrays.
 
 Both maps are pure functions: they never mutate their inputs, and
 identical inputs produce bit-identical outputs.
@@ -29,3 +29,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=DTYPE), 0.0)
 
+
+def scratch(old, shape: tuple, dtype=DTYPE) -> np.ndarray:
+    """``old`` when it is a C-contiguous array of ``shape`` and ``dtype``,
+    else a fresh one; the caller overwrites its contents."""
+    if (old is not None and old.shape == shape and old.dtype == dtype
+            and old.flags.c_contiguous):
+        return old
+    return np.empty(shape, dtype=dtype)

@@ -35,7 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linalg import DTYPE, relu
+from .linalg import DTYPE, scratch
 from .cells import CellKind, CellParams, sequence_backward, sequence_forward
 
 
@@ -115,14 +115,30 @@ class ForwardTrace:
     per-kind auxiliary state, indexed by timestep for both directions.
     NeuroView-only fields (``q``, ``logits``, ``step_logits``) are filled
     by ``head_forward``.
+
+    A pass ``encode`` resumed at step ``t0 > 0`` from the trace ``base``
+    holds hidden states and gate traces for steps ``t0..T-1`` only; the
+    NeuroView head reads the earlier steps' ``q`` from ``base``, and the
+    other heads reject such a trace. ``buffers`` holds the
+    arrays behind ``q`` and ``step_logits`` and ``network_backward``'s
+    work arrays; a trace built with this one as ``out`` shares them.
     """
 
     hidden: List[np.ndarray]
     gate_traces: list
     batched: bool
+    t0: int = 0
+    base: Optional["ForwardTrace"] = field(default=None, repr=False)
     q: Optional[np.ndarray] = None
     logits: Optional[np.ndarray] = None
     step_logits: Optional[np.ndarray] = None  # (layers, T, B, d)
+    buffers: dict = field(default_factory=dict, repr=False)
+
+    def buffer(self, name: str, shape: tuple, dtype=DTYPE) -> np.ndarray:
+        """The buffer ``name``, reused when it has this shape and dtype and
+        fresh otherwise; the caller overwrites its contents."""
+        self.buffers[name] = scratch(self.buffers.get(name), shape, dtype)
+        return self.buffers[name]
 
 
 def _check_cells(cfg: EncoderConfig, cells: List[CellParams]):
@@ -163,7 +179,8 @@ def _as_time_major(cfg: EncoderConfig, x) -> tuple:
 
 
 def encode(cfg: EncoderConfig, cells: List[CellParams], x,
-           resume: Optional[tuple] = None) -> ForwardTrace:
+           resume: Optional[tuple] = None,
+           out: Optional[ForwardTrace] = None) -> ForwardTrace:
     """Unroll the encoder over a sequence (or batch of sequences).
 
     ``x`` may be a (T, m) array or a (B, T, m) batch,
@@ -173,11 +190,18 @@ def encode(cfg: EncoderConfig, cells: List[CellParams], x,
 
     ``resume=(base, t0)`` computes only steps ``t0..T-1`` of a
     unidirectional encoder, for an input that equals ``base``'s before
-    step ``t0``: every layer keeps ``base.hidden`` before ``t0`` and runs
-    on from ``base``'s state at ``t0 - 1`` (an lstm reads its cell state
-    from ``base``'s gate traces' ``aux``). The results are bit-identical
-    to a full pass; the gate traces cover steps ``t0..`` only, so such a
-    trace serves the forward pass, not ``network_backward``.
+    step ``t0``: every layer runs on from ``base``'s state at ``t0 - 1``
+    (an lstm reads its cell state from ``base``'s gate traces' ``aux``),
+    and the trace keeps steps ``t0..`` only. Its NeuroView scores are
+    bit-identical to a full pass's; such a trace serves the forward pass
+    of the NeuroView head only, not the other heads or
+    ``network_backward``.
+
+    ``out``, an earlier trace of the same encoder (and never ``base``),
+    lends its arrays: each one of the right shape is overwritten instead
+    of allocated, so a batch of another size gets fresh ones. The result
+    is bit-identical to a fresh pass, and ``out`` must not be read
+    afterwards.
     """
     _check_cells(cfg, cells)
     X, batched = _as_time_major(cfg, x)
@@ -195,26 +219,18 @@ def encode(cfg: EncoderConfig, cells: List[CellParams], x,
             if cfg.cell is CellKind.LSTM:
                 state["c0"] = base.gate_traces[layer][0].aux[t0 - 1].T
         traces = [
-            sequence_forward(cells[layer * cfg.directions + d], X,
-                             reverse=d == 1, **state)
+            sequence_forward(cells[layer * cfg.directions + d], X, reverse=d == 1,
+                             out=out and out.gate_traces[layer][d], **state)
             for d in range(cfg.directions)
         ]
         X = traces[0].h if len(traces) == 1 else np.concatenate(
-            [tr.h for tr in traces], axis=2)
-        hidden.append(np.concatenate([base.hidden[layer][:t0], X]) if t0 else X)
+            [tr.h for tr in traces], axis=2,
+            out=scratch(out and out.hidden[layer], X.shape[:2] + (cfg.step_width,)))
+        hidden.append(X)
         gate_traces.append(traces)
 
-    return ForwardTrace(hidden, gate_traces, batched)
-
-
-def _nv_features(cfg: EncoderConfig, trace: ForwardTrace) -> np.ndarray:
-    """Rectify and concatenate all retained hidden states: (B, nv_width)."""
-    B = trace.hidden[0].shape[1]
-    per_layer = [
-        relu(H).transpose(1, 0, 2).reshape(B, cfg.max_len * cfg.step_width)
-        for H in trace.hidden
-    ]
-    return np.concatenate(per_layer, axis=1)
+    return ForwardTrace(hidden, gate_traces, batched, t0, base,
+                        buffers={} if out is None else out.buffers)
 
 
 def head_forward(head: HeadParams, trace: ForwardTrace,
@@ -233,6 +249,9 @@ def head_forward(head: HeadParams, trace: ForwardTrace,
     T = cfg.max_len
     B = top.shape[1]
     d = head.num_classes
+    t0 = trace.t0
+    if t0 and head.kind is not HeadKind.NEUROVIEW:
+        raise ValueError("only the nv head reads a resumed trace")
 
     if head.kind is HeadKind.LAST_STATE:
         logits = top[T - 1] @ head.V.T
@@ -242,13 +261,23 @@ def head_forward(head: HeadParams, trace: ForwardTrace,
             pooled = pooled / T
         logits = pooled @ head.V.T
     elif head.kind is HeadKind.NEUROVIEW:
-        q = _nv_features(cfg, trace)
-        logits = q @ head.V.T
+        # q is every retained hidden state, rectified, laid out (B, L, T,
+        # sw); a resumed pass takes the steps before t0 from its base.
+        shape = (cfg.layers, T, cfg.step_width)
+        q = trace.buffer("q", (B, *shape))
+        if t0:
+            if trace.base.q is None:
+                raise ValueError("a resumed pass reads its base trace's q, which is gone")
+            q[:, :, :t0] = trace.base.q.reshape(q.shape)[:, :, :t0]
+        for layer, H in enumerate(trace.hidden):
+            np.maximum(H.transpose(1, 0, 2), 0.0, out=q[:, layer, t0:])
         # Every (layer, t) block of q against its block of V, in one
         # batched matmul: (L, T, B, sw) @ (L, T, sw, d).
-        shape = (cfg.layers, T, cfg.step_width)
-        step_logits = np.matmul(q.reshape(B, *shape).transpose(1, 2, 0, 3),
-                                head.V.reshape(d, *shape).transpose(1, 2, 3, 0))
+        step_logits = np.matmul(q.transpose(1, 2, 0, 3),
+                                head.V.reshape(d, *shape).transpose(1, 2, 3, 0),
+                                out=trace.buffer("step_logits", (cfg.layers, T, B, d)))
+        q = q.reshape(B, width)
+        logits = q @ head.V.T
         trace.q = q
         trace.step_logits = step_logits
         trace.logits = logits
@@ -296,9 +325,12 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
     B = trace.hidden[0].shape[1]
     if gl.shape[0] != B:
         raise ValueError(f"grad_logits batch {gl.shape[0]} != trace batch {B}")
+    if trace.t0:
+        raise ValueError("a resumed trace serves the forward pass only")
     _, grad_blocks, grad_V = _carve(cells, head.V.shape, out)
 
     # Upstream gradient arriving at each layer's per-timestep output.
+    dH = trace.buffer("dH", (cfg.layers, T, B, sw))
     if head.kind is HeadKind.NEUROVIEW:
         if trace.q is None:
             raise ValueError("trace has no NeuroView features; run head_forward first")
@@ -306,10 +338,13 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
         # (B, d) @ (T, d, sw) per layer gives the (T, B, sw) gradient at q,
         # which the ReLU passes where the hidden state is positive.
         blocks = head.V.reshape(-1, cfg.layers, T, sw).transpose(1, 2, 0, 3)
-        dH = [(gl @ blocks[layer]) * (trace.hidden[layer] > 0.0)
-              for layer in range(cfg.layers)]
+        positive = trace.buffer("positive", dH.shape, bool)
+        for layer in range(cfg.layers):
+            np.matmul(gl, blocks[layer], out=dH[layer])
+            np.greater(trace.hidden[layer], 0.0, out=positive[layer])
+            dH[layer] *= positive[layer]
     else:
-        dH = [np.zeros((T, B, sw), dtype=DTYPE) for _ in range(cfg.layers)]
+        dH.fill(0.0)
         if head.kind is HeadKind.LAST_STATE:
             np.matmul(gl.T, trace.hidden[-1][T - 1], out=grad_V)
             dH[-1][T - 1] += gl @ head.V

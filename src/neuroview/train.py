@@ -201,13 +201,17 @@ def fit(dataset: DataSet, cfg: TrainConfig, encoder: EncoderConfig,
     rng = np.random.default_rng(cfg.seed)
     grad = np.zeros_like(model.params)
     state = AdamState.init(model.params)
+    # Batch size -> the last trace of that size, whose arrays the next
+    # step of that size overwrites.
+    traces = {}
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(B)
         losses, hits, seen = [], 0, 0
         for start in range(0, B, batch):
             idx = order[start:start + batch]
-            trace = encode(model.encoder, model.cells, X[idx])
+            trace = traces[len(idx)] = encode(model.encoder, model.cells, X[idx],
+                                              out=traces.get(len(idx)))
             logits = head_forward(model.head, trace, model.encoder)
             loss, grad_logits = softmax_xent(logits, y[idx])
             if not np.isfinite(loss):

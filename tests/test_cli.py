@@ -532,6 +532,39 @@ def test_counterfactual_k_too_large(dataset_files, trained_run, tmp_path, capsys
     assert "outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("class_index", ["-1", "2"])
+def test_counterfactual_class_out_of_range_exits_2(dataset_files, trained_run,
+                                                   capsys, class_index):
+    root, train_p, test_p = dataset_files
+    code = main([
+        "counterfactual", "--checkpoint", str(trained_run / "checkpoint.json"),
+        "--dataset-path", str(test_p), "--class", class_index, "--k-list", "1",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: class {class_index} outside [0, 2)\n"
+
+
+@pytest.mark.parametrize("command", ["counterfactual", "export"])
+def test_duplicate_k_values_exit_2(dataset_files, trained_run, tmp_path, capsys,
+                                   command):
+    root, train_p, test_p = dataset_files
+    extra = ["--class", "0"] if command == "counterfactual" else ["--out", str(tmp_path / "b")]
+    code = main([command, "--checkpoint", str(trained_run / "checkpoint.json"),
+                 "--dataset-path", str(test_p), "--k-list", "1", "3", "1", *extra])
+    assert code == 2
+    assert capsys.readouterr().err == "error: duplicate values in --k-list: 1 3 1\n"
+    assert not (tmp_path / "b").exists()
+
+
+def test_export_duplicate_classes_exit_2(trained_run, tmp_path, capsys):
+    code = main(["export", "--checkpoint", str(trained_run / "checkpoint.json"),
+                 "--classes", "0,1,0", "--out", str(tmp_path / "b")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: duplicate class ids in --classes: 0,1,0\n"
+    assert not (tmp_path / "b").exists()
+
+
 # ------------------------------------------------------------------ export
 
 def test_export_subcommand(dataset_files, trained_run, tmp_path):

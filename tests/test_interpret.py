@@ -304,20 +304,26 @@ def test_resumed_forward_equals_full_forward(cell, layers):
     _, base = model.forward(X)
     # Keep only what a resumed pass may read, as ``sweep`` does.
     base_hidden = [H.copy() for H in base.hidden]
-    _keep_for_resume(base, keep_q=False, resumable=True)
+    _keep_for_resume(base, keep_q=True, resumable=True)
+    base_q = base.q.copy()
     for steps in ([0], [T - 1], [2, 3, 6]):
         Xa = X.copy()
         Xa[:, steps] = 0.0
+        t0 = min(steps)
         want, full = model.forward(Xa)
-        got, resumed = model.forward(Xa, (base, min(steps)))
+        got, resumed = model.forward(Xa, (base, t0))
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(resumed.q, full.q)
+        np.testing.assert_array_equal(resumed.step_logits, full.step_logits)
+        np.testing.assert_array_equal(base.q, base_q)
         for layer in range(layers):
-            np.testing.assert_array_equal(resumed.hidden[layer], full.hidden[layer])
+            # A resumed pass holds the states of steps t0.. only.
+            np.testing.assert_array_equal(resumed.hidden[layer], full.hidden[layer][t0:])
             np.testing.assert_array_equal(base.hidden[layer], base_hidden[layer])
             if cell is CellKind.LSTM:
                 np.testing.assert_array_equal(
                     resumed.gate_traces[layer][0].aux,
-                    full.gate_traces[layer][0].aux[min(steps):])
+                    full.gate_traces[layer][0].aux[t0:])
 
 
 def test_bidirectional_encoder_does_not_resume():
@@ -329,21 +335,18 @@ def test_bidirectional_encoder_does_not_resume():
 
 
 def _count_passes(monkeypatch):
-    """Patch ``Model.forward`` to record each pass: ``(resumed, trace)``."""
+    """Patch ``network.encode`` to record each encoder pass as
+    ``(resumed, trace)``."""
     passes = []
-    real = Model.forward
+    real = network.encode
 
-    def counted(self, x, resume=None):
-        logits, trace = real(self, x, resume)
+    def counted(cfg, cells, x, resume=None, out=None):
+        trace = real(cfg, cells, x, resume, out)
         passes.append((resume is not None, trace))
-        return logits, trace
+        return trace
 
-    monkeypatch.setattr(Model, "forward", counted)
-    encodes = []
-    real_encode = network.encode
-    monkeypatch.setattr(network, "encode",
-                        lambda *a, **kw: encodes.append(a) or real_encode(*a, **kw))
-    return passes, encodes
+    monkeypatch.setattr(network, "encode", counted)
+    return passes
 
 
 @pytest.fixture
@@ -359,17 +362,16 @@ def analysis_files(tmp_path):
 
 
 def test_weights_counterfactual_makes_one_forward(analysis_files, monkeypatch, capsys):
-    passes, encodes = _count_passes(monkeypatch)
+    passes = _count_passes(monkeypatch)
     assert main(["counterfactual", *analysis_files, "--class", "1", "--target",
                  "weights", "--k-list", "0", "1", "5", "10"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 4
     assert [resumed for resumed, _ in passes] == [False]
-    assert len(encodes) == 1
 
 
 def test_export_makes_one_forward_per_distinct_step_set(analysis_files, tmp_path,
                                                         monkeypatch, capsys):
-    passes, encodes = _count_passes(monkeypatch)
+    passes = _count_passes(monkeypatch)
     out = tmp_path / "bundle"
     assert main(["export", *analysis_files, "--k-list", "0", "1", "2", "5", "10",
                  "20", "--out", str(out)]) == 0
@@ -379,9 +381,14 @@ def test_export_makes_one_forward_per_distinct_step_set(analysis_files, tmp_path
     assert len(sets) < 15
     # One unablated pass; a set that zeroes step 0 has no prefix to reuse.
     full = 1 + sum(1 for s in sets if s[0] == 0)
-    assert len(passes) == len(encodes) == 1 + len(sets)
+    assert len(passes) == 1 + len(sets)
     assert [resumed for resumed, _ in passes].count(False) == full
     assert full < len(passes)
+    # A resumed pass builds the states of the steps from its first zeroed
+    # one on, and no earlier ones.
+    resumed = [trace for was_resumed, trace in passes if was_resumed]
+    assert sorted(len(trace.hidden[0]) for trace in resumed) == sorted(
+        20 - s[0] for s in sets if s[0] > 0)
 
 
 @pytest.mark.parametrize("cell", [CellKind.GRU, CellKind.LSTM], ids=lambda c: c.value)
@@ -390,15 +397,54 @@ def test_sweep_keeps_no_gate_arrays(trained, monkeypatch, cell, target):
     _, ds = trained
     enc = EncoderConfig(cell, 1, 4, ds.horizon, layers=2)
     model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme(InitKind.UNIFORM, 1))
-    passes, _ = _count_passes(monkeypatch)
-    sweep(model, ds, [(0, 3, AblationMode.TOP_POSITIVE, target)])
-    base = passes[0][1]
-    assert base.step_logits is None
-    assert (base.q is not None) == (target is AblationTarget.WEIGHTS)
+    passes = _count_passes(monkeypatch)
+    # Class 0's top-3 steps hold step 0 and its top-1 does not, so an
+    # inputs sweep makes one full and one resumed pass.
+    sweep(model, ds, [(0, k, AblationMode.TOP_POSITIVE, target) for k in (3, 1)])
+    (_, base), *ablated = passes
+    assert [r for r, _ in ablated] == ([False, True] if target is AblationTarget.INPUTS
+                                       else [])
+    assert base.step_logits is None and base.buffers == {}
+    # q stays for a weights row to mask, or for a resumed pass to copy.
+    assert base.q is not None
     for traces in base.gate_traces:
         for tr in traces:
             assert tr.gates is None and tr.xa is None
             assert (tr.aux is not None) == (cell is CellKind.LSTM)
+
+
+@pytest.mark.parametrize("cell", [CellKind.GRU, CellKind.LSTM], ids=lambda c: c.value)
+def test_sweep_leaves_the_unablated_pass_unchanged(monkeypatch, cell):
+    # Every ablated pass reads the unablated states and q; none writes them.
+    ds = synth_separable(3, 10, 1, 4, seed=3)
+    enc = EncoderConfig(cell, 1, 4, ds.horizon, layers=2)
+    model = build_model(enc, HeadKind.NEUROVIEW, 3, InitScheme(InitKind.UNIFORM, 4))
+    passes = _count_passes(monkeypatch)
+    rows = [(c, k, mode, target) for c in range(3) for k in (1, 2, 4, 7)
+            for mode in AblationMode for target in AblationTarget]
+    sweep(model, ds, rows)
+    (_, base), *ablated = passes
+    assert sum(r for r, _ in ablated) >= 5
+    _, fresh = model.forward(ds.features())
+    np.testing.assert_array_equal(base.q, fresh.q)
+    for layer in range(2):
+        np.testing.assert_array_equal(base.hidden[layer], fresh.hidden[layer])
+        if cell is CellKind.LSTM:
+            np.testing.assert_array_equal(base.gate_traces[layer][0].aux,
+                                          fresh.gate_traces[layer][0].aux)
+
+
+def test_sweep_drops_q_when_no_row_reads_it(monkeypatch):
+    # Inputs rows whose sets all hold step 0 take full passes, which read
+    # nothing of the unablated q.
+    ds = synth_separable(2, 10, 1, 8, seed=2)
+    enc = EncoderConfig(CellKind.GRU, 1, 4, ds.horizon)
+    model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme(InitKind.UNIFORM, 1))
+    assert 0 in rank_timesteps(model.head, enc, 0, AblationMode.TOP_POSITIVE)[:3]
+    passes = _count_passes(monkeypatch)
+    sweep(model, ds, [(0, 3, AblationMode.TOP_POSITIVE, AblationTarget.INPUTS)])
+    assert [r for r, _ in passes] == [False, False]
+    assert passes[0][1].q is None
 
 
 def test_counterfactual_rows_schema(trained):

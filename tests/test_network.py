@@ -480,3 +480,94 @@ def test_models_built_from_the_same_cells_do_not_alias():
     for p, q in zip(b.cells, cells):
         for k in q.arrays:
             np.testing.assert_array_equal(p.arrays[k], q.arrays[k])
+
+
+# ------------------------------------------------------------- buffer reuse
+
+_TRACE_ARRAYS = ("xa", "ha", "gates", "aux", "h0a", "c0")
+
+
+def _pass(model, x, gl, out=None):
+    """Forward and backward; returns the logits, the trace and the flat
+    gradient."""
+    trace = encode(model.encoder, model.cells, x, out=out)
+    logits = head_forward(model.head, trace, model.encoder)
+    grad = np.empty_like(model.params)
+    network_backward(model.encoder, model.cells, model.head, trace, gl, grad)
+    return logits, trace, grad
+
+
+@pytest.mark.parametrize("head", [HeadKind.NEUROVIEW, HeadKind.AVERAGE_POOL],
+                         ids=lambda h: h.value)
+@pytest.mark.parametrize("layers,bidir", [(1, False), (2, True)], ids=["1-uni", "2-bidir"])
+@pytest.mark.parametrize("cell", list(CellKind), ids=lambda c: c.value)
+def test_pass_into_an_earlier_trace_equals_a_fresh_pass(cell, layers, bidir, head):
+    model = make_model(cell, head, n=4, m=2, T=7, d=3, layers=layers, bidir=bidir, seed=2)
+    rng = np.random.default_rng(3)
+    x1, x2 = rng.normal(size=(2, 5, 7, 2))
+    gl1, gl2 = rng.normal(size=(2, 5, 3))
+    want_logits, want, want_grad = _pass(model, x2, gl2)
+    _, prev, _ = _pass(model, x1, gl1)
+    lent = dict(prev.buffers)
+    lent.update({(layer, d, name): getattr(tr, name)
+                 for layer, traces in enumerate(prev.gate_traces)
+                 for d, tr in enumerate(traces) for name in _TRACE_ARRAYS[:4]})
+    if bidir:
+        lent.update({("hidden", layer): H for layer, H in enumerate(prev.hidden)})
+
+    logits, got, grad = _pass(model, x2, gl2, out=prev)
+    np.testing.assert_array_equal(logits, want_logits)
+    np.testing.assert_array_equal(grad, want_grad)
+    for layer in range(layers):
+        np.testing.assert_array_equal(got.hidden[layer], want.hidden[layer])
+        for tr, tw in zip(got.gate_traces[layer], want.gate_traces[layer]):
+            for name in _TRACE_ARRAYS:
+                if getattr(tw, name) is not None:
+                    np.testing.assert_array_equal(getattr(tr, name), getattr(tw, name))
+    if head is HeadKind.NEUROVIEW:
+        np.testing.assert_array_equal(got.q, want.q)
+        np.testing.assert_array_equal(got.step_logits, want.step_logits)
+    # Every per-timestep array, q, the step logits and the backward's work
+    # arrays were written into the earlier trace's memory.
+    assert set(got.buffers) == {name for name in lent if isinstance(name, str)}
+    for name, arr in lent.items():
+        if isinstance(name, str):
+            now = got.buffers[name]
+        elif name[0] == "hidden":
+            now = got.hidden[name[1]]
+        else:
+            now = getattr(got.gate_traces[name[0]][name[1]], name[2])
+        assert np.shares_memory(now, arr), name
+
+    # A batch of another size gets fresh arrays and the same values as a
+    # fresh pass.
+    x3 = rng.normal(size=(3, 7, 2))
+    want3 = _pass(model, x3, gl2[:3])
+    got3 = _pass(model, x3, gl2[:3], out=got)
+    np.testing.assert_array_equal(got3[0], want3[0])
+    np.testing.assert_array_equal(got3[2], want3[2])
+    for layer, traces in enumerate(got3[1].gate_traces):
+        for d, tr in enumerate(traces):
+            for name in _TRACE_ARRAYS[:4]:
+                assert not np.shares_memory(getattr(tr, name), lent[layer, d, name])
+    for name, arr in got3[1].buffers.items():
+        assert not np.shares_memory(arr, lent[name]), name
+
+
+@pytest.mark.parametrize("head", [HeadKind.LAST_STATE, HeadKind.AVERAGE_POOL],
+                         ids=lambda h: h.value)
+def test_only_the_nv_head_reads_a_resumed_trace(head):
+    model = make_model(CellKind.GRU, head, T=5)
+    x = np.ones((2, 5, 2))
+    _, base = model.forward(x)
+    with pytest.raises(ValueError, match="only the nv head"):
+        model.forward(x, (base, 2))
+
+
+def test_resumed_trace_cannot_be_backpropagated():
+    model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=5)
+    x = np.ones((2, 5, 2))
+    _, base = model.forward(x)
+    _, resumed = model.forward(x, (base, 2))
+    with pytest.raises(ValueError, match="forward pass only"):
+        network_backward(model.encoder, model.cells, model.head, resumed, np.ones((2, 2)))

@@ -298,6 +298,23 @@ def test_fit_matches_name_keyed_reference_bit_for_bit(cell, head):
                     np.testing.assert_array_equal(p.packed[1][:, -1], 0.0)
 
 
+@pytest.mark.parametrize("head", [HeadKind.NEUROVIEW, HeadKind.LAST_STATE],
+                         ids=lambda h: h.value)
+@pytest.mark.parametrize("cell", list(CellKind), ids=lambda c: c.value)
+def test_fit_with_a_short_last_batch_matches_reference_bit_for_bit(cell, head):
+    # Batches of 4, 4 and 1: each size keeps its own trace to write into.
+    ds = synth_separable(3, 6, 2, 3, seed=4)
+    assert len(ds) == 9
+    for layers, bidir in ((1, False), (2, True)):
+        enc = EncoderConfig(cell, 2, 3, ds.horizon, layers=layers, bidirectional=bidir)
+        init = InitScheme(InitKind.UNIFORM, 6)
+        cfg = TrainConfig(epochs=4, batch_size=4, seed=2)
+        model, history = fit(ds, cfg, enc, head, init)
+        ref, ref_history = _reference_fit(ds, cfg, enc, head, init)
+        assert history == ref_history
+        np.testing.assert_array_equal(model.params, ref.params)
+
+
 def test_grad_clip_option_trains():
     ds, enc, head, init = small_setup()
     cfg = TrainConfig(epochs=30, grad_clip=0.5, seed=2)
