@@ -51,25 +51,35 @@ has no name, stays 0.0 and gets a zero gradient.
 
 Kernel
 ------
-``sequence_forward`` runs one cell over all T steps of a (T, B, m) input,
-forward or reverse in time. It forms ``gi`` for every step in one batched
-GEMM, then per step does one hidden GEMM, one sigmoid over the sigmoid
-slice and a few elementwise updates, writing into preallocated
-per-timestep arrays of a ``SequenceTrace``: fresh ones, or those of an
-earlier trace passed as ``out``. Per step the gates are held
-unit-major, (k*n, B), so that every gate is a contiguous block.
-``sequence_backward`` runs BPTT over that trace: per step one (k*n, B)
-gate-gradient block, one GEMM each for the incoming state and input
-gradients and one each accumulating the packed weight-and-bias
-gradients, into caller-given blocks or fresh ones. ``cell_forward`` and
-``cell_backward`` are the T=1 case of the same kernel: they take single
-vectors (``(n,)`` / ``(m,)``) or batches (``(B, n)`` / ``(B, m)``), an
-initial state and, for the LSTM, an incoming cell-state gradient, and
-their outputs match the input's batch shape. Apart from the ``dX`` and
-gradient accumulators a caller passes to ``sequence_backward`` and the
-trace it passes to ``sequence_forward`` as ``out``, whose arrays are
-overwritten, all functions are pure: parameters and traces are never
-mutated.
+``sequence_forward`` runs the D cells of one layer (D = 1, or 2 for a
+bidirectional layer) over a (T, B, m) input in one time loop: at loop
+index i the forward direction handles time i and the reverse direction
+time T-1-i, so each numpy call covers both directions. It forms ``gi``
+for every step and direction in one batched GEMM, then per step does
+one hidden GEMM, one sigmoid over the sigmoid slice and a few
+elementwise updates, writing into preallocated per-timestep arrays of a
+``SequenceTrace``: fresh ones, or those of an earlier trace passed as
+``out``. Gates are held gate-major, (T, k*n, D, B), so that each gate
+slice is one contiguous block covering both directions; the GEMMs take
+the per-direction weights stacked as (D, k*n, .). The reverse direction
+is stored in processing order. ``sequence_backward`` runs BPTT over that
+trace in one loop too: per step one gate-major gate-gradient block and
+its per-direction (D, k*n, B) copy for the GEMMs, one GEMM each for the
+incoming state and input gradients and one each for the packed
+weight-and-bias gradients, added into caller-given blocks or fresh ones. The input gradient adds the
+forward direction's share before the reverse one's. Every GEMM reads
+each direction's operands in the layout a one-direction run gives it,
+so a two-direction loop is bit-identical to two one-direction runs, the
+reverse one on the time-reversed input. ``cell_forward`` and
+``cell_backward`` are the T=1, D=1 case of the same kernel: they take
+single vectors (``(n,)`` / ``(m,)``) or batches (``(B, n)`` /
+``(B, m)``), an initial state and, for the LSTM, an incoming cell-state
+gradient, and their outputs match the input's batch shape. Apart from
+the ``dX`` and gradient accumulators a caller passes to
+``sequence_backward``, the work arrays it keeps in the trace's
+``buffers`` and the trace passed to ``sequence_forward`` as ``out``,
+whose arrays are overwritten, all functions are pure: parameters and
+traces' activations are never mutated.
 """
 
 from __future__ import annotations
@@ -80,7 +90,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DTYPE, scratch, sigmoid
+from .linalg import DTYPE, Buffered, scratch, sigmoid
 
 
 class CellKind(enum.Enum):
@@ -214,40 +224,69 @@ def named_views(kind: CellKind, n: int, W_i: np.ndarray, W_h: np.ndarray) -> dic
     return {name: out[name] for name in _SCHEMAS[kind]}
 
 
-def _with_ones(a: np.ndarray, old: Optional[np.ndarray] = None) -> np.ndarray:
-    """``a`` with a trailing column of ones (the bias input), written into
-    ``old`` when it has the shape."""
-    out = scratch(old, a.shape[:-1] + (a.shape[-1] + 1,))
+def _with_ones(a: np.ndarray) -> np.ndarray:
+    """``a`` with a trailing column of ones (the bias input)."""
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=DTYPE)
     out[..., :-1] = a
     out[..., -1] = 1.0
     return out
 
 
-@dataclass
-class SequenceTrace:
-    """One cell's activations over T steps, kept for ``sequence_backward``.
+def _weights(cells, block: int) -> np.ndarray:
+    """Packed block ``block`` (0: input side, 1: hidden side) of each of
+    the D cells, as one (D, rows, cols) array. It is a view, so no call
+    copies the weights, for one cell and for two cells whose blocks lie
+    in one buffer, as a layer's do in a model's flat ``params``; otherwise
+    it is a stacked copy."""
+    blocks = [p.packed[block] for p in cells]
+    a = blocks[0]
+    if len(blocks) == 1:
+        return a[None]
+    b, base = blocks[1], a.base
+    if (base is None or b.base is not base or not base.flags.c_contiguous
+            or a.shape != b.shape or a.strides != b.strides
+            or np.may_share_memory(a, b)):
+        return np.stack(blocks)
+    # Addresses from ``ctypes``: under numpy 2.4 every read of
+    # ``__array_interface__``, which ``as_strided`` makes too, keeps memory
+    # for the life of the process.
+    W = np.ndarray((2,) + a.shape, a.dtype, base, a.ctypes.data - base.ctypes.data,
+                   (b.ctypes.data - a.ctypes.data,) + a.strides)
+    W.flags.writeable = False
+    return W
 
-    Arrays are indexed by timestep whichever way the run went. Per step,
-    the gate arrays are unit-major, so every gate is a contiguous (n, B)
-    block; inputs and hidden states are batch-major with a trailing ones
-    column, so one GEMM against ``W | b`` also applies the bias:
-      xa     (T, B, m+1)  inputs
-      ha     (T, B, n+1)  hidden outputs (``h`` is the (T, B, n) view)
-      gates  (T, k*n, B)  activated gates in packed order (rnn: ``h``)
-      aux    (T, n, B)    rnn: pre-activation; gru: ``W_hn h_prev + b_hn``;
-                          lstm: cell state c
-      h0a    (B, n+1)     initial hidden state;  c0 (n, B): initial cell
-                          state (lstm only)
+
+@dataclass
+class SequenceTrace(Buffered):
+    """One layer's activations over T steps, kept for ``sequence_backward``.
+
+    The D directions (1 or 2) share every array. Index i along the first
+    axis is the i-th step each direction processed: time i for the
+    forward direction and time T-1-i for the reverse one, so the reverse
+    direction is stored in processing order. The gate arrays are
+    gate-major, so each gate is one contiguous (n, D, B) block that covers
+    both directions; inputs and hidden states are batch-major with a
+    trailing ones column, so one GEMM against ``W | b`` also applies the
+    bias:
+      xa     (T, D, B, m+1)  inputs
+      ha     (T, D, B, n+1)  hidden outputs (``h`` is the (T, D, B, n) view)
+      gates  (T, k*n, D, B)  activated gates in packed order (rnn: ``h``)
+      aux    (T, n, D, B)    rnn: pre-activation; gru: ``W_hn h_prev + b_hn``;
+                             lstm: cell state c
+      h0a    (D, B, n+1)     initial hidden state;  c0 (n, D, B): initial
+                             cell state (lstm only)
+    ``buffers`` holds ``sequence_backward``'s per-timestep work arrays; a
+    trace built with this one as ``out`` takes them over.
     """
 
     kind: CellKind
-    reverse: bool
     xa: np.ndarray
     ha: np.ndarray
     gates: np.ndarray
     aux: np.ndarray
     h0a: np.ndarray
     c0: Optional[np.ndarray] = None
+    buffers: dict = field(default_factory=dict, repr=False)
 
     @property
     def h(self) -> np.ndarray:
@@ -277,127 +316,164 @@ def zero_state(kind: CellKind, hidden_dim: int, batch: Optional[int] = None) -> 
     return CellState(h, c)
 
 
-def _initial_state(kind, n, B, h0, c0):
-    """``(h0a, c0)`` in trace layout; zeros where not given."""
-    h0a = _with_ones(np.zeros((B, n), dtype=DTYPE) if h0 is None else h0)
+def _initial_state(kind, n, D, B, h0, c0):
+    """``(h0a, c0)`` in trace layout from (D, B, n) states; zeros where not
+    given."""
+    h0a = _with_ones(np.zeros((D, B, n), dtype=DTYPE) if h0 is None else h0)
     if kind is not CellKind.LSTM:
         return h0a, None
-    return h0a, np.zeros((n, B), dtype=DTYPE) if c0 is None else np.array(c0.T)
+    if c0 is None:
+        return h0a, np.zeros((n, D, B), dtype=DTYPE)
+    return h0a, np.array(c0.transpose(2, 0, 1))
 
 
-def sequence_forward(p: CellParams, X: np.ndarray, h0: Optional[np.ndarray] = None,
-                     c0: Optional[np.ndarray] = None, reverse: bool = False,
+def sequence_forward(cells, X: np.ndarray, h0: Optional[np.ndarray] = None,
+                     c0: Optional[np.ndarray] = None,
                      out: Optional[SequenceTrace] = None) -> SequenceTrace:
-    """Run one cell over a (T, B, m) input from the (B, n) state
-    ``(h0, c0)`` (zeros when omitted); ``reverse`` runs from step T-1 down
-    to 0. Shapes are trusted: callers check them once.
+    """Run one layer's D cells (1, or 2 for forward and reverse) over a
+    (T, B, m) input in one time loop, from the (D, B, n) state ``(h0, c0)``
+    (zeros when omitted); the second cell reads the input reversed in
+    time. Shapes are trusted: callers check them once.
 
     ``out``, an earlier trace, lends its per-timestep arrays: each one of
     the right shape is overwritten instead of allocated, with the values a
     fresh run would give; ``out`` must not be read afterwards."""
-    kind = p.kind
-    T, B, _ = X.shape
-    n = p.hidden_dim
+    kind = cells[0].kind
+    D = len(cells)
+    T, B, m = X.shape
+    n = cells[0].hidden_dim
     s = _SIGMOID_GATES[kind] * n
-    W_i, W_h = p.packed
-    old = out if out is not None else SequenceTrace(kind, reverse, *[None] * 5)
-    xa = _with_ones(X, old.xa)
-    ha = scratch(old.ha, (T, B, n + 1))
+    W_i, W_h = _weights(cells, 0), _weights(cells, 1)
+    rows = W_i.shape[1]
+    old = out if out is not None else SequenceTrace(kind, *[None] * 5)
+    xa = scratch(old.xa, (T, D, B, m + 1))
+    xa[:, 0, :, :m] = X
+    if D == 2:
+        xa[:, 1, :, :m] = X[::-1]
+    xa[..., m] = 1.0
+    ha = scratch(old.ha, (T, D, B, n + 1))
     ha[..., n] = 1.0
-    h0a, c0 = _initial_state(kind, n, B, h0, c0)
+    h0a, c0 = _initial_state(kind, n, D, B, h0, c0)
     c = c0
-    # Input projections of every step, biases included, in one GEMM.
+    # Unit-major views of the states, (n, D, B) per step, and the GEMM
+    # operands (n+1, B) per step and direction.
+    H, H0 = ha[..., :n].transpose(0, 3, 1, 2), h0a[..., :n].transpose(2, 0, 1)
+    haT, h0aT = ha.transpose(0, 1, 3, 2), h0a.transpose(0, 2, 1)
+    # Input projections of every step and direction, biases included, in
+    # one GEMM.
+    aux = scratch(old.aux, (T, n, D, B))
     if kind is CellKind.SIMPLE_RNN:
-        pre = np.matmul(W_i, xa.transpose(0, 2, 1), out=scratch(old.aux, (T, n, B)))
-        gates, aux = ha[..., :n].transpose(0, 2, 1), pre
+        np.matmul(W_i, xa.transpose(0, 1, 3, 2), out=aux.transpose(0, 2, 1, 3))
+        gates = H
     else:
-        pre = np.matmul(W_i, xa.transpose(0, 2, 1),
-                        out=scratch(old.gates, (T, W_i.shape[0], B)))
-        gates, aux = pre, scratch(old.aux, (T, n, B))
+        gates = scratch(old.gates, (T, rows, D, B))
+        np.matmul(W_i, xa.transpose(0, 1, 3, 2), out=gates.transpose(0, 2, 1, 3))
 
-    # The running state, unit-major with a ones row: (n+1, B).
-    hc = np.array(h0a.T)
-    h = hc[:n]
-    for t in (range(T - 1, -1, -1) if reverse else range(T)):
-        g = gates[t]
-        gh = W_h @ hc
+    gh = np.empty((rows, D, B), dtype=DTYPE)
+    ghT = gh.transpose(1, 0, 2)
+    h_prev, hT_prev = H0, h0aT
+    for g, h, a, hT in zip(gates, H, aux, haT):
+        np.matmul(W_h, hT_prev, out=ghT)
         if kind is CellKind.SIMPLE_RNN:
-            aux[t] += gh
-            h[...] = sigmoid(aux[t])
+            a += gh
+            h[...] = sigmoid(a)
         elif kind is CellKind.GRU:
             g[:s] += gh[:s]
             g[:s] = sigmoid(g[:s])
-            aux[t] = gh[s:]
+            a[...] = gh[s:]
             gh[s:] *= g[:n]
             g[s:] += gh[s:]
             np.tanh(g[s:], out=g[s:])
-            h *= g[n:s]
+            np.multiply(h_prev, g[n:s], out=h)
             h += (1.0 - g[n:s]) * g[s:]
         else:
             g += gh
             g[:s] = sigmoid(g[:s])
             np.tanh(g[s:], out=g[s:])
-            c_t = aux[t]
-            np.multiply(g[n:2 * n], c, out=c_t)
-            c_t += g[:n] * g[s:]
-            np.multiply(g[2 * n:s], np.tanh(c_t), out=h)
-            c = c_t
-        ha[t, :, :n] = h.T
+            np.multiply(g[n:2 * n], c, out=a)
+            a += g[:n] * g[s:]
+            np.multiply(g[2 * n:s], np.tanh(a), out=h)
+            c = a
+        h_prev, hT_prev = h, hT
 
-    return SequenceTrace(kind, reverse, xa, ha, gates, aux, h0a, c0)
+    return SequenceTrace(kind, xa, ha, gates, aux, h0a, c0, old.buffers)
 
 
-def sequence_backward(p: CellParams, trace: SequenceTrace, dH: np.ndarray,
+def sequence_backward(cells, trace: SequenceTrace, dH: np.ndarray,
                       grad_c: Optional[np.ndarray] = None,
                       dX: Optional[np.ndarray] = None,
-                      grads: Optional[tuple] = None):
-    """BPTT through a ``sequence_forward`` trace.
+                      grads: Optional[list] = None):
+    """BPTT through a ``sequence_forward`` trace of the same D cells.
 
-    ``dH`` (T, B, n) is the loss gradient arriving at each step's hidden
-    output from outside the recurrence; ``grad_c`` (B, n) is the gradient
-    at the last step's cell state (lstm only; the last step is t=0 for a
-    reverse run). When ``dX`` (T, B, m) is given, the input gradient is
-    added into it. Returns ``(grads, grad_h0, grad_c0)``: the packed
-    parameter gradients ``(dW_i, dW_h)`` summed over batch and time, and
-    the (B, n) gradient at the initial state (``grad_c0`` is None unless
-    lstm). They are added into ``grads`` when given, else into zeros;
-    the rnn's hidden-side bias column, no parameter, is left at 0.0.
+    ``dH`` (T, B, D*n), in time order with the forward direction's units
+    first, is the loss gradient arriving at each step's hidden output from
+    outside the recurrence; ``grad_c`` (D, B, n) is the gradient at each
+    direction's last cell state (lstm only). When ``dX`` (T, B, m) is
+    given, the input gradient is added into it, the forward direction's
+    share first. Returns ``(grads, grad_h0, grad_c0)``: per cell, the
+    packed parameter gradients ``(dW_i, dW_h)`` summed over batch and
+    time, and the (D, B, n) gradient at the initial state (``grad_c0`` is
+    None unless lstm). They are added into ``grads`` when given, else into
+    zeros; the rnn's hidden-side bias column, no parameter, gets 0.0.
     """
-    kind = p.kind
-    T, B, n1 = trace.ha.shape
+    kind = cells[0].kind
+    D = len(cells)
+    T, _, B, n1 = trace.ha.shape
     n = n1 - 1
+    m = trace.xa.shape[-1] - 1
     s = _SIGMOID_GATES[kind] * n
-    W_i, W_h = p.packed
-    W_x, W_hh = W_i[:, :-1], W_h[:, :n].T
-    grad_i, grad_h = (np.zeros_like(W_i), np.zeros_like(W_h)) if grads is None else grads
-    dG = np.empty((W_i.shape[0], B), dtype=DTYPE)
-    carry_h = np.zeros((n, B), dtype=DTYPE)
+    W_i, W_h = _weights(cells, 0), _weights(cells, 1)
+    rows = W_i.shape[1]
+    W_x, W_hh = W_i[:, :, :-1], W_h[:, :, :n].transpose(0, 2, 1)
+    if grads is None:
+        grads = [(np.zeros_like(p.packed[0]), np.zeros_like(p.packed[1])) for p in cells]
+    # Each step's weight gradients, added into each cell's blocks.
+    step_i, step_h = np.empty_like(W_i), np.empty_like(W_h)
+    adds = [(gi, gh, si, sh) for (gi, gh), si, sh in zip(grads, step_i, step_h)]
+    # The gradient at each step's output in processing order, (n, D, B)
+    # per step: a view for one direction, else a gate-major copy.
+    if D == 1:
+        dHp = dH[:, None].transpose(0, 3, 1, 2)
+    else:
+        dHp = trace.buffer("dH", (T, n, D, B))
+        dHp[:, :, 0] = dH[..., :n].transpose(0, 2, 1)
+        dHp[:, :, 1] = dH[::-1, :, n:].transpose(0, 2, 1)
+    dXp = None if dX is None else trace.buffer("dX", (T, D, B, m))
+    H, H0 = trace.h.transpose(0, 3, 1, 2), trace.h0a[..., :n].transpose(2, 0, 1)
+    # The gate gradient, gate-major like the gates, and per direction as
+    # (D, k*n, B), the layout each GEMM reads: a view for one direction,
+    # else a copy made each step.
+    dG = np.empty((rows, D, B), dtype=DTYPE)
+    dGd = dG.transpose(1, 0, 2) if D == 1 else np.empty((D, rows, B), dtype=DTYPE)
+    dGdT = dGd.transpose(0, 2, 1)
+    # The carried state gradient and the buffer the next one is written
+    # into, swapped each step, with their (D, n, B) views for the GEMM.
+    carry_h, spare = np.zeros((n, D, B), dtype=DTYPE), np.empty((n, D, B), dtype=DTYPE)
+    carry_hT, spareT = carry_h.transpose(1, 0, 2), spare.transpose(1, 0, 2)
     carry_c = None
     if kind is CellKind.LSTM:
-        carry_c = np.zeros((n, B), dtype=DTYPE) if grad_c is None else np.array(grad_c.T)
-    rev = trace.reverse
-    first = T - 1 if rev else 0  # the step that read the initial state
+        carry_c = (np.zeros((n, D, B), dtype=DTYPE) if grad_c is None
+                   else np.array(grad_c.transpose(2, 0, 1)))
 
-    # Backward runs against the forward direction; step t's previous state
-    # came from step t-1 (t+1 for a reverse run).
-    for t in (range(T) if rev else range(T - 1, -1, -1)):
-        tp = t + 1 if rev else t - 1
-        hp = trace.h0a if t == first else trace.ha[tp]
-        g = trace.gates[t]
+    # Backward runs against the processing order; step i's previous state
+    # came from step i-1, and step 0 read the initial state.
+    for i in range(T - 1, -1, -1):
+        hp = trace.ha[i - 1] if i else trace.h0a
+        g = trace.gates[i]
         dh = carry_h
-        dh += dH[t].T
+        dh += dHp[i]
         # dG <- gradient at the input pre-activations (W_i x + b_i).
         if kind is CellKind.SIMPLE_RNN:
             np.multiply(dh * g, 1.0 - g, out=dG)
         elif kind is CellKind.GRU:
             z, n_g = g[n:s], g[s:]
             np.multiply(dh * (1.0 - z), 1.0 - n_g * n_g, out=dG[s:])
-            np.multiply(dG[s:], trace.aux[t], out=dG[:n])
-            np.multiply(dh, hp[:, :n].T - n_g, out=dG[n:s])
+            np.multiply(dG[s:], trace.aux[i], out=dG[:n])
+            np.multiply(dh, (H[i - 1] if i else H0) - n_g, out=dG[n:s])
             dG[:s] *= g[:s] * (1.0 - g[:s])
         else:
-            cp = trace.c0 if t == first else trace.aux[tp]
-            tanh_c = np.tanh(trace.aux[t])
+            cp = trace.aux[i - 1] if i else trace.c0
+            tanh_c = np.tanh(trace.aux[i])
             dc = dh * g[2 * n:s] * (1.0 - tanh_c * tanh_c)
             dc += carry_c
             np.multiply(dc, g[s:], out=dG[:n])
@@ -406,21 +482,34 @@ def sequence_backward(p: CellParams, trace: SequenceTrace, dH: np.ndarray,
             np.multiply(dc * g[:n], 1.0 - g[s:] * g[s:], out=dG[s:])
             dG[:s] *= g[:s] * (1.0 - g[:s])
             carry_c = dc * g[n:2 * n]
-        grad_i += dG @ trace.xa[t]
+        if D == 2:
+            np.copyto(dGd, dG.transpose(1, 0, 2))
+        np.matmul(dGd, trace.xa[i], out=step_i)
         if dX is not None:
-            dX[t] += dG.T @ W_x
+            np.matmul(dGdT, W_x, out=dXp[i])
         # dG <- gradient at the hidden pre-activations (W_h h + b_h); only
         # the GRU's n block differs, as W_hn h + b_hn enters scaled by r.
         if kind is CellKind.GRU:
-            dG[s:] *= g[:n]
-        grad_h += dG @ hp
-        carry_h = W_hh @ dG
+            dGd[:, s:] *= g[:n].transpose(1, 0, 2)
+        np.matmul(dGd, hp, out=step_h)
+        for grad_i, grad_h, gi, gh in adds:
+            grad_i += gi
+            grad_h += gh
+        np.matmul(W_hh, dGd, out=spareT)
+        carry_h, carry_hT, spare, spareT = spare, spareT, carry_h, carry_hT
         if kind is CellKind.GRU:
             carry_h += dh * z
 
+    if dX is not None:
+        # Time order again, and the forward direction's share added first.
+        dX += dXp[:, 0]
+        if D == 2:
+            dX += dXp[::-1, 1]
     if kind is CellKind.SIMPLE_RNN:
-        grad_h[:, n] = 0.0
-    return (grad_i, grad_h), carry_h.T, None if carry_c is None else carry_c.T
+        for _, grad_h in grads:
+            grad_h[:, n] = 0.0
+    return (grads, carry_h.transpose(1, 2, 0),
+            None if carry_c is None else carry_c.transpose(1, 2, 0))
 
 
 def _as_batch(a, dim, what):
@@ -445,13 +534,14 @@ def cell_forward(p: CellParams, state: CellState, x_t: np.ndarray):
         if state.c is None:
             raise ValueError("LSTM state requires a cell vector c")
         c, _ = _as_batch(state.c, p.hidden_dim, "state c")
-    seq = sequence_forward(p, x[None], h, c)
+        c = c[None]
+    seq = sequence_forward([p], x[None], h[None], c)
 
     n = p.hidden_dim
-    cached = {g: seq.gates[0][j * n:(j + 1) * n].T
+    cached = {g: seq.gates[0, j * n:(j + 1) * n, 0].T
               for j, g in enumerate(_GATE_ORDER[p.kind])}
-    cached[_AUX[p.kind]] = seq.aux[0].T
-    cached["h"] = seq.h[0]
+    cached[_AUX[p.kind]] = seq.aux[0, :, 0].T
+    cached["h"] = seq.h[0, 0]
     if x1 and h1:
         cached = {k: v[0] for k, v in cached.items()}
     return CellState(cached["h"], cached.get("c")), GateTrace(p.kind, cached, seq)
@@ -488,16 +578,18 @@ def cell_backward(
         if grad_c_in is not None:
             dc, _ = _as_batch(grad_c_in, p.hidden_dim, "grad_c_in")
 
-    h0a, c0 = _initial_state(p.kind, p.hidden_dim, len(hp), hp, cp)
-    seq = replace(trace.sequence, xa=_with_ones(x[None]), h0a=h0a, c0=c0)
+    h0a, c0 = _initial_state(p.kind, p.hidden_dim, 1, len(hp), hp[None],
+                             None if cp is None else cp[None])
+    seq = replace(trace.sequence, xa=_with_ones(x[None, None]), h0a=h0a, c0=c0)
     dX = np.zeros((1,) + x.shape, dtype=DTYPE)
-    grads, dhp, dcp = sequence_backward(p, seq, dh[None], dc, dX)
+    grads, dhp, dcp = sequence_backward([p], seq, dh[None],
+                                        None if dc is None else dc[None], dX)
 
     def out(arr):
-        return arr[0] if x1 and h1 else arr
+        return arr[0, 0] if x1 and h1 else arr[0]
 
-    grads = named_views(p.kind, p.hidden_dim, *grads)
-    return grads, out(dhp), None if dcp is None else out(dcp), out(dX[0])
+    grads = named_views(p.kind, p.hidden_dim, *grads[0])
+    return grads, out(dhp), None if dcp is None else out(dcp), out(dX)
 
 
 def scheme_matrix(kind: InitKind, shape, rng: np.random.Generator) -> np.ndarray:

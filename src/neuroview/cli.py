@@ -88,7 +88,11 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         fields = {f.name: f for f in dataclasses.fields(cls)}
         values = {}
-        for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text()
+        except OSError as e:
+            raise UsageError(f"cannot read config {path}: {e.strerror}") from None
+        for line_no, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -327,6 +331,13 @@ def _apply_env_seed(rc: RunConfig) -> RunConfig:
     return dataclasses.replace(rc, seed=seed)
 
 
+def _check_out_dir(path) -> None:
+    """Reject an output directory path that names an existing file, before
+    any work is done."""
+    if Path(path).exists() and not Path(path).is_dir():
+        raise UsageError(f"output directory {path} is an existing file")
+
+
 def _config_from_args(args) -> RunConfig:
     rc = RunConfig.load(args.config) if args.config else RunConfig()
     overrides = {}
@@ -339,6 +350,7 @@ def _config_from_args(args) -> RunConfig:
         overrides["train_path"] = train
         overrides["test_path"] = test
     rc = dataclasses.replace(rc, **overrides)
+    _check_out_dir(rc.output_dir)
     return _apply_env_seed(rc)
 
 
@@ -497,6 +509,7 @@ def cmd_export(args) -> int:
     if bool(args.dataset_path) != bool(args.k_list):
         raise UsageError("--dataset-path and --k-list go together: give both "
                          "for a counterfactual sweep, or neither")
+    _check_out_dir(args.out)
     model, rc, _, class_labels = load_checkpoint(args.checkpoint)
     _require_nv_checkpoint(model)
     cfg = model.encoder

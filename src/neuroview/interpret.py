@@ -204,9 +204,9 @@ def _keep_for_resume(trace: ForwardTrace, keep_q: bool, resumable: bool) -> None
         trace.hidden, trace.gate_traces = [], []
         return
     trace.gate_traces = [
-        [replace(tr, xa=None, gates=None,
-                 aux=tr.aux if tr.kind is CellKind.LSTM else None) for tr in traces]
-        for traces in trace.gate_traces
+        replace(tr, xa=None, gates=None, buffers={},
+                aux=tr.aux if tr.kind is CellKind.LSTM else None)
+        for tr in trace.gate_traces
     ]
 
 

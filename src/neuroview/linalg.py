@@ -37,3 +37,14 @@ def scratch(old, shape: tuple, dtype=DTYPE) -> np.ndarray:
             and old.flags.c_contiguous):
         return old
     return np.empty(shape, dtype=dtype)
+
+
+class Buffered:
+    """Mixin for a record whose ``buffers`` dict holds reusable work
+    arrays by name."""
+
+    def buffer(self, name: str, shape: tuple, dtype=DTYPE) -> np.ndarray:
+        """The buffer ``name``, reused when it has this shape and dtype and
+        fresh otherwise; the caller overwrites its contents."""
+        self.buffers[name] = scratch(self.buffers.get(name), shape, dtype)
+        return self.buffers[name]

@@ -35,7 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linalg import DTYPE, scratch
+from .linalg import DTYPE, Buffered, scratch
 from .cells import CellKind, CellParams, sequence_backward, sequence_forward
 
 
@@ -104,15 +104,16 @@ class HeadParams:
 
 
 @dataclass
-class ForwardTrace:
+class ForwardTrace(Buffered):
     """Everything one forward pass retains.
 
     ``hidden[layer]`` has shape (T, B, step_width); forward-direction units
     occupy ``[:, :, :hidden_dim]`` and reverse-direction units the rest.
-    ``gate_traces[layer][direction]`` is the ``SequenceTrace`` of that
-    (layer, direction): preallocated per-timestep arrays of the input it
-    consumed, its hidden outputs, its packed activated gates and its
-    per-kind auxiliary state, indexed by timestep for both directions.
+    ``gate_traces[layer]`` is the ``SequenceTrace`` of that layer, whose
+    one time loop ran both directions: preallocated per-timestep arrays of
+    the input each direction consumed, its hidden outputs, its packed
+    activated gates and its per-kind auxiliary state, with the reverse
+    direction in processing order (index i is time T-1-i).
     NeuroView-only fields (``q``, ``logits``, ``step_logits``) are filled
     by ``head_forward``.
 
@@ -133,12 +134,6 @@ class ForwardTrace:
     logits: Optional[np.ndarray] = None
     step_logits: Optional[np.ndarray] = None  # (layers, T, B, d)
     buffers: dict = field(default_factory=dict, repr=False)
-
-    def buffer(self, name: str, shape: tuple, dtype=DTYPE) -> np.ndarray:
-        """The buffer ``name``, reused when it has this shape and dtype and
-        fresh otherwise; the caller overwrites its contents."""
-        self.buffers[name] = scratch(self.buffers.get(name), shape, dtype)
-        return self.buffers[name]
 
 
 def _check_cells(cfg: EncoderConfig, cells: List[CellParams]):
@@ -212,22 +207,25 @@ def encode(cfg: EncoderConfig, cells: List[CellParams], x,
     hidden: List[np.ndarray] = []
     gate_traces = []
     X = X[t0:]
+    D, n = cfg.directions, cfg.hidden_dim
     for layer in range(cfg.layers):
         state = {}
         if t0:
-            state["h0"] = base.hidden[layer][t0 - 1]
+            state["h0"] = base.hidden[layer][t0 - 1][None]
             if cfg.cell is CellKind.LSTM:
-                state["c0"] = base.gate_traces[layer][0].aux[t0 - 1].T
-        traces = [
-            sequence_forward(cells[layer * cfg.directions + d], X, reverse=d == 1,
-                             out=out and out.gate_traces[layer][d], **state)
-            for d in range(cfg.directions)
-        ]
-        X = traces[0].h if len(traces) == 1 else np.concatenate(
-            [tr.h for tr in traces], axis=2,
-            out=scratch(out and out.hidden[layer], X.shape[:2] + (cfg.step_width,)))
+                state["c0"] = base.gate_traces[layer].aux[t0 - 1].transpose(1, 2, 0)
+        trace = sequence_forward(cells[layer * D:(layer + 1) * D], X,
+                                 out=out and out.gate_traces[layer], **state)
+        if D == 1:
+            X = trace.h[:, 0]
+        else:
+            # The reverse direction's states, stored in processing order,
+            # go back to time order.
+            X = scratch(out and out.hidden[layer], X.shape[:2] + (cfg.step_width,))
+            X[..., :n] = trace.h[:, 0]
+            X[..., n:] = trace.h[::-1, 1]
         hidden.append(X)
-        gate_traces.append(traces)
+        gate_traces.append(trace)
 
     return ForwardTrace(hidden, gate_traces, batched, t0, base,
                         buffers={} if out is None else out.buffers)
@@ -320,7 +318,6 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
             f"grad_logits width {gl.shape[1]} != {head.num_classes} classes"
         )
     T = cfg.max_len
-    n = cfg.hidden_dim
     sw = cfg.step_width
     B = trace.hidden[0].shape[1]
     if gl.shape[0] != B:
@@ -355,14 +352,12 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
         else:
             raise ValueError(f"unknown head kind {head.kind!r}")
 
+    D = cfg.directions
     for layer in range(cfg.layers - 1, -1, -1):
         # The input gradient of layer l is the upstream gradient of layer l-1.
         dX = dH[layer - 1] if layer > 0 else None
-        for d in range(cfg.directions):
-            idx = layer * cfg.directions + d
-            sequence_backward(cells[idx], trace.gate_traces[layer][d],
-                              dH[layer][:, :, d * n:(d + 1) * n], dX=dX,
-                              grads=grad_blocks[idx])
+        sequence_backward(cells[layer * D:(layer + 1) * D], trace.gate_traces[layer],
+                          dH[layer], dX=dX, grads=grad_blocks[layer * D:(layer + 1) * D])
 
     return grad_V, grad_blocks
 

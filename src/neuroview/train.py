@@ -8,6 +8,7 @@ permutation, and gradient accumulation happens in fixed index order.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -48,14 +49,22 @@ class TrainConfig:
     grad_clip: Optional[float] = None  # optional global max-norm
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # Each test is written so that NaN fails it.
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if self.grad_clip is not None and not (
+                math.isfinite(self.grad_clip) and self.grad_clip > 0):
+            raise ValueError(f"grad_clip must be finite and > 0, got {self.grad_clip}")
 
 
 @dataclass

@@ -14,8 +14,13 @@ from neuroview.cells import (
     init_params,
     param_shapes,
     scheme_matrix,
+    sequence_backward,
+    sequence_forward,
     zero_state,
+    _weights,
 )
+from neuroview.network import EncoderConfig, HeadKind
+from neuroview.train import build_model
 
 from helpers import finite_diff_tree, max_tree_rel_err, rel_err
 
@@ -322,3 +327,61 @@ def test_params_shape_validation():
     arrays["W"] = np.zeros((4, 3))
     with pytest.raises(ValueError, match="'W'"):
         CellParams(CellKind.SIMPLE_RNN, 3, 4, arrays)
+
+
+# ------------------------------------------------- one loop for two directions
+
+def _layer_run(cells, X, h0, c0, dH, grad_c, dX):
+    """One forward and backward pass of the kernel; ``dX`` is added into."""
+    trace = sequence_forward(cells, X, h0, c0)
+    grads, gh0, gc0 = sequence_backward(cells, trace, dH, grad_c, dX)
+    return trace, grads, gh0, gc0
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["model-buffer", "own-arrays"])
+@pytest.mark.parametrize("B", [1, 4, 8, 58])
+@pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.value)
+def test_two_direction_loop_equals_two_one_direction_runs(kind, B, shared):
+    # The stacked loop changes no bit: each direction's states, gradients
+    # and input-gradient share equal a one-direction run's, the reverse
+    # one's on the time-reversed input.
+    T, m, n = 7, 3, 5
+    enc = EncoderConfig(kind, m, n, T, bidirectional=True)
+    model = build_model(enc, HeadKind.AVERAGE_POOL, 2, InitScheme(InitKind.UNIFORM, B))
+    cells = model.cells
+    if shared:
+        # A layer's cells in a model's buffer lend the loop their weights
+        # as one view; loose cells get a stacked copy.
+        for block in (0, 1):
+            assert np.shares_memory(_weights(cells, block), model.params)
+    else:
+        cells = [p.copy() for p in cells]
+    rng = np.random.default_rng(B)
+    X = rng.normal(size=(T, B, m))
+    h0 = rng.normal(size=(2, B, n))
+    lstm = kind is CellKind.LSTM
+    c0, grad_c = (rng.normal(size=(2, B, n)) for _ in range(2)) if lstm else (None, None)
+    dH = rng.normal(size=(T, B, 2 * n))
+    dX0 = rng.normal(size=(T, B, m))
+
+    dX = dX0.copy()
+    both = _layer_run(cells, X, h0, c0, dH, grad_c, dX)
+    dXf = dX0.copy()
+    fwd = _layer_run(cells[:1], X, h0[:1], c0 if c0 is None else c0[:1],
+                     dH[..., :n], grad_c if grad_c is None else grad_c[:1], dXf)
+    dXr = np.zeros_like(dX0)
+    rev = _layer_run(cells[1:], X[::-1].copy(), h0[1:], c0 if c0 is None else c0[1:],
+                     dH[::-1, :, n:].copy(), grad_c if grad_c is None else grad_c[1:], dXr)
+
+    for d, single in enumerate((fwd, rev)):
+        # The direction axis: (T, D, B, .) for xa and ha, (T, ., D, B) else.
+        for name, axis in (("xa", 1), ("ha", 1), ("gates", 2), ("aux", 2)):
+            np.testing.assert_array_equal(np.take(getattr(both[0], name), d, axis),
+                                          np.take(getattr(single[0], name), 0, axis))
+        for got, want in zip(both[1][d], single[1][0]):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(both[2][d], single[2][0])
+        if lstm:
+            np.testing.assert_array_equal(both[3][d], single[3][0])
+    # The forward direction's share of the input gradient is added first.
+    np.testing.assert_array_equal(dX, dXf + dXr[::-1])

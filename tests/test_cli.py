@@ -275,6 +275,7 @@ def test_train_no_dataset_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--lr", "0"), ("--epochs", "-1"), ("--batch-size", "-2"), ("--grad-clip", "-1"),
     ("--hidden", "0"), ("--layers", "0"), ("--max-len", "-3"),
+    ("--lr", "nan"), ("--lr", "inf"), ("--grad-clip", "nan"),
 ])
 def test_train_bad_config_value_exits_2_with_one_line(dataset_files, tmp_path,
                                                       capsys, flag, value):
@@ -283,6 +284,39 @@ def test_train_bad_config_value_exits_2_with_one_line(dataset_files, tmp_path,
     assert err.startswith("error: ") and value in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("line", ["beta1 = 1.0", "beta2 = -0.5", "eps = 0.0",
+                                  "eps = nan", "learning_rate = inf"])
+def test_train_bad_adam_config_exits_2_with_one_line(dataset_files, tmp_path,
+                                                     capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run_train(dataset_files, tmp_path / "run", extra=["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and line.split(" = ")[0] in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_missing_config_exits_2_with_one_line(dataset_files, tmp_path, capsys):
+    cfg = tmp_path / "missing.json"
+    assert run_train(dataset_files, tmp_path / "run", extra=["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err and "Errno" not in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_out_existing_file_exits_2_before_training(dataset_files, tmp_path,
+                                                         capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert run_train(dataset_files, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert len(err.splitlines()) == 1
+    assert out.read_text() == "keep\n"
 
 
 def test_train_epochs_zero_writes_initial_model(dataset_files, tmp_path):
@@ -482,6 +516,23 @@ def test_inspect_subcommand(trained_run, tmp_path, capsys):
     assert (out / "weight_map_class1.csv").is_file()
     assert (out / "class_similarity.csv").is_file()
     assert (out / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("command", ["inspect", "export"])
+def test_out_existing_file_exits_2_with_one_line(dataset_files, trained_run, tmp_path,
+                                                 capsys, command):
+    _, _, test_p = dataset_files
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    argv = [command, "--checkpoint", str(trained_run / "checkpoint.json"),
+            "--out", str(out)]
+    if command == "export":
+        argv += ["--dataset-path", str(test_p), "--k-list", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Errno" not in err
+    assert len(err.splitlines()) == 1
+    assert out.read_text() == "keep\n"
 
 
 def test_inspect_rejects_non_nv_checkpoint(dataset_files, tmp_path, capsys):

@@ -322,8 +322,8 @@ def test_resumed_forward_equals_full_forward(cell, layers):
             np.testing.assert_array_equal(base.hidden[layer], base_hidden[layer])
             if cell is CellKind.LSTM:
                 np.testing.assert_array_equal(
-                    resumed.gate_traces[layer][0].aux,
-                    full.gate_traces[layer][0].aux[t0:])
+                    resumed.gate_traces[layer].aux,
+                    full.gate_traces[layer].aux[t0:])
 
 
 def test_bidirectional_encoder_does_not_resume():
@@ -407,10 +407,9 @@ def test_sweep_keeps_no_gate_arrays(trained, monkeypatch, cell, target):
     assert base.step_logits is None and base.buffers == {}
     # q stays for a weights row to mask, or for a resumed pass to copy.
     assert base.q is not None
-    for traces in base.gate_traces:
-        for tr in traces:
-            assert tr.gates is None and tr.xa is None
-            assert (tr.aux is not None) == (cell is CellKind.LSTM)
+    for tr in base.gate_traces:
+        assert tr.gates is None and tr.xa is None and tr.buffers == {}
+        assert (tr.aux is not None) == (cell is CellKind.LSTM)
 
 
 @pytest.mark.parametrize("cell", [CellKind.GRU, CellKind.LSTM], ids=lambda c: c.value)
@@ -430,8 +429,8 @@ def test_sweep_leaves_the_unablated_pass_unchanged(monkeypatch, cell):
     for layer in range(2):
         np.testing.assert_array_equal(base.hidden[layer], fresh.hidden[layer])
         if cell is CellKind.LSTM:
-            np.testing.assert_array_equal(base.gate_traces[layer][0].aux,
-                                          fresh.gate_traces[layer][0].aux)
+            np.testing.assert_array_equal(base.gate_traces[layer].aux,
+                                          fresh.gate_traces[layer].aux)
 
 
 def test_sweep_drops_q_when_no_row_reads_it(monkeypatch):

@@ -509,9 +509,10 @@ def test_pass_into_an_earlier_trace_equals_a_fresh_pass(cell, layers, bidir, hea
     want_logits, want, want_grad = _pass(model, x2, gl2)
     _, prev, _ = _pass(model, x1, gl1)
     lent = dict(prev.buffers)
-    lent.update({(layer, d, name): getattr(tr, name)
-                 for layer, traces in enumerate(prev.gate_traces)
-                 for d, tr in enumerate(traces) for name in _TRACE_ARRAYS[:4]})
+    lent.update({(layer, name): getattr(tr, name)
+                 for layer, tr in enumerate(prev.gate_traces) for name in _TRACE_ARRAYS[:4]})
+    lent.update({(layer, "buffers", name): arr for layer, tr in enumerate(prev.gate_traces)
+                 for name, arr in tr.buffers.items()})
     if bidir:
         lent.update({("hidden", layer): H for layer, H in enumerate(prev.hidden)})
 
@@ -520,23 +521,26 @@ def test_pass_into_an_earlier_trace_equals_a_fresh_pass(cell, layers, bidir, hea
     np.testing.assert_array_equal(grad, want_grad)
     for layer in range(layers):
         np.testing.assert_array_equal(got.hidden[layer], want.hidden[layer])
-        for tr, tw in zip(got.gate_traces[layer], want.gate_traces[layer]):
-            for name in _TRACE_ARRAYS:
-                if getattr(tw, name) is not None:
-                    np.testing.assert_array_equal(getattr(tr, name), getattr(tw, name))
+        tr, tw = got.gate_traces[layer], want.gate_traces[layer]
+        for name in _TRACE_ARRAYS:
+            if getattr(tw, name) is not None:
+                np.testing.assert_array_equal(getattr(tr, name), getattr(tw, name))
     if head is HeadKind.NEUROVIEW:
         np.testing.assert_array_equal(got.q, want.q)
         np.testing.assert_array_equal(got.step_logits, want.step_logits)
     # Every per-timestep array, q, the step logits and the backward's work
-    # arrays were written into the earlier trace's memory.
+    # arrays, the kernel's own included, were written into the earlier
+    # trace's memory.
     assert set(got.buffers) == {name for name in lent if isinstance(name, str)}
     for name, arr in lent.items():
         if isinstance(name, str):
             now = got.buffers[name]
         elif name[0] == "hidden":
             now = got.hidden[name[1]]
+        elif name[1] == "buffers":
+            now = got.gate_traces[name[0]].buffers[name[2]]
         else:
-            now = getattr(got.gate_traces[name[0]][name[1]], name[2])
+            now = getattr(got.gate_traces[name[0]], name[1])
         assert np.shares_memory(now, arr), name
 
     # A batch of another size gets fresh arrays and the same values as a
@@ -546,10 +550,11 @@ def test_pass_into_an_earlier_trace_equals_a_fresh_pass(cell, layers, bidir, hea
     got3 = _pass(model, x3, gl2[:3], out=got)
     np.testing.assert_array_equal(got3[0], want3[0])
     np.testing.assert_array_equal(got3[2], want3[2])
-    for layer, traces in enumerate(got3[1].gate_traces):
-        for d, tr in enumerate(traces):
-            for name in _TRACE_ARRAYS[:4]:
-                assert not np.shares_memory(getattr(tr, name), lent[layer, d, name])
+    for layer, tr in enumerate(got3[1].gate_traces):
+        for name in _TRACE_ARRAYS[:4]:
+            assert not np.shares_memory(getattr(tr, name), lent[layer, name])
+        for name, arr in tr.buffers.items():
+            assert not np.shares_memory(arr, lent[layer, "buffers", name]), name
     for name, arr in got3[1].buffers.items():
         assert not np.shares_memory(arr, lent[name]), name
 

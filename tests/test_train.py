@@ -375,3 +375,15 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="grad_clip"):
         TrainConfig(grad_clip=-1.0)
+    # Non-finite values and Adam constants out of range; NaN fails every
+    # comparison, so each test must reject it explicitly.
+    nan, inf = float("nan"), float("inf")
+    for kwargs in ({"learning_rate": nan}, {"learning_rate": inf},
+                   {"grad_clip": nan}, {"grad_clip": inf},
+                   {"beta1": 1.0}, {"beta1": -0.1}, {"beta1": nan},
+                   {"beta2": 1.0}, {"beta2": 1.5}, {"beta2": nan},
+                   {"eps": 0.0}, {"eps": -1e-8}, {"eps": nan}, {"eps": inf}):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**kwargs)
+    TrainConfig(beta1=0.0, beta2=0.0, eps=1e-300, grad_clip=1e-3)
