@@ -62,7 +62,18 @@ elementwise updates, writing into preallocated per-timestep arrays of a
 ``out``. Gates are held gate-major, (T, k*n, D, B), so that each gate
 slice is one contiguous block covering both directions; the GEMMs take
 the per-direction weights stacked as (D, k*n, .). The reverse direction
-is stored in processing order. ``sequence_backward`` runs BPTT over that
+is stored in processing order. The GRU forms each new state in one of
+two contiguous (n, D, B) buffers and copies it once into the
+batch-major ``ha``, which the hidden GEMM reads as before.
+
+A forward-only pass (``gates=False``), which no backward pass follows,
+keeps no gate trace: the loop runs over chunks of ``CHUNK`` steps, and
+one batched GEMM per chunk writes that chunk's ``gi`` into a buffer of
+CHUNK steps, reused from chunk to chunk, so the gates a step reads are
+still in cache. The rnn's pre-activations and the GRU's ``aux`` live in
+such a buffer too; the LSTM keeps its cell states, which a resumed pass
+reads. A full pass is the same loop with one chunk of T steps, and both
+give bit-identical states. ``sequence_backward`` runs BPTT over that
 trace in one loop too: per step one gate-major gate-gradient block and
 its per-direction (D, k*n, B) copy for the GEMMs, one GEMM each for the
 incoming state and input gradients and one each for the packed
@@ -275,15 +286,18 @@ class SequenceTrace(Buffered):
                              lstm: cell state c
       h0a    (D, B, n+1)     initial hidden state;  c0 (n, D, B): initial
                              cell state (lstm only)
-    ``buffers`` holds ``sequence_backward``'s per-timestep work arrays; a
-    trace built with this one as ``out`` takes them over.
+    A forward-only trace has no ``gates``, and no ``aux`` but the lstm's.
+    ``buffers`` holds the kernels' work arrays: the GRU's state buffers,
+    a forward-only pass's CHUNK-step gate buffers and
+    ``sequence_backward``'s per-timestep arrays; a trace built with this
+    one as ``out`` takes them over.
     """
 
     kind: CellKind
     xa: np.ndarray
     ha: np.ndarray
-    gates: np.ndarray
-    aux: np.ndarray
+    gates: Optional[np.ndarray]
+    aux: Optional[np.ndarray]
     h0a: np.ndarray
     c0: Optional[np.ndarray] = None
     buffers: dict = field(default_factory=dict, repr=False)
@@ -327,9 +341,16 @@ def _initial_state(kind, n, D, B, h0, c0):
     return h0a, np.array(c0.transpose(2, 0, 1))
 
 
+# Steps per input-projection GEMM in a forward-only pass: the gates of
+# CHUNK steps of a UMD-shape GRU-32 layer (B = 144) take 0.9 MB, so the
+# loop reads them back from cache.
+CHUNK = 8
+
+
 def sequence_forward(cells, X: np.ndarray, h0: Optional[np.ndarray] = None,
                      c0: Optional[np.ndarray] = None,
-                     out: Optional[SequenceTrace] = None) -> SequenceTrace:
+                     out: Optional[SequenceTrace] = None,
+                     gates: bool = True) -> SequenceTrace:
     """Run one layer's D cells (1, or 2 for forward and reverse) over a
     (T, B, m) input in one time loop, from the (D, B, n) state ``(h0, c0)``
     (zeros when omitted); the second cell reads the input reversed in
@@ -337,7 +358,12 @@ def sequence_forward(cells, X: np.ndarray, h0: Optional[np.ndarray] = None,
 
     ``out``, an earlier trace, lends its per-timestep arrays: each one of
     the right shape is overwritten instead of allocated, with the values a
-    fresh run would give; ``out`` must not be read afterwards."""
+    fresh run would give; ``out`` must not be read afterwards.
+
+    ``gates=False`` makes a forward-only pass, which ``sequence_backward``
+    rejects: the gates, and ``aux`` but for the lstm's cell states, live
+    in ``buffers`` for CHUNK steps at a time, and the trace's ``gates`` and
+    ``aux`` (lstm: kept) are None. Its states are bit-identical."""
     kind = cells[0].kind
     D = len(cells)
     T, B, m = X.shape
@@ -353,50 +379,73 @@ def sequence_forward(cells, X: np.ndarray, h0: Optional[np.ndarray] = None,
     xa[..., m] = 1.0
     ha = scratch(old.ha, (T, D, B, n + 1))
     ha[..., n] = 1.0
-    h0a, c0 = _initial_state(kind, n, D, B, h0, c0)
-    c = c0
+    trace = SequenceTrace(kind, xa, ha, None, None,
+                          *_initial_state(kind, n, D, B, h0, c0), old.buffers)
+    c = trace.c0
     # Unit-major views of the states, (n, D, B) per step, and the GEMM
     # operands (n+1, B) per step and direction.
-    H, H0 = ha[..., :n].transpose(0, 3, 1, 2), h0a[..., :n].transpose(2, 0, 1)
-    haT, h0aT = ha.transpose(0, 1, 3, 2), h0a.transpose(0, 2, 1)
-    # Input projections of every step and direction, biases included, in
-    # one GEMM.
-    aux = scratch(old.aux, (T, n, D, B))
+    H = ha[..., :n].transpose(0, 3, 1, 2)
+    haT, hT_prev = ha.transpose(0, 1, 3, 2), trace.h0a.transpose(0, 2, 1)
+    # Gates and aux hold every step, or CHUNK steps in a forward-only pass
+    # (the lstm's cell states always every step). The input projections,
+    # biases included, go into the gates (rnn: aux) in one GEMM per chunk.
+    span = T if gates else min(T, CHUNK)
+    aux = (scratch(old.aux, (T, n, D, B)) if gates or kind is CellKind.LSTM
+           else trace.buffer("aux", (span, n, D, B)))
     if kind is CellKind.SIMPLE_RNN:
-        np.matmul(W_i, xa.transpose(0, 1, 3, 2), out=aux.transpose(0, 2, 1, 3))
-        gates = H
+        G = H
+    elif gates:
+        G = scratch(old.gates, (T, rows, D, B))
     else:
-        gates = scratch(old.gates, (T, rows, D, B))
-        np.matmul(W_i, xa.transpose(0, 1, 3, 2), out=gates.transpose(0, 2, 1, 3))
-
+        G = trace.buffer("gates", (span, rows, D, B))
     gh = np.empty((rows, D, B), dtype=DTYPE)
     ghT = gh.transpose(1, 0, 2)
-    h_prev, hT_prev = H0, h0aT
-    for g, h, a, hT in zip(gates, H, aux, haT):
-        np.matmul(W_h, hT_prev, out=ghT)
-        if kind is CellKind.SIMPLE_RNN:
-            a += gh
-            h[...] = sigmoid(a)
-        elif kind is CellKind.GRU:
-            g[:s] += gh[:s]
-            g[:s] = sigmoid(g[:s])
-            a[...] = gh[s:]
-            gh[s:] *= g[:n]
-            g[s:] += gh[s:]
-            np.tanh(g[s:], out=g[s:])
-            np.multiply(h_prev, g[n:s], out=h)
-            h += (1.0 - g[n:s]) * g[s:]
-        else:
-            g += gh
-            g[:s] = sigmoid(g[:s])
-            np.tanh(g[s:], out=g[s:])
-            np.multiply(g[n:2 * n], c, out=a)
-            a += g[:n] * g[s:]
-            np.multiply(g[2 * n:s], np.tanh(a), out=h)
-            c = a
-        h_prev, hT_prev = h, hT
+    if kind is CellKind.GRU:
+        # The new state is formed in one contiguous (n, D, B) buffer, the
+        # previous one in another, and copied once into ``ha``; ``zn`` holds
+        # the (1 - z) * n term.
+        new, h_prev, zn = trace.buffer("state", (3, n, D, B))
+        h_prev[...] = trace.h0a[..., :n].transpose(2, 0, 1)
 
-    return SequenceTrace(kind, xa, ha, gates, aux, h0a, c0, old.buffers)
+    for lo in range(0, T, span):
+        hi = min(lo + span, T)
+        # Steps lo..hi-1: of an array of all T steps, or a chunk buffer.
+        Gc, A = (a[lo:hi] if len(a) == T else a[:hi - lo] for a in (G, aux))
+        np.matmul(W_i, xa[lo:hi].transpose(0, 1, 3, 2),
+                  out=(A if kind is CellKind.SIMPLE_RNN else Gc).transpose(0, 2, 1, 3))
+        for g, h, a, hT in zip(Gc, H[lo:hi], A, haT[lo:hi]):
+            np.matmul(W_h, hT_prev, out=ghT)
+            if kind is CellKind.SIMPLE_RNN:
+                a += gh
+                h[...] = sigmoid(a)
+            elif kind is CellKind.GRU:
+                g[:s] += gh[:s]
+                g[:s] = sigmoid(g[:s])
+                a[...] = gh[s:]
+                gh[s:] *= g[:n]
+                g[s:] += gh[s:]
+                np.tanh(g[s:], out=g[s:])
+                np.multiply(h_prev, g[n:s], out=new)
+                np.subtract(1.0, g[n:s], out=zn)
+                zn *= g[s:]
+                new += zn
+                np.copyto(h, new)
+                h_prev, new = new, h_prev
+            else:
+                g += gh
+                g[:s] = sigmoid(g[:s])
+                np.tanh(g[s:], out=g[s:])
+                np.multiply(g[n:2 * n], c, out=a)
+                a += g[:n] * g[s:]
+                np.multiply(g[2 * n:s], np.tanh(a), out=h)
+                c = a
+            hT_prev = hT
+
+    if gates:
+        trace.gates, trace.aux = G, aux
+    elif kind is CellKind.LSTM:
+        trace.aux = aux
+    return trace
 
 
 def sequence_backward(cells, trace: SequenceTrace, dH: np.ndarray,
@@ -416,6 +465,8 @@ def sequence_backward(cells, trace: SequenceTrace, dH: np.ndarray,
     None unless lstm). They are added into ``grads`` when given, else into
     zeros; the rnn's hidden-side bias column, no parameter, gets 0.0.
     """
+    if trace.gates is None:
+        raise ValueError("a forward-only trace keeps no gates to backpropagate")
     kind = cells[0].kind
     D = len(cells)
     T, _, B, n1 = trace.ha.shape

@@ -174,7 +174,15 @@ def save_checkpoint(path, model: Model, run_config: RunConfig,
                     metrics: Optional[dict] = None, classes=None) -> None:
     """Write a versioned JSON checkpoint; identical state gives identical
     bytes, so save -> load -> save is a fixed point. ``classes`` holds the
-    raw label of each class id (default: the ids themselves)."""
+    raw label of each class id (default: the ids themselves). A model
+    that ``load_checkpoint`` would reject, with non-finite parameters,
+    raises ``ValueError`` with its message, and nothing is written."""
+    try:
+        for p in model.cells:
+            p.copy()
+        HeadParams(model.head.kind, model.head.V)
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: {e}") from None
     if classes is None:
         classes = np.arange(model.num_classes)
     doc = {
@@ -483,6 +491,8 @@ def _check_k_list(ks: List[int], horizon: int) -> None:
 
 
 def cmd_counterfactual(args) -> int:
+    if args.out and Path(args.out).is_dir():
+        raise UsageError(f"output file {args.out} is an existing directory")
     model, rc, _, class_labels = load_checkpoint(args.checkpoint)
     _require_nv_checkpoint(model)
     _check_classes([args.class_index], model.num_classes)

@@ -31,7 +31,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .linalg import DTYPE
-from .cells import CellKind
 from .network import EncoderConfig, ForwardTrace, HeadKind, HeadParams, Model
 from .data import DataSet
 from .train import EvalReport, eval_report
@@ -171,7 +170,7 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
     # Weights rows mask the unablated q; resumed passes copy its prefix.
     keep_q = any(target is AblationTarget.WEIGHTS or (resumable and min(steps) > 0)
                  for _, _, steps, _, target in plans if steps)
-    base_logits, base = model.forward(X)
+    base_logits, base = model.forward(X, gates=False)
     _keep_for_resume(base, keep_q, resumable)
     logits_of = {(target, ()): base_logits for target in AblationTarget}
     results = []
@@ -182,7 +181,8 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
             Xa[:, steps] = 0.0
             t0 = min(steps) if resumable else 0
             # The trace is dropped at once, before the next row's pass.
-            logits_of[key] = model.forward(Xa, (base, t0) if t0 else None)[0]
+            resume = (base, t0) if t0 else None
+            logits_of[key] = model.forward(Xa, resume, gates=False)[0]
         elif key not in logits_of:
             q = base.q.reshape(len(X), cfg.layers, cfg.max_len, cfg.step_width).copy()
             q[:, layer, steps] = 0.0
@@ -193,21 +193,17 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
 
 
 def _keep_for_resume(trace: ForwardTrace, keep_q: bool, resumable: bool) -> None:
-    """Drop what no later row reads from the unablated trace: gates,
-    inputs, step logits, ``q`` unless asked, and all states unless a pass
+    """Drop what no later row reads from the unablated forward-only trace:
+    inputs, work buffers, ``q`` unless asked, and all states unless a pass
     may resume from them; that reads the hidden states and an lstm's cell
     states (``aux``)."""
-    trace.step_logits, trace.buffers = None, {}
+    trace.buffers = {}
     if not keep_q:
         trace.q = None
     if not resumable:
         trace.hidden, trace.gate_traces = [], []
         return
-    trace.gate_traces = [
-        replace(tr, xa=None, gates=None, buffers={},
-                aux=tr.aux if tr.kind is CellKind.LSTM else None)
-        for tr in trace.gate_traces
-    ]
+    trace.gate_traces = [replace(tr, xa=None, buffers={}) for tr in trace.gate_traces]
 
 
 def time_analysis(model: Model, dataset: DataSet, class_index: int, k: int,

@@ -117,6 +117,14 @@ class ForwardTrace(Buffered):
     NeuroView-only fields (``q``, ``logits``, ``step_logits``) are filled
     by ``head_forward``.
 
+    A forward-only pass (``encode(..., gates=False)``, ``gates`` False
+    here) keeps what the head and a resumed pass read and no more: its
+    layers' traces hold no gates and, but for an lstm's cell states, no
+    ``aux`` (the kernel ran them through a buffer of ``cells.CHUNK``
+    steps), the head fills no ``step_logits``, and ``network_backward``
+    rejects it. Its logits, ``hidden`` and ``q`` are bit-identical to a
+    full pass's.
+
     A pass ``encode`` resumed at step ``t0 > 0`` from the trace ``base``
     holds hidden states and gate traces for steps ``t0..T-1`` only; the
     NeuroView head reads the earlier steps' ``q`` from ``base``, and the
@@ -130,6 +138,7 @@ class ForwardTrace(Buffered):
     batched: bool
     t0: int = 0
     base: Optional["ForwardTrace"] = field(default=None, repr=False)
+    gates: bool = True
     q: Optional[np.ndarray] = None
     logits: Optional[np.ndarray] = None
     step_logits: Optional[np.ndarray] = None  # (layers, T, B, d)
@@ -175,7 +184,7 @@ def _as_time_major(cfg: EncoderConfig, x) -> tuple:
 
 def encode(cfg: EncoderConfig, cells: List[CellParams], x,
            resume: Optional[tuple] = None,
-           out: Optional[ForwardTrace] = None) -> ForwardTrace:
+           out: Optional[ForwardTrace] = None, gates: bool = True) -> ForwardTrace:
     """Unroll the encoder over a sequence (or batch of sequences).
 
     ``x`` may be a (T, m) array or a (B, T, m) batch,
@@ -191,6 +200,9 @@ def encode(cfg: EncoderConfig, cells: List[CellParams], x,
     bit-identical to a full pass's; such a trace serves the forward pass
     of the NeuroView head only, not the other heads or
     ``network_backward``.
+
+    ``gates=False`` makes a forward-only pass (see ``ForwardTrace``), for
+    when no ``network_backward`` follows.
 
     ``out``, an earlier trace of the same encoder (and never ``base``),
     lends its arrays: each one of the right shape is overwritten instead
@@ -215,7 +227,8 @@ def encode(cfg: EncoderConfig, cells: List[CellParams], x,
             if cfg.cell is CellKind.LSTM:
                 state["c0"] = base.gate_traces[layer].aux[t0 - 1].transpose(1, 2, 0)
         trace = sequence_forward(cells[layer * D:(layer + 1) * D], X,
-                                 out=out and out.gate_traces[layer], **state)
+                                 out=out and out.gate_traces[layer], gates=gates,
+                                 **state)
         if D == 1:
             X = trace.h[:, 0]
         else:
@@ -227,7 +240,7 @@ def encode(cfg: EncoderConfig, cells: List[CellParams], x,
         hidden.append(X)
         gate_traces.append(trace)
 
-    return ForwardTrace(hidden, gate_traces, batched, t0, base,
+    return ForwardTrace(hidden, gate_traces, batched, t0, base, gates,
                         buffers={} if out is None else out.buffers)
 
 
@@ -269,15 +282,15 @@ def head_forward(head: HeadParams, trace: ForwardTrace,
             q[:, :, :t0] = trace.base.q.reshape(q.shape)[:, :, :t0]
         for layer, H in enumerate(trace.hidden):
             np.maximum(H.transpose(1, 0, 2), 0.0, out=q[:, layer, t0:])
-        # Every (layer, t) block of q against its block of V, in one
-        # batched matmul: (L, T, B, sw) @ (L, T, sw, d).
-        step_logits = np.matmul(q.transpose(1, 2, 0, 3),
-                                head.V.reshape(d, *shape).transpose(1, 2, 3, 0),
-                                out=trace.buffer("step_logits", (cfg.layers, T, B, d)))
+        if trace.gates:
+            # Every (layer, t) block of q against its block of V, in one
+            # batched matmul: (L, T, B, sw) @ (L, T, sw, d).
+            trace.step_logits = np.matmul(
+                q.transpose(1, 2, 0, 3), head.V.reshape(d, *shape).transpose(1, 2, 3, 0),
+                out=trace.buffer("step_logits", (cfg.layers, T, B, d)))
         q = q.reshape(B, width)
         logits = q @ head.V.T
         trace.q = q
-        trace.step_logits = step_logits
         trace.logits = logits
     else:
         raise ValueError(f"unknown head kind {head.kind!r}")
@@ -322,8 +335,8 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
     B = trace.hidden[0].shape[1]
     if gl.shape[0] != B:
         raise ValueError(f"grad_logits batch {gl.shape[0]} != trace batch {B}")
-    if trace.t0:
-        raise ValueError("a resumed trace serves the forward pass only")
+    if trace.t0 or not trace.gates:
+        raise ValueError("a resumed or forward-only trace serves the forward pass only")
     _, grad_blocks, grad_V = _carve(cells, head.V.shape, out)
 
     # Upstream gradient arriving at each layer's per-timestep output.
@@ -392,9 +405,9 @@ class Model:
     def num_classes(self) -> int:
         return self.head.num_classes
 
-    def forward(self, x, resume: Optional[tuple] = None) -> tuple:
-        """``(logits, trace)``; ``resume`` as in ``encode``."""
-        trace = encode(self.encoder, self.cells, x, resume)
+    def forward(self, x, resume: Optional[tuple] = None, gates: bool = True) -> tuple:
+        """``(logits, trace)``; ``resume`` and ``gates`` as in ``encode``."""
+        trace = encode(self.encoder, self.cells, x, resume, gates=gates)
         logits = head_forward(self.head, trace, self.encoder)
         return logits, trace
 
@@ -406,7 +419,7 @@ def predict(cfg: EncoderConfig, cells: List[CellParams], head: HeadParams, x):
     the softmax only matters inside the training loss and never changes
     the argmax.
     """
-    trace = encode(cfg, cells, x)
+    trace = encode(cfg, cells, x, gates=False)
     logits = head_forward(head, trace, cfg)
     if logits.ndim == 1:
         return int(np.argmax(logits)), logits

@@ -30,7 +30,8 @@ from .data import DataSet
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss or gradient stops being finite."""
+    """Raised when the training loss, gradient or parameters stop being
+    finite."""
 
     def __init__(self, epoch: int, quantity: str = "loss"):
         super().__init__(f"training diverged: non-finite {quantity} at epoch {epoch}")
@@ -233,6 +234,8 @@ def fit(dataset: DataSet, cfg: TrainConfig, encoder: EncoderConfig,
             if cfg.grad_clip is not None and norm > cfg.grad_clip:
                 grad *= cfg.grad_clip / norm
             adam_step(model.params, grad, state, cfg)
+            if not np.isfinite(model.params).all():
+                raise TrainingDiverged(epoch, "parameters")
             losses.append(loss * len(idx))
             hits += int((np.argmax(logits, axis=1) == y[idx]).sum())
             seen += len(idx)
@@ -255,7 +258,7 @@ def eval_report(logits: np.ndarray, labels: np.ndarray, num_classes: int) -> Eva
 
 def evaluate(model: Model, dataset: DataSet) -> EvalReport:
     """Accuracy metrics of a model over a dataset (NaN when it is empty)."""
-    logits, _ = model.forward(dataset.features())
+    logits, _ = model.forward(dataset.features(), gates=False)
     return eval_report(logits, dataset.labels(), model.num_classes)
 
 

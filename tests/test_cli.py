@@ -19,6 +19,7 @@ from neuroview.cli import (
     resolve_dataset,
     save_checkpoint,
 )
+import neuroview.cli as cli_mod
 from neuroview import interpret
 from neuroview.data import DataSet, load_ucr, save_ucr, synth_separable
 from neuroview.network import EncoderConfig, HeadKind
@@ -155,6 +156,30 @@ def _inf_in_cell(doc):
 
 def _classes_not_increasing(doc):
     doc["classes"] = [2.0, 1.0]
+
+
+@pytest.mark.parametrize("where", ["cell", "head"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path, where, value):
+    enc = EncoderConfig(CellKind.GRU, 1, 3, 8)
+    model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme())
+    good = tmp_path / "good.json"
+    save_checkpoint(good, model, RunConfig())
+    # A model's parameters are views into one buffer, as fit updates them.
+    (model.cells[0].arrays["W_hz"] if where == "cell" else model.head.V)[0, 0] = value
+    doc = json.loads(good.read_text())
+    _set_first(doc["cells"][0]["W_hz"] if where == "cell" else doc["head"]["V"], value)
+    # The checkpoint load_checkpoint would be given.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(UsageError) as rejected:
+        load_checkpoint(bad)
+    p = tmp_path / "run" / "ckpt.json"
+    with pytest.raises(ValueError) as refused:
+        save_checkpoint(p, model, RunConfig())
+    assert str(refused.value) == str(rejected.value).replace(str(bad), str(p))
+    assert "non-finite" in str(refused.value)
+    assert not p.exists()
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -533,6 +558,21 @@ def test_out_existing_file_exits_2_with_one_line(dataset_files, trained_run, tmp
     assert err.startswith("error: ") and str(out) in err and "Errno" not in err
     assert len(err.splitlines()) == 1
     assert out.read_text() == "keep\n"
+
+
+def test_counterfactual_out_existing_directory_exits_2_before_the_split(
+        trained_run, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "taken"
+    out.mkdir()
+    loaded = []
+    monkeypatch.setattr(cli_mod, "_load_split", lambda *a, **k: loaded.append(a))
+    assert main(["counterfactual", "--checkpoint", str(trained_run / "checkpoint.json"),
+                 "--dataset-path", str(tmp_path / "never_read.tsv"), "--class", "0",
+                 "--k-list", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Errno" not in err
+    assert len(err.splitlines()) == 1
+    assert loaded == [] and list(out.iterdir()) == []
 
 
 def test_inspect_rejects_non_nv_checkpoint(dataset_files, tmp_path, capsys):

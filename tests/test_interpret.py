@@ -340,8 +340,8 @@ def _count_passes(monkeypatch):
     passes = []
     real = network.encode
 
-    def counted(cfg, cells, x, resume=None, out=None):
-        trace = real(cfg, cells, x, resume, out)
+    def counted(cfg, cells, x, resume=None, out=None, gates=True):
+        trace = real(cfg, cells, x, resume, out, gates=gates)
         passes.append((resume is not None, trace))
         return trace
 
@@ -404,6 +404,9 @@ def test_sweep_keeps_no_gate_arrays(trained, monkeypatch, cell, target):
     (_, base), *ablated = passes
     assert [r for r, _ in ablated] == ([False, True] if target is AblationTarget.INPUTS
                                        else [])
+    # Every pass is forward-only, the ablated ones too.
+    assert not any(trace.gates for _, trace in passes)
+    assert all(tr.gates is None for _, trace in ablated for tr in trace.gate_traces)
     assert base.step_logits is None and base.buffers == {}
     # q stays for a weights row to mask, or for a resumed pass to copy.
     assert base.q is not None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from neuroview.cells import (
+    CHUNK,
     CellKind,
     CellParams,
     InitKind,
@@ -10,6 +11,7 @@ from neuroview.cells import (
     cell_forward,
     init_params,
     param_shapes,
+    sequence_backward,
     zero_state,
 )
 from neuroview.network import (
@@ -576,3 +578,87 @@ def test_resumed_trace_cannot_be_backpropagated():
     _, resumed = model.forward(x, (base, 2))
     with pytest.raises(ValueError, match="forward pass only"):
         network_backward(model.encoder, model.cells, model.head, resumed, np.ones((2, 2)))
+
+
+# ------------------------------------------------------ forward-only passes
+
+_SHAPES = [(1, False), (2, True), (2, False)]
+
+
+def _assert_forward_only_equals_full(got, got_trace, want, want_trace, cell, t0=0):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_trace.q, want_trace.q)
+    assert not got_trace.gates and got_trace.step_logits is None
+    for layer, tr in enumerate(got_trace.gate_traces):
+        full = want_trace.gate_traces[layer]
+        np.testing.assert_array_equal(got_trace.hidden[layer], want_trace.hidden[layer][t0:])
+        np.testing.assert_array_equal(tr.ha, full.ha[t0:])
+        assert tr.gates is None
+        if cell is CellKind.LSTM:
+            # The cell states stay, for a pass that resumes from this one.
+            np.testing.assert_array_equal(tr.aux, full.aux[t0:])
+        else:
+            assert tr.aux is None
+
+
+@pytest.mark.parametrize("B", [1, 3, 58])
+@pytest.mark.parametrize("layers,bidir", _SHAPES, ids=["1-uni", "2-bidir", "2-uni"])
+@pytest.mark.parametrize("cell", list(CellKind), ids=lambda c: c.value)
+def test_forward_only_pass_equals_the_full_pass(cell, layers, bidir, B):
+    # T is no multiple of CHUNK, so the last chunk is a short one.
+    T = 2 * CHUNK + 3
+    model = make_model(cell, HeadKind.NEUROVIEW, n=5, m=2, T=T, d=3, layers=layers,
+                       bidir=bidir, seed=4)
+    x = np.random.default_rng(B).normal(size=(B, T, 2))
+    want, full = model.forward(x)
+    got, trace = model.forward(x, gates=False)
+    _assert_forward_only_equals_full(got, trace, want, full, cell)
+    if not bidir:
+        # Resumed passes, from a forward-only base, at steps inside the
+        # first chunk, on a chunk boundary and in the short last chunk.
+        for t0 in (1, CHUNK, 2 * CHUNK + 1):
+            xa = x.copy()
+            xa[:, t0:] *= -1.0
+            want, full = model.forward(xa)
+            got, resumed = model.forward(xa, (trace, t0), gates=False)
+            _assert_forward_only_equals_full(got, resumed, want, full, cell, t0)
+
+
+@pytest.mark.parametrize("head", list(HeadKind), ids=lambda h: h.value)
+@pytest.mark.parametrize("cell", list(CellKind), ids=lambda c: c.value)
+def test_forward_only_pass_with_a_horizon_below_chunk(cell, head):
+    T = CHUNK - 3
+    model = make_model(cell, head, n=4, m=2, T=T, d=3, layers=2, bidir=True, seed=5)
+    x = np.random.default_rng(9).normal(size=(6, T, 2))
+    want, full = model.forward(x)
+    got, trace = model.forward(x, gates=False)
+    np.testing.assert_array_equal(got, want)
+    for got_h, want_h in zip(trace.hidden, full.hidden):
+        np.testing.assert_array_equal(got_h, want_h)
+    _, logits = predict(model.encoder, model.cells, model.head, x)
+    np.testing.assert_array_equal(logits, want)
+
+
+@pytest.mark.parametrize("cell", list(CellKind), ids=lambda c: c.value)
+def test_forward_only_pass_into_an_earlier_one_reuses_its_chunk_buffers(cell):
+    T = 2 * CHUNK + 1
+    model = make_model(cell, HeadKind.NEUROVIEW, n=4, m=2, T=T, d=3, seed=6)
+    x1, x2 = np.random.default_rng(2).normal(size=(2, 5, T, 2))
+    want, _ = model.forward(x2)
+    prev = encode(model.encoder, model.cells, x1, gates=False)
+    lent = dict(prev.gate_traces[0].buffers)
+    assert lent
+    trace = encode(model.encoder, model.cells, x2, out=prev, gates=False)
+    np.testing.assert_array_equal(head_forward(model.head, trace, model.encoder), want)
+    for name, arr in lent.items():
+        assert np.shares_memory(trace.gate_traces[0].buffers[name], arr), name
+
+
+def test_forward_only_trace_cannot_be_backpropagated():
+    model = make_model(CellKind.LSTM, HeadKind.NEUROVIEW, T=5)
+    x = np.ones((2, 5, 2))
+    _, trace = model.forward(x, gates=False)
+    with pytest.raises(ValueError, match="forward pass only"):
+        network_backward(model.encoder, model.cells, model.head, trace, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="forward-only"):
+        sequence_backward(model.cells, trace.gate_traces[0], np.ones((5, 2, 3)))

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import neuroview.network as network
 import neuroview.train as train_mod
 from neuroview.cells import CellKind, InitKind, InitScheme, param_shapes
 from neuroview.data import DataSet, synth_separable
@@ -14,6 +15,7 @@ from neuroview.train import (
     TrainingDiverged,
     adam_step,
     build_model,
+    eval_report,
     evaluate,
     fit,
     param_tree,
@@ -226,6 +228,21 @@ def test_fit_aborts_on_non_finite_gradient(monkeypatch):
         fit(ds, TrainConfig(epochs=10), enc, head, init)
 
 
+def test_fit_aborts_on_non_finite_parameters():
+    # With learning rate 1e308, an Adam step on a gradient entry above ~1.8
+    # overflows to inf: a 40-step sum-pooled state gives such entries in V.
+    # The loss and gradient are still finite, so only the parameter check
+    # stops training, at the epoch of that step.
+    ds = synth_separable(2, 40, 1, 3, seed=0)
+    for cell in CellKind:
+        enc = EncoderConfig(cell, 1, 3, 40)
+        with np.errstate(over="ignore"), pytest.raises(
+                TrainingDiverged, match="non-finite parameters at epoch 1") as caught:
+            fit(ds, TrainConfig(learning_rate=1e308, epochs=3), enc,
+                HeadKind.AVERAGE_POOL, InitScheme())
+        assert caught.value.epoch == 1
+
+
 def test_one_sample_loss_strictly_decreases():
     # 200 optimizer steps on a single sample beat the starting loss for
     # every cell kind.
@@ -353,6 +370,25 @@ def test_evaluate_report_identities():
     rows = conf.sum(axis=1)
     for i, acc in enumerate(report.per_class_accuracy):
         assert acc == pytest.approx(conf[i, i] / rows[i])
+
+
+@pytest.mark.parametrize("cell", list(CellKind), ids=lambda c: c.value)
+def test_evaluate_makes_one_forward_only_pass(monkeypatch, cell):
+    ds, enc, head, init = small_setup(cell=cell, seed=4)
+    model = build_model(enc, head, ds.num_classes, init)
+    want = eval_report(model.forward(ds.features())[0], ds.labels(), ds.num_classes)
+    real, passes = network.encode, []
+
+    def counted(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        passes.append(trace)
+        return trace
+
+    monkeypatch.setattr(network, "encode", counted)
+    report = evaluate(model, ds)
+    assert [trace.gates for trace in passes] == [False]
+    assert all(tr.gates is None for tr in passes[0].gate_traces)
+    np.testing.assert_array_equal(report.confusion, want.confusion)
 
 
 # ----------------------------------------------------------------- history
