@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Step the three recurrence cells by hand and verify their analytic
-gradients against central finite differences.
+"""Run the three recurrence cells over a short sequence and verify their
+analytic gradients against central finite differences.
 
 Every gradient in this library is a closed-form derivation, not an
 autodiff tape, so the one check that matters is agreement with the
@@ -11,42 +11,38 @@ import numpy as np
 
 from neuroview import (
     CellKind,
-    CellState,
     InitKind,
     InitScheme,
-    cell_backward,
-    cell_forward,
     init_params,
-    zero_state,
+    sequence_backward,
+    sequence_forward,
 )
+from neuroview.cells import named_views
 
 rng = np.random.default_rng(0)
 
-print("=== stepping each cell on a tiny input sequence ===")
+# Inputs are (T, B, m) time-major batches; one sequence is a batch of one.
+print("=== running each cell over a tiny input sequence ===")
 for kind in CellKind:
     p = init_params(kind, input_dim=2, hidden_dim=4, scheme=InitScheme(InitKind.UNIFORM, 1))
-    state = zero_state(kind, 4)
-    for t in range(3):
-        state, trace = cell_forward(p, state, rng.normal(size=2))
-    print(f"{kind.value:5s} h after 3 steps: {np.round(state.h, 4)}")
+    trace = sequence_forward([p], rng.normal(size=(3, 1, 2)))
+    print(f"{kind.value:5s} h after 3 steps: {np.round(trace.h[-1, 0, 0], 4)}")
 
 print()
-print("=== analytic vs finite-difference gradients (one step) ===")
+print("=== analytic vs finite-difference gradients (BPTT over 3 steps) ===")
 eps = 1e-5
 for kind in CellKind:
     p = init_params(kind, 2, 4, InitScheme(InitKind.UNIFORM, 2))
-    h_prev = rng.uniform(-0.5, 0.5, 4)
-    c_prev = rng.uniform(-0.5, 0.5, 4) if kind is CellKind.LSTM else None
-    x = rng.normal(size=2)
-    w = rng.normal(size=4)  # random readout defining the scalar to differentiate
+    h0 = rng.uniform(-0.5, 0.5, (1, 1, 4))
+    c0 = rng.uniform(-0.5, 0.5, (1, 1, 4)) if kind is CellKind.LSTM else None
+    X = rng.normal(size=(3, 1, 2))
+    w = rng.normal(size=(3, 1, 4))  # random readout of every step's state
 
     def scalar():
-        s, _ = cell_forward(p, CellState(h_prev, c_prev), x)
-        return float(w @ s.h)
+        return float(np.sum(w * sequence_forward([p], X, h0, c0).h[:, 0]))
 
-    prev = CellState(h_prev, c_prev)
-    _, trace = cell_forward(p, prev, x)
-    grads, dh, dc, dx = cell_backward(p, trace, prev, x, w)
+    grads = sequence_backward([p], sequence_forward([p], X, h0, c0), w)[0]
+    grads = named_views(kind, 4, *grads[0])
 
     worst = 0.0
     for name, arr in p.arrays.items():

@@ -7,12 +7,10 @@ states, or the per-timestep global linear readout whose weights expose how
 much each timestep contributes to each class.
 """
 
-from .linalg import relu, sigmoid
+from .linalg import sigmoid
 from .cells import (
     CellKind,
     CellParams,
-    CellState,
-    GateTrace,
     InitKind,
     InitScheme,
     SequenceTrace,
@@ -23,7 +21,6 @@ from .cells import (
     scheme_matrix,
     sequence_backward,
     sequence_forward,
-    zero_state,
 )
 from .network import (
     EncoderConfig,

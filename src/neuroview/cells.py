@@ -55,7 +55,7 @@ Kernel
 bidirectional layer) over a (T, B, m) input in one time loop: at loop
 index i the forward direction handles time i and the reverse direction
 time T-1-i, so each numpy call covers both directions. It forms ``gi``
-for every step and direction in one batched GEMM, then per step does
+for every step and direction in one GEMM, then per step does
 one hidden GEMM, one sigmoid over the sigmoid slice and a few
 elementwise updates, writing into preallocated per-timestep arrays of a
 ``SequenceTrace``: fresh ones, or those of an earlier trace passed as
@@ -68,7 +68,7 @@ batch-major ``ha``, which the hidden GEMM reads as before.
 
 A forward-only pass (``gates=False``), which no backward pass follows,
 keeps no gate trace: the loop runs over chunks of ``CHUNK`` steps, and
-one batched GEMM per chunk writes that chunk's ``gi`` into a buffer of
+one GEMM per chunk writes that chunk's ``gi`` into a buffer of
 CHUNK steps, reused from chunk to chunk, so the gates a step reads are
 still in cache. The rnn's pre-activations and the GRU's ``aux`` live in
 such a buffer too; the LSTM keeps its cell states, which a resumed pass
@@ -82,10 +82,8 @@ forward direction's share before the reverse one's. Every GEMM reads
 each direction's operands in the layout a one-direction run gives it,
 so a two-direction loop is bit-identical to two one-direction runs, the
 reverse one on the time-reversed input. ``cell_forward`` and
-``cell_backward`` are the T=1, D=1 case of the same kernel: they take
-single vectors (``(n,)`` / ``(m,)``) or batches (``(B, n)`` /
-``(B, m)``), an initial state and, for the LSTM, an incoming cell-state
-gradient, and their outputs match the input's batch shape. Apart from
+``cell_backward`` are the T=1, D=1 case of the same kernel, on (B, m)
+inputs and (B, n) states; one sequence is a batch of one. Apart from
 the ``dX`` and gradient accumulators a caller passes to
 ``sequence_backward``, the work arrays it keeps in the trace's
 ``buffers`` and the trace passed to ``sequence_forward`` as ``out``,
@@ -96,7 +94,7 @@ traces' activations are never mutated.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -200,12 +198,6 @@ class CellParams:
         return CellParams(self.kind, self.input_dim, self.hidden_dim, self.arrays)
 
 
-@dataclass
-class CellState:
-    h: np.ndarray
-    c: Optional[np.ndarray] = None
-
-
 # Packed gate order (sigmoid gates first) and the number of sigmoid gates.
 _GATE_ORDER = {CellKind.SIMPLE_RNN: "", CellKind.GRU: "rzn", CellKind.LSTM: "ifog"}
 _SIGMOID_GATES = {CellKind.SIMPLE_RNN: 1, CellKind.GRU: 2, CellKind.LSTM: 3}
@@ -218,8 +210,6 @@ _PACKED = {
         for kind in (CellKind.GRU, CellKind.LSTM)
     },
 }
-# The per-step quantity ``SequenceTrace.aux`` holds, by its step-trace name.
-_AUX = {CellKind.SIMPLE_RNN: "pre", CellKind.GRU: "hn_affine", CellKind.LSTM: "c"}
 
 
 def named_views(kind: CellKind, n: int, W_i: np.ndarray, W_h: np.ndarray) -> dict:
@@ -305,29 +295,6 @@ class SequenceTrace(Buffered):
     @property
     def h(self) -> np.ndarray:
         return self.ha[..., :-1]
-
-
-@dataclass
-class GateTrace:
-    """One step's activations, as returned by ``cell_forward``.
-
-    ``cached`` holds named (B, n) views into ``sequence``, the T=1 kernel
-    trace. Keys by kind:
-      SIMPLE_RNN: pre, h
-      GRU:        r, z, n, h, hn_affine  (hn_affine = W_hn h_prev + b_hn)
-      LSTM:       i, f, g, o, c, h
-    """
-
-    kind: CellKind
-    cached: dict
-    sequence: SequenceTrace
-
-
-def zero_state(kind: CellKind, hidden_dim: int, batch: Optional[int] = None) -> CellState:
-    shape = (hidden_dim,) if batch is None else (batch, hidden_dim)
-    h = np.zeros(shape, dtype=DTYPE)
-    c = np.zeros(shape, dtype=DTYPE) if kind is CellKind.LSTM else None
-    return CellState(h, c)
 
 
 def _initial_state(kind, n, D, B, h0, c0):
@@ -563,84 +530,24 @@ def sequence_backward(cells, trace: SequenceTrace, dH: np.ndarray,
             None if carry_c is None else carry_c.transpose(1, 2, 0))
 
 
-def _as_batch(a, dim, what):
-    a = np.asarray(a, dtype=DTYPE)
-    if a.ndim == 1:
-        if a.shape[0] != dim:
-            raise ValueError(f"{what}: expected length {dim}, got {a.shape[0]}")
-        return a[None, :], True
-    if a.ndim == 2:
-        if a.shape[1] != dim:
-            raise ValueError(f"{what}: expected width {dim}, got {a.shape[1]}")
-        return a, False
-    raise ValueError(f"{what}: expected 1-D or 2-D array, got shape {a.shape}")
+def cell_forward(p: CellParams, x: np.ndarray, h0: Optional[np.ndarray] = None,
+                 c0: Optional[np.ndarray] = None) -> SequenceTrace:
+    """One step of one cell, ``sequence_forward`` at T = 1 and D = 1: a
+    (B, m) input from the (B, n) state ``(h0, c0)``, zeros when omitted."""
+    return sequence_forward([p], x[None], *(None if a is None else a[None] for a in (h0, c0)))
 
 
-def cell_forward(p: CellParams, state: CellState, x_t: np.ndarray):
-    """One recurrence step. Returns ``(new_state, trace)``."""
-    x, x1 = _as_batch(x_t, p.input_dim, "input x_t")
-    h, h1 = _as_batch(state.h, p.hidden_dim, "state h")
-    c = None
-    if p.kind is CellKind.LSTM:
-        if state.c is None:
-            raise ValueError("LSTM state requires a cell vector c")
-        c, _ = _as_batch(state.c, p.hidden_dim, "state c")
-        c = c[None]
-    seq = sequence_forward([p], x[None], h[None], c)
-
-    n = p.hidden_dim
-    cached = {g: seq.gates[0, j * n:(j + 1) * n, 0].T
-              for j, g in enumerate(_GATE_ORDER[p.kind])}
-    cached[_AUX[p.kind]] = seq.aux[0, :, 0].T
-    cached["h"] = seq.h[0, 0]
-    if x1 and h1:
-        cached = {k: v[0] for k, v in cached.items()}
-    return CellState(cached["h"], cached.get("c")), GateTrace(p.kind, cached, seq)
-
-
-def cell_backward(
-    p: CellParams,
-    trace: GateTrace,
-    prev_state: CellState,
-    x_t: np.ndarray,
-    grad_h: np.ndarray,
-    grad_c_in: Optional[np.ndarray] = None,
-):
-    """Backward pass through one recurrence step.
-
-    ``grad_h`` (and ``grad_c_in`` for LSTM) are the loss gradients arriving
-    at this step's outputs. Returns ``(grad_params, grad_prev_h,
-    grad_prev_c, grad_x)`` where ``grad_params`` mirrors ``p.arrays`` and
-    ``grad_prev_c`` is None for non-LSTM cells. Batched upstream gradients
-    produce parameter gradients summed over the batch.
-    """
-    if trace.kind is not p.kind:
-        raise ValueError(
-            f"trace kind {trace.kind.value!r} does not match cell kind {p.kind.value!r}"
-        )
-    x, x1 = _as_batch(x_t, p.input_dim, "input x_t")
-    hp, h1 = _as_batch(prev_state.h, p.hidden_dim, "previous h")
-    dh, _ = _as_batch(grad_h, p.hidden_dim, "grad_h")
-    cp = dc = None
-    if p.kind is CellKind.LSTM:
-        if prev_state.c is None:
-            raise ValueError("LSTM backward requires the previous cell state c")
-        cp, _ = _as_batch(prev_state.c, p.hidden_dim, "previous c")
-        if grad_c_in is not None:
-            dc, _ = _as_batch(grad_c_in, p.hidden_dim, "grad_c_in")
-
-    h0a, c0 = _initial_state(p.kind, p.hidden_dim, 1, len(hp), hp[None],
-                             None if cp is None else cp[None])
-    seq = replace(trace.sequence, xa=_with_ones(x[None, None]), h0a=h0a, c0=c0)
-    dX = np.zeros((1,) + x.shape, dtype=DTYPE)
-    grads, dhp, dcp = sequence_backward([p], seq, dh[None],
-                                        None if dc is None else dc[None], dX)
-
-    def out(arr):
-        return arr[0, 0] if x1 and h1 else arr[0]
-
-    grads = named_views(p.kind, p.hidden_dim, *grads[0])
-    return grads, out(dhp), None if dcp is None else out(dcp), out(dX)
+def cell_backward(p: CellParams, trace: SequenceTrace, dh: np.ndarray,
+                  dc: Optional[np.ndarray] = None):
+    """BPTT through a ``cell_forward`` trace from the (B, n) gradients at
+    its hidden output and, for the lstm, its cell state. Returns
+    ``(grads, dh0, dc0, dx)``: the packed ``(dW_i, dW_h)``, summed over the
+    batch, and the gradients at the initial state and the input
+    (``dc0`` is None unless lstm)."""
+    dx = np.zeros(trace.xa.shape[1:-1] + (p.input_dim,), dtype=DTYPE)
+    grads, dh0, dc0 = sequence_backward([p], trace, dh[None],
+                                        None if dc is None else dc[None], dx)
+    return grads[0], dh0[0], None if dc0 is None else dc0[0], dx[0]
 
 
 def scheme_matrix(kind: InitKind, shape, rng: np.random.Generator) -> np.ndarray:

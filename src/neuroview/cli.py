@@ -82,16 +82,19 @@ class RunConfig:
             else:
                 text = str(v)
             lines.append(f"{f.name} = {text}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "RunConfig":
         fields = {f.name: f for f in dataclasses.fields(cls)}
         values = {}
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as e:
             raise UsageError(f"cannot read config {path}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise UsageError(f"cannot read config {path}: not UTF-8 text "
+                             f"(byte {e.start})") from None
         for line_no, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -339,11 +342,19 @@ def _apply_env_seed(rc: RunConfig) -> RunConfig:
     return dataclasses.replace(rc, seed=seed)
 
 
-def _check_out_dir(path) -> None:
-    """Reject an output directory path that names an existing file, before
-    any work is done."""
-    if Path(path).exists() and not Path(path).is_dir():
-        raise UsageError(f"output directory {path} is an existing file")
+def _check_out(path, kind: str = "directory") -> None:
+    """Reject an output path that cannot be written, before any work is
+    done: one that names an existing entry of the other kind (file or
+    directory), or one below an existing file."""
+    path = Path(path)
+    if path.exists() and path.is_dir() != (kind == "directory"):
+        other = "file" if kind == "directory" else "directory"
+        raise UsageError(f"output {kind} {path} is an existing {other}")
+    for parent in path.parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise UsageError(f"output {kind} {path}: {parent} is a file")
+            return
 
 
 def _config_from_args(args) -> RunConfig:
@@ -358,7 +369,7 @@ def _config_from_args(args) -> RunConfig:
         overrides["train_path"] = train
         overrides["test_path"] = test
     rc = dataclasses.replace(rc, **overrides)
-    _check_out_dir(rc.output_dir)
+    _check_out(rc.output_dir)
     return _apply_env_seed(rc)
 
 
@@ -491,8 +502,8 @@ def _check_k_list(ks: List[int], horizon: int) -> None:
 
 
 def cmd_counterfactual(args) -> int:
-    if args.out and Path(args.out).is_dir():
-        raise UsageError(f"output file {args.out} is an existing directory")
+    if args.out:
+        _check_out(args.out, "file")
     model, rc, _, class_labels = load_checkpoint(args.checkpoint)
     _require_nv_checkpoint(model)
     _check_classes([args.class_index], model.num_classes)
@@ -519,7 +530,7 @@ def cmd_export(args) -> int:
     if bool(args.dataset_path) != bool(args.k_list):
         raise UsageError("--dataset-path and --k-list go together: give both "
                          "for a counterfactual sweep, or neither")
-    _check_out_dir(args.out)
+    _check_out(args.out)
     model, rc, _, class_labels = load_checkpoint(args.checkpoint)
     _require_nv_checkpoint(model)
     cfg = model.encoder

@@ -1,7 +1,7 @@
-"""The float64 dtype, the elementwise maps shared by the numerical
-modules, and the rule by which they reuse work arrays.
+"""The float64 dtype, the sigmoid shared by the numerical modules, and
+the rule by which they reuse work arrays.
 
-Both maps are pure functions: they never mutate their inputs, and
+The sigmoid is a pure function: it never mutates its input, and
 identical inputs produce bit-identical outputs.
 """
 
@@ -24,10 +24,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=DTYPE)
     e = np.exp(-np.abs(x))
     return np.maximum(e, x >= 0) / (1.0 + e)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=DTYPE), 0.0)
 
 
 def scratch(old, shape: tuple, dtype=DTYPE) -> np.ndarray:

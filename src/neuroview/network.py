@@ -135,7 +135,6 @@ class ForwardTrace(Buffered):
 
     hidden: List[np.ndarray]
     gate_traces: list
-    batched: bool
     t0: int = 0
     base: Optional["ForwardTrace"] = field(default=None, repr=False)
     gates: bool = True
@@ -162,32 +161,21 @@ def _check_cells(cfg: EncoderConfig, cells: List[CellParams]):
             )
 
 
-def _as_time_major(cfg: EncoderConfig, x) -> tuple:
-    """Normalize input to (T, B, m); accepts (T, m) or (B, T, m)."""
+def _as_time_major(cfg: EncoderConfig, x) -> np.ndarray:
+    """A (B, T, m) batch as a (T, B, m) view."""
     feats = np.asarray(x, dtype=DTYPE)
-    if feats.ndim == 2:
-        if feats.shape != (cfg.max_len, cfg.input_dim):
-            raise ValueError(
-                f"expected one sequence of shape {(cfg.max_len, cfg.input_dim)}, "
-                f"got {feats.shape}"
-            )
-        return feats[:, None, :], False
-    if feats.ndim == 3:
-        if feats.shape[1:] != (cfg.max_len, cfg.input_dim):
-            raise ValueError(
-                f"expected batch of shape (B, {cfg.max_len}, {cfg.input_dim}), "
-                f"got {feats.shape}"
-            )
-        return feats.transpose(1, 0, 2), True
-    raise ValueError(f"expected 2-D or 3-D input, got shape {feats.shape}")
+    if feats.ndim != 3 or feats.shape[1:] != (cfg.max_len, cfg.input_dim):
+        raise ValueError(f"expected a batch of shape (B, {cfg.max_len}, {cfg.input_dim}), "
+                         f"got {feats.shape}")
+    return feats.transpose(1, 0, 2)
 
 
 def encode(cfg: EncoderConfig, cells: List[CellParams], x,
            resume: Optional[tuple] = None,
            out: Optional[ForwardTrace] = None, gates: bool = True) -> ForwardTrace:
-    """Unroll the encoder over a sequence (or batch of sequences).
+    """Unroll the encoder over a batch of sequences.
 
-    ``x`` may be a (T, m) array or a (B, T, m) batch,
+    ``x`` is a (B, T, m) batch, one sequence being a batch of one,
     already padded/truncated to exactly ``cfg.max_len`` steps. Cells are
     ordered layer-major with the forward direction first:
     ``[l0_fwd, l0_rev, l1_fwd, l1_rev, ...]``.
@@ -211,7 +199,7 @@ def encode(cfg: EncoderConfig, cells: List[CellParams], x,
     afterwards.
     """
     _check_cells(cfg, cells)
-    X, batched = _as_time_major(cfg, x)
+    X = _as_time_major(cfg, x)
     base, t0 = resume or (None, 0)
     if t0 and cfg.bidirectional:
         raise ValueError("only a unidirectional encoder can resume mid-sequence")
@@ -240,16 +228,14 @@ def encode(cfg: EncoderConfig, cells: List[CellParams], x,
         hidden.append(X)
         gate_traces.append(trace)
 
-    return ForwardTrace(hidden, gate_traces, batched, t0, base, gates,
+    return ForwardTrace(hidden, gate_traces, t0, base, gates,
                         buffers={} if out is None else out.buffers)
 
 
 def head_forward(head: HeadParams, trace: ForwardTrace,
                  cfg: EncoderConfig) -> np.ndarray:
-    """Class scores for a forward trace; fills the trace's NeuroView fields.
-
-    Returns shape (d,) for a single sequence or (B, d) for a batch.
-    """
+    """(B, d) class scores for a forward trace; fills the trace's NeuroView
+    fields."""
     width = cfg.head_width(head.kind)
     if head.V.shape[1] != width:
         raise ValueError(
@@ -284,7 +270,7 @@ def head_forward(head: HeadParams, trace: ForwardTrace,
             np.maximum(H.transpose(1, 0, 2), 0.0, out=q[:, layer, t0:])
         if trace.gates:
             # Every (layer, t) block of q against its block of V, in one
-            # batched matmul: (L, T, B, sw) @ (L, T, sw, d).
+            # matmul: (L, T, B, sw) @ (L, T, sw, d).
             trace.step_logits = np.matmul(
                 q.transpose(1, 2, 0, 3), head.V.reshape(d, *shape).transpose(1, 2, 3, 0),
                 out=trace.buffer("step_logits", (cfg.layers, T, B, d)))
@@ -295,7 +281,7 @@ def head_forward(head: HeadParams, trace: ForwardTrace,
     else:
         raise ValueError(f"unknown head kind {head.kind!r}")
 
-    return logits if trace.batched else logits[0]
+    return logits
 
 
 def _carve(cells: List[CellParams], V_shape, buf: Optional[np.ndarray] = None) -> tuple:
@@ -319,22 +305,17 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
     when given, else a fresh one. Returns views into it, ``(grad_V,
     cell_grads)``, with ``cell_grads[i]`` the packed ``(dW_i, dW_h)`` blocks
     that mirror ``cells[i].packed``.
-    For batches, gradients are summed over the batch (softmax_xent's mean
-    reduction already carries the 1/B factor).
+    ``grad_logits`` is (B, d); gradients are summed over the batch
+    (softmax_xent's mean reduction already carries the 1/B factor).
     """
     _check_cells(cfg, cells)
     gl = np.asarray(grad_logits, dtype=DTYPE)
-    if gl.ndim == 1:
-        gl = gl[None, :]
-    if gl.shape[1] != head.num_classes:
-        raise ValueError(
-            f"grad_logits width {gl.shape[1]} != {head.num_classes} classes"
-        )
     T = cfg.max_len
     sw = cfg.step_width
     B = trace.hidden[0].shape[1]
-    if gl.shape[0] != B:
-        raise ValueError(f"grad_logits batch {gl.shape[0]} != trace batch {B}")
+    if gl.shape != (B, head.num_classes):
+        raise ValueError(f"grad_logits shape {gl.shape} != "
+                         f"(batch {B}, {head.num_classes} classes)")
     if trace.t0 or not trace.gates:
         raise ValueError("a resumed or forward-only trace serves the forward pass only")
     _, grad_blocks, grad_V = _carve(cells, head.V.shape, out)
@@ -413,7 +394,7 @@ class Model:
 
 
 def predict(cfg: EncoderConfig, cells: List[CellParams], head: HeadParams, x):
-    """Predicted class and raw class scores for one sequence or a batch.
+    """(B,) predicted classes and (B, d) raw class scores for a batch.
 
     Ties break toward the lowest class index. Scores stay un-normalized;
     the softmax only matters inside the training loss and never changes
@@ -421,8 +402,6 @@ def predict(cfg: EncoderConfig, cells: List[CellParams], head: HeadParams, x):
     """
     trace = encode(cfg, cells, x, gates=False)
     logits = head_forward(head, trace, cfg)
-    if logits.ndim == 1:
-        return int(np.argmax(logits)), logits
     return np.argmax(logits, axis=1), logits
 
 

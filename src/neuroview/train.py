@@ -92,40 +92,26 @@ class EvalReport:
 
 
 def softmax_xent(logits: np.ndarray, label):
-    """Cross-entropy of a softmax over class scores, plus its gradient.
-
-    Single sample: ``logits (d,)`` and an integer label give
-    ``(loss, grad (d,))``. Batch: ``logits (B, d)`` and an integer array
-    give the mean loss and the mean-reduced gradient ``(B, d)``.
+    """Mean cross-entropy of a softmax over ``(B, d)`` class scores with
+    ``(B,)`` integer labels, and its mean-reduced ``(B, d)`` gradient.
     Computed via max-shifted log-sum-exp, so huge scores do not overflow.
     """
     logits = np.asarray(logits, dtype=DTYPE)
-    if logits.ndim == 1:
-        d = logits.shape[0]
-        label = int(label)
-        if not 0 <= label < d:
-            raise ValueError(f"label {label} outside [0, {d})")
-        shift = logits - logits.max()
-        lse = np.log(np.exp(shift).sum())
-        loss = float(lse - shift[label])
-        grad = np.exp(shift - lse)
-        grad[label] -= 1.0
-        return loss, grad
-    if logits.ndim == 2:
-        B, d = logits.shape
-        labels = np.asarray(label, dtype=np.int64)
-        if labels.shape != (B,):
-            raise ValueError(f"labels shape {labels.shape} != ({B},)")
-        if labels.min() < 0 or labels.max() >= d:
-            raise ValueError(f"labels outside [0, {d})")
-        shift = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shift).sum(axis=1, keepdims=True))
-        logp = shift - lse
-        loss = float(-logp[np.arange(B), labels].mean())
-        grad = np.exp(logp)
-        grad[np.arange(B), labels] -= 1.0
-        return loss, grad / B
-    raise ValueError(f"logits must be 1-D or 2-D, got shape {logits.shape}")
+    if logits.ndim != 2:
+        raise ValueError(f"logits must be (B, d), got shape {logits.shape}")
+    B, d = logits.shape
+    labels = np.asarray(label, dtype=np.int64)
+    if labels.shape != (B,):
+        raise ValueError(f"labels shape {labels.shape} != ({B},)")
+    if labels.min() < 0 or labels.max() >= d:
+        raise ValueError(f"labels outside [0, {d})")
+    shift = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    logp = shift - lse
+    loss = float(-logp[np.arange(B), labels].mean())
+    grad = np.exp(logp)
+    grad[np.arange(B), labels] -= 1.0
+    return loss, grad / B
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
@@ -134,6 +120,8 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
     ``state``; ``grad`` is only read. Every element goes through the
     operations of ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)`` in that
     order, so the result matches the out-of-place formula bit for bit.
+    An update that overflows raises no numpy warning; it leaves non-finite
+    parameters, which ``fit`` checks for.
     """
     if grad.shape != params.shape:
         raise ValueError(f"gradient shape mismatch: {grad.shape} vs {params.shape}")
@@ -141,16 +129,17 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
     bc1 = 1.0 - cfg.beta1 ** state.step
     bc2 = 1.0 - cfg.beta2 ** state.step
     m, v, (step, den) = state.m, state.v, state.work
-    m *= cfg.beta1
-    m += np.multiply(grad, 1.0 - cfg.beta1, out=step)
-    v *= cfg.beta2
-    np.multiply(grad, 1.0 - cfg.beta2, out=step)
-    v += np.multiply(step, grad, out=step)
-    np.divide(m, bc1, out=step)
-    step *= cfg.learning_rate
-    np.sqrt(np.divide(v, bc2, out=den), out=den)
-    den += cfg.eps
-    params -= np.divide(step, den, out=step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m *= cfg.beta1
+        m += np.multiply(grad, 1.0 - cfg.beta1, out=step)
+        v *= cfg.beta2
+        np.multiply(grad, 1.0 - cfg.beta2, out=step)
+        v += np.multiply(step, grad, out=step)
+        np.divide(m, bc1, out=step)
+        step *= cfg.learning_rate
+        np.sqrt(np.divide(v, bc2, out=den), out=den)
+        den += cfg.eps
+        params -= np.divide(step, den, out=step)
 
 
 def param_tree(model: Model) -> dict:

@@ -142,8 +142,8 @@ def test_c01_gradient_correctness(cell, head):
     seed = GRADCHECK_SEEDS[(cell, head)]
     rng = np.random.default_rng(seed)
     model = make_model(cell, head, n=n, m=m, T=T, d=d, seed=seed)
-    x = rng.normal(size=(T, m))
-    label = int(rng.integers(d))
+    x = rng.normal(size=(1, T, m))
+    label = [int(rng.integers(d))]
 
     def loss_of():
         logits, _ = model.forward(x)
@@ -172,9 +172,9 @@ def test_c02_decomposition_identity():
             kind, HeadKind.NEUROVIEW, n=4, m=2, T=6, d=3,
             layers=1 + trial % 2, bidir=trial % 4 == 2, seed=trial,
         )
-        x = rng.normal(size=(6, 2))
+        x = rng.normal(size=(1, 6, 2))
         logits, trace = model.forward(x)
-        total = trace.step_logits.sum(axis=(0, 1))[0]
+        total = trace.step_logits.sum(axis=(0, 1))
         worst = max(worst, float(np.max(np.abs(logits - total))))
     assert worst < 1e-10
 
@@ -293,9 +293,9 @@ def test_c09_reversal_duality():
         cfg = EncoderConfig(kind, m, n, T, bidirectional=True)
         theta = init_params(kind, m, n, InitScheme(InitKind.UNIFORM, 13))
         cells = [theta, theta.copy()]
-        x = np.random.default_rng(14).normal(size=(T, m))
+        x = np.random.default_rng(14).normal(size=(1, T, m))
         fwd = encode(cfg, cells, x)
-        rev = encode(cfg, cells, x[::-1].copy())
+        rev = encode(cfg, cells, x[:, ::-1].copy())
         for t in range(T):
             np.testing.assert_array_equal(
                 fwd.hidden[0][t, 0, :n], rev.hidden[0][T - 1 - t, 0, n:]

@@ -6,17 +6,16 @@ import pytest
 from neuroview.cells import (
     CellKind,
     CellParams,
-    CellState,
     InitKind,
     InitScheme,
     cell_backward,
     cell_forward,
     init_params,
+    named_views,
     param_shapes,
     scheme_matrix,
     sequence_backward,
     sequence_forward,
-    zero_state,
     _weights,
 )
 from neuroview.network import EncoderConfig, HeadKind
@@ -34,21 +33,37 @@ def random_params(kind, m, n, seed):
     return init_params(kind, m, n, InitScheme(InitKind.UNIFORM, seed))
 
 
+# Gate names in packed row order (the rnn's one block is ``h``).
+GATES = {CellKind.SIMPLE_RNN: "h", CellKind.GRU: "rzn", CellKind.LSTM: "ifog"}
+
+
+def gate(trace, name, t=0, d=0):
+    """Gate ``name`` at processing step ``t`` of direction ``d``, (B, n)."""
+    n = trace.ha.shape[-1] - 1
+    j = GATES[trace.kind].index(name)
+    return trace.gates[t, j * n:(j + 1) * n, d].T
+
+
+def cell_state(trace, t=-1, d=0):
+    """The lstm's cell state after processing step ``t`` of direction ``d``, (B, n)."""
+    return trace.aux[t, :, d].T
+
+
 # ---------------------------------------------------------------- forward
 
 def test_rnn_zero_params_gives_half():
     p = zero_params(CellKind.SIMPLE_RNN, 3, 4)
-    state, trace = cell_forward(p, zero_state(p.kind, 4), np.array([9.0, -2.0, 1.0]))
-    np.testing.assert_array_equal(state.h, np.full(4, 0.5))
-    np.testing.assert_array_equal(trace.cached["pre"], np.zeros(4))
+    trace = sequence_forward([p], np.array([[[9.0, -2.0, 1.0]]]))
+    np.testing.assert_array_equal(trace.h[0, 0], np.full((1, 4), 0.5))
+    np.testing.assert_array_equal(trace.aux[0, :, 0], np.zeros((4, 1)))  # pre-activation
 
 
 def test_lstm_zero_params_gives_zero_state():
     p = zero_params(CellKind.LSTM, 2, 3)
-    state, trace = cell_forward(p, zero_state(p.kind, 3), np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(state.c, np.zeros(3))
-    np.testing.assert_array_equal(state.h, np.zeros(3))
-    np.testing.assert_array_equal(trace.cached["f"], np.full(3, 0.5))
+    trace = sequence_forward([p], np.array([[[1.0, 2.0]]]))
+    np.testing.assert_array_equal(cell_state(trace), np.zeros((1, 3)))
+    np.testing.assert_array_equal(trace.h[0, 0], np.zeros((1, 3)))
+    np.testing.assert_array_equal(gate(trace, "f"), np.full((1, 3), 0.5))
 
 
 def test_gru_scalar_hand_evaluation():
@@ -78,20 +93,20 @@ def test_gru_scalar_hand_evaluation():
         for k, v in vals.items()
     }
     p = CellParams(CellKind.GRU, 1, 1, arrays)
-    state, trace = cell_forward(p, CellState(np.array([h_prev])), np.array([x]))
-    assert state.h[0] == pytest.approx(expected, rel=1e-14)
-    assert trace.cached["r"][0] == pytest.approx(r, rel=1e-14)
-    assert trace.cached["z"][0] == pytest.approx(z, rel=1e-14)
-    assert trace.cached["n"][0] == pytest.approx(n, rel=1e-14)
+    trace = sequence_forward([p], np.array([[[x]]]), np.array([[[h_prev]]]))
+    assert trace.h[0, 0, 0, 0] == pytest.approx(expected, rel=1e-14)
+    assert gate(trace, "r")[0, 0] == pytest.approx(r, rel=1e-14)
+    assert gate(trace, "z")[0, 0] == pytest.approx(z, rel=1e-14)
+    assert gate(trace, "n")[0, 0] == pytest.approx(n, rel=1e-14)
 
 
 def test_forward_is_deterministic_and_pure():
     p = random_params(CellKind.GRU, 3, 5, 0)
     before = {k: v.copy() for k, v in p.arrays.items()}
-    x = np.linspace(-1, 1, 3)
-    s1, _ = cell_forward(p, zero_state(p.kind, 5), x)
-    s2, _ = cell_forward(p, zero_state(p.kind, 5), x)
-    np.testing.assert_array_equal(s1.h, s2.h)
+    X = np.linspace(-1, 1, 3).reshape(1, 1, 3)
+    t1 = sequence_forward([p], X)
+    t2 = sequence_forward([p], X)
+    np.testing.assert_array_equal(t1.h, t2.h)
     for k in before:
         np.testing.assert_array_equal(p.arrays[k], before[k])
 
@@ -104,14 +119,14 @@ def test_hidden_state_ranges():
         (CellKind.LSTM, -1.0, 1.0),
     ]:
         p = random_params(kind, 3, 6, 7)
-        state = zero_state(kind, 6)
-        for _ in range(20):
-            state, trace = cell_forward(p, state, rng.normal(size=3) * 3)
-            assert np.all(state.h > lo) and np.all(state.h < hi)
-            for key, v in trace.cached.items():
-                if key in ("r", "z", "i", "f", "o"):
+        trace = sequence_forward([p], rng.normal(size=(20, 1, 3)) * 3)
+        assert np.all(trace.h > lo) and np.all(trace.h < hi)
+        for t in range(20):
+            for name in GATES[kind]:
+                v = gate(trace, name, t)
+                if name in ("r", "z", "i", "f", "o"):
                     assert np.all(v > 0) and np.all(v < 1)
-                if key in ("n", "g"):
+                if name in ("n", "g"):
                     assert np.all(v > -1) and np.all(v < 1)
 
 
@@ -121,24 +136,41 @@ def test_gru_carry_gate_identity():
     p = random_params(CellKind.GRU, 2, 4, 3)
     p.arrays["b_iz"][:] = 50.0  # views into the packed blocks the kernel reads
     p.arrays["b_hz"][:] = 50.0
-    h_prev = np.random.default_rng(5).uniform(-0.9, 0.9, 4)
-    state, trace = cell_forward(p, CellState(h_prev.copy()), np.array([0.3, -0.7]))
-    np.testing.assert_array_equal(trace.cached["z"], np.ones(4))
-    np.testing.assert_array_equal(state.h, h_prev)
+    h_prev = np.random.default_rng(5).uniform(-0.9, 0.9, (1, 1, 4))
+    trace = sequence_forward([p], np.array([[[0.3, -0.7]]]), h_prev.copy())
+    np.testing.assert_array_equal(gate(trace, "z"), np.ones((1, 4)))
+    np.testing.assert_array_equal(trace.h[0], h_prev)
 
 
-def test_forward_dimension_errors_name_offender():
-    p = random_params(CellKind.SIMPLE_RNN, 3, 4, 0)
-    with pytest.raises(ValueError, match="x_t"):
-        cell_forward(p, zero_state(p.kind, 4), np.zeros(5))
-    with pytest.raises(ValueError, match="state h"):
-        cell_forward(p, CellState(np.zeros(3)), np.zeros(3))
-
-
-def test_lstm_requires_cell_state():
-    p = random_params(CellKind.LSTM, 2, 3, 0)
-    with pytest.raises(ValueError, match="cell vector c"):
-        cell_forward(p, CellState(np.zeros(3), None), np.zeros(2))
+def test_cell_step_is_the_one_step_kernel():
+    # ``cell_forward``/``cell_backward`` are sequence_forward/backward at
+    # T = 1, D = 1, on (B, .) arrays.
+    rng = np.random.default_rng(9)
+    for kind in CellKind:
+        p = random_params(kind, 3, 4, 5)
+        lstm = kind is CellKind.LSTM
+        x, h0, c0, dh, dc = (rng.normal(size=(2, s)) for s in (3, 4, 4, 4, 4))
+        c0, dc = (c0, dc) if lstm else (None, None)
+        trace = cell_forward(p, x, h0, c0)
+        want = sequence_forward([p], x[None], h0[None], None if c0 is None else c0[None])
+        np.testing.assert_array_equal(trace.ha, want.ha)
+        np.testing.assert_array_equal(trace.gates, want.gates)
+        grads, dh0, dc0, dx = cell_backward(p, trace, dh, dc)
+        dX = np.zeros((1, 2, 3))
+        want_grads, want_dh0, want_dc0 = sequence_backward(
+            [p], want, dh[None], None if dc is None else dc[None], dX)
+        for got, w in zip(grads, want_grads[0]):
+            np.testing.assert_array_equal(got, w)
+        np.testing.assert_array_equal(dh0, want_dh0[0])
+        np.testing.assert_array_equal(dx, dX[0])
+        if lstm:
+            np.testing.assert_array_equal(dc0, want_dc0[0])
+        else:
+            assert dc0 is None
+        # Zero states are the default.
+        zeros = np.zeros_like(h0)
+        np.testing.assert_array_equal(cell_forward(p, x).ha,
+                                      cell_forward(p, x, zeros, zeros if lstm else None).ha)
 
 
 # ---------------------------------------------------------------- backward
@@ -147,75 +179,70 @@ def test_backward_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(6)
     for kind in CellKind:
         p = random_params(kind, 3, 4, 11)
-        prev = CellState(
-            rng.uniform(-0.5, 0.5, 4),
-            rng.uniform(-0.5, 0.5, 4) if kind is CellKind.LSTM else None,
-        )
-        x = rng.normal(size=3)
-        _, trace = cell_forward(p, prev, x)
-        gc = np.zeros(4) if kind is CellKind.LSTM else None
-        grads, dh, dc, dx = cell_backward(p, trace, prev, x, np.zeros(4), gc)
-        for g in grads.values():
+        lstm = kind is CellKind.LSTM
+        h0 = rng.uniform(-0.5, 0.5, (1, 1, 4))
+        c0 = rng.uniform(-0.5, 0.5, (1, 1, 4)) if lstm else None
+        X = rng.normal(size=(1, 1, 3))
+        trace = sequence_forward([p], X, h0, c0)
+        dX = np.zeros_like(X)
+        grads, dh, dc = sequence_backward([p], trace, np.zeros((1, 1, 4)),
+                                          np.zeros((1, 1, 4)) if lstm else None, dX)
+        for g in grads[0]:
             assert not g.any()
-        assert not dh.any() and not dx.any()
-        if kind is CellKind.LSTM:
+        assert not dh.any() and not dX.any()
+        if lstm:
             assert not dc.any()
 
 
-def test_backward_trace_kind_mismatch():
-    p = random_params(CellKind.GRU, 2, 3, 0)
-    q = random_params(CellKind.SIMPLE_RNN, 2, 3, 0)
-    prev = zero_state(CellKind.SIMPLE_RNN, 3)
-    _, trace = cell_forward(q, prev, np.zeros(2))
-    with pytest.raises(ValueError, match="does not match"):
-        cell_backward(p, trace, prev, np.zeros(2), np.zeros(3))
-
-
-def _fd_check_one_step(kind, m, n, seed, tol=1e-6):
-    """Gradients of a weighted sum of the step outputs vs central
-    differences, for parameters, previous state, and input."""
+def _fd_check(kind, m, n, seed, T=1, D=1, B=1, tol=1e-6):
+    """Gradients of a weighted sum of the hidden outputs at every step
+    and, for the lstm, of each direction's last cell state vs central
+    differences, for the parameters of the D cells, the initial state
+    and the (T, B, m) input. At T > 1 they go through the recurrence."""
     rng = np.random.default_rng(seed)
-    p = random_params(kind, m, n, seed)
-    h_prev = rng.uniform(-0.6, 0.6, n)
-    c_prev = rng.uniform(-0.6, 0.6, n) if kind is CellKind.LSTM else None
-    x = rng.normal(size=m)
-    w_h = rng.normal(size=n)
-    w_c = rng.normal(size=n) if kind is CellKind.LSTM else None
-
-    inputs = {"h_prev": h_prev, "x": x}
-    if c_prev is not None:
-        inputs["c_prev"] = c_prev
+    cells = [random_params(kind, m, n, seed + d) for d in range(D)]
+    lstm = kind is CellKind.LSTM
+    inputs = {"h0": rng.uniform(-0.6, 0.6, (D, B, n))}
+    if lstm:
+        inputs["c0"] = rng.uniform(-0.6, 0.6, (D, B, n))
+    inputs["X"] = rng.normal(size=(T, B, m))
+    w_h = rng.normal(size=(T, B, D * n))  # time order, forward units first
+    w_c = rng.normal(size=(D, B, n)) if lstm else None
 
     def scalar():
-        state, _ = cell_forward(p, CellState(h_prev, c_prev), x)
-        total = float(w_h @ state.h)
-        if w_c is not None:
-            total += float(w_c @ state.c)
+        trace = sequence_forward(cells, inputs["X"], inputs["h0"], inputs.get("c0"))
+        # The reverse direction is stored in processing order.
+        H = np.concatenate([trace.h[:, 0], trace.h[::-1, 1]] if D == 2 else [trace.h[:, 0]],
+                           axis=-1)
+        total = float(np.sum(w_h * H))
+        if lstm:
+            total += float(np.sum(w_c * trace.aux[T - 1].transpose(1, 2, 0)))
         return total
 
-    prev = CellState(h_prev, c_prev)
-    _, trace = cell_forward(p, prev, x)
-    grads, dh, dc, dx = cell_backward(p, trace, prev, x, w_h, w_c)
+    trace = sequence_forward(cells, inputs["X"], inputs["h0"], inputs.get("c0"))
+    dX = np.zeros_like(inputs["X"])
+    grads, dh0, dc0 = sequence_backward(cells, trace, w_h, w_c, dX)
 
-    fd_params = finite_diff_tree(scalar, p.arrays)
-    assert max_tree_rel_err(grads, fd_params) < tol
+    for p, g in zip(cells, grads):
+        fd_params = finite_diff_tree(scalar, p.arrays)
+        assert max_tree_rel_err(named_views(kind, n, *g), fd_params) < tol
     fd_inputs = finite_diff_tree(scalar, inputs)
-    assert rel_err(dh, fd_inputs["h_prev"]) < tol
-    assert rel_err(dx, fd_inputs["x"]) < tol
-    if c_prev is not None:
-        assert rel_err(dc, fd_inputs["c_prev"]) < tol
+    assert rel_err(dh0, fd_inputs["h0"]) < tol
+    assert rel_err(dX, fd_inputs["X"]) < tol
+    if lstm:
+        assert rel_err(dc0, fd_inputs["c0"]) < tol
 
 
 def test_rnn_backward_matches_finite_differences():
-    _fd_check_one_step(CellKind.SIMPLE_RNN, 2, 2, seed=0)
+    _fd_check(CellKind.SIMPLE_RNN, 2, 2, seed=0)
 
 
 def test_gru_backward_matches_finite_differences():
-    _fd_check_one_step(CellKind.GRU, 2, 3, seed=1)
+    _fd_check(CellKind.GRU, 2, 3, seed=1)
 
 
 def test_lstm_backward_matches_finite_differences():
-    _fd_check_one_step(CellKind.LSTM, 2, 3, seed=2)
+    _fd_check(CellKind.LSTM, 2, 3, seed=2)
 
 
 def test_backward_finite_differences_across_sizes():
@@ -224,37 +251,48 @@ def test_backward_finite_differences_across_sizes():
     # itself is dominated by float64 cancellation noise.
     for kind, seed in [(CellKind.SIMPLE_RNN, 0), (CellKind.GRU, 3),
                        (CellKind.LSTM, 0)]:
-        _fd_check_one_step(kind, 4, 8, seed=seed)
+        _fd_check(kind, 4, 8, seed=seed)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("D", [1, 2])
+@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.value)
+def test_sequence_backward_matches_finite_differences(kind, T, D, B):
+    # T = 3 reaches the recurrence: each step's state feeds the next.
+    _fd_check(kind, 2, 3, seed=0, T=T, D=D, B=B)
 
 
 def test_batched_backward_sums_over_batch():
     rng = np.random.default_rng(13)
     for kind in CellKind:
         p = random_params(kind, 3, 4, 21)
+        lstm = kind is CellKind.LSTM
         B = 3
-        hp = rng.uniform(-0.5, 0.5, (B, 4))
-        cp = rng.uniform(-0.5, 0.5, (B, 4)) if kind is CellKind.LSTM else None
-        x = rng.normal(size=(B, 3))
-        gh = rng.normal(size=(B, 4))
-        gc = rng.normal(size=(B, 4)) if kind is CellKind.LSTM else None
+        hp = rng.uniform(-0.5, 0.5, (1, B, 4))
+        cp = rng.uniform(-0.5, 0.5, (1, B, 4)) if lstm else None
+        X = rng.normal(size=(1, B, 3))
+        gh = rng.normal(size=(1, B, 4))
+        gc = rng.normal(size=(1, B, 4)) if lstm else None
 
-        prev = CellState(hp, cp)
-        _, trace = cell_forward(p, prev, x)
-        grads, dh, dc, dx = cell_backward(p, trace, prev, x, gh, gc)
+        def run(rows):
+            trace = sequence_forward([p], X[:, rows], hp[:, rows],
+                                     None if cp is None else cp[:, rows])
+            dX = np.zeros_like(X[:, rows])
+            grads, dh, _ = sequence_backward([p], trace, gh[:, rows],
+                                             None if gc is None else gc[:, rows], dX)
+            return grads[0], dh, dX
 
-        summed = {k: np.zeros_like(v) for k, v in grads.items()}
+        grads, dh, dX = run(slice(None))
+        summed = [np.zeros_like(g) for g in grads]
         for b in range(B):
-            prev_b = CellState(hp[b], None if cp is None else cp[b])
-            _, tr_b = cell_forward(p, prev_b, x[b])
-            g_b, dh_b, dc_b, dx_b = cell_backward(
-                p, tr_b, prev_b, x[b], gh[b], None if gc is None else gc[b]
-            )
-            for k in summed:
-                summed[k] += g_b[k]
-            np.testing.assert_allclose(dh[b], dh_b, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(dx[b], dx_b, rtol=1e-12, atol=1e-15)
-        for k in summed:
-            np.testing.assert_allclose(grads[k], summed[k], rtol=1e-12, atol=1e-15)
+            g_b, dh_b, dX_b = run(slice(b, b + 1))
+            for acc, g in zip(summed, g_b):
+                acc += g
+            np.testing.assert_allclose(dh[:, b], dh_b[:, 0], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(dX[:, b], dX_b[:, 0], rtol=1e-12, atol=1e-15)
+        for got, want in zip(grads, summed):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 # ------------------------------------------------------------ initializers

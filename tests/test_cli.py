@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,24 @@ def _classes_not_increasing(doc):
     doc["classes"] = [2.0, 1.0]
 
 
+CORRUPTIONS = [_drop_encoder, _unknown_run_config_key, _bad_payload_shape, "truncated",
+               _nan_in_V, _inf_in_V, _nan_in_cell, _inf_in_cell, _classes_not_increasing]
+
+
+def _write_checkpoint(p, head=HeadKind.NEUROVIEW, corrupt=None):
+    """An untrained 2-class rnn checkpoint for T = 8 splits, optionally
+    corrupted: cut in half (``"truncated"``) or edited as a document."""
+    enc = EncoderConfig(CellKind.SIMPLE_RNN, 1, 3, 8)
+    save_checkpoint(p, build_model(enc, head, 2, InitScheme()), RunConfig())
+    if corrupt == "truncated":
+        text = p.read_text()
+        p.write_text(text[:len(text) // 2])
+    elif corrupt is not None:
+        doc = json.loads(p.read_text())
+        corrupt(doc)
+        p.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("where", ["cell", "head"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path, where, value):
@@ -182,24 +201,12 @@ def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path, where, v
     assert not p.exists()
 
 
-@pytest.mark.parametrize("corrupt", [
-    _drop_encoder, _unknown_run_config_key, _bad_payload_shape, "truncated",
-    _nan_in_V, _inf_in_V, _nan_in_cell, _inf_in_cell, _classes_not_increasing,
-])
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
 def test_malformed_checkpoint_exits_2_with_one_line(dataset_files, tmp_path,
                                                     capsys, corrupt):
     root, train_p, test_p = dataset_files
-    enc = EncoderConfig(CellKind.SIMPLE_RNN, 1, 3, 8)
-    model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme())
     p = tmp_path / "ckpt.json"
-    save_checkpoint(p, model, RunConfig())
-    if corrupt == "truncated":
-        text = p.read_text()
-        p.write_text(text[:len(text) // 2])
-    else:
-        doc = json.loads(p.read_text())
-        corrupt(doc)
-        p.write_text(json.dumps(doc))
+    _write_checkpoint(p, corrupt=corrupt)
     code = main(["evaluate", "--checkpoint", str(p), "--dataset-path", str(test_p)])
     assert code == 2
     err = capsys.readouterr().err
@@ -830,6 +837,161 @@ def test_inspect_writes_what_export_writes_without_a_sweep(trained_run, tmp_path
     assert names == sorted(f.name for f in (tmp_path / "b").iterdir())
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# ------------------------------------------------------ the bad-input table
+#
+# Every (subcommand, bad input) row ends in its documented exit code (2 for
+# usage, config and input errors, 1 for numerical failures) with exactly one
+# stderr line, ``error: ...``, besides any ``warning:`` line the CLI prints,
+# and without a traceback, a Python warning or an exception escaping ``main``. ``needle`` must appear in that
+# line. Placeholders: {train}/{test} the T = 8 splits, {ckpt} a trained nv
+# checkpoint, {v1} the format-1 fixture, {tmp} a fresh directory holding
+# ``files`` (text, bytes, or a callable that writes the path).
+
+TRAIN = ("train --train-path {train} --test-path {test} --cell rnn --head nv "
+         "--hidden 4 --epochs 40 --seed 3 --out {tmp}/run")
+CF = "counterfactual --checkpoint {ckpt} --dataset-path {test} --class 0"
+EXPORT = "export --checkpoint {ckpt} --dataset-path {test}"
+
+
+def _split_text(*rows):
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+def _long_split(p):
+    save_ucr(synth_separable(2, 40, 1, 3, seed=0), p)
+
+
+def _bad(case, argv, code=2, needle="", files=None):
+    return pytest.param(argv, code, needle, files or {}, id=case)
+
+
+BAD_INPUT = [
+    # train and sweep: flags, config files, splits and output paths
+    *[_bad(f"train-flag{flag}={value}", f"{TRAIN} {flag} {value}", needle=value)
+      for flag, value in [("--lr", "0"), ("--epochs", "-1"), ("--batch-size", "-2"),
+                          ("--grad-clip", "-1"), ("--hidden", "0"), ("--layers", "0"),
+                          ("--max-len", "-3"), ("--lr", "nan"), ("--lr", "inf"),
+                          ("--grad-clip", "nan")]],
+    *[_bad(f"train-config-{line.split(' = ')[0]}={line.split(' = ')[1]}",
+           f"{TRAIN} --config {{tmp}}/run.cfg", needle=line.split(" = ")[0],
+           files={"run.cfg": line + "\n"})
+      for line in ["beta1 = 1.0", "beta2 = -0.5", "eps = 0.0", "eps = nan",
+                   "learning_rate = inf"]],
+    _bad("train-config-unknown-key", f"{TRAIN} --config {{tmp}}/run.cfg",
+         needle="no_such_key", files={"run.cfg": "no_such_key = 1\n"}),
+    _bad("train-config-bad-value", f"{TRAIN} --config {{tmp}}/run.cfg",
+         needle="'layers'", files={"run.cfg": "layers = two\n"}),
+    _bad("train-config-missing", f"{TRAIN} --config {{tmp}}/missing.cfg",
+         needle="{tmp}/missing.cfg"),
+    _bad("train-config-not-utf8", f"{TRAIN} --config {{tmp}}/run.cfg",
+         needle="{tmp}/run.cfg", files={"run.cfg": b"\xff\xfe = 1\n"}),
+    _bad("train-out-existing-file", "train --train-path {train} --out {tmp}/taken",
+         needle="{tmp}/taken", files={"taken": "keep\n"}),
+    _bad("train-out-below-a-file", "train --train-path {train} --out {tmp}/taken/sub",
+         needle="{tmp}/taken", files={"taken": "keep\n"}),
+    _bad("sweep-out-below-a-file", "sweep --train-path {train} --test-path {test} "
+         "--sizes 3 4 --epochs 1 --out {tmp}/taken/sub", needle="{tmp}/taken",
+         files={"taken": "keep\n"}),
+    _bad("train-missing-split", "train --train-path {tmp}/nope.tsv --out {tmp}/o",
+         needle="not found"),
+    _bad("train-no-split", "train --out {tmp}/o"),
+    _bad("train-unknown-dataset", "train --dataset nothere --data-root {tmp} --out {tmp}/o",
+         needle="could not resolve"),
+    _bad("train-one-class-split", "train --train-path {tmp}/split.tsv --out {tmp}/run",
+         needle="{tmp}/split.tsv: ", files={"split.tsv": _split_text(["1"] + EIGHT,
+                                                                    ["1"] + EIGHT)}),
+    _bad("sweep-duplicate-sizes", "sweep --train-path {train} --test-path {test} "
+         "--sizes 4 4 --out {tmp}/s", needle="duplicate"),
+    _bad("train-overflowing-step", "train --train-path {tmp}/long.tsv --head avg "
+         "--hidden 3 --epochs 2 --lr 1e308 --out {tmp}/run", code=1,
+         needle="non-finite parameters at epoch 1", files={"long.tsv": _long_split}),
+    # evaluate: checkpoints and splits
+    _bad("evaluate-checkpoint-missing",
+         "evaluate --checkpoint {tmp}/none.json --dataset-path {test}", needle="not found"),
+    *[_bad(f"evaluate-checkpoint-{getattr(c, '__name__', c).lstrip('_')}",
+           "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}",
+           needle="checkpoint {tmp}/ckpt.json: ",
+           files={"ckpt.json": lambda p, c=c: _write_checkpoint(p, corrupt=c)})
+      for c in CORRUPTIONS],
+    *[_bad(f"evaluate-split-{case}", "evaluate --checkpoint {ckpt} --dataset-path "
+           "{tmp}/split.tsv", needle="{tmp}/split.tsv: ", files={"split.tsv": text})
+      for case, text in [
+          ("ragged-row", _split_text(["0"] + EIGHT, ["1"] + EIGHT[:2])),
+          ("bad-token", _split_text(["0"] + EIGHT, ["1"] + EIGHT[:7] + ["xyz"])),
+          ("nan-value", _split_text(["0"] + EIGHT, ["1", "NaN"] + EIGHT[1:])),
+          ("empty-file", ""),
+          ("unknown-label", _split_text(["0"] + EIGHT, ["7"] + EIGHT)),
+          ("not-utf8", b"\xff\xfe\n")]],
+    *[_bad(f"{command}-v1-split-with-more-labels",
+           f"{command} --checkpoint {{v1}} --dataset-path {{tmp}}/split.tsv{extra}",
+           needle="the split has 3 labels",
+           files={"split.tsv": lambda p: save_ucr(synth_separable(3, 4, 1, 2, seed=5), p)})
+      for command, extra in [("evaluate", ""), ("counterfactual", " --class 0 --k-list 1"),
+                             ("export", " --k-list 1 --out {tmp}/bundle")]],
+    # inspect, export and counterfactual: classes, k lists and output paths
+    *[_bad(f"{command}-out-existing-file",
+           f"{command} --checkpoint {{ckpt}} --out {{tmp}}/taken{extra}",
+           needle="{tmp}/taken", files={"taken": "keep\n"})
+      for command, extra in [("inspect", ""),
+                             ("export", " --dataset-path {test} --k-list 1")]],
+    *[_bad(f"{command}-out-below-a-file",
+           f"{command} --checkpoint {{ckpt}} --out {{tmp}}/taken/sub{extra}",
+           needle="{tmp}/taken", files={"taken": "keep\n"})
+      for command, extra in [("inspect", ""),
+                             ("export", " --dataset-path {test} --k-list 1")]],
+    _bad("inspect-non-nv-checkpoint", "inspect --checkpoint {tmp}/last.json --out {tmp}/x",
+         needle="head", files={"last.json": lambda p: _write_checkpoint(p, HeadKind.LAST_STATE)}),
+    _bad("inspect-class-out-of-range", "inspect --checkpoint {ckpt} --classes 7 --out {tmp}/x",
+         needle="class 7 outside"),
+    _bad("export-duplicate-classes", "export --checkpoint {ckpt} --classes 0,1,0 "
+         "--out {tmp}/b", needle="duplicate class ids"),
+    _bad("export-k-too-large", f"{EXPORT} --k-list 0 999 --out {{tmp}}/bundle",
+         needle="k=999 outside"),
+    _bad("export-duplicate-k", f"{EXPORT} --k-list 1 3 1 --out {{tmp}}/b",
+         needle="duplicate values in --k-list"),
+    _bad("export-k-list-only", "export --checkpoint {ckpt} --k-list 0 2 --out {tmp}/bundle",
+         needle="--dataset-path and --k-list"),
+    _bad("export-dataset-only", f"{EXPORT} --out {{tmp}}/bundle",
+         needle="--dataset-path and --k-list"),
+    _bad("counterfactual-out-existing-directory", f"{CF} --k-list 1 --out {{tmp}}/taken",
+         needle="{tmp}/taken", files={"taken/keep.txt": "keep\n"}),
+    _bad("counterfactual-out-below-a-file", f"{CF} --k-list 1 --out {{tmp}}/taken/x",
+         needle="{tmp}/taken", files={"taken": "keep\n"}),
+    _bad("counterfactual-k-too-large", f"{CF} --k-list 999", needle="outside"),
+    _bad("counterfactual-duplicate-k", f"{CF} --k-list 1 3 1",
+         needle="duplicate values in --k-list"),
+    *[_bad(f"counterfactual-class{c}", "counterfactual --checkpoint {ckpt} --dataset-path "
+           f"{{test}} --class {c} --k-list 1", needle=f"class {c} outside [0, 2)")
+      for c in ("-1", "2")],
+]
+
+
+@pytest.mark.parametrize("argv,code,needle,files", BAD_INPUT)
+def test_bad_input_exits_with_one_error_line(dataset_files, trained_run, tmp_path, capsys,
+                                             argv, code, needle, files):
+    _, train_p, test_p = dataset_files
+    names = {"train": train_p, "test": test_p, "ckpt": trained_run / "checkpoint.json",
+             "v1": V1_CHECKPOINT, "tmp": tmp_path}
+    for name, content in files.items():
+        p = tmp_path / name
+        p.parent.mkdir(parents=True, exist_ok=True)
+        if callable(content):
+            content(p)
+        elif isinstance(content, bytes):
+            p.write_bytes(content)
+        else:
+            p.write_text(content)
+    # A warning would print lines of its own on stderr: here it raises.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv.format(**names).split()) == code
+    stderr = capsys.readouterr().err
+    err = [line for line in stderr.splitlines() if not line.startswith("warning: ")]
+    assert len(err) == 1 and err[0].startswith("error: "), stderr
+    assert needle.format(**names) in err[0]
+    assert "Traceback" not in stderr
 
 
 # -------------------------------------------------------------------- help

@@ -170,9 +170,9 @@ def test_time_analysis_full_horizon_equals_zero_input(trained):
     model, ds = trained
     r = time_analysis(model, ds, 0, ds.horizon)
     assert sorted(r.zeroed_steps) == list(range(ds.horizon))
-    zero_x = np.zeros((ds.horizon, ds.feature_dim))
+    zero_x = np.zeros((1, ds.horizon, ds.feature_dim))
     logits_zero, _ = model.forward(zero_x)
-    pred_zero = int(np.argmax(logits_zero))
+    pred_zero = int(np.argmax(logits_zero[0]))
     # every sample collapses to the all-zero-input prediction
     expected_conf = np.zeros_like(r.report.confusion)
     for label in ds.labels():

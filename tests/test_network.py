@@ -7,12 +7,12 @@ from neuroview.cells import (
     CellParams,
     InitKind,
     InitScheme,
-    cell_backward,
     cell_forward,
     init_params,
+    named_views,
     param_shapes,
     sequence_backward,
-    zero_state,
+    sequence_forward,
 )
 from neuroview.network import (
     EncoderConfig,
@@ -45,10 +45,10 @@ def make_model(cell, head, n=3, m=2, T=4, d=2, layers=1, bidir=False, seed=0):
 
 def test_encode_single_step_reduces_to_cell_forward():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=1)
-    x = np.array([[0.4, -0.9]])
+    x = np.array([[[0.4, -0.9]]])
     trace = encode(model.encoder, model.cells, x)
-    state, _ = cell_forward(model.cells[0], zero_state(CellKind.GRU, 3), x[0])
-    np.testing.assert_array_equal(trace.hidden[0][0, 0], state.h)
+    step = cell_forward(model.cells[0], x[:, 0])
+    np.testing.assert_array_equal(trace.hidden[0][0], step.h[0, 0])
 
 
 def test_bidirectional_palindrome_symmetry():
@@ -59,7 +59,7 @@ def test_bidirectional_palindrome_symmetry():
     rng = np.random.default_rng(2)
     half = rng.normal(size=(2, m))
     x = np.vstack([half, rng.normal(size=(1, m)), half[::-1]])  # palindrome
-    trace = encode(cfg, cells, x)
+    trace = encode(cfg, cells, x[None])
     h_f = trace.hidden[0][:, 0, :n]
     h_r = trace.hidden[0][:, 0, n:]
     for t in range(T):
@@ -76,8 +76,8 @@ def test_reversal_duality():
     cfg = EncoderConfig(CellKind.LSTM, m, n, T, bidirectional=True)
     x = rng.normal(size=(T, m))
 
-    fwd = encode(cfg, [theta_f, theta_r], x)
-    rev = encode(cfg, [theta_r, theta_f], x[::-1].copy())
+    fwd = encode(cfg, [theta_f, theta_r], x[None])
+    rev = encode(cfg, [theta_r, theta_f], x[None, ::-1].copy())
     for t in range(T):
         np.testing.assert_array_equal(
             fwd.hidden[0][t, 0, :n], rev.hidden[0][T - 1 - t, 0, n:]
@@ -93,20 +93,23 @@ def test_stacked_zero_second_layer_rnn():
     l0 = init_params(CellKind.SIMPLE_RNN, m, n, InitScheme(InitKind.UNIFORM, 0))
     shapes = param_shapes(CellKind.SIMPLE_RNN, n, n)
     l1 = CellParams(CellKind.SIMPLE_RNN, n, n, {k: np.zeros(s) for k, s in shapes.items()})
-    trace = encode(cfg, [l0, l1], np.random.default_rng(1).normal(size=(T, m)))
+    trace = encode(cfg, [l0, l1], np.random.default_rng(1).normal(size=(1, T, m)))
     np.testing.assert_array_equal(trace.hidden[1], np.full((T, 1, n), 0.5))
 
 
 def test_encode_wrong_cell_count():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW)
     with pytest.raises(ValueError, match="needs 1 cells"):
-        encode(model.encoder, model.cells * 2, np.zeros((4, 2)))
+        encode(model.encoder, model.cells * 2, np.zeros((1, 4, 2)))
 
 
 def test_encode_wrong_horizon():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=4)
     with pytest.raises(ValueError, match="shape"):
-        encode(model.encoder, model.cells, np.zeros((5, 2)))
+        encode(model.encoder, model.cells, np.zeros((1, 5, 2)))
+    # One sequence is a batch of one; a bare (T, m) array is no batch.
+    with pytest.raises(ValueError, match="expected a batch"):
+        encode(model.encoder, model.cells, np.zeros((4, 2)))
 
 
 # ------------------------------------------------------------------- heads
@@ -114,8 +117,8 @@ def test_encode_wrong_horizon():
 def test_nv_zero_matrix_gives_zero_logits():
     model = make_model(CellKind.LSTM, HeadKind.NEUROVIEW)
     model.head.V[:] = 0.0
-    logits, _ = model.forward(np.random.default_rng(0).normal(size=(4, 2)))
-    np.testing.assert_array_equal(logits, np.zeros(2))
+    logits, _ = model.forward(np.random.default_rng(0).normal(size=(1, 4, 2)))
+    np.testing.assert_array_equal(logits, np.zeros((1, 2)))
 
 
 def test_nv_features_are_nonnegative():
@@ -123,9 +126,12 @@ def test_nv_features_are_nonnegative():
     rng = np.random.default_rng(8)
     for kind in (CellKind.GRU, CellKind.LSTM):
         model = make_model(kind, HeadKind.NEUROVIEW, seed=9)
-        _, trace = model.forward(rng.normal(size=(4, 2)) * 2)
+        _, trace = model.forward(rng.normal(size=(1, 4, 2)) * 2)
         assert trace.hidden[0].min() < 0  # the raw states do go negative
         assert trace.q.min() >= 0.0
+        # q is max(h, 0), element by element.
+        raw = trace.hidden[0].reshape(-1)
+        np.testing.assert_array_equal(trace.q[0], [max(float(a), 0.0) for a in raw])
 
 
 def test_encoder_config_validation():
@@ -139,13 +145,13 @@ def test_encode_rejects_kind_mismatch():
     cfg = EncoderConfig(CellKind.GRU, 2, 3, 4)
     wrong = [init_params(CellKind.LSTM, 2, 3, InitScheme())]
     with pytest.raises(ValueError, match="kind"):
-        encode(cfg, wrong, np.zeros((4, 2)))
+        encode(cfg, wrong, np.zeros((1, 4, 2)))
 
 
 def test_nv_features_equal_raw_hidden_for_sigmoid_rnn():
     # Sigmoid outputs live in (0, 1), so rectification changes nothing.
     model = make_model(CellKind.SIMPLE_RNN, HeadKind.NEUROVIEW, T=5)
-    x = np.random.default_rng(1).normal(size=(5, 2))
+    x = np.random.default_rng(1).normal(size=(1, 5, 2))
     logits, trace = model.forward(x)
     raw = trace.hidden[0][:, 0, :].reshape(-1)
     np.testing.assert_array_equal(trace.q[0], raw)
@@ -161,11 +167,11 @@ def test_nv_hand_computed_logits():
     V = np.array([[1.0, 2.0], [3.0, -4.0]])
     head = HeadParams(HeadKind.NEUROVIEW, V)
     model = Model(cfg, [p], head)
-    logits, trace = model.forward(np.array([[0.7], [-0.2]]))
-    assert logits[0] == pytest.approx(1.0 * 0.5 + 2.0 * 0.5, rel=1e-15)
-    assert logits[1] == pytest.approx(3.0 * 0.5 - 4.0 * 0.5, rel=1e-15)
+    logits, trace = model.forward(np.array([[[0.7], [-0.2]]]))
+    assert logits[0, 0] == pytest.approx(1.0 * 0.5 + 2.0 * 0.5, rel=1e-15)
+    assert logits[0, 1] == pytest.approx(3.0 * 0.5 - 4.0 * 0.5, rel=1e-15)
     np.testing.assert_allclose(
-        trace.step_logits.sum(axis=(0, 1))[0], logits, rtol=1e-15
+        trace.step_logits.sum(axis=(0, 1)), logits, rtol=1e-15
     )
 
 
@@ -182,28 +188,28 @@ def test_decomposition_identity_random_passes():
             kind, HeadKind.NEUROVIEW, n=3, m=2, T=4, d=3,
             layers=layers, bidir=bidir, seed=trial,
         )
-        x = rng.normal(size=(4, 2))
+        x = rng.normal(size=(1, 4, 2))
         logits, trace = model.forward(x)
-        total = trace.step_logits.sum(axis=(0, 1))[0]
+        total = trace.step_logits.sum(axis=(0, 1))
         worst = max(worst, float(np.max(np.abs(logits - total))))
     assert worst < 1e-10
 
 
 def test_last_state_head_uses_only_final_step():
     model = make_model(CellKind.GRU, HeadKind.LAST_STATE)
-    x = np.random.default_rng(2).normal(size=(4, 2))
+    x = np.random.default_rng(2).normal(size=(1, 4, 2))
     logits, trace = model.forward(x)
     np.testing.assert_allclose(
-        logits, model.head.V @ trace.hidden[0][-1, 0], rtol=1e-15
+        logits[0], model.head.V @ trace.hidden[0][-1, 0], rtol=1e-15
     )
 
 
 def test_average_pool_sums_by_default_and_means_on_flag():
     model = make_model(CellKind.GRU, HeadKind.AVERAGE_POOL)
-    x = np.random.default_rng(3).normal(size=(4, 2))
+    x = np.random.default_rng(3).normal(size=(1, 4, 2))
     logits_sum, trace = model.forward(x)
     pooled = trace.hidden[0][:, 0, :].sum(axis=0)
-    np.testing.assert_allclose(logits_sum, model.head.V @ pooled, rtol=1e-15)
+    np.testing.assert_allclose(logits_sum[0], model.head.V @ pooled, rtol=1e-15)
 
     model.head.mean_pool = True
     logits_mean, _ = model.forward(x)
@@ -220,7 +226,7 @@ def test_nv_padded_tail_contributes_nothing_extra():
     model_nv = Model(
         model_last.encoder, model_last.cells, HeadParams(HeadKind.NEUROVIEW, V_nv)
     )
-    x = np.random.default_rng(4).normal(size=(T, m))
+    x = np.random.default_rng(4).normal(size=(1, T, m))
     logits_last, _ = model_last.forward(x)
     logits_nv, _ = model_nv.forward(x)
     np.testing.assert_allclose(logits_nv, logits_last, rtol=1e-12, atol=1e-15)
@@ -229,14 +235,14 @@ def test_nv_padded_tail_contributes_nothing_extra():
 def test_bidirectional_step_width():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, n=5, bidir=True)
     trace = encode(model.encoder, model.cells,
-                   np.random.default_rng(0).normal(size=(4, 2)))
+                   np.random.default_rng(0).normal(size=(1, 4, 2)))
     assert trace.hidden[0].shape[2] == 10
 
 
 def test_head_width_mismatch_error():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW)
     bad_head = HeadParams(HeadKind.NEUROVIEW, np.zeros((2, 7)))
-    trace = encode(model.encoder, model.cells, np.zeros((4, 2)))
+    trace = encode(model.encoder, model.cells, np.zeros((1, 4, 2)))
     with pytest.raises(ValueError, match="width mismatch"):
         head_forward(bad_head, trace, model.encoder)
 
@@ -247,9 +253,9 @@ def test_predict_tie_breaks_to_lowest_index():
     model = make_model(CellKind.SIMPLE_RNN, HeadKind.NEUROVIEW)
     model.head.V[:] = 0.0  # logits (0, 0) for any input
     cls, logits = predict(model.encoder, model.cells, model.head,
-                          np.zeros((4, 2)))
-    np.testing.assert_array_equal(logits, [0.0, 0.0])
-    assert cls == 0
+                          np.zeros((1, 4, 2)))
+    np.testing.assert_array_equal(logits, [[0.0, 0.0]])
+    np.testing.assert_array_equal(cls, [0])
 
 
 def test_predict_argmax():
@@ -258,20 +264,20 @@ def test_predict_argmax():
     model.head.V[0, :] = -1.0
     model.head.V[1, :] = 3.0
     cls, logits = predict(model.encoder, model.cells, model.head,
-                          np.random.default_rng(5).normal(size=(4, 2)))
-    assert logits[1] > logits[0]
-    assert cls == 1
+                          np.random.default_rng(5).normal(size=(1, 4, 2)))
+    assert logits[0, 1] > logits[0, 0]
+    np.testing.assert_array_equal(cls, [1])
 
 
 def test_predict_argmax_invariant_under_positive_scaling():
     rng = np.random.default_rng(6)
     for seed in range(10):
         model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, d=4, seed=seed)
-        x = rng.normal(size=(4, 2))
+        x = rng.normal(size=(1, 4, 2))
         cls, _ = predict(model.encoder, model.cells, model.head, x)
         model.head.V *= 37.5
         cls_scaled, _ = predict(model.encoder, model.cells, model.head, x)
-        assert cls == cls_scaled
+        np.testing.assert_array_equal(cls, cls_scaled)
 
 
 # ---------------------------------------------------------------- backward
@@ -279,10 +285,10 @@ def test_predict_argmax_invariant_under_positive_scaling():
 def test_backward_zero_upstream_gives_zero_grads():
     for head in HeadKind:
         model = make_model(CellKind.LSTM, head, layers=2, bidir=True)
-        x = np.random.default_rng(1).normal(size=(4, 2))
+        x = np.random.default_rng(1).normal(size=(1, 4, 2))
         _, trace = model.forward(x)
         gV, cell_grads = network_backward(
-            model.encoder, model.cells, model.head, trace, np.zeros(2)
+            model.encoder, model.cells, model.head, trace, np.zeros((1, 2))
         )
         assert not gV.any()
         for grads in cell_grads:
@@ -295,8 +301,8 @@ def _full_network_fd(cell, head, layers, bidir, seed, tol=1e-6,
     rng = np.random.default_rng(seed)
     model = make_model(cell, head, n=n, m=m, T=T, d=d,
                        layers=layers, bidir=bidir, seed=seed)
-    x = rng.normal(size=(T, m))
-    label = int(rng.integers(d))
+    x = rng.normal(size=(1, T, m))
+    label = [int(rng.integers(d))]
 
     def loss_of():
         logits, _ = model.forward(x)
@@ -325,12 +331,12 @@ def _stacked_fd(cell, head, layers, bidir, seed, tol=1e-6, n=3, m=2, T=4, d=2):
     rng = np.random.default_rng(seed)
     model = make_model(cell, head, n=n, m=m, T=T, d=d,
                        layers=layers, bidir=bidir, seed=seed)
-    x = rng.normal(size=(T, m))
-    w = rng.normal(size=d)
+    x = rng.normal(size=(1, T, m))
+    w = rng.normal(size=(1, d))
 
     def scalar():
         logits, _ = model.forward(x)
-        return float(w @ logits)
+        return float(np.sum(w * logits))
 
     _, trace = model.forward(x)
     gV, cg = network_backward(model.encoder, model.cells, model.head, trace, w)
@@ -348,10 +354,11 @@ def test_full_network_fd_stacked_bidirectional():
 
 def _stepwise_network(model, x, grad_logits):
     """``encode`` + NeuroView head + ``network_backward``, rebuilt from
-    one ``cell_forward``/``cell_backward`` call per (layer, direction, t).
+    one one-step kernel call (T = 1, D = 1) per (layer, direction, t).
     Returns the hidden states, the scores and the gradients."""
     cfg = model.encoder
     T, n, D = cfg.max_len, cfg.hidden_dim, cfg.directions
+    lstm = cfg.cell is CellKind.LSTM
     X = x.transpose(1, 0, 2)
     B = X.shape[1]
     inputs, hidden, steps = [], [], []
@@ -359,12 +366,14 @@ def _stepwise_network(model, x, grad_logits):
         inputs.append(X)
         outs, recs = [], []
         for d in range(D):
-            state = zero_state(cfg.cell, n, B)
+            h = np.zeros((1, B, n))
+            c = np.zeros((1, B, n)) if lstm else None
             H, rec = np.empty((T, B, n)), [None] * T
             for t in (range(T) if d == 0 else range(T - 1, -1, -1)):
-                prev = state
-                state, tr = cell_forward(model.cells[layer * D + d], prev, X[t])
-                H[t], rec[t] = state.h, (prev, tr)
+                tr = sequence_forward([model.cells[layer * D + d]], X[t][None], h, c)
+                h = tr.h[0]
+                c = tr.aux[0].transpose(1, 2, 0) if lstm else None
+                H[t], rec[t] = h[0], tr
             outs.append(H)
             recs.append(rec)
         X = np.concatenate(outs, axis=2)
@@ -383,19 +392,19 @@ def _stepwise_network(model, x, grad_logits):
         for d in range(D):
             idx = layer * D + d
             p = model.cells[idx]
-            acc = {k: np.zeros_like(v) for k, v in p.arrays.items()}
-            carry_h = np.zeros((B, n))
-            carry_c = np.zeros((B, n)) if cfg.cell is CellKind.LSTM else None
+            acc = [np.zeros_like(W) for W in p.packed]
+            carry_h = np.zeros((1, B, n))
+            carry_c = np.zeros((1, B, n)) if lstm else None
             # The reverse direction's BPTT carry flows from t to t+1.
             for t in (range(T - 1, -1, -1) if d == 0 else range(T)):
-                prev, tr = steps[layer][d][t]
-                grads, carry_h, carry_c, dx = cell_backward(
-                    p, tr, prev, inputs[layer][t],
-                    dH[layer][t][:, d * n:(d + 1) * n] + carry_h, carry_c)
-                for k in acc:
-                    acc[k] += grads[k]
-                dX[t] += dx
-            cell_grads[idx] = acc
+                dx = np.zeros((1, B, p.input_dim))
+                grads, carry_h, carry_c = sequence_backward(
+                    [p], steps[layer][d][t],
+                    dH[layer][t][None, :, d * n:(d + 1) * n] + carry_h, carry_c, dx)
+                for a, g in zip(acc, grads[0]):
+                    a += g
+                dX[t] += dx[0]
+            cell_grads[idx] = named_views(p.kind, n, *acc)
         if layer > 0:
             dH[layer - 1] = dH[layer - 1] + dX
     return hidden, q @ V.T, grad_logits.T @ q, cell_grads
@@ -433,9 +442,11 @@ def test_sequence_kernel_matches_stepwise_cells(cell, bidir, layers):
 
 def test_backward_shape_errors():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW)
-    _, trace = model.forward(np.zeros((4, 2)))
+    _, trace = model.forward(np.zeros((1, 4, 2)))
     with pytest.raises(ValueError, match="classes"):
-        network_backward(model.encoder, model.cells, model.head, trace, np.zeros(5))
+        network_backward(model.encoder, model.cells, model.head, trace, np.zeros((1, 5)))
+    with pytest.raises(ValueError, match="batch"):
+        network_backward(model.encoder, model.cells, model.head, trace, np.zeros(2))
 
 
 def test_model_validates_head_width():

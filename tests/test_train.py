@@ -28,61 +28,82 @@ from helpers import grad_tree
 # ------------------------------------------------------------ softmax_xent
 
 def test_xent_uniform_two_way():
-    loss, grad = softmax_xent(np.array([0.0, 0.0]), 0)
+    loss, grad = softmax_xent(np.array([[0.0, 0.0]]), [0])
     assert loss == pytest.approx(math.log(2.0), rel=1e-15)
-    np.testing.assert_allclose(grad, [-0.5, 0.5], rtol=1e-15)
+    np.testing.assert_allclose(grad, [[-0.5, 0.5]], rtol=1e-15)
 
 
 def test_xent_extreme_logits_do_not_overflow():
     with np.errstate(over="raise"):
-        loss, grad = softmax_xent(np.array([1000.0, 0.0]), 0)
+        loss, grad = softmax_xent(np.array([[1000.0, 0.0]]), [0])
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.isfinite(grad))
 
 
 def test_xent_label_out_of_range():
     with pytest.raises(ValueError, match="outside"):
-        softmax_xent(np.zeros(3), 3)
+        softmax_xent(np.zeros((1, 3)), [3])
     with pytest.raises(ValueError, match="outside"):
         softmax_xent(np.zeros((2, 3)), np.array([0, 5]))
+    # One sample is a batch of one.
+    with pytest.raises(ValueError, match=r"\(B, d\)"):
+        softmax_xent(np.zeros(3), 0)
 
 
 def test_xent_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    logits = rng.normal(size=5) * 3
-    label = 2
+    logits = rng.normal(size=(1, 5)) * 3
+    label = [2]
     _, grad = softmax_xent(logits, label)
     eps = 1e-6
     for i in range(5):
         bumped = logits.copy()
-        bumped[i] += eps
+        bumped[0, i] += eps
         up, _ = softmax_xent(bumped, label)
-        bumped[i] -= 2 * eps
+        bumped[0, i] -= 2 * eps
         down, _ = softmax_xent(bumped, label)
         fd = (up - down) / (2 * eps)
-        assert abs(fd - grad[i]) < 1e-8
+        assert abs(fd - grad[0, i]) < 1e-8
 
 
 def test_xent_softmax_normalization():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        logits = rng.normal(size=6) * 10
-        _, grad = softmax_xent(logits, 0)
-        p = grad.copy()
+        logits = rng.normal(size=(1, 6)) * 10
+        _, grad = softmax_xent(logits, [0])
+        p = grad[0].copy()
         p[0] += 1.0  # undo the one-hot subtraction
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0)
 
 
 def test_xent_batched_is_mean_of_singles():
+    # B rows against B one-row batches.
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(4, 3))
     labels = np.array([0, 2, 1, 1])
     loss_b, grad_b = softmax_xent(logits, labels)
-    singles = [softmax_xent(logits[i], labels[i]) for i in range(4)]
+    singles = [softmax_xent(logits[i:i + 1], labels[i:i + 1]) for i in range(4)]
     assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-14)
     for i in range(4):
-        np.testing.assert_allclose(grad_b[i], singles[i][1] / 4.0, rtol=1e-14)
+        np.testing.assert_allclose(grad_b[i], singles[i][1][0] / 4.0, rtol=1e-14)
+
+
+def test_xent_one_row_batch_is_the_single_sample_formula():
+    # The loss and gradient of a batch of one are bit-identical to the
+    # single-sample form ``lse - s[label]``: ``-(s - lse)`` negates the same
+    # rounded difference, and the mean and ``/ B`` divide by 1.
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        s = rng.normal(size=7) * 20
+        label = int(rng.integers(7))
+        shift = s - s.max()
+        lse = np.log(np.exp(shift).sum())
+        want_grad = np.exp(shift - lse)
+        want_grad[label] -= 1.0
+        loss, grad = softmax_xent(s[None], [label])
+        assert loss == float(lse - shift[label])
+        assert grad.tobytes() == want_grad[None].tobytes()
 
 
 # -------------------------------------------------------------------- adam
@@ -232,12 +253,13 @@ def test_fit_aborts_on_non_finite_parameters():
     # With learning rate 1e308, an Adam step on a gradient entry above ~1.8
     # overflows to inf: a 40-step sum-pooled state gives such entries in V.
     # The loss and gradient are still finite, so only the parameter check
-    # stops training, at the epoch of that step.
+    # stops training, at the epoch of that step. The overflow itself raises
+    # no numpy warning (pyproject.toml turns one into an error).
     ds = synth_separable(2, 40, 1, 3, seed=0)
     for cell in CellKind:
         enc = EncoderConfig(cell, 1, 3, 40)
-        with np.errstate(over="ignore"), pytest.raises(
-                TrainingDiverged, match="non-finite parameters at epoch 1") as caught:
+        with pytest.raises(TrainingDiverged,
+                           match="non-finite parameters at epoch 1") as caught:
             fit(ds, TrainConfig(learning_rate=1e308, epochs=3), enc,
                 HeadKind.AVERAGE_POOL, InitScheme())
         assert caught.value.epoch == 1
