@@ -16,16 +16,19 @@ from neuroview import (
     init_params,
     sequence_backward,
     sequence_forward,
+    stack_cells,
 )
 from neuroview.cells import named_views
 
 rng = np.random.default_rng(0)
 
 # Inputs are (T, B, m) time-major batches; one sequence is a batch of one.
+# The kernels read a layer's weights stacked over its directions, which
+# ``stack_cells`` builds from loose cells.
 print("=== running each cell over a tiny input sequence ===")
 for kind in CellKind:
     p = init_params(kind, input_dim=2, hidden_dim=4, scheme=InitScheme(InitKind.UNIFORM, 1))
-    trace = sequence_forward([p], rng.normal(size=(3, 1, 2)))
+    trace = sequence_forward(kind, stack_cells([p]), rng.normal(size=(3, 1, 2)))
     print(f"{kind.value:5s} h after 3 steps: {np.round(trace.h[-1, 0, 0], 4)}")
 
 print()
@@ -39,10 +42,11 @@ for kind in CellKind:
     w = rng.normal(size=(3, 1, 4))  # random readout of every step's state
 
     def scalar():
-        return float(np.sum(w * sequence_forward([p], X, h0, c0).h[:, 0]))
+        return float(np.sum(w * sequence_forward(kind, stack_cells([p]), X, h0, c0).h[:, 0]))
 
-    grads = sequence_backward([p], sequence_forward([p], X, h0, c0), w)[0]
-    grads = named_views(kind, 4, *grads[0])
+    weights = stack_cells([p])
+    grads = sequence_backward(kind, weights, sequence_forward(kind, weights, X, h0, c0), w)[0]
+    grads = named_views(kind, 4, *(G[0] for G in grads))
 
     worst = 0.0
     for name, arr in p.arrays.items():

@@ -21,6 +21,7 @@ from .cells import (
     scheme_matrix,
     sequence_backward,
     sequence_forward,
+    stack_cells,
 )
 from .network import (
     EncoderConfig,

@@ -45,50 +45,57 @@ trailing 1 also adds the bias::
 With ``gi = W_i x + b_i`` and ``gh = W_h h + b_h``, the gates are the
 nonlinearities of slices of ``gi + gh``, except the GRU's n gate, which
 reads ``gi_n + r * gh_n``. ``CellParams.arrays`` maps each schema name
-to a view into the blocks, which inside a ``Model`` are views into its
-flat ``params``. The rnn's hidden-side bias column is no parameter: it
-has no name, stays 0.0 and gets a zero gradient.
+to a view into the blocks. The rnn's hidden-side bias column is no
+parameter: it has no name, stays 0.0 and gets a zero gradient.
+
+A layer's D cells (D = 1, or 2 for a bidirectional layer) stack their
+blocks into the layer's weights ``(W_i, W_h)``, (D, k*n, m+1) and
+(D, k*n, n+1), which is what the kernels read. A ``Model`` holds them
+layer by layer in one flat ``params`` buffer, W_i then W_h of layer 0,
+then of layer 1, ..., then the head's ``V``; its ``layers[l]`` are plain
+reshape views of that buffer and cell ``l*D + d`` packs their ``[d]``
+slices. Loose cells are stacked by ``stack_cells``, a copy.
 
 Kernel
 ------
-``sequence_forward`` runs the D cells of one layer (D = 1, or 2 for a
-bidirectional layer) over a (T, B, m) input in one time loop: at loop
-index i the forward direction handles time i and the reverse direction
-time T-1-i, so each numpy call covers both directions. It forms ``gi``
-for every step and direction in one GEMM, then per step does
-one hidden GEMM, one sigmoid over the sigmoid slice and a few
-elementwise updates, writing into preallocated per-timestep arrays of a
-``SequenceTrace``: fresh ones, or those of an earlier trace passed as
-``out``. Gates are held gate-major, (T, k*n, D, B), so that each gate
-slice is one contiguous block covering both directions; the GEMMs take
-the per-direction weights stacked as (D, k*n, .). The reverse direction
-is stored in processing order. The GRU forms each new state in one of
-two contiguous (n, D, B) buffers and copies it once into the
+``sequence_forward`` runs the D directions of one layer over a (T, B, m)
+input in one time loop: at loop index i the forward direction handles
+time i and the reverse direction time T-1-i, so each numpy call covers
+both directions. It forms ``gi`` for every step and direction in one
+GEMM, then per step does one hidden GEMM, one sigmoid over the sigmoid
+slice and a few elementwise updates, writing into preallocated
+per-timestep arrays of a ``SequenceTrace``: fresh ones, or those of an
+earlier trace passed as ``out``. Gates are held gate-major,
+(T, k*n, D, B), so that each gate slice is one contiguous block covering
+both directions; the GEMMs read the layer's stacked weights. The reverse
+direction is stored in processing order. The GRU forms each new state in
+one of two contiguous (n, D, B) buffers and copies it once into the
 batch-major ``ha``, which the hidden GEMM reads as before.
 
 A forward-only pass (``gates=False``), which no backward pass follows,
 keeps no gate trace: the loop runs over chunks of ``CHUNK`` steps, and
-one GEMM per chunk writes that chunk's ``gi`` into a buffer of
-CHUNK steps, reused from chunk to chunk, so the gates a step reads are
-still in cache. The rnn's pre-activations and the GRU's ``aux`` live in
-such a buffer too; the LSTM keeps its cell states, which a resumed pass
-reads. A full pass is the same loop with one chunk of T steps, and both
-give bit-identical states. ``sequence_backward`` runs BPTT over that
-trace in one loop too: per step one gate-major gate-gradient block and
-its per-direction (D, k*n, B) copy for the GEMMs, one GEMM each for the
-incoming state and input gradients and one each for the packed
-weight-and-bias gradients, added into caller-given blocks or fresh ones. The input gradient adds the
-forward direction's share before the reverse one's. Every GEMM reads
-each direction's operands in the layout a one-direction run gives it,
-so a two-direction loop is bit-identical to two one-direction runs, the
-reverse one on the time-reversed input. ``cell_forward`` and
-``cell_backward`` are the T=1, D=1 case of the same kernel, on (B, m)
-inputs and (B, n) states; one sequence is a batch of one. Apart from
-the ``dX`` and gradient accumulators a caller passes to
-``sequence_backward``, the work arrays it keeps in the trace's
-``buffers`` and the trace passed to ``sequence_forward`` as ``out``,
-whose arrays are overwritten, all functions are pure: parameters and
-traces' activations are never mutated.
+one GEMM per chunk writes that chunk's ``gi`` into a buffer of CHUNK
+steps, reused from chunk to chunk, so the gates a step reads are still
+in cache. The rnn's pre-activations and the GRU's ``aux`` live in such a
+buffer too; the LSTM keeps its cell states, which a resumed pass reads.
+A full pass is the same loop with one chunk of T steps, and both give
+bit-identical states. ``sequence_backward`` runs BPTT over that trace in
+one loop too: per step one gate-major gate-gradient block and its
+per-direction (D, k*n, B) copy for the GEMMs, one GEMM each for the
+incoming state and input gradients and one each for the stacked
+weight-and-bias gradients, each added with one add into caller-given
+blocks or fresh ones. The input gradient adds the forward direction's
+share before the reverse one's. Every GEMM reads each direction's
+operands in the layout a one-direction run gives it, so a two-direction
+loop is bit-identical to two one-direction runs, the reverse one on the
+time-reversed input. ``cell_forward`` and ``cell_backward`` are the T=1,
+D=1 case of the same kernel, on (B, m) inputs and (B, n) states; one
+sequence is a batch of one. Apart from the ``dX`` and gradient
+accumulators a caller passes to ``sequence_backward``, the work arrays
+it keeps in the trace's ``buffers`` and the trace passed to
+``sequence_forward`` as ``out``, whose arrays are overwritten, all
+functions are pure: parameters and traces' activations are never
+mutated.
 """
 
 from __future__ import annotations
@@ -233,28 +240,10 @@ def _with_ones(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weights(cells, block: int) -> np.ndarray:
-    """Packed block ``block`` (0: input side, 1: hidden side) of each of
-    the D cells, as one (D, rows, cols) array. It is a view, so no call
-    copies the weights, for one cell and for two cells whose blocks lie
-    in one buffer, as a layer's do in a model's flat ``params``; otherwise
-    it is a stacked copy."""
-    blocks = [p.packed[block] for p in cells]
-    a = blocks[0]
-    if len(blocks) == 1:
-        return a[None]
-    b, base = blocks[1], a.base
-    if (base is None or b.base is not base or not base.flags.c_contiguous
-            or a.shape != b.shape or a.strides != b.strides
-            or np.may_share_memory(a, b)):
-        return np.stack(blocks)
-    # Addresses from ``ctypes``: under numpy 2.4 every read of
-    # ``__array_interface__``, which ``as_strided`` makes too, keeps memory
-    # for the life of the process.
-    W = np.ndarray((2,) + a.shape, a.dtype, base, a.ctypes.data - base.ctypes.data,
-                   (b.ctypes.data - a.ctypes.data,) + a.strides)
-    W.flags.writeable = False
-    return W
+def stack_cells(cells) -> tuple:
+    """The packed blocks of loose cells, the D cells of one layer, stacked
+    into the kernels' weights ``(W_i, W_h)``, each (D, k*n, .); a copy."""
+    return tuple(np.stack(blocks) for blocks in zip(*(p.packed for p in cells)))
 
 
 @dataclass
@@ -314,14 +303,17 @@ def _initial_state(kind, n, D, B, h0, c0):
 CHUNK = 8
 
 
-def sequence_forward(cells, X: np.ndarray, h0: Optional[np.ndarray] = None,
+def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
+                     h0: Optional[np.ndarray] = None,
                      c0: Optional[np.ndarray] = None,
                      out: Optional[SequenceTrace] = None,
                      gates: bool = True) -> SequenceTrace:
-    """Run one layer's D cells (1, or 2 for forward and reverse) over a
-    (T, B, m) input in one time loop, from the (D, B, n) state ``(h0, c0)``
-    (zeros when omitted); the second cell reads the input reversed in
-    time. Shapes are trusted: callers check them once.
+    """Run one layer's D directions (1, or 2 for forward and reverse) over
+    a (T, B, m) input in one time loop, from the (D, B, n) state
+    ``(h0, c0)`` (zeros when omitted); the second direction reads the
+    input reversed in time. ``weights`` is the layer's stacked packed
+    blocks ``(W_i, W_h)``, (D, k*n, m+1) and (D, k*n, n+1). Shapes are
+    trusted: callers check them once.
 
     ``out``, an earlier trace, lends its per-timestep arrays: each one of
     the right shape is overwritten instead of allocated, with the values a
@@ -331,13 +323,11 @@ def sequence_forward(cells, X: np.ndarray, h0: Optional[np.ndarray] = None,
     rejects: the gates, and ``aux`` but for the lstm's cell states, live
     in ``buffers`` for CHUNK steps at a time, and the trace's ``gates`` and
     ``aux`` (lstm: kept) are None. Its states are bit-identical."""
-    kind = cells[0].kind
-    D = len(cells)
+    W_i, W_h = weights
+    D, rows, _ = W_i.shape
     T, B, m = X.shape
-    n = cells[0].hidden_dim
+    n = W_h.shape[-1] - 1
     s = _SIGMOID_GATES[kind] * n
-    W_i, W_h = _weights(cells, 0), _weights(cells, 1)
-    rows = W_i.shape[1]
     old = out if out is not None else SequenceTrace(kind, *[None] * 5)
     xa = scratch(old.xa, (T, D, B, m + 1))
     xa[:, 0, :, :m] = X
@@ -415,39 +405,38 @@ def sequence_forward(cells, X: np.ndarray, h0: Optional[np.ndarray] = None,
     return trace
 
 
-def sequence_backward(cells, trace: SequenceTrace, dH: np.ndarray,
-                      grad_c: Optional[np.ndarray] = None,
+def sequence_backward(kind: CellKind, weights: tuple, trace: SequenceTrace,
+                      dH: np.ndarray, grad_c: Optional[np.ndarray] = None,
                       dX: Optional[np.ndarray] = None,
-                      grads: Optional[list] = None):
-    """BPTT through a ``sequence_forward`` trace of the same D cells.
+                      grads: Optional[tuple] = None):
+    """BPTT through a ``sequence_forward`` trace of the same weights.
 
     ``dH`` (T, B, D*n), in time order with the forward direction's units
     first, is the loss gradient arriving at each step's hidden output from
     outside the recurrence; ``grad_c`` (D, B, n) is the gradient at each
     direction's last cell state (lstm only). When ``dX`` (T, B, m) is
     given, the input gradient is added into it, the forward direction's
-    share first. Returns ``(grads, grad_h0, grad_c0)``: per cell, the
-    packed parameter gradients ``(dW_i, dW_h)`` summed over batch and
-    time, and the (D, B, n) gradient at the initial state (``grad_c0`` is
-    None unless lstm). They are added into ``grads`` when given, else into
-    zeros; the rnn's hidden-side bias column, no parameter, gets 0.0.
+    share first. Returns ``(grads, grad_h0, grad_c0)``: the gradients
+    ``(dW_i, dW_h)`` of the stacked weights, summed over batch and time,
+    and the (D, B, n) gradient at the initial state (``grad_c0`` is None
+    unless lstm). The weight gradients are added into ``grads`` when
+    given, else into zeros; the rnn's hidden-side bias column, no
+    parameter, gets 0.0.
     """
     if trace.gates is None:
         raise ValueError("a forward-only trace keeps no gates to backpropagate")
-    kind = cells[0].kind
-    D = len(cells)
+    W_i, W_h = weights
+    D, rows, _ = W_i.shape
     T, _, B, n1 = trace.ha.shape
     n = n1 - 1
     m = trace.xa.shape[-1] - 1
     s = _SIGMOID_GATES[kind] * n
-    W_i, W_h = _weights(cells, 0), _weights(cells, 1)
-    rows = W_i.shape[1]
     W_x, W_hh = W_i[:, :, :-1], W_h[:, :, :n].transpose(0, 2, 1)
     if grads is None:
-        grads = [(np.zeros_like(p.packed[0]), np.zeros_like(p.packed[1])) for p in cells]
-    # Each step's weight gradients, added into each cell's blocks.
+        grads = (np.zeros_like(W_i), np.zeros_like(W_h))
+    dW_i, dW_h = grads
+    # Each step's weight gradients, added into ``grads`` one block at a time.
     step_i, step_h = np.empty_like(W_i), np.empty_like(W_h)
-    adds = [(gi, gh, si, sh) for (gi, gh), si, sh in zip(grads, step_i, step_h)]
     # The gradient at each step's output in processing order, (n, D, B)
     # per step: a view for one direction, else a gate-major copy.
     if D == 1:
@@ -510,9 +499,8 @@ def sequence_backward(cells, trace: SequenceTrace, dH: np.ndarray,
         if kind is CellKind.GRU:
             dGd[:, s:] *= g[:n].transpose(1, 0, 2)
         np.matmul(dGd, hp, out=step_h)
-        for grad_i, grad_h, gi, gh in adds:
-            grad_i += gi
-            grad_h += gh
+        dW_i += step_i
+        dW_h += step_h
         np.matmul(W_hh, dGd, out=spareT)
         carry_h, carry_hT, spare, spareT = spare, spareT, carry_h, carry_hT
         if kind is CellKind.GRU:
@@ -524,8 +512,7 @@ def sequence_backward(cells, trace: SequenceTrace, dH: np.ndarray,
         if D == 2:
             dX += dXp[::-1, 1]
     if kind is CellKind.SIMPLE_RNN:
-        for _, grad_h in grads:
-            grad_h[:, n] = 0.0
+        dW_h[..., n] = 0.0
     return (grads, carry_h.transpose(1, 2, 0),
             None if carry_c is None else carry_c.transpose(1, 2, 0))
 
@@ -534,7 +521,8 @@ def cell_forward(p: CellParams, x: np.ndarray, h0: Optional[np.ndarray] = None,
                  c0: Optional[np.ndarray] = None) -> SequenceTrace:
     """One step of one cell, ``sequence_forward`` at T = 1 and D = 1: a
     (B, m) input from the (B, n) state ``(h0, c0)``, zeros when omitted."""
-    return sequence_forward([p], x[None], *(None if a is None else a[None] for a in (h0, c0)))
+    return sequence_forward(p.kind, stack_cells([p]), x[None],
+                            *(None if a is None else a[None] for a in (h0, c0)))
 
 
 def cell_backward(p: CellParams, trace: SequenceTrace, dh: np.ndarray,
@@ -545,9 +533,9 @@ def cell_backward(p: CellParams, trace: SequenceTrace, dh: np.ndarray,
     batch, and the gradients at the initial state and the input
     (``dc0`` is None unless lstm)."""
     dx = np.zeros(trace.xa.shape[1:-1] + (p.input_dim,), dtype=DTYPE)
-    grads, dh0, dc0 = sequence_backward([p], trace, dh[None],
-                                        None if dc is None else dc[None], dx)
-    return grads[0], dh0[0], None if dc0 is None else dc0[0], dx[0]
+    (dW_i, dW_h), dh0, dc0 = sequence_backward(
+        p.kind, stack_cells([p]), trace, dh[None], None if dc is None else dc[None], dx)
+    return (dW_i[0], dW_h[0]), dh0[0], None if dc0 is None else dc0[0], dx[0]
 
 
 def scheme_matrix(kind: InitKind, shape, rng: np.random.Generator) -> np.ndarray:

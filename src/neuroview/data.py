@@ -174,8 +174,7 @@ def save_ucr(ds: DataSet, path) -> None:
     lines = []
     for label, x in zip(ds.classes[ds.y], ds.X):
         fields = [np.format_float_positional(label, trim="-")]
-        for step in x:
-            fields.append(",".join(repr(float(v)) for v in step))
+        fields.extend(",".join(map(repr, step)) for step in x.tolist())
         lines.append("\t".join(fields))
     Path(path).write_text("\n".join(lines) + "\n")
 

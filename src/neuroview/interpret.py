@@ -124,11 +124,16 @@ def class_similarity(head: HeadParams) -> SimilarityMatrix:
 def rank_timesteps(head: HeadParams, cfg: EncoderConfig, class_index: int,
                    mode: AblationMode, layer: int = 0,
                    direction: int = 0) -> np.ndarray:
-    """Timesteps ordered by the class's mean block weight.
+    """Timesteps ordered by the class's mean block weight in one
+    ``layer`` and ``direction``.
 
     Descending for TOP_POSITIVE, ascending for TOP_NEGATIVE; ties resolve
     toward the lower timestep index, so rankings are reproducible.
     """
+    if not 0 <= layer < cfg.layers:
+        raise ValueError(f"layer {layer} outside [0, {cfg.layers})")
+    if not 0 <= direction < cfg.directions:
+        raise ValueError(f"direction {direction} outside [0, {cfg.directions})")
     means = weight_map(head, cfg, class_index).timestep_means(layer, direction)
     key = -means if mode is AblationMode.TOP_POSITIVE else means
     return np.argsort(key, kind="stable")

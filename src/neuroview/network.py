@@ -144,23 +144,6 @@ class ForwardTrace(Buffered):
     buffers: dict = field(default_factory=dict, repr=False)
 
 
-def _check_cells(cfg: EncoderConfig, cells: List[CellParams]):
-    if len(cells) != cfg.num_cells():
-        raise ValueError(
-            f"encoder needs {cfg.num_cells()} cells "
-            f"({cfg.layers} layers x {cfg.directions} directions), got {len(cells)}"
-        )
-    for idx, p in enumerate(cells):
-        want_in = cfg.cell_input_dim(idx)
-        if p.kind is not cfg.cell:
-            raise ValueError(f"cell {idx}: kind {p.kind.value!r} != config {cfg.cell.value!r}")
-        if p.hidden_dim != cfg.hidden_dim or p.input_dim != want_in:
-            raise ValueError(
-                f"cell {idx}: dims ({p.input_dim}, {p.hidden_dim}) do not match "
-                f"config ({want_in}, {cfg.hidden_dim})"
-            )
-
-
 def _as_time_major(cfg: EncoderConfig, x) -> np.ndarray:
     """A (B, T, m) batch as a (T, B, m) view."""
     feats = np.asarray(x, dtype=DTYPE)
@@ -170,15 +153,13 @@ def _as_time_major(cfg: EncoderConfig, x) -> np.ndarray:
     return feats.transpose(1, 0, 2)
 
 
-def encode(cfg: EncoderConfig, cells: List[CellParams], x,
-           resume: Optional[tuple] = None,
+def encode(model: Model, x, resume: Optional[tuple] = None,
            out: Optional[ForwardTrace] = None, gates: bool = True) -> ForwardTrace:
-    """Unroll the encoder over a batch of sequences.
+    """Unroll a model's encoder over a batch of sequences, one kernel call
+    per layer on its stacked weights ``model.layers[l]``.
 
     ``x`` is a (B, T, m) batch, one sequence being a batch of one,
-    already padded/truncated to exactly ``cfg.max_len`` steps. Cells are
-    ordered layer-major with the forward direction first:
-    ``[l0_fwd, l0_rev, l1_fwd, l1_rev, ...]``.
+    already padded/truncated to exactly ``max_len`` steps.
 
     ``resume=(base, t0)`` computes only steps ``t0..T-1`` of a
     unidirectional encoder, for an input that equals ``base``'s before
@@ -198,7 +179,7 @@ def encode(cfg: EncoderConfig, cells: List[CellParams], x,
     is bit-identical to a fresh pass, and ``out`` must not be read
     afterwards.
     """
-    _check_cells(cfg, cells)
+    cfg = model.encoder
     X = _as_time_major(cfg, x)
     base, t0 = resume or (None, 0)
     if t0 and cfg.bidirectional:
@@ -208,15 +189,14 @@ def encode(cfg: EncoderConfig, cells: List[CellParams], x,
     gate_traces = []
     X = X[t0:]
     D, n = cfg.directions, cfg.hidden_dim
-    for layer in range(cfg.layers):
+    for layer, weights in enumerate(model.layers):
         state = {}
         if t0:
             state["h0"] = base.hidden[layer][t0 - 1][None]
             if cfg.cell is CellKind.LSTM:
                 state["c0"] = base.gate_traces[layer].aux[t0 - 1].transpose(1, 2, 0)
-        trace = sequence_forward(cells[layer * D:(layer + 1) * D], X,
-                                 out=out and out.gate_traces[layer], gates=gates,
-                                 **state)
+        trace = sequence_forward(cfg.cell, weights, X, out=out and out.gate_traces[layer],
+                                 gates=gates, **state)
         if D == 1:
             X = trace.h[:, 0]
         else:
@@ -284,10 +264,11 @@ def head_forward(head: HeadParams, trace: ForwardTrace,
     return logits
 
 
-def _carve(cells: List[CellParams], V_shape, buf: Optional[np.ndarray] = None) -> tuple:
-    """``(buf, blocks, V)``: a zeroed flat buffer in the model layout
-    (fresh unless given) and its views, per cell and for ``V``."""
-    shapes = [W.shape for p in cells for W in p.packed] + [V_shape]
+def _carve(layer_shapes, V_shape, buf: Optional[np.ndarray] = None) -> tuple:
+    """``(buf, layers, V)``: a zeroed flat buffer in the model layout
+    (fresh unless given) and its reshape views, per layer ``(W_i, W_h)``
+    of the given shapes, then ``V``."""
+    shapes = [shape for pair in layer_shapes for shape in pair] + [V_shape]
     sizes = [int(np.prod(shape)) for shape in shapes]
     buf = np.empty(sum(sizes), dtype=DTYPE) if buf is None else buf
     buf.fill(0.0)
@@ -296,19 +277,18 @@ def _carve(cells: List[CellParams], V_shape, buf: Optional[np.ndarray] = None) -
     return buf, list(zip(views[:-1:2], views[1:-1:2])), views[-1]
 
 
-def network_backward(cfg: EncoderConfig, cells: List[CellParams],
-                     head: HeadParams, trace: ForwardTrace,
-                     grad_logits: np.ndarray, out: Optional[np.ndarray] = None):
+def network_backward(model: Model, trace: ForwardTrace, grad_logits: np.ndarray,
+                     out: Optional[np.ndarray] = None):
     """Backpropagate from class-score gradients through head and encoder.
 
-    Gradients fill one flat buffer laid out like ``Model.params``: ``out``
+    Gradients fill one flat buffer laid out like ``model.params``: ``out``
     when given, else a fresh one. Returns views into it, ``(grad_V,
-    cell_grads)``, with ``cell_grads[i]`` the packed ``(dW_i, dW_h)`` blocks
-    that mirror ``cells[i].packed``.
+    layer_grads)``, with ``layer_grads[l]`` the stacked ``(dW_i, dW_h)``
+    blocks that mirror ``model.layers[l]``.
     ``grad_logits`` is (B, d); gradients are summed over the batch
     (softmax_xent's mean reduction already carries the 1/B factor).
     """
-    _check_cells(cfg, cells)
+    cfg, head = model.encoder, model.head
     gl = np.asarray(grad_logits, dtype=DTYPE)
     T = cfg.max_len
     sw = cfg.step_width
@@ -318,7 +298,8 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
                          f"(batch {B}, {head.num_classes} classes)")
     if trace.t0 or not trace.gates:
         raise ValueError("a resumed or forward-only trace serves the forward pass only")
-    _, grad_blocks, grad_V = _carve(cells, head.V.shape, out)
+    _, grad_layers, grad_V = _carve([(W_i.shape, W_h.shape) for W_i, W_h in model.layers],
+                                    head.V.shape, out)
 
     # Upstream gradient arriving at each layer's per-timestep output.
     dH = trace.buffer("dH", (cfg.layers, T, B, sw))
@@ -346,39 +327,63 @@ def network_backward(cfg: EncoderConfig, cells: List[CellParams],
         else:
             raise ValueError(f"unknown head kind {head.kind!r}")
 
-    D = cfg.directions
     for layer in range(cfg.layers - 1, -1, -1):
         # The input gradient of layer l is the upstream gradient of layer l-1.
         dX = dH[layer - 1] if layer > 0 else None
-        sequence_backward(cells[layer * D:(layer + 1) * D], trace.gate_traces[layer],
-                          dH[layer], dX=dX, grads=grad_blocks[layer * D:(layer + 1) * D])
+        sequence_backward(cfg.cell, model.layers[layer], trace.gate_traces[layer],
+                          dH[layer], dX=dX, grads=grad_layers[layer])
 
-    return grad_V, grad_blocks
+    return grad_V, grad_layers
 
 
 @dataclass
 class Model:
     """A trained (or trainable) classifier: encoder cells plus one head.
 
-    Construction copies both into a fresh flat buffer, ``params`` (cell by
-    cell ``W_i | b_i``, ``W_h | b_h``, then ``V``), and keeps cells and a
-    head whose arrays are views into it; no two models share storage."""
+    Construction checks the cells against the encoder config once and
+    copies cells and head into a fresh flat buffer, ``params``, laid out
+    layer by layer: layer l's stacked ``W_i | b_i`` block (D, k*n, m_l+1)
+    and ``W_h | b_h`` block (D, k*n, n+1), then ``V``. ``layers[l]`` is
+    that ``(W_i, W_h)`` pair, the kernels' weights; cell ``l*D + d``
+    packs their ``[d]`` slices and the head's ``V`` is the tail, all views
+    into ``params``, so no two models share storage. Cells are ordered
+    layer-major with the forward direction first:
+    ``[l0_fwd, l0_rev, l1_fwd, l1_rev, ...]``."""
 
     encoder: EncoderConfig
     cells: List[CellParams]
     head: HeadParams
     params: np.ndarray = field(init=False, repr=False)
+    layers: List[tuple] = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_cells(self.encoder, self.cells)
-        if self.head.V.shape[1] != self.encoder.head_width(self.head.kind):
+        cfg = self.encoder
+        if len(self.cells) != cfg.num_cells():
+            raise ValueError(
+                f"encoder needs {cfg.num_cells()} cells "
+                f"({cfg.layers} layers x {cfg.directions} directions), got {len(self.cells)}"
+            )
+        for idx, p in enumerate(self.cells):
+            want_in = cfg.cell_input_dim(idx)
+            if p.kind is not cfg.cell:
+                raise ValueError(f"cell {idx}: kind {p.kind.value!r} != config {cfg.cell.value!r}")
+            if p.hidden_dim != cfg.hidden_dim or p.input_dim != want_in:
+                raise ValueError(
+                    f"cell {idx}: dims ({p.input_dim}, {p.hidden_dim}) do not match "
+                    f"config ({want_in}, {cfg.hidden_dim})"
+                )
+        if self.head.V.shape[1] != cfg.head_width(self.head.kind):
             raise ValueError(
                 f"head V has {self.head.V.shape[1]} columns, encoder provides "
-                f"{self.encoder.head_width(self.head.kind)}"
+                f"{cfg.head_width(self.head.kind)}"
             )
-        self.params, blocks, V = _carve(self.cells, self.head.V.shape)
-        self.cells = [CellParams(p.kind, p.input_dim, p.hidden_dim, p.arrays, packed)
-                      for p, packed in zip(self.cells, blocks)]
+        D = cfg.directions
+        self.params, self.layers, V = _carve(
+            [tuple((D,) + W.shape for W in p.packed) for p in self.cells[::D]],
+            self.head.V.shape)
+        self.cells = [CellParams(p.kind, p.input_dim, p.hidden_dim, p.arrays,
+                                 tuple(W[i % D] for W in self.layers[i // D]))
+                      for i, p in enumerate(self.cells)]
         V[...] = self.head.V
         self.head = HeadParams(self.head.kind, V, self.head.mean_pool)
 
@@ -388,20 +393,19 @@ class Model:
 
     def forward(self, x, resume: Optional[tuple] = None, gates: bool = True) -> tuple:
         """``(logits, trace)``; ``resume`` and ``gates`` as in ``encode``."""
-        trace = encode(self.encoder, self.cells, x, resume, gates=gates)
+        trace = encode(self, x, resume, gates=gates)
         logits = head_forward(self.head, trace, self.encoder)
         return logits, trace
 
 
-def predict(cfg: EncoderConfig, cells: List[CellParams], head: HeadParams, x):
+def predict(model: Model, x):
     """(B,) predicted classes and (B, d) raw class scores for a batch.
 
     Ties break toward the lowest class index. Scores stay un-normalized;
     the softmax only matters inside the training loss and never changes
     the argmax.
     """
-    trace = encode(cfg, cells, x, gates=False)
-    logits = head_forward(head, trace, cfg)
+    logits, _ = model.forward(x, gates=False)
     return np.argmax(logits, axis=1), logits
 
 

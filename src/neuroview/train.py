@@ -209,14 +209,12 @@ def fit(dataset: DataSet, cfg: TrainConfig, encoder: EncoderConfig,
         losses, hits, seen = [], 0, 0
         for start in range(0, B, batch):
             idx = order[start:start + batch]
-            trace = traces[len(idx)] = encode(model.encoder, model.cells, X[idx],
-                                              out=traces.get(len(idx)))
+            trace = traces[len(idx)] = encode(model, X[idx], out=traces.get(len(idx)))
             logits = head_forward(model.head, trace, model.encoder)
             loss, grad_logits = softmax_xent(logits, y[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
-            network_backward(model.encoder, model.cells, model.head, trace,
-                             grad_logits, grad)
+            network_backward(model, trace, grad_logits, grad)
             norm = float(np.sqrt(grad @ grad))
             if not np.isfinite(norm):
                 raise TrainingDiverged(epoch, "gradient")

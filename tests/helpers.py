@@ -39,15 +39,19 @@ def max_tree_rel_err(analytic, numeric, floor=1e-8):
     return max(rel_err(analytic[k], numeric[k], floor) for k in analytic)
 
 
-def named_cell_grads(cells, cell_grads):
-    """Each cell's packed gradient blocks as a name -> view map."""
-    return [named_views(p.kind, p.hidden_dim, *g) for p, g in zip(cells, cell_grads)]
+def named_cell_grads(cells, layer_grads):
+    """Each cell's slices of ``network_backward``'s stacked per-layer
+    gradient blocks, cell ``l*D + d`` taking layer l's ``[d]``, as a
+    name -> view map."""
+    D = len(cells) // len(layer_grads)
+    return [named_views(p.kind, p.hidden_dim, *(G[i % D] for G in layer_grads[i // D]))
+            for i, p in enumerate(cells)]
 
 
-def grad_tree(cells, grad_V, cell_grads):
+def grad_tree(cells, grad_V, layer_grads):
     """``network_backward``'s gradients under ``param_tree``'s names."""
     tree = {f"cell{i}.{name}": g
-            for i, grads in enumerate(named_cell_grads(cells, cell_grads))
+            for i, grads in enumerate(named_cell_grads(cells, layer_grads))
             for name, g in grads.items()}
     tree["head.V"] = grad_V
     return tree

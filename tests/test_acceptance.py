@@ -37,7 +37,7 @@ from neuroview.network import (
 from neuroview.train import TrainConfig, evaluate, fit, param_tree, softmax_xent
 
 from helpers import finite_diff_tree, grad_tree, max_tree_rel_err
-from test_network import make_model
+from test_network import make_model, model_of
 
 MISSING_DATA = (
     "{name} train/test files not found (searched {roots}). Tests that read "
@@ -151,7 +151,7 @@ def test_c01_gradient_correctness(cell, head):
 
     logits, trace = model.forward(x)
     _, gl = softmax_xent(logits, label)
-    gV, cg = network_backward(model.encoder, model.cells, model.head, trace, gl)
+    gV, cg = network_backward(model, trace, gl)
     analytic = grad_tree(model.cells, gV, cg)
     numeric = finite_diff_tree(loss_of, param_tree(model), eps=1e-5)
     assert max_tree_rel_err(analytic, numeric, floor=1e-8) < 1e-6
@@ -294,8 +294,9 @@ def test_c09_reversal_duality():
         theta = init_params(kind, m, n, InitScheme(InitKind.UNIFORM, 13))
         cells = [theta, theta.copy()]
         x = np.random.default_rng(14).normal(size=(1, T, m))
-        fwd = encode(cfg, cells, x)
-        rev = encode(cfg, cells, x[:, ::-1].copy())
+        model = model_of(cfg, cells)
+        fwd = encode(model, x)
+        rev = encode(model, x[:, ::-1].copy())
         for t in range(T):
             np.testing.assert_array_equal(
                 fwd.hidden[0][t, 0, :n], rev.hidden[0][T - 1 - t, 0, n:]

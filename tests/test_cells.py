@@ -16,7 +16,7 @@ from neuroview.cells import (
     scheme_matrix,
     sequence_backward,
     sequence_forward,
-    _weights,
+    stack_cells,
 )
 from neuroview.network import EncoderConfig, HeadKind
 from neuroview.train import build_model
@@ -53,14 +53,14 @@ def cell_state(trace, t=-1, d=0):
 
 def test_rnn_zero_params_gives_half():
     p = zero_params(CellKind.SIMPLE_RNN, 3, 4)
-    trace = sequence_forward([p], np.array([[[9.0, -2.0, 1.0]]]))
+    trace = sequence_forward(p.kind, stack_cells([p]), np.array([[[9.0, -2.0, 1.0]]]))
     np.testing.assert_array_equal(trace.h[0, 0], np.full((1, 4), 0.5))
     np.testing.assert_array_equal(trace.aux[0, :, 0], np.zeros((4, 1)))  # pre-activation
 
 
 def test_lstm_zero_params_gives_zero_state():
     p = zero_params(CellKind.LSTM, 2, 3)
-    trace = sequence_forward([p], np.array([[[1.0, 2.0]]]))
+    trace = sequence_forward(p.kind, stack_cells([p]), np.array([[[1.0, 2.0]]]))
     np.testing.assert_array_equal(cell_state(trace), np.zeros((1, 3)))
     np.testing.assert_array_equal(trace.h[0, 0], np.zeros((1, 3)))
     np.testing.assert_array_equal(gate(trace, "f"), np.full((1, 3), 0.5))
@@ -93,7 +93,7 @@ def test_gru_scalar_hand_evaluation():
         for k, v in vals.items()
     }
     p = CellParams(CellKind.GRU, 1, 1, arrays)
-    trace = sequence_forward([p], np.array([[[x]]]), np.array([[[h_prev]]]))
+    trace = sequence_forward(p.kind, stack_cells([p]), np.array([[[x]]]), np.array([[[h_prev]]]))
     assert trace.h[0, 0, 0, 0] == pytest.approx(expected, rel=1e-14)
     assert gate(trace, "r")[0, 0] == pytest.approx(r, rel=1e-14)
     assert gate(trace, "z")[0, 0] == pytest.approx(z, rel=1e-14)
@@ -104,8 +104,8 @@ def test_forward_is_deterministic_and_pure():
     p = random_params(CellKind.GRU, 3, 5, 0)
     before = {k: v.copy() for k, v in p.arrays.items()}
     X = np.linspace(-1, 1, 3).reshape(1, 1, 3)
-    t1 = sequence_forward([p], X)
-    t2 = sequence_forward([p], X)
+    t1 = sequence_forward(p.kind, stack_cells([p]), X)
+    t2 = sequence_forward(p.kind, stack_cells([p]), X)
     np.testing.assert_array_equal(t1.h, t2.h)
     for k in before:
         np.testing.assert_array_equal(p.arrays[k], before[k])
@@ -119,7 +119,7 @@ def test_hidden_state_ranges():
         (CellKind.LSTM, -1.0, 1.0),
     ]:
         p = random_params(kind, 3, 6, 7)
-        trace = sequence_forward([p], rng.normal(size=(20, 1, 3)) * 3)
+        trace = sequence_forward(p.kind, stack_cells([p]), rng.normal(size=(20, 1, 3)) * 3)
         assert np.all(trace.h > lo) and np.all(trace.h < hi)
         for t in range(20):
             for name in GATES[kind]:
@@ -134,10 +134,10 @@ def test_gru_carry_gate_identity():
     # Saturating the carry gate (z == 1.0 exactly in float64) must return
     # the previous hidden state bit-for-bit.
     p = random_params(CellKind.GRU, 2, 4, 3)
-    p.arrays["b_iz"][:] = 50.0  # views into the packed blocks the kernel reads
+    p.arrays["b_iz"][:] = 50.0  # views into the packed blocks stack_cells reads
     p.arrays["b_hz"][:] = 50.0
     h_prev = np.random.default_rng(5).uniform(-0.9, 0.9, (1, 1, 4))
-    trace = sequence_forward([p], np.array([[[0.3, -0.7]]]), h_prev.copy())
+    trace = sequence_forward(p.kind, stack_cells([p]), np.array([[[0.3, -0.7]]]), h_prev.copy())
     np.testing.assert_array_equal(gate(trace, "z"), np.ones((1, 4)))
     np.testing.assert_array_equal(trace.h[0], h_prev)
 
@@ -152,15 +152,16 @@ def test_cell_step_is_the_one_step_kernel():
         x, h0, c0, dh, dc = (rng.normal(size=(2, s)) for s in (3, 4, 4, 4, 4))
         c0, dc = (c0, dc) if lstm else (None, None)
         trace = cell_forward(p, x, h0, c0)
-        want = sequence_forward([p], x[None], h0[None], None if c0 is None else c0[None])
+        want = sequence_forward(p.kind, stack_cells([p]), x[None], h0[None],
+                                None if c0 is None else c0[None])
         np.testing.assert_array_equal(trace.ha, want.ha)
         np.testing.assert_array_equal(trace.gates, want.gates)
         grads, dh0, dc0, dx = cell_backward(p, trace, dh, dc)
         dX = np.zeros((1, 2, 3))
         want_grads, want_dh0, want_dc0 = sequence_backward(
-            [p], want, dh[None], None if dc is None else dc[None], dX)
-        for got, w in zip(grads, want_grads[0]):
-            np.testing.assert_array_equal(got, w)
+            p.kind, stack_cells([p]), want, dh[None], None if dc is None else dc[None], dX)
+        for got, w in zip(grads, want_grads):
+            np.testing.assert_array_equal(got, w[0])
         np.testing.assert_array_equal(dh0, want_dh0[0])
         np.testing.assert_array_equal(dx, dX[0])
         if lstm:
@@ -183,11 +184,11 @@ def test_backward_zero_upstream_gives_zero_grads():
         h0 = rng.uniform(-0.5, 0.5, (1, 1, 4))
         c0 = rng.uniform(-0.5, 0.5, (1, 1, 4)) if lstm else None
         X = rng.normal(size=(1, 1, 3))
-        trace = sequence_forward([p], X, h0, c0)
+        trace = sequence_forward(p.kind, stack_cells([p]), X, h0, c0)
         dX = np.zeros_like(X)
-        grads, dh, dc = sequence_backward([p], trace, np.zeros((1, 1, 4)),
+        grads, dh, dc = sequence_backward(p.kind, stack_cells([p]), trace, np.zeros((1, 1, 4)),
                                           np.zeros((1, 1, 4)) if lstm else None, dX)
-        for g in grads[0]:
+        for g in grads:
             assert not g.any()
         assert not dh.any() and not dX.any()
         if lstm:
@@ -210,7 +211,8 @@ def _fd_check(kind, m, n, seed, T=1, D=1, B=1, tol=1e-6):
     w_c = rng.normal(size=(D, B, n)) if lstm else None
 
     def scalar():
-        trace = sequence_forward(cells, inputs["X"], inputs["h0"], inputs.get("c0"))
+        trace = sequence_forward(kind, stack_cells(cells), inputs["X"], inputs["h0"],
+                                 inputs.get("c0"))
         # The reverse direction is stored in processing order.
         H = np.concatenate([trace.h[:, 0], trace.h[::-1, 1]] if D == 2 else [trace.h[:, 0]],
                            axis=-1)
@@ -219,13 +221,14 @@ def _fd_check(kind, m, n, seed, T=1, D=1, B=1, tol=1e-6):
             total += float(np.sum(w_c * trace.aux[T - 1].transpose(1, 2, 0)))
         return total
 
-    trace = sequence_forward(cells, inputs["X"], inputs["h0"], inputs.get("c0"))
+    weights = stack_cells(cells)
+    trace = sequence_forward(kind, weights, inputs["X"], inputs["h0"], inputs.get("c0"))
     dX = np.zeros_like(inputs["X"])
-    grads, dh0, dc0 = sequence_backward(cells, trace, w_h, w_c, dX)
+    grads, dh0, dc0 = sequence_backward(kind, weights, trace, w_h, w_c, dX)
 
-    for p, g in zip(cells, grads):
+    for d, p in enumerate(cells):
         fd_params = finite_diff_tree(scalar, p.arrays)
-        assert max_tree_rel_err(named_views(kind, n, *g), fd_params) < tol
+        assert max_tree_rel_err(named_views(kind, n, *(g[d] for g in grads)), fd_params) < tol
     fd_inputs = finite_diff_tree(scalar, inputs)
     assert rel_err(dh0, fd_inputs["h0"]) < tol
     assert rel_err(dX, fd_inputs["X"]) < tol
@@ -276,12 +279,12 @@ def test_batched_backward_sums_over_batch():
         gc = rng.normal(size=(1, B, 4)) if lstm else None
 
         def run(rows):
-            trace = sequence_forward([p], X[:, rows], hp[:, rows],
+            trace = sequence_forward(p.kind, stack_cells([p]), X[:, rows], hp[:, rows],
                                      None if cp is None else cp[:, rows])
             dX = np.zeros_like(X[:, rows])
-            grads, dh, _ = sequence_backward([p], trace, gh[:, rows],
+            grads, dh, _ = sequence_backward(p.kind, stack_cells([p]), trace, gh[:, rows],
                                              None if gc is None else gc[:, rows], dX)
-            return grads[0], dh, dX
+            return grads, dh, dX
 
         grads, dh, dX = run(slice(None))
         summed = [np.zeros_like(g) for g in grads]
@@ -369,10 +372,10 @@ def test_params_shape_validation():
 
 # ------------------------------------------------- one loop for two directions
 
-def _layer_run(cells, X, h0, c0, dH, grad_c, dX):
+def _layer_run(kind, weights, X, h0, c0, dH, grad_c, dX):
     """One forward and backward pass of the kernel; ``dX`` is added into."""
-    trace = sequence_forward(cells, X, h0, c0)
-    grads, gh0, gc0 = sequence_backward(cells, trace, dH, grad_c, dX)
+    trace = sequence_forward(kind, weights, X, h0, c0)
+    grads, gh0, gc0 = sequence_backward(kind, weights, trace, dH, grad_c, dX)
     return trace, grads, gh0, gc0
 
 
@@ -386,14 +389,9 @@ def test_two_direction_loop_equals_two_one_direction_runs(kind, B, shared):
     T, m, n = 7, 3, 5
     enc = EncoderConfig(kind, m, n, T, bidirectional=True)
     model = build_model(enc, HeadKind.AVERAGE_POOL, 2, InitScheme(InitKind.UNIFORM, B))
-    cells = model.cells
-    if shared:
-        # A layer's cells in a model's buffer lend the loop their weights
-        # as one view; loose cells get a stacked copy.
-        for block in (0, 1):
-            assert np.shares_memory(_weights(cells, block), model.params)
-    else:
-        cells = [p.copy() for p in cells]
+    # A model's layer weights are views of its buffer; loose cells are
+    # stacked into a copy.
+    weights = model.layers[0] if shared else stack_cells([p.copy() for p in model.cells])
     rng = np.random.default_rng(B)
     X = rng.normal(size=(T, B, m))
     h0 = rng.normal(size=(2, B, n))
@@ -403,23 +401,56 @@ def test_two_direction_loop_equals_two_one_direction_runs(kind, B, shared):
     dX0 = rng.normal(size=(T, B, m))
 
     dX = dX0.copy()
-    both = _layer_run(cells, X, h0, c0, dH, grad_c, dX)
+    both = _layer_run(kind, weights, X, h0, c0, dH, grad_c, dX)
     dXf = dX0.copy()
-    fwd = _layer_run(cells[:1], X, h0[:1], c0 if c0 is None else c0[:1],
-                     dH[..., :n], grad_c if grad_c is None else grad_c[:1], dXf)
+    fwd = _layer_run(kind, tuple(W[:1] for W in weights), X, h0[:1],
+                     c0 if c0 is None else c0[:1], dH[..., :n],
+                     grad_c if grad_c is None else grad_c[:1], dXf)
     dXr = np.zeros_like(dX0)
-    rev = _layer_run(cells[1:], X[::-1].copy(), h0[1:], c0 if c0 is None else c0[1:],
-                     dH[::-1, :, n:].copy(), grad_c if grad_c is None else grad_c[1:], dXr)
+    rev = _layer_run(kind, tuple(W[1:] for W in weights), X[::-1].copy(), h0[1:],
+                     c0 if c0 is None else c0[1:], dH[::-1, :, n:].copy(),
+                     grad_c if grad_c is None else grad_c[1:], dXr)
 
     for d, single in enumerate((fwd, rev)):
         # The direction axis: (T, D, B, .) for xa and ha, (T, ., D, B) else.
         for name, axis in (("xa", 1), ("ha", 1), ("gates", 2), ("aux", 2)):
             np.testing.assert_array_equal(np.take(getattr(both[0], name), d, axis),
                                           np.take(getattr(single[0], name), 0, axis))
-        for got, want in zip(both[1][d], single[1][0]):
-            np.testing.assert_array_equal(got, want)
+        for got, want in zip(both[1], single[1]):
+            np.testing.assert_array_equal(got[d], want[0])
         np.testing.assert_array_equal(both[2][d], single[2][0])
         if lstm:
             np.testing.assert_array_equal(both[3][d], single[3][0])
     # The forward direction's share of the input gradient is added first.
     np.testing.assert_array_equal(dX, dXf + dXr[::-1])
+
+
+@pytest.mark.parametrize("layers,bidir", [(1, False), (2, True)], ids=["1-uni", "2-bidir"])
+@pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.value)
+def test_model_layers_are_layer_major_views_of_params(kind, layers, bidir):
+    # ``params`` holds, layer by layer, the (D, k*n, m_l+1) block W_i | b_i
+    # and the (D, k*n, n+1) block W_h | b_h, then V; cell l*D + d packs the
+    # [d] slices of its layer's blocks. Distinct values in the buffer tie
+    # each view to its offset.
+    m, n = 3, 4
+    enc = EncoderConfig(kind, m, n, 5, layers=layers, bidirectional=bidir)
+    model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme(InitKind.UNIFORM, 1))
+    model.params[:] = np.arange(model.params.size)
+    D, rows = enc.directions, len(GATES[kind]) * n
+    offset = 0
+    assert len(model.layers) == layers
+    for layer, blocks in enumerate(model.layers):
+        m_l = m if layer == 0 else D * n
+        for W, cols in zip(blocks, (m_l + 1, n + 1)):
+            assert W.shape == (D, rows, cols)
+            assert np.shares_memory(W, model.params)
+            np.testing.assert_array_equal(W.ravel(), np.arange(offset, offset + W.size))
+            offset += W.size
+        for d in range(D):
+            packed = model.cells[layer * D + d].packed
+            for P, W in zip(packed, blocks):
+                assert np.shares_memory(P, model.params)
+                np.testing.assert_array_equal(P, W[d])
+    V = model.head.V
+    np.testing.assert_array_equal(V.ravel(), np.arange(offset, offset + V.size))
+    assert offset + V.size == model.params.size

@@ -186,6 +186,16 @@ def test_time_analysis_validates_args(trained):
         time_analysis(model, ds, 9, 1)
     with pytest.raises(ValueError, match="k must be"):
         time_analysis(model, ds, 0, ds.horizon + 1)
+    # A one-layer, one-direction model has only layer 0 and direction 0.
+    for layer in (1, -1):
+        with pytest.raises(ValueError, match=rf"layer {layer} outside \[0, 1\)"):
+            time_analysis(model, ds, 0, 1, layer=layer)
+    for direction in (1, -1):
+        with pytest.raises(ValueError, match=rf"direction {direction} outside \[0, 1\)"):
+            time_analysis(model, ds, 0, 1, direction=direction)
+        with pytest.raises(ValueError, match="direction"):
+            rank_timesteps(model.head, model.encoder, 0, AblationMode.TOP_POSITIVE,
+                           direction=direction)
 
 
 def test_time_analysis_weights_target_full_zeroing(trained):
@@ -340,8 +350,8 @@ def _count_passes(monkeypatch):
     passes = []
     real = network.encode
 
-    def counted(cfg, cells, x, resume=None, out=None, gates=True):
-        trace = real(cfg, cells, x, resume, out, gates=gates)
+    def counted(model, x, resume=None, out=None, gates=True):
+        trace = real(model, x, resume, out, gates=gates)
         passes.append((resume is not None, trace))
         return trace
 

@@ -13,6 +13,7 @@ from neuroview.cells import (
     param_shapes,
     sequence_backward,
     sequence_forward,
+    stack_cells,
 )
 from neuroview.network import (
     EncoderConfig,
@@ -41,12 +42,17 @@ def make_model(cell, head, n=3, m=2, T=4, d=2, layers=1, bidir=False, seed=0):
     return Model(cfg, cells, head_params)
 
 
+def model_of(cfg, cells):
+    """A model of the given cells with a two-class nv head, for ``encode``."""
+    return Model(cfg, cells, init_head(cfg, HeadKind.NEUROVIEW, 2, 0))
+
+
 # ------------------------------------------------------------------ encode
 
 def test_encode_single_step_reduces_to_cell_forward():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=1)
     x = np.array([[[0.4, -0.9]]])
-    trace = encode(model.encoder, model.cells, x)
+    trace = encode(model, x)
     step = cell_forward(model.cells[0], x[:, 0])
     np.testing.assert_array_equal(trace.hidden[0][0], step.h[0, 0])
 
@@ -59,7 +65,7 @@ def test_bidirectional_palindrome_symmetry():
     rng = np.random.default_rng(2)
     half = rng.normal(size=(2, m))
     x = np.vstack([half, rng.normal(size=(1, m)), half[::-1]])  # palindrome
-    trace = encode(cfg, cells, x[None])
+    trace = encode(model_of(cfg, cells), x[None])
     h_f = trace.hidden[0][:, 0, :n]
     h_r = trace.hidden[0][:, 0, n:]
     for t in range(T):
@@ -76,8 +82,8 @@ def test_reversal_duality():
     cfg = EncoderConfig(CellKind.LSTM, m, n, T, bidirectional=True)
     x = rng.normal(size=(T, m))
 
-    fwd = encode(cfg, [theta_f, theta_r], x[None])
-    rev = encode(cfg, [theta_r, theta_f], x[None, ::-1].copy())
+    fwd = encode(model_of(cfg, [theta_f, theta_r]), x[None])
+    rev = encode(model_of(cfg, [theta_r, theta_f]), x[None, ::-1].copy())
     for t in range(T):
         np.testing.assert_array_equal(
             fwd.hidden[0][t, 0, :n], rev.hidden[0][T - 1 - t, 0, n:]
@@ -93,23 +99,24 @@ def test_stacked_zero_second_layer_rnn():
     l0 = init_params(CellKind.SIMPLE_RNN, m, n, InitScheme(InitKind.UNIFORM, 0))
     shapes = param_shapes(CellKind.SIMPLE_RNN, n, n)
     l1 = CellParams(CellKind.SIMPLE_RNN, n, n, {k: np.zeros(s) for k, s in shapes.items()})
-    trace = encode(cfg, [l0, l1], np.random.default_rng(1).normal(size=(1, T, m)))
+    trace = encode(model_of(cfg, [l0, l1]), np.random.default_rng(1).normal(size=(1, T, m)))
     np.testing.assert_array_equal(trace.hidden[1], np.full((T, 1, n), 0.5))
 
 
 def test_encode_wrong_cell_count():
+    # A model checks its cells once, at construction, not on each encode.
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW)
     with pytest.raises(ValueError, match="needs 1 cells"):
-        encode(model.encoder, model.cells * 2, np.zeros((1, 4, 2)))
+        Model(model.encoder, model.cells * 2, model.head)
 
 
 def test_encode_wrong_horizon():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=4)
     with pytest.raises(ValueError, match="shape"):
-        encode(model.encoder, model.cells, np.zeros((1, 5, 2)))
+        encode(model, np.zeros((1, 5, 2)))
     # One sequence is a batch of one; a bare (T, m) array is no batch.
     with pytest.raises(ValueError, match="expected a batch"):
-        encode(model.encoder, model.cells, np.zeros((4, 2)))
+        encode(model, np.zeros((4, 2)))
 
 
 # ------------------------------------------------------------------- heads
@@ -145,7 +152,7 @@ def test_encode_rejects_kind_mismatch():
     cfg = EncoderConfig(CellKind.GRU, 2, 3, 4)
     wrong = [init_params(CellKind.LSTM, 2, 3, InitScheme())]
     with pytest.raises(ValueError, match="kind"):
-        encode(cfg, wrong, np.zeros((1, 4, 2)))
+        model_of(cfg, wrong)
 
 
 def test_nv_features_equal_raw_hidden_for_sigmoid_rnn():
@@ -234,15 +241,14 @@ def test_nv_padded_tail_contributes_nothing_extra():
 
 def test_bidirectional_step_width():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, n=5, bidir=True)
-    trace = encode(model.encoder, model.cells,
-                   np.random.default_rng(0).normal(size=(1, 4, 2)))
+    trace = encode(model, np.random.default_rng(0).normal(size=(1, 4, 2)))
     assert trace.hidden[0].shape[2] == 10
 
 
 def test_head_width_mismatch_error():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW)
     bad_head = HeadParams(HeadKind.NEUROVIEW, np.zeros((2, 7)))
-    trace = encode(model.encoder, model.cells, np.zeros((1, 4, 2)))
+    trace = encode(model, np.zeros((1, 4, 2)))
     with pytest.raises(ValueError, match="width mismatch"):
         head_forward(bad_head, trace, model.encoder)
 
@@ -252,8 +258,7 @@ def test_head_width_mismatch_error():
 def test_predict_tie_breaks_to_lowest_index():
     model = make_model(CellKind.SIMPLE_RNN, HeadKind.NEUROVIEW)
     model.head.V[:] = 0.0  # logits (0, 0) for any input
-    cls, logits = predict(model.encoder, model.cells, model.head,
-                          np.zeros((1, 4, 2)))
+    cls, logits = predict(model, np.zeros((1, 4, 2)))
     np.testing.assert_array_equal(logits, [[0.0, 0.0]])
     np.testing.assert_array_equal(cls, [0])
 
@@ -263,8 +268,7 @@ def test_predict_argmax():
     # sigmoid states are positive, so an all-positive class-1 row wins
     model.head.V[0, :] = -1.0
     model.head.V[1, :] = 3.0
-    cls, logits = predict(model.encoder, model.cells, model.head,
-                          np.random.default_rng(5).normal(size=(1, 4, 2)))
+    cls, logits = predict(model, np.random.default_rng(5).normal(size=(1, 4, 2)))
     assert logits[0, 1] > logits[0, 0]
     np.testing.assert_array_equal(cls, [1])
 
@@ -274,9 +278,9 @@ def test_predict_argmax_invariant_under_positive_scaling():
     for seed in range(10):
         model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, d=4, seed=seed)
         x = rng.normal(size=(1, 4, 2))
-        cls, _ = predict(model.encoder, model.cells, model.head, x)
+        cls, _ = predict(model, x)
         model.head.V *= 37.5
-        cls_scaled, _ = predict(model.encoder, model.cells, model.head, x)
+        cls_scaled, _ = predict(model, x)
         np.testing.assert_array_equal(cls, cls_scaled)
 
 
@@ -287,11 +291,9 @@ def test_backward_zero_upstream_gives_zero_grads():
         model = make_model(CellKind.LSTM, head, layers=2, bidir=True)
         x = np.random.default_rng(1).normal(size=(1, 4, 2))
         _, trace = model.forward(x)
-        gV, cell_grads = network_backward(
-            model.encoder, model.cells, model.head, trace, np.zeros((1, 2))
-        )
+        gV, layer_grads = network_backward(model, trace, np.zeros((1, 2)))
         assert not gV.any()
-        for grads in cell_grads:
+        for grads in layer_grads:
             for g in grads:
                 assert not g.any()
 
@@ -310,7 +312,7 @@ def _full_network_fd(cell, head, layers, bidir, seed, tol=1e-6,
 
     logits, trace = model.forward(x)
     _, gl = softmax_xent(logits, label)
-    gV, cg = network_backward(model.encoder, model.cells, model.head, trace, gl)
+    gV, cg = network_backward(model, trace, gl)
     analytic = grad_tree(model.cells, gV, cg)
     numeric = finite_diff_tree(loss_of, param_tree(model))
     assert max_tree_rel_err(analytic, numeric) < tol
@@ -339,7 +341,7 @@ def _stacked_fd(cell, head, layers, bidir, seed, tol=1e-6, n=3, m=2, T=4, d=2):
         return float(np.sum(w * logits))
 
     _, trace = model.forward(x)
-    gV, cg = network_backward(model.encoder, model.cells, model.head, trace, w)
+    gV, cg = network_backward(model, trace, w)
     analytic = grad_tree(model.cells, gV, cg)
     numeric = finite_diff_tree(scalar, param_tree(model))
     assert max_tree_rel_err(analytic, numeric) < tol
@@ -370,7 +372,8 @@ def _stepwise_network(model, x, grad_logits):
             c = np.zeros((1, B, n)) if lstm else None
             H, rec = np.empty((T, B, n)), [None] * T
             for t in (range(T) if d == 0 else range(T - 1, -1, -1)):
-                tr = sequence_forward([model.cells[layer * D + d]], X[t][None], h, c)
+                tr = sequence_forward(cfg.cell, stack_cells([model.cells[layer * D + d]]),
+                                      X[t][None], h, c)
                 h = tr.h[0]
                 c = tr.aux[0].transpose(1, 2, 0) if lstm else None
                 H[t], rec[t] = h[0], tr
@@ -399,10 +402,10 @@ def _stepwise_network(model, x, grad_logits):
             for t in (range(T - 1, -1, -1) if d == 0 else range(T)):
                 dx = np.zeros((1, B, p.input_dim))
                 grads, carry_h, carry_c = sequence_backward(
-                    [p], steps[layer][d][t],
+                    p.kind, stack_cells([p]), steps[layer][d][t],
                     dH[layer][t][None, :, d * n:(d + 1) * n] + carry_h, carry_c, dx)
-                for a, g in zip(acc, grads[0]):
-                    a += g
+                for a, g in zip(acc, grads):
+                    a += g[0]
                 dX[t] += dx[0]
             cell_grads[idx] = named_views(p.kind, n, *acc)
         if layer > 0:
@@ -426,15 +429,14 @@ def test_sequence_kernel_matches_stepwise_cells(cell, bidir, layers):
     gl = rng.normal(size=(5, 3))
 
     logits, trace = model.forward(x)
-    grad_V, cell_grads = network_backward(
-        model.encoder, model.cells, model.head, trace, gl)
+    grad_V, layer_grads = network_backward(model, trace, gl)
     hidden, want_logits, want_V, want_grads = _stepwise_network(model, x, gl)
 
     for got, want in zip(trace.hidden, hidden):
         _assert_rel_close(got, want)
     _assert_rel_close(logits, want_logits)
     _assert_rel_close(grad_V, want_V)
-    for got, want in zip(named_cell_grads(model.cells, cell_grads), want_grads):
+    for got, want in zip(named_cell_grads(model.cells, layer_grads), want_grads):
         assert list(got) == list(want)
         for k in want:
             _assert_rel_close(got[k], want[k])
@@ -444,9 +446,9 @@ def test_backward_shape_errors():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW)
     _, trace = model.forward(np.zeros((1, 4, 2)))
     with pytest.raises(ValueError, match="classes"):
-        network_backward(model.encoder, model.cells, model.head, trace, np.zeros((1, 5)))
+        network_backward(model, trace, np.zeros((1, 5)))
     with pytest.raises(ValueError, match="batch"):
-        network_backward(model.encoder, model.cells, model.head, trace, np.zeros(2))
+        network_backward(model, trace, np.zeros(2))
 
 
 def test_model_validates_head_width():
@@ -503,10 +505,10 @@ _TRACE_ARRAYS = ("xa", "ha", "gates", "aux", "h0a", "c0")
 def _pass(model, x, gl, out=None):
     """Forward and backward; returns the logits, the trace and the flat
     gradient."""
-    trace = encode(model.encoder, model.cells, x, out=out)
+    trace = encode(model, x, out=out)
     logits = head_forward(model.head, trace, model.encoder)
     grad = np.empty_like(model.params)
-    network_backward(model.encoder, model.cells, model.head, trace, gl, grad)
+    network_backward(model, trace, gl, grad)
     return logits, trace, grad
 
 
@@ -588,7 +590,7 @@ def test_resumed_trace_cannot_be_backpropagated():
     _, base = model.forward(x)
     _, resumed = model.forward(x, (base, 2))
     with pytest.raises(ValueError, match="forward pass only"):
-        network_backward(model.encoder, model.cells, model.head, resumed, np.ones((2, 2)))
+        network_backward(model, resumed, np.ones((2, 2)))
 
 
 # ------------------------------------------------------ forward-only passes
@@ -646,7 +648,7 @@ def test_forward_only_pass_with_a_horizon_below_chunk(cell, head):
     np.testing.assert_array_equal(got, want)
     for got_h, want_h in zip(trace.hidden, full.hidden):
         np.testing.assert_array_equal(got_h, want_h)
-    _, logits = predict(model.encoder, model.cells, model.head, x)
+    _, logits = predict(model, x)
     np.testing.assert_array_equal(logits, want)
 
 
@@ -656,10 +658,10 @@ def test_forward_only_pass_into_an_earlier_one_reuses_its_chunk_buffers(cell):
     model = make_model(cell, HeadKind.NEUROVIEW, n=4, m=2, T=T, d=3, seed=6)
     x1, x2 = np.random.default_rng(2).normal(size=(2, 5, T, 2))
     want, _ = model.forward(x2)
-    prev = encode(model.encoder, model.cells, x1, gates=False)
+    prev = encode(model, x1, gates=False)
     lent = dict(prev.gate_traces[0].buffers)
     assert lent
-    trace = encode(model.encoder, model.cells, x2, out=prev, gates=False)
+    trace = encode(model, x2, out=prev, gates=False)
     np.testing.assert_array_equal(head_forward(model.head, trace, model.encoder), want)
     for name, arr in lent.items():
         assert np.shares_memory(trace.gate_traces[0].buffers[name], arr), name
@@ -670,6 +672,7 @@ def test_forward_only_trace_cannot_be_backpropagated():
     x = np.ones((2, 5, 2))
     _, trace = model.forward(x, gates=False)
     with pytest.raises(ValueError, match="forward pass only"):
-        network_backward(model.encoder, model.cells, model.head, trace, np.ones((2, 2)))
+        network_backward(model, trace, np.ones((2, 2)))
     with pytest.raises(ValueError, match="forward-only"):
-        sequence_backward(model.cells, trace.gate_traces[0], np.ones((5, 2, 3)))
+        sequence_backward(CellKind.LSTM, model.layers[0], trace.gate_traces[0],
+                          np.ones((5, 2, 3)))

@@ -294,9 +294,8 @@ def _reference_fit(ds, cfg, enc, head, init):
             idx = order[start:start + batch]
             logits, trace = model.forward(X[idx])
             loss, grad_logits = softmax_xent(logits, y[idx])
-            grad_V, cell_grads = network_backward(
-                model.encoder, model.cells, model.head, trace, grad_logits)
-            grads = grad_tree(model.cells, grad_V, cell_grads)
+            grad_V, layer_grads = network_backward(model, trace, grad_logits)
+            grads = grad_tree(model.cells, grad_V, layer_grads)
             step += 1
             bc1, bc2 = 1.0 - cfg.beta1 ** step, 1.0 - cfg.beta2 ** step
             for k, g in grads.items():
