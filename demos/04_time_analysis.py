@@ -6,8 +6,8 @@ data at the top-K of them for every test sequence, and watch the accuracy
 respond. Zeroing the most positive steps starves the class of evidence;
 zeroing the most negative steps removes counter-evidence and should never
 meaningfully hurt it. Each table is one ``sweep`` call: the unablated
-forward pass runs once, and each ablated pass starts at the first zeroed
-step.
+forward pass runs once, and each ablated pass resumes in its arrays at the
+first zeroed step.
 """
 
 from neuroview import (

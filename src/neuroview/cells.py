@@ -73,11 +73,13 @@ one of two contiguous (n, D, B) buffers and copies it once into the
 batch-major ``ha``, which the hidden GEMM reads as before.
 
 A forward-only pass (``gates=False``), which no backward pass follows,
-keeps no gate trace: the loop runs over chunks of ``CHUNK`` steps, and
-one GEMM per chunk writes that chunk's ``gi`` into a buffer of CHUNK
-steps, reused from chunk to chunk, so the gates a step reads are still
-in cache. The rnn's pre-activations and the GRU's ``aux`` live in such a
-buffer too; the LSTM keeps its cell states, which a resumed pass reads.
+keeps no inputs and no gate trace: the loop runs over chunks of
+``CHUNK`` steps, copies each chunk's inputs into a buffer of CHUNK steps
+and writes their ``gi`` into another with one GEMM, both reused from
+chunk to chunk, so the gates a step reads are still in cache. The rnn's
+pre-activations live in such a buffer too; the GRU forms no ``aux``,
+which only BPTT reads, and the LSTM keeps its cell states, which a
+resumed pass reads.
 A full pass is the same loop with one chunk of T steps, and both give
 bit-identical states. ``sequence_backward`` runs BPTT over that trace in
 one loop too: per step one gate-major gate-gradient block and its
@@ -102,6 +104,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -265,9 +268,10 @@ class SequenceTrace(Buffered):
                              lstm: cell state c
       h0a    (D, B, n+1)     initial hidden state;  c0 (n, D, B): initial
                              cell state (lstm only)
-    A forward-only trace has no ``gates``, and no ``aux`` but the lstm's.
-    ``buffers`` holds the kernels' work arrays: the GRU's state buffers,
-    a forward-only pass's CHUNK-step gate buffers and
+    A forward-only trace has no ``xa`` and no ``gates``, and no ``aux``
+    but the lstm's. ``buffers`` holds the kernels' work arrays: the GRU's
+    state buffers, a forward-only pass's CHUNK-step input and gate
+    buffers and
     ``sequence_backward``'s per-timestep arrays; a trace built with this
     one as ``out`` takes them over.
     """
@@ -320,35 +324,38 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
     fresh run would give; ``out`` must not be read afterwards.
 
     ``gates=False`` makes a forward-only pass, which ``sequence_backward``
-    rejects: the gates, and ``aux`` but for the lstm's cell states, live
-    in ``buffers`` for CHUNK steps at a time, and the trace's ``gates`` and
-    ``aux`` (lstm: kept) are None. Its states are bit-identical."""
+    rejects: the inputs, the gates and the rnn's ``aux`` live in
+    ``buffers`` for CHUNK steps at a time, the GRU forms no ``aux``, and
+    the trace's ``xa``, ``gates`` and ``aux`` (lstm: kept) are None. Its
+    states are bit-identical."""
     W_i, W_h = weights
     D, rows, _ = W_i.shape
     T, B, m = X.shape
     n = W_h.shape[-1] - 1
     s = _SIGMOID_GATES[kind] * n
     old = out if out is not None else SequenceTrace(kind, *[None] * 5)
-    xa = scratch(old.xa, (T, D, B, m + 1))
-    xa[:, 0, :, :m] = X
-    if D == 2:
-        xa[:, 1, :, :m] = X[::-1]
-    xa[..., m] = 1.0
     ha = scratch(old.ha, (T, D, B, n + 1))
     ha[..., n] = 1.0
-    trace = SequenceTrace(kind, xa, ha, None, None,
+    trace = SequenceTrace(kind, None, ha, None, None,
                           *_initial_state(kind, n, D, B, h0, c0), old.buffers)
     c = trace.c0
     # Unit-major views of the states, (n, D, B) per step, and the GEMM
     # operands (n+1, B) per step and direction.
     H = ha[..., :n].transpose(0, 3, 1, 2)
     haT, hT_prev = ha.transpose(0, 1, 3, 2), trace.h0a.transpose(0, 2, 1)
-    # Gates and aux hold every step, or CHUNK steps in a forward-only pass
-    # (the lstm's cell states always every step). The input projections,
-    # biases included, go into the gates (rnn: aux) in one GEMM per chunk.
+    # Inputs, gates and aux hold every step, or CHUNK steps in a
+    # forward-only pass, where the lstm's cell states still hold every
+    # step and the GRU forms no aux. The input projections, biases
+    # included, go into the gates (rnn: aux) in one GEMM per chunk.
     span = T if gates else min(T, CHUNK)
-    aux = (scratch(old.aux, (T, n, D, B)) if gates or kind is CellKind.LSTM
-           else trace.buffer("aux", (span, n, D, B)))
+    xa = scratch(old.xa, (T, D, B, m + 1)) if gates else trace.buffer("xa", (span, D, B, m + 1))
+    xa[..., m] = 1.0
+    if gates or kind is CellKind.LSTM:
+        aux = scratch(old.aux, (T, n, D, B))
+    elif kind is CellKind.SIMPLE_RNN:
+        aux = trace.buffer("aux", (span, n, D, B))
+    else:
+        aux = None
     if kind is CellKind.SIMPLE_RNN:
         G = H
     elif gates:
@@ -367,10 +374,14 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
     for lo in range(0, T, span):
         hi = min(lo + span, T)
         # Steps lo..hi-1: of an array of all T steps, or a chunk buffer.
-        Gc, A = (a[lo:hi] if len(a) == T else a[:hi - lo] for a in (G, aux))
-        np.matmul(W_i, xa[lo:hi].transpose(0, 1, 3, 2),
+        Gc, A, xc = (a if a is None else a[lo:hi] if len(a) == T else a[:hi - lo]
+                     for a in (G, aux, xa))
+        xc[:, 0, :, :m] = X[lo:hi]
+        if D == 2:
+            xc[:, 1, :, :m] = X[::-1][lo:hi]
+        np.matmul(W_i, xc.transpose(0, 1, 3, 2),
                   out=(A if kind is CellKind.SIMPLE_RNN else Gc).transpose(0, 2, 1, 3))
-        for g, h, a, hT in zip(Gc, H[lo:hi], A, haT[lo:hi]):
+        for g, h, a, hT in zip(Gc, H[lo:hi], repeat(None) if A is None else A, haT[lo:hi]):
             np.matmul(W_h, hT_prev, out=ghT)
             if kind is CellKind.SIMPLE_RNN:
                 a += gh
@@ -378,7 +389,8 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
             elif kind is CellKind.GRU:
                 g[:s] += gh[:s]
                 g[:s] = sigmoid(g[:s])
-                a[...] = gh[s:]
+                if a is not None:
+                    a[...] = gh[s:]
                 gh[s:] *= g[:n]
                 g[s:] += gh[s:]
                 np.tanh(g[s:], out=g[s:])
@@ -399,7 +411,7 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
             hT_prev = hT
 
     if gates:
-        trace.gates, trace.aux = G, aux
+        trace.xa, trace.gates, trace.aux = xa, G, aux
     elif kind is CellKind.LSTM:
         trace.aux = aux
     return trace

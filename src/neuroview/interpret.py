@@ -14,9 +14,10 @@ material for:
                    timesteps and re-evaluate the model.
 
 ``sweep`` evaluates many such rows on one unablated forward pass: a
-classifier-block row masks that pass's nv features, input rows with the
-same zeroed steps share one pass, and a unidirectional encoder's pass
-resumes from the unablated states at the first zeroed step.
+classifier-block row masks that pass's nv features in place, input rows
+with the same zeroed steps share one pass, and each such pass writes into
+the unablated pass's arrays, a unidirectional encoder's from its first
+zeroed step on.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .linalg import DTYPE
-from .network import EncoderConfig, ForwardTrace, HeadKind, HeadParams, Model
+from .network import EncoderConfig, HeadKind, HeadParams, Model, encode, head_forward
 from .data import DataSet
 from .train import EvalReport, eval_report
 
@@ -150,14 +151,16 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
     target zeroes the classifier's weight blocks instead, which equals
     zeroing those (layer, step) blocks of the nv features ``q``.
 
-    The unablated forward pass runs once. A WEIGHTS row is a masked copy
-    of that pass's ``q`` times ``V.T``; INPUTS rows with the same step set share
-    one forward pass, and an empty set reads the unablated scores. For a
-    unidirectional encoder that pass resumes from the unablated states at
-    the first zeroed step (``encode``'s ``resume``): it builds the states
-    and nv features of the steps from there on and takes the earlier
-    features from the unablated ``q``, and its scores are bit-identical to
-    a full pass's.
+    The unablated forward pass runs once, and every pass after it writes
+    into its arrays. A WEIGHTS row zeroes its blocks of that pass's ``q``,
+    scores it against ``V`` and restores them. INPUTS rows with the same
+    step set share one pass, and an empty set reads the unablated scores.
+    The sets run in descending order of their first zeroed step ``t0``,
+    each resumed at ``t0`` (``encode``'s ``resume``): a pass writes only
+    steps from its ``t0`` on, so every later one still finds the unablated
+    states and ``q`` before its own. Sets that zero step 0, and every pass
+    of a bidirectional encoder, rewrite the whole trace and run last. All
+    scores are bit-identical to fresh full passes'.
     """
     _require_nv(model.head)
     cfg = model.encoder
@@ -168,47 +171,30 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
         if not 0 <= k <= cfg.max_len:
             raise ValueError(f"k must be in [0, {cfg.max_len}], got {k}")
         order = rank_timesteps(model.head, cfg, class_index, mode, layer, direction)
-        plans.append((class_index, k, [int(t) for t in order[:k]], mode, target))
+        steps = [int(t) for t in order[:k]]
+        plans.append((class_index, k, steps, mode, target, tuple(sorted(steps))))
 
     X = dataset.features()
-    resumable = not cfg.bidirectional
-    # Weights rows mask the unablated q; resumed passes copy its prefix.
-    keep_q = any(target is AblationTarget.WEIGHTS or (resumable and min(steps) > 0)
-                 for _, _, steps, _, target in plans if steps)
-    base_logits, base = model.forward(X, gates=False)
-    _keep_for_resume(base, keep_q, resumable)
+    trace = encode(model, X, gates=False)
+    base_logits = head_forward(model.head, trace, cfg)
     logits_of = {(target, ()): base_logits for target in AblationTarget}
-    results = []
-    for class_index, k, steps, mode, target in plans:
-        key = (target, tuple(sorted(steps)))
-        if key not in logits_of and target is AblationTarget.INPUTS:
-            Xa = X.copy()
-            Xa[:, steps] = 0.0
-            t0 = min(steps) if resumable else 0
-            # The trace is dropped at once, before the next row's pass.
-            resume = (base, t0) if t0 else None
-            logits_of[key] = model.forward(Xa, resume, gates=False)[0]
-        elif key not in logits_of:
-            q = base.q.reshape(len(X), cfg.layers, cfg.max_len, cfg.step_width).copy()
+    q = trace.q.reshape(len(X), cfg.layers, cfg.max_len, cfg.step_width)
+    for *_, target, steps in plans:
+        if target is AblationTarget.WEIGHTS and (target, steps) not in logits_of:
+            kept = q[:, layer, steps]
             q[:, layer, steps] = 0.0
-            logits_of[key] = q.reshape(base.q.shape) @ model.head.V.T
-        report = eval_report(logits_of[key], dataset.labels(), model.num_classes)
-        results.append(CounterfactualResult(class_index, k, steps, mode, target, report))
-    return results
-
-
-def _keep_for_resume(trace: ForwardTrace, keep_q: bool, resumable: bool) -> None:
-    """Drop what no later row reads from the unablated forward-only trace:
-    inputs, work buffers, ``q`` unless asked, and all states unless a pass
-    may resume from them; that reads the hidden states and an lstm's cell
-    states (``aux``)."""
-    trace.buffers = {}
-    if not keep_q:
-        trace.q = None
-    if not resumable:
-        trace.hidden, trace.gate_traces = [], []
-        return
-    trace.gate_traces = [replace(tr, xa=None, buffers={}) for tr in trace.gate_traces]
+            logits_of[target, steps] = trace.q @ model.head.V.T
+            q[:, layer, steps] = kept
+    ablated = {steps for *_, target, steps in plans if steps and target is AblationTarget.INPUTS}
+    for steps in sorted(ablated, key=lambda steps: -steps[0]):
+        Xa = X.copy()
+        Xa[:, steps] = 0.0
+        trace = encode(model, Xa, 0 if cfg.bidirectional else steps[0], trace, gates=False)
+        logits_of[AblationTarget.INPUTS, steps] = head_forward(model.head, trace, cfg)
+    return [CounterfactualResult(class_index, k, steps, mode, target,
+                                 eval_report(logits_of[target, key], dataset.labels(),
+                                             model.num_classes))
+            for class_index, k, steps, mode, target, key in plans]
 
 
 def time_analysis(model: Model, dataset: DataSet, class_index: int, k: int,

@@ -30,7 +30,7 @@ bidirectional encoders the per-timestep state is the concatenation
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -119,24 +119,22 @@ class ForwardTrace(Buffered):
 
     A forward-only pass (``encode(..., gates=False)``, ``gates`` False
     here) keeps what the head and a resumed pass read and no more: its
-    layers' traces hold no gates and, but for an lstm's cell states, no
-    ``aux`` (the kernel ran them through a buffer of ``cells.CHUNK``
-    steps), the head fills no ``step_logits``, and ``network_backward``
-    rejects it. Its logits, ``hidden`` and ``q`` are bit-identical to a
-    full pass's.
+    layers' traces hold no inputs and no gates and, but for an lstm's cell
+    states, no ``aux`` (the kernel ran them through buffers of
+    ``cells.CHUNK`` steps), the head fills no ``step_logits``, and
+    ``network_backward`` rejects it. Its logits, ``hidden`` and ``q`` are
+    bit-identical to a full pass's.
 
-    A pass ``encode`` resumed at step ``t0 > 0`` from the trace ``base``
-    holds hidden states and gate traces for steps ``t0..T-1`` only; the
-    NeuroView head reads the earlier steps' ``q`` from ``base``, and the
-    other heads reject such a trace. ``buffers`` holds the
-    arrays behind ``q`` and ``step_logits`` and ``network_backward``'s
-    work arrays; a trace built with this one as ``out`` shares them.
+    ``head_forward`` rectifies the steps from ``t0`` on into ``q``: a pass
+    resumed at ``t0`` into a trace whose head filled ``q`` finds the
+    earlier steps' features there already. ``buffers`` holds the arrays
+    behind ``q`` and ``step_logits`` and ``network_backward``'s work
+    arrays; a trace built with this one as ``out`` shares them.
     """
 
     hidden: List[np.ndarray]
     gate_traces: list
     t0: int = 0
-    base: Optional["ForwardTrace"] = field(default=None, repr=False)
     gates: bool = True
     q: Optional[np.ndarray] = None
     logits: Optional[np.ndarray] = None
@@ -153,50 +151,56 @@ def _as_time_major(cfg: EncoderConfig, x) -> np.ndarray:
     return feats.transpose(1, 0, 2)
 
 
-def encode(model: Model, x, resume: Optional[tuple] = None,
-           out: Optional[ForwardTrace] = None, gates: bool = True) -> ForwardTrace:
+def encode(model: Model, x, resume: int = 0, out: Optional[ForwardTrace] = None,
+           gates: bool = True) -> ForwardTrace:
     """Unroll a model's encoder over a batch of sequences, one kernel call
     per layer on its stacked weights ``model.layers[l]``.
 
     ``x`` is a (B, T, m) batch, one sequence being a batch of one,
     already padded/truncated to exactly ``max_len`` steps.
 
-    ``resume=(base, t0)`` computes only steps ``t0..T-1`` of a
-    unidirectional encoder, for an input that equals ``base``'s before
-    step ``t0``: every layer runs on from ``base``'s state at ``t0 - 1``
-    (an lstm reads its cell state from ``base``'s gate traces' ``aux``),
-    and the trace keeps steps ``t0..`` only. Its NeuroView scores are
-    bit-identical to a full pass's; such a trace serves the forward pass
-    of the NeuroView head only, not the other heads or
-    ``network_backward``.
-
     ``gates=False`` makes a forward-only pass (see ``ForwardTrace``), for
     when no ``network_backward`` follows.
 
-    ``out``, an earlier trace of the same encoder (and never ``base``),
-    lends its arrays: each one of the right shape is overwritten instead
-    of allocated, so a batch of another size gets fresh ones. The result
-    is bit-identical to a fresh pass, and ``out`` must not be read
-    afterwards.
+    ``out``, an earlier trace of the same encoder, lends its arrays: each
+    one of the right shape is overwritten instead of allocated, so a batch
+    of another size gets fresh ones. The result is bit-identical to a
+    fresh pass, and ``out`` must not be read afterwards.
+
+    ``resume=t0`` recomputes only steps ``t0..T-1`` of a unidirectional
+    encoder, into ``out``'s own arrays: ``out`` must be a pass of the same
+    ``gates`` over a batch of the same size that equals ``x`` before step
+    ``t0``. Every layer runs on from ``out``'s states at ``t0 - 1`` and
+    writes no earlier step, and the result equals a fresh pass over ``x``
+    in every array.
     """
     cfg = model.encoder
     X = _as_time_major(cfg, x)
-    base, t0 = resume or (None, 0)
+    t0 = resume
+    if not 0 <= t0 < cfg.max_len:
+        raise ValueError(f"resume must be in [0, {cfg.max_len}), got {t0}")
     if t0 and cfg.bidirectional:
         raise ValueError("only a unidirectional encoder can resume mid-sequence")
+    if t0 and (out is None or out.gates != gates or out.hidden[0].shape[1] != X.shape[1]):
+        raise ValueError("a pass resumes into a trace of the same batch size and gates")
 
     hidden: List[np.ndarray] = []
     gate_traces = []
-    X = X[t0:]
     D, n = cfg.directions, cfg.hidden_dim
     for layer, weights in enumerate(model.layers):
+        old = out and out.gate_traces[layer]
         state = {}
         if t0:
-            state["h0"] = base.hidden[layer][t0 - 1][None]
+            # Steps t0.. go into views of ``old``'s arrays from step t0 on,
+            # from its states at step t0 - 1 (an lstm's cell state is aux).
+            state["h0"] = old.h[t0 - 1]
             if cfg.cell is CellKind.LSTM:
-                state["c0"] = base.gate_traces[layer].aux[t0 - 1].transpose(1, 2, 0)
-        trace = sequence_forward(cfg.cell, weights, X, out=out and out.gate_traces[layer],
-                                 gates=gates, **state)
+                state["c0"] = old.aux[t0 - 1].transpose(1, 2, 0)
+            old = replace(old, **{name: getattr(old, name)[t0:] for name in
+                                  ("xa", "ha", "gates", "aux") if getattr(old, name) is not None})
+        trace = sequence_forward(cfg.cell, weights, X[t0:], out=old, gates=gates, **state)
+        if t0:
+            trace = out.gate_traces[layer]
         if D == 1:
             X = trace.h[:, 0]
         else:
@@ -208,7 +212,7 @@ def encode(model: Model, x, resume: Optional[tuple] = None,
         hidden.append(X)
         gate_traces.append(trace)
 
-    return ForwardTrace(hidden, gate_traces, t0, base, gates,
+    return ForwardTrace(hidden, gate_traces, t0 if t0 and out.q is not None else 0, gates,
                         buffers={} if out is None else out.buffers)
 
 
@@ -226,9 +230,6 @@ def head_forward(head: HeadParams, trace: ForwardTrace,
     T = cfg.max_len
     B = top.shape[1]
     d = head.num_classes
-    t0 = trace.t0
-    if t0 and head.kind is not HeadKind.NEUROVIEW:
-        raise ValueError("only the nv head reads a resumed trace")
 
     if head.kind is HeadKind.LAST_STATE:
         logits = top[T - 1] @ head.V.T
@@ -239,15 +240,12 @@ def head_forward(head: HeadParams, trace: ForwardTrace,
         logits = pooled @ head.V.T
     elif head.kind is HeadKind.NEUROVIEW:
         # q is every retained hidden state, rectified, laid out (B, L, T,
-        # sw); a resumed pass takes the steps before t0 from its base.
+        # sw); the steps before t0 are in place already.
         shape = (cfg.layers, T, cfg.step_width)
         q = trace.buffer("q", (B, *shape))
-        if t0:
-            if trace.base.q is None:
-                raise ValueError("a resumed pass reads its base trace's q, which is gone")
-            q[:, :, :t0] = trace.base.q.reshape(q.shape)[:, :, :t0]
+        t0 = trace.t0
         for layer, H in enumerate(trace.hidden):
-            np.maximum(H.transpose(1, 0, 2), 0.0, out=q[:, layer, t0:])
+            np.maximum(H[t0:].transpose(1, 0, 2), 0.0, out=q[:, layer, t0:])
         if trace.gates:
             # Every (layer, t) block of q against its block of V, in one
             # matmul: (L, T, B, sw) @ (L, T, sw, d).
@@ -296,17 +294,18 @@ def network_backward(model: Model, trace: ForwardTrace, grad_logits: np.ndarray,
     if gl.shape != (B, head.num_classes):
         raise ValueError(f"grad_logits shape {gl.shape} != "
                          f"(batch {B}, {head.num_classes} classes)")
-    if trace.t0 or not trace.gates:
-        raise ValueError("a resumed or forward-only trace serves the forward pass only")
+    if not trace.gates:
+        raise ValueError("a forward-only trace serves the forward pass only")
     _, grad_layers, grad_V = _carve([(W_i.shape, W_h.shape) for W_i, W_h in model.layers],
                                     head.V.shape, out)
 
-    # Upstream gradient arriving at each layer's per-timestep output.
-    dH = trace.buffer("dH", (cfg.layers, T, B, sw))
+    # Upstream gradient arriving at each layer's per-timestep output; the
+    # nv head's takes over the buffer of q, which it reads first.
     if head.kind is HeadKind.NEUROVIEW:
         if trace.q is None:
             raise ValueError("trace has no NeuroView features; run head_forward first")
         np.matmul(gl.T, trace.q, out=grad_V)
+        dH, trace.q = trace.q.reshape(cfg.layers, T, B, sw), None
         # (B, d) @ (T, d, sw) per layer gives the (T, B, sw) gradient at q,
         # which the ReLU passes where the hidden state is positive.
         blocks = head.V.reshape(-1, cfg.layers, T, sw).transpose(1, 2, 0, 3)
@@ -316,6 +315,7 @@ def network_backward(model: Model, trace: ForwardTrace, grad_logits: np.ndarray,
             np.greater(trace.hidden[layer], 0.0, out=positive[layer])
             dH[layer] *= positive[layer]
     else:
+        dH = trace.buffer("dH", (cfg.layers, T, B, sw))
         dH.fill(0.0)
         if head.kind is HeadKind.LAST_STATE:
             np.matmul(gl.T, trace.hidden[-1][T - 1], out=grad_V)
@@ -391,9 +391,9 @@ class Model:
     def num_classes(self) -> int:
         return self.head.num_classes
 
-    def forward(self, x, resume: Optional[tuple] = None, gates: bool = True) -> tuple:
-        """``(logits, trace)``; ``resume`` and ``gates`` as in ``encode``."""
-        trace = encode(self, x, resume, gates=gates)
+    def forward(self, x, gates: bool = True) -> tuple:
+        """``(logits, trace)``; ``gates`` as in ``encode``."""
+        trace = encode(self, x, gates=gates)
         logits = head_forward(self.head, trace, self.encoder)
         return logits, trace
 

@@ -18,12 +18,11 @@ from neuroview.interpret import (
     sweep,
     time_analysis,
     weight_map,
-    _keep_for_resume,
 )
-from neuroview import network
+from neuroview import interpret
 from neuroview.cli import RunConfig, main, save_checkpoint
-from neuroview.network import EncoderConfig, HeadKind, HeadParams, Model
-from neuroview.train import TrainConfig, build_model, evaluate, fit
+from neuroview.network import EncoderConfig, HeadKind, HeadParams, Model, encode, head_forward
+from neuroview.train import TrainConfig, build_model, eval_report, evaluate, fit
 
 
 def nv_model(n=4, m=1, T=6, d=2, layers=1, bidir=False, seed=0):
@@ -296,7 +295,7 @@ def test_sweep_matches_row_by_row_time_analysis(cell, layers, bidir):
 def test_sweep_validates_every_row_before_any_forward(trained, monkeypatch):
     model, ds = trained
     calls = []
-    monkeypatch.setattr(Model, "forward", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(interpret, "encode", lambda *a, **kw: calls.append(a))
     rows = [(0, 1, AblationMode.TOP_POSITIVE, AblationTarget.INPUTS),
             (0, ds.horizon + 1, AblationMode.TOP_POSITIVE, AblationTarget.INPUTS)]
     with pytest.raises(ValueError, match="k must be"):
@@ -311,29 +310,24 @@ def test_resumed_forward_equals_full_forward(cell, layers):
     enc = EncoderConfig(cell, 2, 4, T, layers=layers)
     model = build_model(enc, HeadKind.NEUROVIEW, 3, InitScheme(InitKind.UNIFORM, 5))
     X = np.random.default_rng(6).normal(size=(7, T, 2))
-    _, base = model.forward(X)
-    # Keep only what a resumed pass may read, as ``sweep`` does.
-    base_hidden = [H.copy() for H in base.hidden]
-    _keep_for_resume(base, keep_q=True, resumable=True)
-    base_q = base.q.copy()
     for steps in ([0], [T - 1], [2, 3, 6]):
         Xa = X.copy()
         Xa[:, steps] = 0.0
         t0 = min(steps)
         want, full = model.forward(Xa)
-        got, resumed = model.forward(Xa, (base, t0))
+        _, base = model.forward(X)
+        resumed = encode(model, Xa, t0, base)
+        got = head_forward(model.head, resumed, enc)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(resumed.q, full.q)
         np.testing.assert_array_equal(resumed.step_logits, full.step_logits)
-        np.testing.assert_array_equal(base.q, base_q)
         for layer in range(layers):
-            # A resumed pass holds the states of steps t0.. only.
-            np.testing.assert_array_equal(resumed.hidden[layer], full.hidden[layer][t0:])
-            np.testing.assert_array_equal(base.hidden[layer], base_hidden[layer])
+            # A resumed pass holds the states of all T steps, in place.
+            assert np.shares_memory(resumed.hidden[layer], base.hidden[layer])
+            np.testing.assert_array_equal(resumed.hidden[layer], full.hidden[layer])
             if cell is CellKind.LSTM:
                 np.testing.assert_array_equal(
-                    resumed.gate_traces[layer].aux,
-                    full.gate_traces[layer].aux[t0:])
+                    resumed.gate_traces[layer].aux, full.gate_traces[layer].aux)
 
 
 def test_bidirectional_encoder_does_not_resume():
@@ -341,21 +335,21 @@ def test_bidirectional_encoder_does_not_resume():
     X = np.ones((2, 5, 1))
     _, base = model.forward(X)
     with pytest.raises(ValueError, match="unidirectional"):
-        model.forward(X, (base, 2))
+        encode(model, X, 2, base)
 
 
 def _count_passes(monkeypatch):
-    """Patch ``network.encode`` to record each encoder pass as
-    ``(resumed, trace)``."""
+    """Patch the ``encode`` that ``sweep`` calls to record each encoder
+    pass as ``(t0, trace)``, ``t0`` the step it resumed at."""
     passes = []
-    real = network.encode
+    real = interpret.encode
 
-    def counted(model, x, resume=None, out=None, gates=True):
-        trace = real(model, x, resume, out, gates=gates)
-        passes.append((resume is not None, trace))
+    def counted(model, x, resume=0, out=None, gates=True):
+        trace = real(model, x, resume, out, gates)
+        passes.append((resume, trace))
         return trace
 
-    monkeypatch.setattr(network, "encode", counted)
+    monkeypatch.setattr(interpret, "encode", counted)
     return passes
 
 
@@ -376,7 +370,16 @@ def test_weights_counterfactual_makes_one_forward(analysis_files, monkeypatch, c
     assert main(["counterfactual", *analysis_files, "--class", "1", "--target",
                  "weights", "--k-list", "0", "1", "5", "10"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 4
-    assert [resumed for resumed, _ in passes] == [False]
+    assert [t0 for t0, _ in passes] == [0]
+
+
+def _assert_in_place(passes):
+    """Every pass after the first wrote into the first one's arrays."""
+    (_, base), *ablated = passes
+    for _, trace in ablated:
+        assert np.shares_memory(trace.q, base.q)
+        for got, want in zip(trace.hidden, base.hidden):
+            assert np.shares_memory(got, want)
 
 
 def test_export_makes_one_forward_per_distinct_step_set(analysis_files, tmp_path,
@@ -389,16 +392,13 @@ def test_export_makes_one_forward_per_distinct_step_set(analysis_files, tmp_path
     assert len(rows) == 18
     sets = {tuple(sorted(r["zeroed_steps"])) for r in rows} - {()}
     assert len(sets) < 15
-    # One unablated pass; a set that zeroes step 0 has no prefix to reuse.
-    full = 1 + sum(1 for s in sets if s[0] == 0)
+    # One unablated pass, then one per set, each resumed at its first
+    # zeroed step, latest first; a set that zeroes step 0 rewrites all.
     assert len(passes) == 1 + len(sets)
-    assert [resumed for resumed, _ in passes].count(False) == full
-    assert full < len(passes)
-    # A resumed pass builds the states of the steps from its first zeroed
-    # one on, and no earlier ones.
-    resumed = [trace for was_resumed, trace in passes if was_resumed]
-    assert sorted(len(trace.hidden[0]) for trace in resumed) == sorted(
-        20 - s[0] for s in sets if s[0] > 0)
+    t0s = [t0 for t0, _ in passes[1:]]
+    assert t0s == sorted((s[0] for s in sets), reverse=True)
+    assert 0 < t0s[0] and t0s.count(0) < len(t0s)
+    _assert_in_place(passes)
 
 
 @pytest.mark.parametrize("cell", [CellKind.GRU, CellKind.LSTM], ids=lambda c: c.value)
@@ -409,54 +409,61 @@ def test_sweep_keeps_no_gate_arrays(trained, monkeypatch, cell, target):
     model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme(InitKind.UNIFORM, 1))
     passes = _count_passes(monkeypatch)
     # Class 0's top-3 steps hold step 0 and its top-1 does not, so an
-    # inputs sweep makes one full and one resumed pass.
+    # inputs sweep makes one resumed and then one full pass.
     sweep(model, ds, [(0, k, AblationMode.TOP_POSITIVE, target) for k in (3, 1)])
     (_, base), *ablated = passes
-    assert [r for r, _ in ablated] == ([False, True] if target is AblationTarget.INPUTS
-                                       else [])
-    # Every pass is forward-only, the ablated ones too.
-    assert not any(trace.gates for _, trace in passes)
-    assert all(tr.gates is None for _, trace in ablated for tr in trace.gate_traces)
-    assert base.step_logits is None and base.buffers == {}
-    # q stays for a weights row to mask, or for a resumed pass to copy.
-    assert base.q is not None
-    for tr in base.gate_traces:
-        assert tr.gates is None and tr.xa is None and tr.buffers == {}
-        assert (tr.aux is not None) == (cell is CellKind.LSTM)
+    assert [t0 > 0 for t0, _ in ablated] == ([True, False] if target is AblationTarget.INPUTS
+                                             else [])
+    _assert_in_place(passes)
+    # Every pass is forward-only, the ablated ones too, and keeps no
+    # inputs, no gates and no aux but an lstm's cell states.
+    for _, trace in passes:
+        assert not trace.gates and trace.step_logits is None and trace.q is not None
+        for tr in trace.gate_traces:
+            assert tr.gates is None and tr.xa is None
+            assert (tr.aux is not None) == (cell is CellKind.LSTM)
 
 
+@pytest.mark.parametrize("layers,bidir", [(1, False), (2, False), (2, True)],
+                         ids=["1-uni", "2-uni", "2-bidir"])
 @pytest.mark.parametrize("cell", [CellKind.GRU, CellKind.LSTM], ids=lambda c: c.value)
-def test_sweep_leaves_the_unablated_pass_unchanged(monkeypatch, cell):
-    # Every ablated pass reads the unablated states and q; none writes them.
-    ds = synth_separable(3, 10, 1, 4, seed=3)
-    enc = EncoderConfig(cell, 1, 4, ds.horizon, layers=2)
-    model = build_model(enc, HeadKind.NEUROVIEW, 3, InitScheme(InitKind.UNIFORM, 4))
-    passes = _count_passes(monkeypatch)
-    rows = [(c, k, mode, target) for c in range(3) for k in (1, 2, 4, 7)
-            for mode in AblationMode for target in AblationTarget]
-    sweep(model, ds, rows)
-    (_, base), *ablated = passes
-    assert sum(r for r, _ in ablated) >= 5
-    _, fresh = model.forward(ds.features())
-    np.testing.assert_array_equal(base.q, fresh.q)
-    for layer in range(2):
-        np.testing.assert_array_equal(base.hidden[layer], fresh.hidden[layer])
-        if cell is CellKind.LSTM:
-            np.testing.assert_array_equal(base.gate_traces[layer].aux,
-                                          fresh.gate_traces[layer].aux)
-
-
-def test_sweep_drops_q_when_no_row_reads_it(monkeypatch):
-    # Inputs rows whose sets all hold step 0 take full passes, which read
-    # nothing of the unablated q.
-    ds = synth_separable(2, 10, 1, 8, seed=2)
-    enc = EncoderConfig(CellKind.GRU, 1, 4, ds.horizon)
-    model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme(InitKind.UNIFORM, 1))
-    assert 0 in rank_timesteps(model.head, enc, 0, AblationMode.TOP_POSITIVE)[:3]
-    passes = _count_passes(monkeypatch)
-    sweep(model, ds, [(0, 3, AblationMode.TOP_POSITIVE, AblationTarget.INPUTS)])
-    assert [r for r, _ in passes] == [False, False]
-    assert passes[0][1].q is None
+def test_sweep_rows_in_any_order_equal_fresh_passes(monkeypatch, cell, layers, bidir):
+    T, d = 10, 2
+    ds = synth_separable(d, T, 1, 4, seed=5)
+    enc = EncoderConfig(cell, 1, 4, T, layers=layers, bidirectional=bidir)
+    model = build_model(enc, HeadKind.NEUROVIEW, d, InitScheme(InitKind.UNIFORM, 6))
+    # Class 0's layer-0 weights rise with the step and class 1's fall, so
+    # class 0's top-positive sets start late and its top-negative ones,
+    # like class 1's top-positive ones, hold step 0.
+    blocks = model.head.V.reshape(d, layers, T, enc.directions, -1)
+    blocks[0, 0, :, 0] = np.arange(T)[:, None] * 0.1
+    blocks[1, 0, :, 0] = -np.arange(T)[:, None] * 0.1
+    pos, neg = AblationMode.TOP_POSITIVE, AblationMode.TOP_NEGATIVE
+    inputs, weights = AblationTarget.INPUTS, AblationTarget.WEIGHTS
+    rows = ([(0, k, pos, inputs) for k in (1, 3, 6)]        # first steps descending
+            + [(0, k, pos, inputs) for k in (7, 4, 2)]      # and ascending
+            + [(1, 3, pos, inputs), (0, 3, neg, inputs)]    # step 0
+            + [(0, 2, pos, weights), (1, 4, neg, inputs)]   # repeats
+            + [(0, 3, pos, inputs), (1, 1, neg, inputs), (0, 0, pos, inputs)])
+    scored = []
+    real = interpret.eval_report
+    monkeypatch.setattr(interpret, "eval_report",
+                        lambda logits, *a: scored.append(logits) or real(logits, *a))
+    results = sweep(model, ds, rows)
+    assert [(r.class_index, r.k, r.mode, r.target) for r in results] == rows
+    for r, logits in zip(results, scored):
+        assert r.zeroed_steps == rank_timesteps(model.head, enc, r.class_index,
+                                                r.mode)[:r.k].tolist()
+        X = ds.features().copy()
+        if r.target is inputs:
+            X[:, r.zeroed_steps] = 0.0
+            want, _ = model.forward(X)
+        else:
+            _, trace = model.forward(X)
+            q = trace.q.reshape(len(X), layers, T, -1)
+            q[:, 0, r.zeroed_steps] = 0.0
+            want = trace.q @ model.head.V.T
+        np.testing.assert_array_equal(logits, want)
 
 
 def test_counterfactual_rows_schema(trained):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -541,7 +543,8 @@ def test_pass_into_an_earlier_trace_equals_a_fresh_pass(cell, layers, bidir, hea
             if getattr(tw, name) is not None:
                 np.testing.assert_array_equal(getattr(tr, name), getattr(tw, name))
     if head is HeadKind.NEUROVIEW:
-        np.testing.assert_array_equal(got.q, want.q)
+        # network_backward wrote the gradient at q over q.
+        assert got.q is None and want.q is None
         np.testing.assert_array_equal(got.step_logits, want.step_logits)
     # Every per-timestep array, q, the step logits and the backward's work
     # arrays, the kernel's own included, were written into the earlier
@@ -574,23 +577,78 @@ def test_pass_into_an_earlier_trace_equals_a_fresh_pass(cell, layers, bidir, hea
         assert not np.shares_memory(arr, lent[name]), name
 
 
-@pytest.mark.parametrize("head", [HeadKind.LAST_STATE, HeadKind.AVERAGE_POOL],
-                         ids=lambda h: h.value)
-def test_only_the_nv_head_reads_a_resumed_trace(head):
-    model = make_model(CellKind.GRU, head, T=5)
-    x = np.ones((2, 5, 2))
-    _, base = model.forward(x)
-    with pytest.raises(ValueError, match="only the nv head"):
-        model.forward(x, (base, 2))
+def test_nv_backward_writes_over_q():
+    # The gradient at q takes over q's buffer: no array of q's size is
+    # allocated, and the trace's q is gone.
+    model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, n=8, T=50, d=3, seed=3)
+    x = np.random.default_rng(4).normal(size=(40, 50, 2))
+    gl = np.random.default_rng(5).normal(size=(40, 3))
+    _, trace = model.forward(x)
+    size = trace.q.nbytes
+    grad = np.empty_like(model.params)
+    tracemalloc.start()
+    try:
+        network_backward(model, trace, gl, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size
+    assert trace.q is None and "dH" not in trace.buffers
+    with pytest.raises(ValueError, match="head_forward first"):
+        network_backward(model, trace, gl, grad)
 
 
-def test_resumed_trace_cannot_be_backpropagated():
-    model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=5)
+# ----------------------------------------------------------- resumed passes
+
+@pytest.mark.parametrize("gates", [True, False], ids=["gates", "forward-only"])
+@pytest.mark.parametrize("layers", [1, 2], ids=["1-uni", "2-uni"])
+@pytest.mark.parametrize("cell", list(CellKind), ids=lambda c: c.value)
+def test_pass_resumed_in_place_equals_a_fresh_pass(cell, layers, gates):
+    T = 2 * CHUNK + 3
+    model = make_model(cell, HeadKind.NEUROVIEW, n=4, m=2, T=T, d=3, layers=layers, seed=7)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(5, T, 2))
+    gl = rng.normal(size=(5, 3))
+    for t0 in (1, CHUNK, T - 1):
+        xa = x.copy()
+        xa[:, t0:] = rng.normal(size=(5, T - t0, 2))
+        want = encode(model, xa, gates=gates)
+        want_logits = head_forward(model.head, want, model.encoder)
+        base = encode(model, x, gates=gates)
+        head_forward(model.head, base, model.encoder)
+        got = encode(model, xa, t0, base, gates=gates)
+        np.testing.assert_array_equal(head_forward(model.head, got, model.encoder),
+                                      want_logits)
+        assert np.shares_memory(got.q, base.q)
+        np.testing.assert_array_equal(got.q, want.q)
+        np.testing.assert_array_equal(got.step_logits, want.step_logits)
+        for layer in range(layers):
+            assert np.shares_memory(got.hidden[layer], base.hidden[layer])
+            np.testing.assert_array_equal(got.hidden[layer], want.hidden[layer])
+            tr, tw = got.gate_traces[layer], want.gate_traces[layer]
+            for name in _TRACE_ARRAYS:
+                assert (getattr(tr, name) is None) == (getattr(tw, name) is None), name
+                if getattr(tw, name) is not None:
+                    np.testing.assert_array_equal(getattr(tr, name), getattr(tw, name))
+        if gates:
+            grads = [np.empty_like(model.params) for _ in range(2)]
+            network_backward(model, got, gl, grads[0])
+            network_backward(model, want, gl, grads[1])
+            np.testing.assert_array_equal(*grads)
+
+
+def test_a_pass_resumes_only_into_a_matching_trace():
+    model = make_model(CellKind.LSTM, HeadKind.NEUROVIEW, T=5)
     x = np.ones((2, 5, 2))
     _, base = model.forward(x)
-    _, resumed = model.forward(x, (base, 2))
-    with pytest.raises(ValueError, match="forward pass only"):
-        network_backward(model, resumed, np.ones((2, 2)))
+    _, forward_only = model.forward(x, gates=False)
+    for out, batch, gates in ((None, x, True), (base, x[:1], True), (base, x, False),
+                              (forward_only, x, True)):
+        with pytest.raises(ValueError, match="resumes into a trace"):
+            encode(model, batch, 2, out, gates=gates)
+    for t0 in (-1, 5):
+        with pytest.raises(ValueError, match=r"resume must be in \[0, 5\)"):
+            encode(model, x, t0, base)
 
 
 # ------------------------------------------------------ forward-only passes
@@ -598,18 +656,18 @@ def test_resumed_trace_cannot_be_backpropagated():
 _SHAPES = [(1, False), (2, True), (2, False)]
 
 
-def _assert_forward_only_equals_full(got, got_trace, want, want_trace, cell, t0=0):
+def _assert_forward_only_equals_full(got, got_trace, want, want_trace, cell):
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(got_trace.q, want_trace.q)
     assert not got_trace.gates and got_trace.step_logits is None
     for layer, tr in enumerate(got_trace.gate_traces):
         full = want_trace.gate_traces[layer]
-        np.testing.assert_array_equal(got_trace.hidden[layer], want_trace.hidden[layer][t0:])
-        np.testing.assert_array_equal(tr.ha, full.ha[t0:])
-        assert tr.gates is None
+        np.testing.assert_array_equal(got_trace.hidden[layer], want_trace.hidden[layer])
+        np.testing.assert_array_equal(tr.ha, full.ha)
+        assert tr.gates is None and tr.xa is None
         if cell is CellKind.LSTM:
             # The cell states stay, for a pass that resumes from this one.
-            np.testing.assert_array_equal(tr.aux, full.aux[t0:])
+            np.testing.assert_array_equal(tr.aux, full.aux)
         else:
             assert tr.aux is None
 
@@ -627,14 +685,16 @@ def test_forward_only_pass_equals_the_full_pass(cell, layers, bidir, B):
     got, trace = model.forward(x, gates=False)
     _assert_forward_only_equals_full(got, trace, want, full, cell)
     if not bidir:
-        # Resumed passes, from a forward-only base, at steps inside the
-        # first chunk, on a chunk boundary and in the short last chunk.
-        for t0 in (1, CHUNK, 2 * CHUNK + 1):
-            xa = x.copy()
-            xa[:, t0:] *= -1.0
+        # Forward-only passes resumed in place, at steps in the short last
+        # chunk, on a chunk boundary and inside the first chunk; each one
+        # reads only steps that the ones before it left as they were.
+        xa = x.copy()
+        for t0 in (2 * CHUNK + 1, CHUNK, 1):
+            xa[:, t0:] = -x[:, t0:]
             want, full = model.forward(xa)
-            got, resumed = model.forward(xa, (trace, t0), gates=False)
-            _assert_forward_only_equals_full(got, resumed, want, full, cell, t0)
+            trace = encode(model, xa, t0, trace, gates=False)
+            got = head_forward(model.head, trace, model.encoder)
+            _assert_forward_only_equals_full(got, trace, want, full, cell)
 
 
 @pytest.mark.parametrize("head", list(HeadKind), ids=lambda h: h.value)
