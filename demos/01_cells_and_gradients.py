@@ -14,17 +14,17 @@ from neuroview import (
     InitKind,
     InitScheme,
     init_params,
+    named_views,
     sequence_backward,
     sequence_forward,
     stack_cells,
 )
-from neuroview.cells import named_views
 
 rng = np.random.default_rng(0)
 
 # Inputs are (T, B, m) time-major batches; one sequence is a batch of one.
-# The kernels read a layer's weights stacked over its directions, which
-# ``stack_cells`` builds from loose cells.
+# A cell is its pair of packed blocks; the kernels read a layer's blocks
+# stacked over its directions, which ``stack_cells`` builds from loose cells.
 print("=== running each cell over a tiny input sequence ===")
 for kind in CellKind:
     p = init_params(kind, input_dim=2, hidden_dim=4, scheme=InitScheme(InitKind.UNIFORM, 1))
@@ -49,7 +49,8 @@ for kind in CellKind:
     grads = named_views(kind, 4, *(G[0] for G in grads))
 
     worst = 0.0
-    for name, arr in p.arrays.items():
+    # Named views into the blocks: a change to one moves ``scalar()``.
+    for name, arr in named_views(kind, 4, *p).items():
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             i = it.multi_index
@@ -67,7 +68,7 @@ print()
 print("=== initialization schemes ===")
 for scheme in InitKind:
     p = init_params(CellKind.SIMPLE_RNN, 2, 6, InitScheme(scheme, 3))
-    W = p.arrays["W"]
+    W = named_views(CellKind.SIMPLE_RNN, 6, *p)["W"]
     ortho = np.max(np.abs(W.T @ W - np.eye(6)))
     print(f"{scheme.value:10s} hidden matrix: |W|_max={np.abs(W).max():.3f}  "
           f"max|W'W - I|={ortho:.2e}")

@@ -10,13 +10,14 @@ much each timestep contributes to each class.
 from .linalg import sigmoid
 from .cells import (
     CellKind,
-    CellParams,
     InitKind,
     InitScheme,
     SequenceTrace,
     cell_backward,
     cell_forward,
     init_params,
+    named_views,
+    pack,
     param_shapes,
     scheme_matrix,
     sequence_backward,

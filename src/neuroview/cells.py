@@ -28,11 +28,11 @@ LSTM::
 
 Packed layout
 -------------
-Each cell's parameters live in two packed blocks, ``CellParams.packed``,
-which stack the k gates' rows with the sigmoid gates first, so one
-sigmoid call covers a contiguous slice, and carry each bias as a last
-column, so the GEMM that applies a weight matrix to an input with a
-trailing 1 also adds the bias::
+A cell is its two packed blocks ``(W_i | b_i, W_h | b_h)``, which stack
+the k gates' rows with the sigmoid gates first, so one sigmoid call
+covers a contiguous slice, and carry each bias as a last column, so the
+GEMM that applies a weight matrix to an input with a trailing 1 also
+adds the bias::
 
     kind   k   gate order      sigmoid slice
     rnn    1   h               h
@@ -44,17 +44,19 @@ trailing 1 also adds the bias::
 
 With ``gi = W_i x + b_i`` and ``gh = W_h h + b_h``, the gates are the
 nonlinearities of slices of ``gi + gh``, except the GRU's n gate, which
-reads ``gi_n + r * gh_n``. ``CellParams.arrays`` maps each schema name
-to a view into the blocks. The rnn's hidden-side bias column is no
-parameter: it has no name, stays 0.0 and gets a zero gradient.
+reads ``gi_n + r * gh_n``. Parameter names are read only at the edges:
+``pack`` turns a name -> array map into a fresh pair of blocks, checking
+names, shapes and finiteness, and ``named_views`` maps each name to a
+view into a pair. The rnn's hidden-side bias column is no parameter: it
+has no name, stays 0.0 and gets a zero gradient.
 
 A layer's D cells (D = 1, or 2 for a bidirectional layer) stack their
 blocks into the layer's weights ``(W_i, W_h)``, (D, k*n, m+1) and
 (D, k*n, n+1), which is what the kernels read. A ``Model`` holds them
 layer by layer in one flat ``params`` buffer, W_i then W_h of layer 0,
 then of layer 1, ..., then the head's ``V``; its ``layers[l]`` are plain
-reshape views of that buffer and cell ``l*D + d`` packs their ``[d]``
-slices. Loose cells are stacked by ``stack_cells``, a copy.
+reshape views of that buffer and its cell ``l*D + d`` is the pair of
+their ``[d]`` slices. ``stack_cells`` stacks loose pairs into a copy.
 
 Kernel
 ------
@@ -169,45 +171,6 @@ def param_shapes(kind: CellKind, input_dim: int, hidden_dim: int) -> dict:
     }
 
 
-@dataclass
-class CellParams:
-    """One cell's packed blocks ``(W_i | b_i, W_h | b_h)`` and ``arrays``,
-    name -> view into them. The given ``arrays`` are copied in: into
-    ``packed`` when given (a model's buffer), else into fresh zeros."""
-
-    kind: CellKind
-    input_dim: int
-    hidden_dim: int
-    arrays: dict
-    packed: Optional[tuple] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        expected = param_shapes(self.kind, self.input_dim, self.hidden_dim)
-        if set(self.arrays) != set(expected):
-            raise ValueError(
-                f"{self.kind.value} cell expects parameters "
-                f"{sorted(expected)}, got {sorted(self.arrays)}"
-            )
-        if self.packed is None:
-            rows = (len(_GATE_ORDER[self.kind]) or 1) * self.hidden_dim
-            self.packed = (np.zeros((rows, self.input_dim + 1), dtype=DTYPE),
-                           np.zeros((rows, self.hidden_dim + 1), dtype=DTYPE))
-        views = named_views(self.kind, self.hidden_dim, *self.packed)
-        for name, shape in expected.items():
-            arr = np.asarray(self.arrays[name], dtype=DTYPE)
-            if arr.shape != shape:
-                raise ValueError(
-                    f"parameter {name!r}: expected shape {shape}, got {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"parameter {name!r} contains non-finite entries")
-            views[name][...] = arr
-        self.arrays = views
-
-    def copy(self) -> "CellParams":
-        return CellParams(self.kind, self.input_dim, self.hidden_dim, self.arrays)
-
-
 # Packed gate order (sigmoid gates first) and the number of sigmoid gates.
 _GATE_ORDER = {CellKind.SIMPLE_RNN: "", CellKind.GRU: "rzn", CellKind.LSTM: "ifog"}
 _SIGMOID_GATES = {CellKind.SIMPLE_RNN: 1, CellKind.GRU: 2, CellKind.LSTM: 3}
@@ -235,6 +198,31 @@ def named_views(kind: CellKind, n: int, W_i: np.ndarray, W_h: np.ndarray) -> dic
     return {name: out[name] for name in _SCHEMAS[kind]}
 
 
+def packed_shapes(kind: CellKind, input_dim: int, hidden_dim: int) -> tuple:
+    """The shapes of one cell's packed blocks, (k*n, m+1) and (k*n, n+1)."""
+    rows = (len(_GATE_ORDER[kind]) or 1) * hidden_dim
+    return (rows, input_dim + 1), (rows, hidden_dim + 1)
+
+
+def pack(kind: CellKind, input_dim: int, hidden_dim: int, arrays: dict) -> tuple:
+    """A cell's name -> array map as a fresh pair of packed blocks
+    ``(W_i | b_i, W_h | b_h)``; the names, shapes and finiteness are
+    checked, and the rnn's hidden-side bias column is 0.0."""
+    if set(arrays) != set(_SCHEMAS[kind]):
+        raise ValueError(f"{kind.value} cell expects parameters "
+                         f"{sorted(_SCHEMAS[kind])}, got {sorted(arrays)}")
+    blocks = tuple(np.zeros(shape, dtype=DTYPE)
+                   for shape in packed_shapes(kind, input_dim, hidden_dim))
+    for name, view in named_views(kind, hidden_dim, *blocks).items():
+        arr = np.asarray(arrays[name], dtype=DTYPE)
+        if arr.shape != view.shape:
+            raise ValueError(f"parameter {name!r}: expected shape {view.shape}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"parameter {name!r} contains non-finite entries")
+        view[...] = arr
+    return blocks
+
+
 def _with_ones(a: np.ndarray) -> np.ndarray:
     """``a`` with a trailing column of ones (the bias input)."""
     out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=DTYPE)
@@ -246,7 +234,7 @@ def _with_ones(a: np.ndarray) -> np.ndarray:
 def stack_cells(cells) -> tuple:
     """The packed blocks of loose cells, the D cells of one layer, stacked
     into the kernels' weights ``(W_i, W_h)``, each (D, k*n, .); a copy."""
-    return tuple(np.stack(blocks) for blocks in zip(*(p.packed for p in cells)))
+    return tuple(np.stack(blocks) for blocks in zip(*cells))
 
 
 @dataclass
@@ -529,24 +517,25 @@ def sequence_backward(kind: CellKind, weights: tuple, trace: SequenceTrace,
             None if carry_c is None else carry_c.transpose(1, 2, 0))
 
 
-def cell_forward(p: CellParams, x: np.ndarray, h0: Optional[np.ndarray] = None,
+def cell_forward(kind: CellKind, cell: tuple, x: np.ndarray,
+                 h0: Optional[np.ndarray] = None,
                  c0: Optional[np.ndarray] = None) -> SequenceTrace:
     """One step of one cell, ``sequence_forward`` at T = 1 and D = 1: a
     (B, m) input from the (B, n) state ``(h0, c0)``, zeros when omitted."""
-    return sequence_forward(p.kind, stack_cells([p]), x[None],
+    return sequence_forward(kind, stack_cells([cell]), x[None],
                             *(None if a is None else a[None] for a in (h0, c0)))
 
 
-def cell_backward(p: CellParams, trace: SequenceTrace, dh: np.ndarray,
+def cell_backward(kind: CellKind, cell: tuple, trace: SequenceTrace, dh: np.ndarray,
                   dc: Optional[np.ndarray] = None):
     """BPTT through a ``cell_forward`` trace from the (B, n) gradients at
     its hidden output and, for the lstm, its cell state. Returns
     ``(grads, dh0, dc0, dx)``: the packed ``(dW_i, dW_h)``, summed over the
     batch, and the gradients at the initial state and the input
     (``dc0`` is None unless lstm)."""
-    dx = np.zeros(trace.xa.shape[1:-1] + (p.input_dim,), dtype=DTYPE)
+    dx = np.zeros_like(trace.xa[0, ..., :-1])
     (dW_i, dW_h), dh0, dc0 = sequence_backward(
-        p.kind, stack_cells([p]), trace, dh[None], None if dc is None else dc[None], dx)
+        kind, stack_cells([cell]), trace, dh[None], None if dc is None else dc[None], dx)
     return (dW_i[0], dW_h[0]), dh0[0], None if dc0 is None else dc0[0], dx[0]
 
 
@@ -576,8 +565,8 @@ def scheme_matrix(kind: InitKind, shape, rng: np.random.Generator) -> np.ndarray
 
 
 def init_params(kind: CellKind, input_dim: int, hidden_dim: int,
-                scheme: InitScheme) -> CellParams:
-    """Create cell parameters under an initialization scheme.
+                scheme: InitScheme) -> tuple:
+    """One cell's packed blocks under an initialization scheme.
 
     The scheme applies to hidden-to-hidden matrices; input-to-hidden
     matrices and biases always follow the uniform fan-in rule. Draws happen
@@ -597,4 +586,4 @@ def init_params(kind: CellKind, input_dim: int, hidden_dim: int,
             arrays[name] = scheme_matrix(scheme.kind, shapes[name], rng)
         else:
             arrays[name] = rng.uniform(-bound, bound, size=shapes[name])
-    return CellParams(kind, input_dim, hidden_dim, arrays)
+    return pack(kind, input_dim, hidden_dim, arrays)

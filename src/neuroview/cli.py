@@ -26,7 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from .linalg import DTYPE
-from .cells import CellKind, CellParams, InitKind, InitScheme
+from .cells import CellKind, InitKind, InitScheme, named_views, pack
 from .network import EncoderConfig, HeadKind, HeadParams, Model
 from .train import (
     EvalReport,
@@ -180,9 +180,11 @@ def save_checkpoint(path, model: Model, run_config: RunConfig,
     raw label of each class id (default: the ids themselves). A model
     that ``load_checkpoint`` would reject, with non-finite parameters,
     raises ``ValueError`` with its message, and nothing is written."""
+    cfg = model.encoder
+    cells = [named_views(cfg.cell, cfg.hidden_dim, *cell) for cell in model.cells]
     try:
-        for p in model.cells:
-            p.copy()
+        for i, arrays in enumerate(cells):
+            pack(cfg.cell, cfg.cell_input_dim(i), cfg.hidden_dim, arrays)
         HeadParams(model.head.kind, model.head.V)
     except ValueError as e:
         raise ValueError(f"checkpoint {path}: {e}") from None
@@ -191,22 +193,15 @@ def save_checkpoint(path, model: Model, run_config: RunConfig,
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "run_config": dataclasses.asdict(run_config),
-        "encoder": {
-            "cell": model.encoder.cell.value,
-            "input_dim": model.encoder.input_dim,
-            "hidden_dim": model.encoder.hidden_dim,
-            "max_len": model.encoder.max_len,
-            "layers": model.encoder.layers,
-            "bidirectional": model.encoder.bidirectional,
-        },
+        "encoder": {**dataclasses.asdict(cfg), "cell": cfg.cell.value},
         "head": {
             "kind": model.head.kind.value,
             "mean_pool": model.head.mean_pool,
             "V": _encode_array(model.head.V),
         },
         "cells": [
-            {name: _encode_array(arr) for name, arr in p.arrays.items()}
-            for p in model.cells
+            {name: _encode_array(arr) for name, arr in arrays.items()}
+            for arrays in cells
         ],
         "classes": [float(c) for c in classes],
         "metrics": metrics,
@@ -239,6 +234,20 @@ def load_checkpoint(path):
     return model, run_config, metrics, classes
 
 
+# The JSON value types a checkpoint field may hold, by the field's Python
+# type; a float field also takes an integer, but no field takes a boolean
+# for a number.
+_JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "float": (float, int)}
+
+
+def _typed(section: dict, key: str, type_name: str, where: str):
+    """``section[key]``, which must hold a JSON value of ``type_name``."""
+    value = section[key]
+    if type(value) not in _JSON_TYPES[type_name]:
+        raise ValueError(f"field '{where}.{key}' must be {type_name}, got {json.dumps(value)}")
+    return value
+
+
 def _decode_checkpoint(doc: dict):
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version not in (1, CHECKPOINT_VERSION):
@@ -247,30 +256,32 @@ def _decode_checkpoint(doc: dict):
             f"(expected 1 or {CHECKPOINT_VERSION})"
         )
     enc = doc["encoder"]
-    cfg = EncoderConfig(
-        cell=_parse_enum(CellKind, enc["cell"], "cell"),
-        input_dim=enc["input_dim"],
-        hidden_dim=enc["hidden_dim"],
-        max_len=enc["max_len"],
-        layers=enc["layers"],
-        bidirectional=enc["bidirectional"],
-    )
-    cells = []
-    for i, blob in enumerate(doc["cells"]):
-        cells.append(CellParams(
-            cfg.cell, cfg.cell_input_dim(i), cfg.hidden_dim,
-            {name: _decode_array(t) for name, t in blob.items()},
-        ))
+    cfg = EncoderConfig(_parse_enum(CellKind, enc["cell"], "cell"),
+                        *(_typed(enc, f.name, f.type, "encoder")
+                          for f in dataclasses.fields(EncoderConfig)[1:]))
+    blobs = doc["cells"]
+    if type(blobs) is not list or not all(type(blob) is dict for blob in blobs):
+        raise ValueError("field 'cells' must be a list of objects")
+    cells = [pack(cfg.cell, cfg.cell_input_dim(i), cfg.hidden_dim,
+                  {name: _decode_array(t) for name, t in blob.items()})
+             for i, blob in enumerate(blobs)]
     head = HeadParams(
         _parse_enum(HeadKind, doc["head"]["kind"], "head"),
         _decode_array(doc["head"]["V"]),
-        doc["head"]["mean_pool"],
+        _typed(doc["head"], "mean_pool", "bool", "head"),
     )
     model = Model(cfg, cells, head)
-    run_config = RunConfig(**doc["run_config"])
+    rc = doc["run_config"]
+    for f in dataclasses.fields(RunConfig):
+        if f.name in rc:
+            _typed(rc, f.name, f.type, "run_config")
+    run_config = RunConfig(**rc)
     classes = None
     if version == CHECKPOINT_VERSION:
-        classes = np.asarray(doc["classes"], dtype=DTYPE)
+        classes = doc["classes"]
+        if type(classes) is not list or not all(type(c) in _JSON_TYPES["float"] for c in classes):
+            raise ValueError("field 'classes' must be a list of numbers")
+        classes = np.asarray(classes, dtype=DTYPE)
         if classes.shape != (model.num_classes,) or not np.all(np.diff(classes) > 0):
             raise ValueError(f"classes must be {model.num_classes} increasing labels")
     return model, run_config, doc.get("metrics"), classes

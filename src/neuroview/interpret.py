@@ -176,7 +176,7 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
 
     X = dataset.features()
     trace = encode(model, X, gates=False)
-    base_logits = head_forward(model.head, trace, cfg)
+    base_logits = head_forward(model, trace)
     logits_of = {(target, ()): base_logits for target in AblationTarget}
     q = trace.q.reshape(len(X), cfg.layers, cfg.max_len, cfg.step_width)
     for *_, target, steps in plans:
@@ -190,7 +190,7 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
         Xa = X.copy()
         Xa[:, steps] = 0.0
         trace = encode(model, Xa, 0 if cfg.bidirectional else steps[0], trace, gates=False)
-        logits_of[AblationTarget.INPUTS, steps] = head_forward(model.head, trace, cfg)
+        logits_of[AblationTarget.INPUTS, steps] = head_forward(model, trace)
     return [CounterfactualResult(class_index, k, steps, mode, target,
                                  eval_report(logits_of[target, key], dataset.labels(),
                                              model.num_classes))

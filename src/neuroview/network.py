@@ -36,7 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 from .linalg import DTYPE, Buffered, scratch
-from .cells import CellKind, CellParams, sequence_backward, sequence_forward
+from .cells import CellKind, packed_shapes, sequence_backward, sequence_forward
 
 
 class HeadKind(enum.Enum):
@@ -216,16 +216,10 @@ def encode(model: Model, x, resume: int = 0, out: Optional[ForwardTrace] = None,
                         buffers={} if out is None else out.buffers)
 
 
-def head_forward(head: HeadParams, trace: ForwardTrace,
-                 cfg: EncoderConfig) -> np.ndarray:
-    """(B, d) class scores for a forward trace; fills the trace's NeuroView
-    fields."""
-    width = cfg.head_width(head.kind)
-    if head.V.shape[1] != width:
-        raise ValueError(
-            f"head width mismatch: V has {head.V.shape[1]} columns, "
-            f"encoder produces {width} features for {head.kind.value!r}"
-        )
+def head_forward(model: Model, trace: ForwardTrace) -> np.ndarray:
+    """(B, d) class scores for a forward trace of ``model``'s encoder;
+    fills the trace's NeuroView fields."""
+    head, cfg = model.head, model.encoder
     top = trace.hidden[-1]
     T = cfg.max_len
     B = top.shape[1]
@@ -252,7 +246,7 @@ def head_forward(head: HeadParams, trace: ForwardTrace,
             trace.step_logits = np.matmul(
                 q.transpose(1, 2, 0, 3), head.V.reshape(d, *shape).transpose(1, 2, 3, 0),
                 out=trace.buffer("step_logits", (cfg.layers, T, B, d)))
-        q = q.reshape(B, width)
+        q = q.reshape(B, head.V.shape[1])
         logits = q @ head.V.T
         trace.q = q
         trace.logits = logits
@@ -340,18 +334,20 @@ def network_backward(model: Model, trace: ForwardTrace, grad_logits: np.ndarray,
 class Model:
     """A trained (or trainable) classifier: encoder cells plus one head.
 
-    Construction checks the cells against the encoder config once and
-    copies cells and head into a fresh flat buffer, ``params``, laid out
-    layer by layer: layer l's stacked ``W_i | b_i`` block (D, k*n, m_l+1)
-    and ``W_h | b_h`` block (D, k*n, n+1), then ``V``. ``layers[l]`` is
-    that ``(W_i, W_h)`` pair, the kernels' weights; cell ``l*D + d``
-    packs their ``[d]`` slices and the head's ``V`` is the tail, all views
-    into ``params``, so no two models share storage. Cells are ordered
+    Each cell is a pair of packed blocks ``(W_i | b_i, W_h | b_h)`` (see
+    ``cells``). Construction checks the cells' count and block shapes
+    against the encoder config once and copies cells and head into a
+    fresh flat buffer, ``params``, laid out layer by layer: layer l's
+    stacked ``W_i | b_i`` block (D, k*n, m_l+1) and ``W_h | b_h`` block
+    (D, k*n, n+1), then ``V``. ``layers[l]`` is that ``(W_i, W_h)`` pair,
+    the kernels' weights; cell ``l*D + d`` becomes the pair of their
+    ``[d]`` slices and the head's ``V`` is the tail, all views into
+    ``params``, so no two models share storage. Cells are ordered
     layer-major with the forward direction first:
     ``[l0_fwd, l0_rev, l1_fwd, l1_rev, ...]``."""
 
     encoder: EncoderConfig
-    cells: List[CellParams]
+    cells: List[tuple]
     head: HeadParams
     params: np.ndarray = field(init=False, repr=False)
     layers: List[tuple] = field(init=False, repr=False)
@@ -363,15 +359,13 @@ class Model:
                 f"encoder needs {cfg.num_cells()} cells "
                 f"({cfg.layers} layers x {cfg.directions} directions), got {len(self.cells)}"
             )
-        for idx, p in enumerate(self.cells):
-            want_in = cfg.cell_input_dim(idx)
-            if p.kind is not cfg.cell:
-                raise ValueError(f"cell {idx}: kind {p.kind.value!r} != config {cfg.cell.value!r}")
-            if p.hidden_dim != cfg.hidden_dim or p.input_dim != want_in:
-                raise ValueError(
-                    f"cell {idx}: dims ({p.input_dim}, {p.hidden_dim}) do not match "
-                    f"config ({want_in}, {cfg.hidden_dim})"
-                )
+        for idx, cell in enumerate(self.cells):
+            m = cfg.cell_input_dim(idx)
+            want = packed_shapes(cfg.cell, m, cfg.hidden_dim)
+            got = tuple(np.shape(W) for W in cell)
+            if got != want:
+                raise ValueError(f"cell {idx}: blocks of shapes {got} do not fit the config's "
+                                 f"{cfg.cell.value} cell of dims ({m}, {cfg.hidden_dim}), {want}")
         if self.head.V.shape[1] != cfg.head_width(self.head.kind):
             raise ValueError(
                 f"head V has {self.head.V.shape[1]} columns, encoder provides "
@@ -379,11 +373,13 @@ class Model:
             )
         D = cfg.directions
         self.params, self.layers, V = _carve(
-            [tuple((D,) + W.shape for W in p.packed) for p in self.cells[::D]],
+            [tuple((D,) + np.shape(W) for W in cell) for cell in self.cells[::D]],
             self.head.V.shape)
-        self.cells = [CellParams(p.kind, p.input_dim, p.hidden_dim, p.arrays,
-                                 tuple(W[i % D] for W in self.layers[i // D]))
-                      for i, p in enumerate(self.cells)]
+        for i, cell in enumerate(self.cells):
+            for W, block in zip(self.layers[i // D], cell):
+                W[i % D] = block
+        self.cells = [tuple(W[i % D] for W in self.layers[i // D])
+                      for i in range(len(self.cells))]
         V[...] = self.head.V
         self.head = HeadParams(self.head.kind, V, self.head.mean_pool)
 
@@ -394,7 +390,7 @@ class Model:
     def forward(self, x, gates: bool = True) -> tuple:
         """``(logits, trace)``; ``gates`` as in ``encode``."""
         trace = encode(self, x, gates=gates)
-        logits = head_forward(self.head, trace, self.encoder)
+        logits = head_forward(self, trace)
         return logits, trace
 
 

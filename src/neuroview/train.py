@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .linalg import DTYPE
-from .cells import InitScheme, init_params
+from .cells import InitScheme, init_params, named_views
 from .network import (
     EncoderConfig,
     HeadKind,
@@ -144,9 +144,10 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
 
 def param_tree(model: Model) -> dict:
     """A model's parameters as a name -> view map into ``model.params``."""
+    cfg = model.encoder
     tree = {}
-    for i, p in enumerate(model.cells):
-        for name, arr in p.arrays.items():
+    for i, cell in enumerate(model.cells):
+        for name, arr in named_views(cfg.cell, cfg.hidden_dim, *cell).items():
             tree[f"cell{i}.{name}"] = arr
     tree["head.V"] = model.head.V
     return tree
@@ -210,7 +211,7 @@ def fit(dataset: DataSet, cfg: TrainConfig, encoder: EncoderConfig,
         for start in range(0, B, batch):
             idx = order[start:start + batch]
             trace = traces[len(idx)] = encode(model, X[idx], out=traces.get(len(idx)))
-            logits = head_forward(model.head, trace, model.encoder)
+            logits = head_forward(model, trace)
             loss, grad_logits = softmax_xent(logits, y[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)

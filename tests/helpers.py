@@ -39,19 +39,20 @@ def max_tree_rel_err(analytic, numeric, floor=1e-8):
     return max(rel_err(analytic[k], numeric[k], floor) for k in analytic)
 
 
-def named_cell_grads(cells, layer_grads):
+def named_cell_grads(model, layer_grads):
     """Each cell's slices of ``network_backward``'s stacked per-layer
     gradient blocks, cell ``l*D + d`` taking layer l's ``[d]``, as a
     name -> view map."""
-    D = len(cells) // len(layer_grads)
-    return [named_views(p.kind, p.hidden_dim, *(G[i % D] for G in layer_grads[i // D]))
-            for i, p in enumerate(cells)]
+    cfg = model.encoder
+    D = cfg.directions
+    return [named_views(cfg.cell, cfg.hidden_dim, *(G[i % D] for G in layer_grads[i // D]))
+            for i in range(cfg.num_cells())]
 
 
-def grad_tree(cells, grad_V, layer_grads):
+def grad_tree(model, grad_V, layer_grads):
     """``network_backward``'s gradients under ``param_tree``'s names."""
     tree = {f"cell{i}.{name}": g
-            for i, grads in enumerate(named_cell_grads(cells, layer_grads))
+            for i, grads in enumerate(named_cell_grads(model, layer_grads))
             for name, g in grads.items()}
     tree["head.V"] = grad_V
     return tree

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neuroview.cells import CellKind, InitKind, InitScheme, init_params
+from neuroview.cells import CellKind, InitKind, InitScheme, init_params, named_views
 from neuroview.cli import (
     RunConfig,
     UsageError,
@@ -152,7 +152,7 @@ def test_c01_gradient_correctness(cell, head):
     logits, trace = model.forward(x)
     _, gl = softmax_xent(logits, label)
     gV, cg = network_backward(model, trace, gl)
-    analytic = grad_tree(model.cells, gV, cg)
+    analytic = grad_tree(model, gV, cg)
     numeric = finite_diff_tree(loss_of, param_tree(model), eps=1e-5)
     assert max_tree_rel_err(analytic, numeric, floor=1e-8) < 1e-6
 
@@ -269,17 +269,17 @@ def test_c08_initialization_properties():
     for n in (4, 32, 128):
         p = init_params(CellKind.SIMPLE_RNN, 2, n,
                         InitScheme(InitKind.ORTHOGONAL, 3))
-        W = p.arrays["W"]
+        W = named_views(CellKind.SIMPLE_RNN, n, *p)["W"]
         assert np.max(np.abs(W.T @ W - np.eye(n))) < 1e-10
     p = init_params(CellKind.GRU, 2, 16, InitScheme(InitKind.IDENTITY, 0))
     for name in ("W_hr", "W_hz", "W_hn"):
-        np.testing.assert_array_equal(p.arrays[name], np.eye(16))
+        np.testing.assert_array_equal(named_views(CellKind.GRU, 16, *p)[name], np.eye(16))
     for kind in CellKind:
         for init_kind in InitKind:
             a = init_params(kind, 3, 8, InitScheme(init_kind, 77))
             b = init_params(kind, 3, 8, InitScheme(init_kind, 77))
-            for name in a.arrays:
-                np.testing.assert_array_equal(a.arrays[name], b.arrays[name])
+            for W_a, W_b in zip(a, b):
+                np.testing.assert_array_equal(W_a, W_b)
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_c09_reversal_duality():
         n, m, T = 5, 3, 7
         cfg = EncoderConfig(kind, m, n, T, bidirectional=True)
         theta = init_params(kind, m, n, InitScheme(InitKind.UNIFORM, 13))
-        cells = [theta, theta.copy()]
+        cells = [theta, theta]
         x = np.random.default_rng(14).normal(size=(1, T, m))
         model = model_of(cfg, cells)
         fwd = encode(model, x)

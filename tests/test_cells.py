@@ -5,13 +5,13 @@ import pytest
 
 from neuroview.cells import (
     CellKind,
-    CellParams,
     InitKind,
     InitScheme,
     cell_backward,
     cell_forward,
     init_params,
     named_views,
+    pack,
     param_shapes,
     scheme_matrix,
     sequence_backward,
@@ -26,7 +26,7 @@ from helpers import finite_diff_tree, max_tree_rel_err, rel_err
 
 def zero_params(kind, m, n):
     shapes = param_shapes(kind, m, n)
-    return CellParams(kind, m, n, {k: np.zeros(s) for k, s in shapes.items()})
+    return pack(kind, m, n, {k: np.zeros(s) for k, s in shapes.items()})
 
 
 def random_params(kind, m, n, seed):
@@ -53,14 +53,14 @@ def cell_state(trace, t=-1, d=0):
 
 def test_rnn_zero_params_gives_half():
     p = zero_params(CellKind.SIMPLE_RNN, 3, 4)
-    trace = sequence_forward(p.kind, stack_cells([p]), np.array([[[9.0, -2.0, 1.0]]]))
+    trace = sequence_forward(CellKind.SIMPLE_RNN, stack_cells([p]), np.array([[[9.0, -2.0, 1.0]]]))
     np.testing.assert_array_equal(trace.h[0, 0], np.full((1, 4), 0.5))
     np.testing.assert_array_equal(trace.aux[0, :, 0], np.zeros((4, 1)))  # pre-activation
 
 
 def test_lstm_zero_params_gives_zero_state():
     p = zero_params(CellKind.LSTM, 2, 3)
-    trace = sequence_forward(p.kind, stack_cells([p]), np.array([[[1.0, 2.0]]]))
+    trace = sequence_forward(CellKind.LSTM, stack_cells([p]), np.array([[[1.0, 2.0]]]))
     np.testing.assert_array_equal(cell_state(trace), np.zeros((1, 3)))
     np.testing.assert_array_equal(trace.h[0, 0], np.zeros((1, 3)))
     np.testing.assert_array_equal(gate(trace, "f"), np.full((1, 3), 0.5))
@@ -92,8 +92,9 @@ def test_gru_scalar_hand_evaluation():
         k: np.array([[v]]) if k.startswith("W") else np.array([v])
         for k, v in vals.items()
     }
-    p = CellParams(CellKind.GRU, 1, 1, arrays)
-    trace = sequence_forward(p.kind, stack_cells([p]), np.array([[[x]]]), np.array([[[h_prev]]]))
+    p = pack(CellKind.GRU, 1, 1, arrays)
+    trace = sequence_forward(CellKind.GRU, stack_cells([p]), np.array([[[x]]]),
+                             np.array([[[h_prev]]]))
     assert trace.h[0, 0, 0, 0] == pytest.approx(expected, rel=1e-14)
     assert gate(trace, "r")[0, 0] == pytest.approx(r, rel=1e-14)
     assert gate(trace, "z")[0, 0] == pytest.approx(z, rel=1e-14)
@@ -102,13 +103,13 @@ def test_gru_scalar_hand_evaluation():
 
 def test_forward_is_deterministic_and_pure():
     p = random_params(CellKind.GRU, 3, 5, 0)
-    before = {k: v.copy() for k, v in p.arrays.items()}
+    before = [W.copy() for W in p]
     X = np.linspace(-1, 1, 3).reshape(1, 1, 3)
-    t1 = sequence_forward(p.kind, stack_cells([p]), X)
-    t2 = sequence_forward(p.kind, stack_cells([p]), X)
+    t1 = sequence_forward(CellKind.GRU, stack_cells([p]), X)
+    t2 = sequence_forward(CellKind.GRU, stack_cells([p]), X)
     np.testing.assert_array_equal(t1.h, t2.h)
-    for k in before:
-        np.testing.assert_array_equal(p.arrays[k], before[k])
+    for W, W0 in zip(p, before):
+        np.testing.assert_array_equal(W, W0)
 
 
 def test_hidden_state_ranges():
@@ -119,7 +120,7 @@ def test_hidden_state_ranges():
         (CellKind.LSTM, -1.0, 1.0),
     ]:
         p = random_params(kind, 3, 6, 7)
-        trace = sequence_forward(p.kind, stack_cells([p]), rng.normal(size=(20, 1, 3)) * 3)
+        trace = sequence_forward(kind, stack_cells([p]), rng.normal(size=(20, 1, 3)) * 3)
         assert np.all(trace.h > lo) and np.all(trace.h < hi)
         for t in range(20):
             for name in GATES[kind]:
@@ -134,10 +135,12 @@ def test_gru_carry_gate_identity():
     # Saturating the carry gate (z == 1.0 exactly in float64) must return
     # the previous hidden state bit-for-bit.
     p = random_params(CellKind.GRU, 2, 4, 3)
-    p.arrays["b_iz"][:] = 50.0  # views into the packed blocks stack_cells reads
-    p.arrays["b_hz"][:] = 50.0
+    arrays = named_views(CellKind.GRU, 4, *p)  # views into the blocks stack_cells reads
+    arrays["b_iz"][:] = 50.0
+    arrays["b_hz"][:] = 50.0
     h_prev = np.random.default_rng(5).uniform(-0.9, 0.9, (1, 1, 4))
-    trace = sequence_forward(p.kind, stack_cells([p]), np.array([[[0.3, -0.7]]]), h_prev.copy())
+    trace = sequence_forward(CellKind.GRU, stack_cells([p]), np.array([[[0.3, -0.7]]]),
+                             h_prev.copy())
     np.testing.assert_array_equal(gate(trace, "z"), np.ones((1, 4)))
     np.testing.assert_array_equal(trace.h[0], h_prev)
 
@@ -151,15 +154,15 @@ def test_cell_step_is_the_one_step_kernel():
         lstm = kind is CellKind.LSTM
         x, h0, c0, dh, dc = (rng.normal(size=(2, s)) for s in (3, 4, 4, 4, 4))
         c0, dc = (c0, dc) if lstm else (None, None)
-        trace = cell_forward(p, x, h0, c0)
-        want = sequence_forward(p.kind, stack_cells([p]), x[None], h0[None],
+        trace = cell_forward(kind, p, x, h0, c0)
+        want = sequence_forward(kind, stack_cells([p]), x[None], h0[None],
                                 None if c0 is None else c0[None])
         np.testing.assert_array_equal(trace.ha, want.ha)
         np.testing.assert_array_equal(trace.gates, want.gates)
-        grads, dh0, dc0, dx = cell_backward(p, trace, dh, dc)
+        grads, dh0, dc0, dx = cell_backward(kind, p, trace, dh, dc)
         dX = np.zeros((1, 2, 3))
         want_grads, want_dh0, want_dc0 = sequence_backward(
-            p.kind, stack_cells([p]), want, dh[None], None if dc is None else dc[None], dX)
+            kind, stack_cells([p]), want, dh[None], None if dc is None else dc[None], dX)
         for got, w in zip(grads, want_grads):
             np.testing.assert_array_equal(got, w[0])
         np.testing.assert_array_equal(dh0, want_dh0[0])
@@ -170,8 +173,8 @@ def test_cell_step_is_the_one_step_kernel():
             assert dc0 is None
         # Zero states are the default.
         zeros = np.zeros_like(h0)
-        np.testing.assert_array_equal(cell_forward(p, x).ha,
-                                      cell_forward(p, x, zeros, zeros if lstm else None).ha)
+        np.testing.assert_array_equal(cell_forward(kind, p, x).ha,
+                                      cell_forward(kind, p, x, zeros, zeros if lstm else None).ha)
 
 
 # ---------------------------------------------------------------- backward
@@ -184,9 +187,9 @@ def test_backward_zero_upstream_gives_zero_grads():
         h0 = rng.uniform(-0.5, 0.5, (1, 1, 4))
         c0 = rng.uniform(-0.5, 0.5, (1, 1, 4)) if lstm else None
         X = rng.normal(size=(1, 1, 3))
-        trace = sequence_forward(p.kind, stack_cells([p]), X, h0, c0)
+        trace = sequence_forward(kind, stack_cells([p]), X, h0, c0)
         dX = np.zeros_like(X)
-        grads, dh, dc = sequence_backward(p.kind, stack_cells([p]), trace, np.zeros((1, 1, 4)),
+        grads, dh, dc = sequence_backward(kind, stack_cells([p]), trace, np.zeros((1, 1, 4)),
                                           np.zeros((1, 1, 4)) if lstm else None, dX)
         for g in grads:
             assert not g.any()
@@ -227,7 +230,7 @@ def _fd_check(kind, m, n, seed, T=1, D=1, B=1, tol=1e-6):
     grads, dh0, dc0 = sequence_backward(kind, weights, trace, w_h, w_c, dX)
 
     for d, p in enumerate(cells):
-        fd_params = finite_diff_tree(scalar, p.arrays)
+        fd_params = finite_diff_tree(scalar, named_views(kind, n, *p))
         assert max_tree_rel_err(named_views(kind, n, *(g[d] for g in grads)), fd_params) < tol
     fd_inputs = finite_diff_tree(scalar, inputs)
     assert rel_err(dh0, fd_inputs["h0"]) < tol
@@ -279,10 +282,10 @@ def test_batched_backward_sums_over_batch():
         gc = rng.normal(size=(1, B, 4)) if lstm else None
 
         def run(rows):
-            trace = sequence_forward(p.kind, stack_cells([p]), X[:, rows], hp[:, rows],
+            trace = sequence_forward(kind, stack_cells([p]), X[:, rows], hp[:, rows],
                                      None if cp is None else cp[:, rows])
             dX = np.zeros_like(X[:, rows])
-            grads, dh, _ = sequence_backward(p.kind, stack_cells([p]), trace, gh[:, rows],
+            grads, dh, _ = sequence_backward(kind, stack_cells([p]), trace, gh[:, rows],
                                              None if gc is None else gc[:, rows], dX)
             return grads, dh, dX
 
@@ -302,7 +305,7 @@ def test_batched_backward_sums_over_batch():
 
 def test_identity_init_is_exact():
     p = init_params(CellKind.SIMPLE_RNN, 3, 4, InitScheme(InitKind.IDENTITY, 0))
-    np.testing.assert_array_equal(p.arrays["W"], np.eye(4))
+    np.testing.assert_array_equal(named_views(CellKind.SIMPLE_RNN, 4, *p)["W"], np.eye(4))
 
 
 def test_orthogonal_init_is_orthogonal():
@@ -310,7 +313,7 @@ def test_orthogonal_init_is_orthogonal():
         p = init_params(
             CellKind.SIMPLE_RNN, 2, n, InitScheme(InitKind.ORTHOGONAL, 1)
         )
-        W = p.arrays["W"]
+        W = named_views(CellKind.SIMPLE_RNN, n, *p)["W"]
         assert np.max(np.abs(W.T @ W - np.eye(n))) < 1e-10
 
 
@@ -319,15 +322,15 @@ def test_same_seed_is_bit_identical():
         for init_kind in InitKind:
             a = init_params(kind, 3, 5, InitScheme(init_kind, 42))
             b = init_params(kind, 3, 5, InitScheme(init_kind, 42))
-            for name in a.arrays:
-                np.testing.assert_array_equal(a.arrays[name], b.arrays[name])
+            for W_a, W_b in zip(a, b):
+                np.testing.assert_array_equal(W_a, W_b)
 
 
 def test_uniform_bound_is_fan_in():
     n = 16
     p = init_params(CellKind.GRU, 3, n, InitScheme(InitKind.UNIFORM, 9))
     bound = 1.0 / math.sqrt(n)
-    for name, arr in p.arrays.items():
+    for name, arr in named_views(CellKind.GRU, n, *p).items():
         assert np.max(np.abs(arr)) <= bound
 
 
@@ -336,7 +339,7 @@ def test_special_schemes_touch_only_hidden_matrices():
     bound = 1.0 / math.sqrt(n)
     for init_kind in (InitKind.ORTHOGONAL, InitKind.IDENTITY, InitKind.NORMAL):
         p = init_params(CellKind.LSTM, 3, n, InitScheme(init_kind, 5))
-        for name, arr in p.arrays.items():
+        for name, arr in named_views(CellKind.LSTM, n, *p).items():
             if not (name.startswith("W_h")):
                 assert np.max(np.abs(arr)) <= bound, name
 
@@ -344,7 +347,7 @@ def test_special_schemes_touch_only_hidden_matrices():
 def test_normal_scheme_variance():
     n = 64
     p = init_params(CellKind.SIMPLE_RNN, 2, n, InitScheme(InitKind.NORMAL, 8))
-    W = p.arrays["W"]
+    W = named_views(CellKind.SIMPLE_RNN, n, *p)["W"]
     # var 1/n, n*n samples: the sample variance should sit near 1/n
     assert abs(W.var() * n - 1.0) < 0.15
 
@@ -363,11 +366,20 @@ def test_init_rejects_bad_dims():
 
 
 def test_params_shape_validation():
+    # ``pack`` checks names, then each array's shape and finiteness.
     shapes = param_shapes(CellKind.SIMPLE_RNN, 3, 4)
     arrays = {k: np.zeros(s) for k, s in shapes.items()}
     arrays["W"] = np.zeros((4, 3))
-    with pytest.raises(ValueError, match="'W'"):
-        CellParams(CellKind.SIMPLE_RNN, 3, 4, arrays)
+    with pytest.raises(ValueError,
+                       match=r"^parameter 'W': expected shape \(4, 4\), got \(4, 3\)$"):
+        pack(CellKind.SIMPLE_RNN, 3, 4, arrays)
+    arrays["W"] = np.full((4, 4), np.inf)
+    with pytest.raises(ValueError, match="^parameter 'W' contains non-finite entries$"):
+        pack(CellKind.SIMPLE_RNN, 3, 4, arrays)
+    del arrays["W"]
+    with pytest.raises(ValueError, match=r"^rnn cell expects parameters \['U', 'W', 'b'\], "
+                                         r"got \['U', 'b'\]$"):
+        pack(CellKind.SIMPLE_RNN, 3, 4, arrays)
 
 
 # ------------------------------------------------- one loop for two directions
@@ -391,7 +403,7 @@ def test_two_direction_loop_equals_two_one_direction_runs(kind, B, shared):
     model = build_model(enc, HeadKind.AVERAGE_POOL, 2, InitScheme(InitKind.UNIFORM, B))
     # A model's layer weights are views of its buffer; loose cells are
     # stacked into a copy.
-    weights = model.layers[0] if shared else stack_cells([p.copy() for p in model.cells])
+    weights = model.layers[0] if shared else stack_cells(model.cells)
     rng = np.random.default_rng(B)
     X = rng.normal(size=(T, B, m))
     h0 = rng.normal(size=(2, B, n))
@@ -447,8 +459,7 @@ def test_model_layers_are_layer_major_views_of_params(kind, layers, bidir):
             np.testing.assert_array_equal(W.ravel(), np.arange(offset, offset + W.size))
             offset += W.size
         for d in range(D):
-            packed = model.cells[layer * D + d].packed
-            for P, W in zip(packed, blocks):
+            for P, W in zip(model.cells[layer * D + d], blocks):
                 assert np.shares_memory(P, model.params)
                 np.testing.assert_array_equal(P, W[d])
     V = model.head.V

@@ -24,7 +24,7 @@ import neuroview.cli as cli_mod
 from neuroview import interpret
 from neuroview.data import DataSet, load_ucr, save_ucr, synth_separable
 from neuroview.network import EncoderConfig, HeadKind
-from neuroview.train import TrainConfig, build_model, evaluate, fit
+from neuroview.train import TrainConfig, build_model, evaluate, fit, param_tree
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +159,38 @@ def _classes_not_increasing(doc):
     doc["classes"] = [2.0, 1.0]
 
 
+def _layers_bool(doc):
+    doc["encoder"]["layers"] = True
+
+
+def _cells_object(doc):
+    doc["cells"] = {"0": doc["cells"][0]}
+
+
+def _cell_list(doc):
+    doc["cells"][0] = list(doc["cells"][0].values())
+
+
+def _znorm_string(doc):
+    doc["run_config"]["znorm"] = "false"
+
+
+def _mean_pool_string(doc):
+    doc["head"]["mean_pool"] = "no"
+
+
+def _classes_strings(doc):
+    doc["classes"] = ["0", "1"]
+
+
 CORRUPTIONS = [_drop_encoder, _unknown_run_config_key, _bad_payload_shape, "truncated",
-               _nan_in_V, _inf_in_V, _nan_in_cell, _inf_in_cell, _classes_not_increasing]
+               _nan_in_V, _inf_in_V, _nan_in_cell, _inf_in_cell, _classes_not_increasing,
+               _layers_bool, _cells_object, _cell_list, _znorm_string, _mean_pool_string,
+               _classes_strings]
+# The field that the error line names, for a field of the wrong JSON type.
+FIELD_OF = {_layers_bool: "encoder.layers", _cells_object: "cells", _cell_list: "cells",
+            _znorm_string: "run_config.znorm", _mean_pool_string: "head.mean_pool",
+            _classes_strings: "classes"}
 
 
 def _write_checkpoint(p, head=HeadKind.NEUROVIEW, corrupt=None):
@@ -185,7 +215,7 @@ def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path, where, v
     good = tmp_path / "good.json"
     save_checkpoint(good, model, RunConfig())
     # A model's parameters are views into one buffer, as fit updates them.
-    (model.cells[0].arrays["W_hz"] if where == "cell" else model.head.V)[0, 0] = value
+    (param_tree(model)["cell0.W_hz"] if where == "cell" else model.head.V)[0, 0] = value
     doc = json.loads(good.read_text())
     _set_first(doc["cells"][0]["W_hz"] if where == "cell" else doc["head"]["V"], value)
     # The checkpoint load_checkpoint would be given.
@@ -292,18 +322,6 @@ def test_train_subcommand_end_to_end(dataset_files, tmp_path, capsys):
     assert len(hist) == 41
 
 
-def test_train_missing_dataset_exits_2(tmp_path, capsys):
-    code = main(["train", "--train-path", str(tmp_path / "nope.tsv"),
-                 "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "not found" in capsys.readouterr().err
-
-
-def test_train_no_dataset_exits_2(tmp_path, capsys):
-    code = main(["train", "--out", str(tmp_path / "o")])
-    assert code == 2
-
-
 @pytest.mark.parametrize("flag,value", [
     ("--lr", "0"), ("--epochs", "-1"), ("--batch-size", "-2"), ("--grad-clip", "-1"),
     ("--hidden", "0"), ("--layers", "0"), ("--max-len", "-3"),
@@ -359,9 +377,10 @@ def test_train_epochs_zero_writes_initial_model(dataset_files, tmp_path):
         model.encoder, HeadKind.NEUROVIEW, 2, InitScheme(InitKind.UNIFORM, rc.seed)
     )
     np.testing.assert_array_equal(model.head.V, fresh.head.V)
-    for a, b in zip(model.cells, fresh.cells):
-        for k in a.arrays:
-            np.testing.assert_array_equal(a.arrays[k], b.arrays[k])
+    got, want = param_tree(model), param_tree(fresh)
+    assert list(got) == list(want)
+    for k in want:
+        np.testing.assert_array_equal(got[k], want[k])
 
 
 def test_train_seed_env_override(dataset_files, tmp_path, monkeypatch):
@@ -844,8 +863,9 @@ def test_inspect_writes_what_export_writes_without_a_sweep(trained_run, tmp_path
 # Every (subcommand, bad input) row ends in its documented exit code (2 for
 # usage, config and input errors, 1 for numerical failures) with exactly one
 # stderr line, ``error: ...``, besides any ``warning:`` line the CLI prints,
-# and without a traceback, a Python warning or an exception escaping ``main``. ``needle`` must appear in that
-# line. Placeholders: {train}/{test} the T = 8 splits, {ckpt} a trained nv
+# and without a traceback, a Python warning, an OS error number or an
+# exception escaping ``main``, and writes no file. ``needle`` must appear in
+# that line. Placeholders: {train}/{test} the T = 8 splits, {ckpt} a trained nv
 # checkpoint, {v1} the format-1 fixture, {tmp} a fresh directory holding
 # ``files`` (text, bytes, or a callable that writes the path).
 
@@ -912,7 +932,8 @@ BAD_INPUT = [
          "evaluate --checkpoint {tmp}/none.json --dataset-path {test}", needle="not found"),
     *[_bad(f"evaluate-checkpoint-{getattr(c, '__name__', c).lstrip('_')}",
            "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}",
-           needle="checkpoint {tmp}/ckpt.json: ",
+           needle="checkpoint {tmp}/ckpt.json: "
+                  + (f"field '{FIELD_OF[c]}'" if c in FIELD_OF else ""),
            files={"ckpt.json": lambda p, c=c: _write_checkpoint(p, corrupt=c)})
       for c in CORRUPTIONS],
     *[_bad(f"evaluate-split-{case}", "evaluate --checkpoint {ckpt} --dataset-path "
@@ -983,6 +1004,7 @@ def test_bad_input_exits_with_one_error_line(dataset_files, trained_run, tmp_pat
             p.write_bytes(content)
         else:
             p.write_text(content)
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
     # A warning would print lines of its own on stderr: here it raises.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -991,7 +1013,8 @@ def test_bad_input_exits_with_one_error_line(dataset_files, trained_run, tmp_pat
     err = [line for line in stderr.splitlines() if not line.startswith("warning: ")]
     assert len(err) == 1 and err[0].startswith("error: "), stderr
     assert needle.format(**names) in err[0]
-    assert "Traceback" not in stderr
+    assert "Traceback" not in stderr and "Errno" not in stderr
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
 
 
 # -------------------------------------------------------------------- help

@@ -317,7 +317,7 @@ def test_resumed_forward_equals_full_forward(cell, layers):
         want, full = model.forward(Xa)
         _, base = model.forward(X)
         resumed = encode(model, Xa, t0, base)
-        got = head_forward(model.head, resumed, enc)
+        got = head_forward(model, resumed)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(resumed.q, full.q)
         np.testing.assert_array_equal(resumed.step_logits, full.step_logits)

@@ -6,12 +6,12 @@ import pytest
 from neuroview.cells import (
     CHUNK,
     CellKind,
-    CellParams,
     InitKind,
     InitScheme,
     cell_forward,
     init_params,
     named_views,
+    pack,
     param_shapes,
     sequence_backward,
     sequence_forward,
@@ -55,7 +55,7 @@ def test_encode_single_step_reduces_to_cell_forward():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=1)
     x = np.array([[[0.4, -0.9]]])
     trace = encode(model, x)
-    step = cell_forward(model.cells[0], x[:, 0])
+    step = cell_forward(CellKind.GRU, model.cells[0], x[:, 0])
     np.testing.assert_array_equal(trace.hidden[0][0], step.h[0, 0])
 
 
@@ -63,7 +63,7 @@ def test_bidirectional_palindrome_symmetry():
     n, m, T = 4, 2, 5
     cfg = EncoderConfig(CellKind.GRU, m, n, T, bidirectional=True)
     shared = init_params(CellKind.GRU, m, n, InitScheme(InitKind.UNIFORM, 1))
-    cells = [shared, shared.copy()]
+    cells = [shared, shared]
     rng = np.random.default_rng(2)
     half = rng.normal(size=(2, m))
     x = np.vstack([half, rng.normal(size=(1, m)), half[::-1]])  # palindrome
@@ -100,7 +100,7 @@ def test_stacked_zero_second_layer_rnn():
     cfg = EncoderConfig(CellKind.SIMPLE_RNN, m, n, T, layers=2)
     l0 = init_params(CellKind.SIMPLE_RNN, m, n, InitScheme(InitKind.UNIFORM, 0))
     shapes = param_shapes(CellKind.SIMPLE_RNN, n, n)
-    l1 = CellParams(CellKind.SIMPLE_RNN, n, n, {k: np.zeros(s) for k, s in shapes.items()})
+    l1 = pack(CellKind.SIMPLE_RNN, n, n, {k: np.zeros(s) for k, s in shapes.items()})
     trace = encode(model_of(cfg, [l0, l1]), np.random.default_rng(1).normal(size=(1, T, m)))
     np.testing.assert_array_equal(trace.hidden[1], np.full((T, 1, n), 0.5))
 
@@ -153,7 +153,7 @@ def test_encoder_config_validation():
 def test_encode_rejects_kind_mismatch():
     cfg = EncoderConfig(CellKind.GRU, 2, 3, 4)
     wrong = [init_params(CellKind.LSTM, 2, 3, InitScheme())]
-    with pytest.raises(ValueError, match="kind"):
+    with pytest.raises(ValueError, match="cell 0: .* gru cell"):
         model_of(cfg, wrong)
 
 
@@ -171,7 +171,7 @@ def test_nv_hand_computed_logits():
     # the rectified per-step states and the 2x2 classifier.
     cfg = EncoderConfig(CellKind.SIMPLE_RNN, 1, 1, 2)
     shapes = param_shapes(CellKind.SIMPLE_RNN, 1, 1)
-    p = CellParams(CellKind.SIMPLE_RNN, 1, 1, {k: np.zeros(s) for k, s in shapes.items()})
+    p = pack(CellKind.SIMPLE_RNN, 1, 1, {k: np.zeros(s) for k, s in shapes.items()})
     # zero params: h1 = h2 = 0.5, q = (0.5, 0.5)
     V = np.array([[1.0, 2.0], [3.0, -4.0]])
     head = HeadParams(HeadKind.NEUROVIEW, V)
@@ -247,14 +247,6 @@ def test_bidirectional_step_width():
     assert trace.hidden[0].shape[2] == 10
 
 
-def test_head_width_mismatch_error():
-    model = make_model(CellKind.GRU, HeadKind.NEUROVIEW)
-    bad_head = HeadParams(HeadKind.NEUROVIEW, np.zeros((2, 7)))
-    trace = encode(model, np.zeros((1, 4, 2)))
-    with pytest.raises(ValueError, match="width mismatch"):
-        head_forward(bad_head, trace, model.encoder)
-
-
 # ----------------------------------------------------------------- predict
 
 def test_predict_tie_breaks_to_lowest_index():
@@ -315,7 +307,7 @@ def _full_network_fd(cell, head, layers, bidir, seed, tol=1e-6,
     logits, trace = model.forward(x)
     _, gl = softmax_xent(logits, label)
     gV, cg = network_backward(model, trace, gl)
-    analytic = grad_tree(model.cells, gV, cg)
+    analytic = grad_tree(model, gV, cg)
     numeric = finite_diff_tree(loss_of, param_tree(model))
     assert max_tree_rel_err(analytic, numeric) < tol
 
@@ -344,7 +336,7 @@ def _stacked_fd(cell, head, layers, bidir, seed, tol=1e-6, n=3, m=2, T=4, d=2):
 
     _, trace = model.forward(x)
     gV, cg = network_backward(model, trace, w)
-    analytic = grad_tree(model.cells, gV, cg)
+    analytic = grad_tree(model, gV, cg)
     numeric = finite_diff_tree(scalar, param_tree(model))
     assert max_tree_rel_err(analytic, numeric) < tol
 
@@ -397,19 +389,19 @@ def _stepwise_network(model, x, grad_logits):
         for d in range(D):
             idx = layer * D + d
             p = model.cells[idx]
-            acc = [np.zeros_like(W) for W in p.packed]
+            acc = [np.zeros_like(W) for W in p]
             carry_h = np.zeros((1, B, n))
             carry_c = np.zeros((1, B, n)) if lstm else None
             # The reverse direction's BPTT carry flows from t to t+1.
             for t in (range(T - 1, -1, -1) if d == 0 else range(T)):
-                dx = np.zeros((1, B, p.input_dim))
+                dx = np.zeros((1, B, inputs[layer].shape[-1]))
                 grads, carry_h, carry_c = sequence_backward(
-                    p.kind, stack_cells([p]), steps[layer][d][t],
+                    cfg.cell, stack_cells([p]), steps[layer][d][t],
                     dH[layer][t][None, :, d * n:(d + 1) * n] + carry_h, carry_c, dx)
                 for a, g in zip(acc, grads):
                     a += g[0]
                 dX[t] += dx[0]
-            cell_grads[idx] = named_views(p.kind, n, *acc)
+            cell_grads[idx] = named_views(cfg.cell, n, *acc)
         if layer > 0:
             dH[layer - 1] = dH[layer - 1] + dX
     return hidden, q @ V.T, grad_logits.T @ q, cell_grads
@@ -438,7 +430,7 @@ def test_sequence_kernel_matches_stepwise_cells(cell, bidir, layers):
         _assert_rel_close(got, want)
     _assert_rel_close(logits, want_logits)
     _assert_rel_close(grad_V, want_V)
-    for got, want in zip(named_cell_grads(model.cells, layer_grads), want_grads):
+    for got, want in zip(named_cell_grads(model, layer_grads), want_grads):
         assert list(got) == list(want)
         for k in want:
             _assert_rel_close(got[k], want[k])
@@ -458,6 +450,23 @@ def test_model_validates_head_width():
     cells = [init_params(CellKind.GRU, 2, 3, InitScheme())]
     with pytest.raises(ValueError, match="columns"):
         Model(cfg, cells, HeadParams(HeadKind.NEUROVIEW, np.zeros((2, 5))))
+
+
+@pytest.mark.parametrize("case", ["input", "hidden", "one-block"])
+def test_model_rejects_a_cell_of_the_wrong_block_shape(case):
+    # A cell is its pair of packed blocks, checked against the config by
+    # shape (a cell of another kind has another row count: see
+    # test_encode_rejects_kind_mismatch); the message names the cell.
+    cfg = EncoderConfig(CellKind.GRU, 2, 3, 4, layers=2)
+    good = init_params(CellKind.GRU, 3, 3, InitScheme())
+    bad = {"input": init_params(CellKind.GRU, 2, 3, InitScheme()),
+           "hidden": (good[0], good[1][:, :-1]),
+           "one-block": good[:1]}[case]
+    cells = [init_params(CellKind.GRU, 2, 3, InitScheme()), bad]
+    with pytest.raises(ValueError, match=r"^cell 1: blocks of shapes .* do not fit the "
+                                         r"config's gru cell of dims \(3, 3\), "
+                                         r"\(\(9, 4\), \(9, 4\)\)$"):
+        model_of(cfg, cells)
 
 
 # ------------------------------------------------------- flat parameter buffer
@@ -486,17 +495,17 @@ def test_models_built_from_the_same_cells_do_not_alias():
     head = init_head(cfg, HeadKind.NEUROVIEW, 2, 9)
     a, b = Model(cfg, cells, head), Model(cfg, cells, head)
     assert not np.shares_memory(a.params, b.params)
-    for p in cells:
-        for W in p.packed:
+    for cell in cells:
+        for W in cell:
             assert not np.shares_memory(W, a.params)
     assert not np.shares_memory(head.V, a.params)
     np.testing.assert_array_equal(a.params, b.params)
     a.params += 1.0
     np.testing.assert_array_equal(b.params + 1.0, a.params)
     np.testing.assert_array_equal(b.head.V, head.V)
-    for p, q in zip(b.cells, cells):
-        for k in q.arrays:
-            np.testing.assert_array_equal(p.arrays[k], q.arrays[k])
+    for got, want in zip(b.cells, cells):
+        for W_got, W_want in zip(got, want):
+            np.testing.assert_array_equal(W_got, W_want)
 
 
 # ------------------------------------------------------------- buffer reuse
@@ -508,7 +517,7 @@ def _pass(model, x, gl, out=None):
     """Forward and backward; returns the logits, the trace and the flat
     gradient."""
     trace = encode(model, x, out=out)
-    logits = head_forward(model.head, trace, model.encoder)
+    logits = head_forward(model, trace)
     grad = np.empty_like(model.params)
     network_backward(model, trace, gl, grad)
     return logits, trace, grad
@@ -613,11 +622,11 @@ def test_pass_resumed_in_place_equals_a_fresh_pass(cell, layers, gates):
         xa = x.copy()
         xa[:, t0:] = rng.normal(size=(5, T - t0, 2))
         want = encode(model, xa, gates=gates)
-        want_logits = head_forward(model.head, want, model.encoder)
+        want_logits = head_forward(model, want)
         base = encode(model, x, gates=gates)
-        head_forward(model.head, base, model.encoder)
+        head_forward(model, base)
         got = encode(model, xa, t0, base, gates=gates)
-        np.testing.assert_array_equal(head_forward(model.head, got, model.encoder),
+        np.testing.assert_array_equal(head_forward(model, got),
                                       want_logits)
         assert np.shares_memory(got.q, base.q)
         np.testing.assert_array_equal(got.q, want.q)
@@ -693,7 +702,7 @@ def test_forward_only_pass_equals_the_full_pass(cell, layers, bidir, B):
             xa[:, t0:] = -x[:, t0:]
             want, full = model.forward(xa)
             trace = encode(model, xa, t0, trace, gates=False)
-            got = head_forward(model.head, trace, model.encoder)
+            got = head_forward(model, trace)
             _assert_forward_only_equals_full(got, trace, want, full, cell)
 
 
@@ -722,7 +731,7 @@ def test_forward_only_pass_into_an_earlier_one_reuses_its_chunk_buffers(cell):
     lent = dict(prev.gate_traces[0].buffers)
     assert lent
     trace = encode(model, x2, out=prev, gates=False)
-    np.testing.assert_array_equal(head_forward(model.head, trace, model.encoder), want)
+    np.testing.assert_array_equal(head_forward(model, trace), want)
     for name, arr in lent.items():
         assert np.shares_memory(trace.gate_traces[0].buffers[name], arr), name
 

@@ -295,7 +295,7 @@ def _reference_fit(ds, cfg, enc, head, init):
             logits, trace = model.forward(X[idx])
             loss, grad_logits = softmax_xent(logits, y[idx])
             grad_V, layer_grads = network_backward(model, trace, grad_logits)
-            grads = grad_tree(model.cells, grad_V, layer_grads)
+            grads = grad_tree(model, grad_V, layer_grads)
             step += 1
             bc1, bc2 = 1.0 - cfg.beta1 ** step, 1.0 - cfg.beta2 ** step
             for k, g in grads.items():
@@ -327,13 +327,13 @@ def test_fit_matches_name_keyed_reference_bit_for_bit(cell, head):
             assert list(got) == list(want)
             for k in want:
                 np.testing.assert_array_equal(got[k], want[k])
-            schema = sum(int(np.prod(s)) for p in model.cells
-                         for s in param_shapes(cell, p.input_dim, p.hidden_dim).values())
+            schema = sum(int(np.prod(s)) for i in range(enc.num_cells())
+                         for s in param_shapes(cell, enc.cell_input_dim(i), 3).values())
             assert sum(a.size for a in got.values()) == schema + model.head.V.size
             if cell is CellKind.SIMPLE_RNN:
                 # The hidden-side bias column is no parameter: it stays 0.0.
-                for p in model.cells:
-                    np.testing.assert_array_equal(p.packed[1][:, -1], 0.0)
+                for _, W_h in model.cells:
+                    np.testing.assert_array_equal(W_h[:, -1], 0.0)
 
 
 @pytest.mark.parametrize("head", [HeadKind.NEUROVIEW, HeadKind.LAST_STATE],
