@@ -52,7 +52,7 @@ for c in range(train.num_classes):
 
 sim = class_similarity(model.head)
 print("\ncosine similarity between class weight rows:")
-print(np.round(sim.values, 3))
+print(np.round(sim, 3))
 
 files = export_report(maps, sim, [], encoder, "analysis")
 print(f"\nexported {len(files)} files to analysis/:")

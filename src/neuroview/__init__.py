@@ -34,7 +34,6 @@ from .network import (
     head_forward,
     init_head,
     network_backward,
-    predict,
 )
 from .train import (
     AdamState,
@@ -61,7 +60,6 @@ from .interpret import (
     AblationMode,
     AblationTarget,
     CounterfactualResult,
-    SimilarityMatrix,
     WeightMap,
     class_similarity,
     export_report,

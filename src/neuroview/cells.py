@@ -207,19 +207,22 @@ def packed_shapes(kind: CellKind, input_dim: int, hidden_dim: int) -> tuple:
 def pack(kind: CellKind, input_dim: int, hidden_dim: int, arrays: dict) -> tuple:
     """A cell's name -> array map as a fresh pair of packed blocks
     ``(W_i | b_i, W_h | b_h)``; the names, shapes and finiteness are
-    checked, and the rnn's hidden-side bias column is 0.0."""
+    checked before the blocks are allocated, and the rnn's hidden-side
+    bias column is 0.0."""
     if set(arrays) != set(_SCHEMAS[kind]):
         raise ValueError(f"{kind.value} cell expects parameters "
                          f"{sorted(_SCHEMAS[kind])}, got {sorted(arrays)}")
+    arrays = {name: np.asarray(arr, dtype=DTYPE) for name, arr in arrays.items()}
+    for name, shape in param_shapes(kind, input_dim, hidden_dim).items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"parameter {name!r}: expected shape {shape}, "
+                             f"got {arrays[name].shape}")
+        if not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"parameter {name!r} contains non-finite entries")
     blocks = tuple(np.zeros(shape, dtype=DTYPE)
                    for shape in packed_shapes(kind, input_dim, hidden_dim))
     for name, view in named_views(kind, hidden_dim, *blocks).items():
-        arr = np.asarray(arrays[name], dtype=DTYPE)
-        if arr.shape != view.shape:
-            raise ValueError(f"parameter {name!r}: expected shape {view.shape}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"parameter {name!r} contains non-finite entries")
-        view[...] = arr
+        view[...] = arrays[name]
     return blocks
 
 

@@ -8,15 +8,18 @@ arrays: human-inspectable metadata, exact float round-trip, no binary
 format dependency. Format 2 also stores the raw label of each class id,
 and every split scored with a checkpoint maps its labels through them.
 ``NV_SEED`` in the environment overrides the config seed. Exit codes:
-0 success, 1 runtime/numerical failure, 2 usage, config or input error.
+0 success, 1 runtime/numerical failure (running out of memory or
+recursion depth too), 2 usage, config or input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import base64
+import binascii
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -168,9 +171,22 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(DTYPE).reshape(obj["shape"])
+def _decode_array(section: dict, key: str, where: str) -> np.ndarray:
+    """The array ``_encode_array`` wrote to ``section[key]``: its base64
+    ``data`` must hold exactly the float64 entries of its ``shape``."""
+    obj = _typed(section, key, "object", where)
+    field = f"{where}.{key}"
+    shape = obj["shape"]
+    if type(shape) is not list or not all(type(s) is int and s >= 0 for s in shape):
+        raise ValueError(f"field '{field}.shape' must be a list of sizes, got {json.dumps(shape)}")
+    try:
+        raw = base64.b64decode(_typed(obj, "data", "str", field))
+    except binascii.Error as e:
+        raise ValueError(f"field '{field}.data' is not base64 ({e})") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"field '{field}.data' holds {len(raw)} bytes, "
+                         f"not 8 per entry of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(DTYPE).reshape(shape)
 
 
 def save_checkpoint(path, model: Model, run_config: RunConfig,
@@ -235,16 +251,19 @@ def load_checkpoint(path):
 
 
 # The JSON value types a checkpoint field may hold, by the field's Python
-# type; a float field also takes an integer, but no field takes a boolean
-# for a number.
-_JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "float": (float, int)}
+# type or "object"; a float field also takes an integer, but no field takes
+# a boolean for a number.
+_JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "float": (float, int),
+               "object": (dict,)}
 
 
-def _typed(section: dict, key: str, type_name: str, where: str):
-    """``section[key]``, which must hold a JSON value of ``type_name``."""
+def _typed(section: dict, key: str, type_name: str, where: str = ""):
+    """``section[key]``, which must hold a JSON value of ``type_name``;
+    ``where`` names the section, empty for the top level."""
     value = section[key]
     if type(value) not in _JSON_TYPES[type_name]:
-        raise ValueError(f"field '{where}.{key}' must be {type_name}, got {json.dumps(value)}")
+        field = f"{where}.{key}" if where else key
+        raise ValueError(f"field '{field}' must be {type_name}, got {json.dumps(value)}")
     return value
 
 
@@ -255,7 +274,7 @@ def _decode_checkpoint(doc: dict):
             f"format version {version!r} not supported "
             f"(expected 1 or {CHECKPOINT_VERSION})"
         )
-    enc = doc["encoder"]
+    enc = _typed(doc, "encoder", "object")
     cfg = EncoderConfig(_parse_enum(CellKind, enc["cell"], "cell"),
                         *(_typed(enc, f.name, f.type, "encoder")
                           for f in dataclasses.fields(EncoderConfig)[1:]))
@@ -263,15 +282,16 @@ def _decode_checkpoint(doc: dict):
     if type(blobs) is not list or not all(type(blob) is dict for blob in blobs):
         raise ValueError("field 'cells' must be a list of objects")
     cells = [pack(cfg.cell, cfg.cell_input_dim(i), cfg.hidden_dim,
-                  {name: _decode_array(t) for name, t in blob.items()})
+                  {name: _decode_array(blob, name, f"cells[{i}]") for name in blob})
              for i, blob in enumerate(blobs)]
+    head_doc = _typed(doc, "head", "object")
     head = HeadParams(
-        _parse_enum(HeadKind, doc["head"]["kind"], "head"),
-        _decode_array(doc["head"]["V"]),
-        _typed(doc["head"], "mean_pool", "bool", "head"),
+        _parse_enum(HeadKind, head_doc["kind"], "head"),
+        _decode_array(head_doc, "V", "head"),
+        _typed(head_doc, "mean_pool", "bool", "head"),
     )
     model = Model(cfg, cells, head)
-    rc = doc["run_config"]
+    rc = _typed(doc, "run_config", "object")
     for f in dataclasses.fields(RunConfig):
         if f.name in rc:
             _typed(rc, f.name, f.type, "run_config")
@@ -663,6 +683,10 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (MemoryError, RecursionError) as e:
+        what = "out of memory" if isinstance(e, MemoryError) else "recursion too deep"
+        print(f"error: {what}: {e}" if str(e) else f"error: {what}", file=sys.stderr)
         return 1
 
 

@@ -31,7 +31,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .linalg import DTYPE
 from .network import EncoderConfig, HeadKind, HeadParams, Model, encode, head_forward
 from .data import DataSet
 from .train import EvalReport, eval_report
@@ -51,25 +50,18 @@ class AblationTarget(enum.Enum):
 class WeightMap:
     """One class's view of the classifier matrix.
 
-    ``per_unit`` has shape (layers, T, directions, hidden_dim) and flattens
-    back to the class's V row exactly. ``per_timestep_mean`` has shape
-    (layers, directions, T): the mean over hidden units of each block.
+    ``per_unit`` has shape (layers, T, directions, hidden_dim); its
+    ``reshape(-1)`` is the class's V row exactly. ``per_timestep_mean``
+    has shape (layers, directions, T): the mean over hidden units of each
+    block.
     """
 
     class_index: int
     per_unit: np.ndarray
     per_timestep_mean: np.ndarray
 
-    def flatten(self) -> np.ndarray:
-        return self.per_unit.reshape(-1)
-
     def timestep_means(self, layer: int = 0, direction: int = 0) -> np.ndarray:
         return self.per_timestep_mean[layer, direction]
-
-
-@dataclass
-class SimilarityMatrix:
-    values: np.ndarray  # (d, d), symmetric, unit diagonal
 
 
 @dataclass
@@ -105,8 +97,9 @@ def weight_map(head: HeadParams, cfg: EncoderConfig, class_index: int) -> Weight
     return WeightMap(class_index, per_unit, means)
 
 
-def class_similarity(head: HeadParams) -> SimilarityMatrix:
-    """Cosine similarity between every pair of class weight rows."""
+def class_similarity(head: HeadParams) -> np.ndarray:
+    """(d, d) cosine similarity between every pair of class weight rows:
+    symmetric, with a unit diagonal."""
     _require_nv(head)
     d = head.num_classes
     if d < 2:
@@ -119,7 +112,7 @@ def class_similarity(head: HeadParams) -> SimilarityMatrix:
     S = R @ R.T
     S = np.clip((S + S.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(S, 1.0)
-    return SimilarityMatrix(S)
+    return S
 
 
 def rank_timesteps(head: HeadParams, cfg: EncoderConfig, class_index: int,
@@ -242,32 +235,11 @@ def export_weight_map_csv(m: WeightMap, cfg: EncoderConfig, path) -> None:
     _write_csv(Path(path), header, rows)
 
 
-def load_weight_map_csv(path, cfg: EncoderConfig, class_index: int) -> WeightMap:
-    """Inverse of ``export_weight_map_csv`` (bit-exact)."""
-    per_unit = np.zeros(
-        (cfg.layers, cfg.max_len, cfg.directions, cfg.hidden_dim), dtype=DTYPE
-    )
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_layer = header[0] == "layer"
-        for row in reader:
-            if has_layer:
-                layer, direction, t = int(row[0]), int(row[1]), int(row[2])
-                units = [float(v) for v in row[4:]]
-            else:
-                layer, direction, t = 0, 0, int(row[0])
-                units = [float(v) for v in row[2:]]
-            per_unit[layer, t, direction] = units
-    means = per_unit.mean(axis=3).transpose(0, 2, 1)
-    return WeightMap(class_index, per_unit, means)
-
-
-def export_similarity_csv(sim: SimilarityMatrix, path) -> None:
-    d = sim.values.shape[0]
+def export_similarity_csv(sim: np.ndarray, path) -> None:
+    d = sim.shape[0]
     header = ["class"] + [f"class_{j}" for j in range(d)]
     rows = [
-        [i] + [repr(float(v)) for v in sim.values[i]]
+        [i] + [repr(float(v)) for v in sim[i]]
         for i in range(d)
     ]
     _write_csv(Path(path), header, rows)
@@ -291,7 +263,7 @@ def counterfactual_rows(results: Sequence[CounterfactualResult]) -> List[dict]:
     return rows
 
 
-def export_report(maps: Sequence[WeightMap], similarity: Optional[SimilarityMatrix],
+def export_report(maps: Sequence[WeightMap], similarity: Optional[np.ndarray],
                   counterfactuals: Sequence[CounterfactualResult],
                   cfg: EncoderConfig, out_dir) -> List[Path]:
     """Write the analysis bundle: one CSV per weight map, one similarity

@@ -394,17 +394,6 @@ class Model:
         return logits, trace
 
 
-def predict(model: Model, x):
-    """(B,) predicted classes and (B, d) raw class scores for a batch.
-
-    Ties break toward the lowest class index. Scores stay un-normalized;
-    the softmax only matters inside the training loss and never changes
-    the argmax.
-    """
-    logits, _ = model.forward(x, gates=False)
-    return np.argmax(logits, axis=1), logits
-
-
 def init_head(cfg: EncoderConfig, kind: HeadKind, num_classes: int,
               seed: int, mean_pool: bool = False) -> HeadParams:
     """Uniform fan-in initialization for the classifier matrix."""

@@ -183,14 +183,52 @@ def _classes_strings(doc):
     doc["classes"] = ["0", "1"]
 
 
+def _head_list(doc):
+    doc["head"] = [1]
+
+
+def _encoder_list(doc):
+    doc["encoder"] = [1]
+
+
+def _V_list(doc):
+    doc["head"]["V"] = [1]
+
+
+def _run_config_list(doc):
+    doc["run_config"] = [1]
+
+
+def _V_data_short(doc):
+    raw = base64.b64decode(doc["head"]["V"]["data"])
+    doc["head"]["V"]["data"] = base64.b64encode(raw[:-3]).decode("ascii")
+
+
+def _V_shape_string(doc):
+    doc["head"]["V"]["shape"] = "2x24"
+
+
+def _V_data_not_base64(doc):
+    doc["head"]["V"]["data"] = "abc"
+
+
+def _huge_hidden_dim(doc):
+    doc["encoder"]["hidden_dim"] = 10**15
+
+
 CORRUPTIONS = [_drop_encoder, _unknown_run_config_key, _bad_payload_shape, "truncated",
                _nan_in_V, _inf_in_V, _nan_in_cell, _inf_in_cell, _classes_not_increasing,
                _layers_bool, _cells_object, _cell_list, _znorm_string, _mean_pool_string,
-               _classes_strings]
-# The field that the error line names, for a field of the wrong JSON type.
+               _classes_strings, _head_list, _encoder_list, _V_list, _run_config_list,
+               _V_data_short, _V_shape_string, _V_data_not_base64]
+# The field that the error line names, for a field of the wrong JSON type or
+# an array whose data does not fill its shape.
 FIELD_OF = {_layers_bool: "encoder.layers", _cells_object: "cells", _cell_list: "cells",
             _znorm_string: "run_config.znorm", _mean_pool_string: "head.mean_pool",
-            _classes_strings: "classes"}
+            _classes_strings: "classes", _head_list: "head", _encoder_list: "encoder",
+            _V_list: "head.V", _run_config_list: "run_config",
+            _bad_payload_shape: "head.V.data", _V_data_short: "head.V.data",
+            _V_shape_string: "head.V.shape", _V_data_not_base64: "head.V.data"}
 
 
 def _write_checkpoint(p, head=HeadKind.NEUROVIEW, corrupt=None):
@@ -229,19 +267,6 @@ def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path, where, v
     assert str(refused.value) == str(rejected.value).replace(str(bad), str(p))
     assert "non-finite" in str(refused.value)
     assert not p.exists()
-
-
-@pytest.mark.parametrize("corrupt", CORRUPTIONS)
-def test_malformed_checkpoint_exits_2_with_one_line(dataset_files, tmp_path,
-                                                    capsys, corrupt):
-    root, train_p, test_p = dataset_files
-    p = tmp_path / "ckpt.json"
-    _write_checkpoint(p, corrupt=corrupt)
-    code = main(["evaluate", "--checkpoint", str(p), "--dataset-path", str(test_p)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: checkpoint {p}: ")
-    assert len(err.splitlines()) == 1
 
 
 V1_CHECKPOINT = Path(__file__).parent / "fixtures" / "checkpoint_v1_gru.json"
@@ -322,53 +347,6 @@ def test_train_subcommand_end_to_end(dataset_files, tmp_path, capsys):
     assert len(hist) == 41
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--lr", "0"), ("--epochs", "-1"), ("--batch-size", "-2"), ("--grad-clip", "-1"),
-    ("--hidden", "0"), ("--layers", "0"), ("--max-len", "-3"),
-    ("--lr", "nan"), ("--lr", "inf"), ("--grad-clip", "nan"),
-])
-def test_train_bad_config_value_exits_2_with_one_line(dataset_files, tmp_path,
-                                                      capsys, flag, value):
-    assert run_train(dataset_files, tmp_path / "run", extra=[flag, value]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and value in err
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize("line", ["beta1 = 1.0", "beta2 = -0.5", "eps = 0.0",
-                                  "eps = nan", "learning_rate = inf"])
-def test_train_bad_adam_config_exits_2_with_one_line(dataset_files, tmp_path,
-                                                     capsys, line):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    assert run_train(dataset_files, tmp_path / "run", extra=["--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and line.split(" = ")[0] in err
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "run").exists()
-
-
-def test_train_missing_config_exits_2_with_one_line(dataset_files, tmp_path, capsys):
-    cfg = tmp_path / "missing.json"
-    assert run_train(dataset_files, tmp_path / "run", extra=["--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(cfg) in err and "Errno" not in err
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "run").exists()
-
-
-def test_train_out_existing_file_exits_2_before_training(dataset_files, tmp_path,
-                                                         capsys):
-    out = tmp_path / "taken"
-    out.write_text("keep\n")
-    assert run_train(dataset_files, out) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out) in err
-    assert len(err.splitlines()) == 1
-    assert out.read_text() == "keep\n"
-
-
 def test_train_epochs_zero_writes_initial_model(dataset_files, tmp_path):
     out = tmp_path / "run0"
     assert run_train(dataset_files, out, extra=["--epochs", "0"]) == 0
@@ -439,37 +417,6 @@ def test_labels_keep_their_class_across_splits(tmp_path, capsys):
     assert rows[0]["per_class_accuracy"] == [None, None, 1.0]
 
 
-def _row(label, values):
-    return "\t".join([label] + values) + "\n"
-
-
-EIGHT = ["0.5"] * 8
-
-
-@pytest.mark.parametrize("command,text", [
-    ("evaluate", _row("0", EIGHT) + _row("1", EIGHT[:2])),
-    ("evaluate", _row("0", EIGHT) + _row("1", EIGHT[:7] + ["xyz"])),
-    ("evaluate", _row("0", EIGHT) + _row("1", ["NaN"] + EIGHT[1:])),
-    ("evaluate", ""),
-    ("evaluate", _row("0", EIGHT) + _row("7", EIGHT)),
-    ("train", _row("1", EIGHT) + _row("1", EIGHT)),
-], ids=["ragged-row", "bad-token", "nan-value", "empty-file", "unknown-label",
-        "one-class-train"])
-def test_bad_split_exits_2_with_one_line(trained_run, tmp_path, capsys,
-                                         command, text):
-    p = tmp_path / "split.tsv"
-    p.write_text(text)
-    if command == "evaluate":
-        argv = ["evaluate", "--checkpoint", str(trained_run / "checkpoint.json"),
-                "--dataset-path", str(p)]
-    else:
-        argv = ["train", "--train-path", str(p), "--out", str(tmp_path / "run")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {p}: ")
-    assert len(err.splitlines()) == 1
-
-
 def test_train_from_config_file(dataset_files, tmp_path):
     root, train_p, test_p = dataset_files
     rc = RunConfig(
@@ -525,16 +472,6 @@ def test_sweep_two_sizes(dataset_files, tmp_path, capsys):
     assert best_model.encoder.hidden_dim == best_size
 
 
-def test_sweep_duplicate_sizes_rejected(dataset_files, tmp_path, capsys):
-    root, train_p, test_p = dataset_files
-    code = main([
-        "sweep", "--train-path", str(train_p), "--test-path", str(test_p),
-        "--sizes", "4", "4", "--out", str(tmp_path / "s"),
-    ])
-    assert code == 2
-    assert "duplicate" in capsys.readouterr().err
-
-
 # --------------------------------------------------------------- evaluate
 
 @pytest.fixture(scope="module")
@@ -569,23 +506,6 @@ def test_inspect_subcommand(trained_run, tmp_path, capsys):
     assert (out / "manifest.json").is_file()
 
 
-@pytest.mark.parametrize("command", ["inspect", "export"])
-def test_out_existing_file_exits_2_with_one_line(dataset_files, trained_run, tmp_path,
-                                                 capsys, command):
-    _, _, test_p = dataset_files
-    out = tmp_path / "taken"
-    out.write_text("keep\n")
-    argv = [command, "--checkpoint", str(trained_run / "checkpoint.json"),
-            "--out", str(out)]
-    if command == "export":
-        argv += ["--dataset-path", str(test_p), "--k-list", "1"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out) in err and "Errno" not in err
-    assert len(err.splitlines()) == 1
-    assert out.read_text() == "keep\n"
-
-
 def test_counterfactual_out_existing_directory_exits_2_before_the_split(
         trained_run, tmp_path, capsys, monkeypatch):
     out = tmp_path / "taken"
@@ -599,22 +519,6 @@ def test_counterfactual_out_existing_directory_exits_2_before_the_split(
     assert err.startswith("error: ") and str(out) in err and "Errno" not in err
     assert len(err.splitlines()) == 1
     assert loaded == [] and list(out.iterdir()) == []
-
-
-def test_inspect_rejects_non_nv_checkpoint(dataset_files, tmp_path, capsys):
-    out = tmp_path / "last_run"
-    assert run_train(dataset_files, out,
-                     extra=["--head", "last", "--epochs", "5"]) == 0
-    code = main(["inspect", "--checkpoint", str(out / "checkpoint.json"),
-                 "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "head" in capsys.readouterr().err
-
-
-def test_inspect_invalid_class(trained_run, tmp_path, capsys):
-    code = main(["inspect", "--checkpoint", str(trained_run / "checkpoint.json"),
-                 "--classes", "7", "--out", str(tmp_path / "x")])
-    assert code == 2
 
 
 # ----------------------------------------------------------- counterfactual
@@ -637,49 +541,6 @@ def test_counterfactual_subcommand(dataset_files, trained_run, tmp_path):
     assert rows[0]["overall_accuracy"] == base.overall_accuracy
     assert rows[0]["zeroed_steps"] == []
     assert len(rows[2]["zeroed_steps"]) == 3
-
-
-def test_counterfactual_k_too_large(dataset_files, trained_run, tmp_path, capsys):
-    root, train_p, test_p = dataset_files
-    code = main([
-        "counterfactual", "--checkpoint", str(trained_run / "checkpoint.json"),
-        "--dataset-path", str(test_p), "--class", "0", "--k-list", "999",
-    ])
-    assert code == 2
-    assert "outside" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("class_index", ["-1", "2"])
-def test_counterfactual_class_out_of_range_exits_2(dataset_files, trained_run,
-                                                   capsys, class_index):
-    root, train_p, test_p = dataset_files
-    code = main([
-        "counterfactual", "--checkpoint", str(trained_run / "checkpoint.json"),
-        "--dataset-path", str(test_p), "--class", class_index, "--k-list", "1",
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == f"error: class {class_index} outside [0, 2)\n"
-
-
-@pytest.mark.parametrize("command", ["counterfactual", "export"])
-def test_duplicate_k_values_exit_2(dataset_files, trained_run, tmp_path, capsys,
-                                   command):
-    root, train_p, test_p = dataset_files
-    extra = ["--class", "0"] if command == "counterfactual" else ["--out", str(tmp_path / "b")]
-    code = main([command, "--checkpoint", str(trained_run / "checkpoint.json"),
-                 "--dataset-path", str(test_p), "--k-list", "1", "3", "1", *extra])
-    assert code == 2
-    assert capsys.readouterr().err == "error: duplicate values in --k-list: 1 3 1\n"
-    assert not (tmp_path / "b").exists()
-
-
-def test_export_duplicate_classes_exit_2(trained_run, tmp_path, capsys):
-    code = main(["export", "--checkpoint", str(trained_run / "checkpoint.json"),
-                 "--classes", "0,1,0", "--out", str(tmp_path / "b")])
-    assert code == 2
-    assert capsys.readouterr().err == "error: duplicate class ids in --classes: 0,1,0\n"
-    assert not (tmp_path / "b").exists()
 
 
 # ------------------------------------------------------------------ export
@@ -828,22 +689,6 @@ def test_analysis_outputs_are_pinned(tmp_path, capsys, case):
     assert got == ANALYSIS_SHA256[case]
 
 
-@pytest.mark.parametrize("given", [["--k-list", "0", "2"], ["--dataset-path"]],
-                         ids=["k-list-only", "dataset-only"])
-def test_export_needs_dataset_and_k_list_together(dataset_files, trained_run,
-                                                  tmp_path, capsys, given):
-    root, train_p, test_p = dataset_files
-    if given == ["--dataset-path"]:
-        given = given + [str(test_p)]
-    code = main(["export", "--checkpoint", str(trained_run / "checkpoint.json"),
-                 "--out", str(tmp_path / "bundle")] + given)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "--dataset-path and --k-list" in err
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "bundle").exists()
-
-
 def test_inspect_writes_what_export_writes_without_a_sweep(trained_run, tmp_path,
                                                            capsys):
     ckpt = str(trained_run / "checkpoint.json")
@@ -865,7 +710,8 @@ def test_inspect_writes_what_export_writes_without_a_sweep(trained_run, tmp_path
 # stderr line, ``error: ...``, besides any ``warning:`` line the CLI prints,
 # and without a traceback, a Python warning, an OS error number or an
 # exception escaping ``main``, and writes no file. ``needle`` must appear in
-# that line. Placeholders: {train}/{test} the T = 8 splits, {ckpt} a trained nv
+# that line, or be that whole line if it starts with ``error: ``.
+# Placeholders: {train}/{test} the T = 8 splits, {ckpt} a trained nv
 # checkpoint, {v1} the format-1 fixture, {tmp} a fresh directory holding
 # ``files`` (text, bytes, or a callable that writes the path).
 
@@ -877,6 +723,9 @@ EXPORT = "export --checkpoint {ckpt} --dataset-path {test}"
 
 def _split_text(*rows):
     return "".join("\t".join(row) + "\n" for row in rows)
+
+
+EIGHT = ["0.5"] * 8
 
 
 def _long_split(p):
@@ -936,6 +785,15 @@ BAD_INPUT = [
                   + (f"field '{FIELD_OF[c]}'" if c in FIELD_OF else ""),
            files={"ckpt.json": lambda p, c=c: _write_checkpoint(p, corrupt=c)})
       for c in CORRUPTIONS],
+    # pack checks the shapes before it allocates blocks for this hidden size
+    _bad("evaluate-checkpoint-huge-hidden-dim",
+         "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}",
+         needle="checkpoint {tmp}/ckpt.json: parameter 'W': expected shape "
+                f"{(10**15, 10**15)}, got (3, 3)",
+         files={"ckpt.json": lambda p: _write_checkpoint(p, corrupt=_huge_hidden_dim)}),
+    _bad("evaluate-checkpoint-nested-too-deep",
+         "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}", code=1,
+         needle="recursion too deep", files={"ckpt.json": "[" * 100000 + "]" * 100000}),
     *[_bad(f"evaluate-split-{case}", "evaluate --checkpoint {ckpt} --dataset-path "
            "{tmp}/split.tsv", needle="{tmp}/split.tsv: ", files={"split.tsv": text})
       for case, text in [
@@ -965,13 +823,13 @@ BAD_INPUT = [
     _bad("inspect-non-nv-checkpoint", "inspect --checkpoint {tmp}/last.json --out {tmp}/x",
          needle="head", files={"last.json": lambda p: _write_checkpoint(p, HeadKind.LAST_STATE)}),
     _bad("inspect-class-out-of-range", "inspect --checkpoint {ckpt} --classes 7 --out {tmp}/x",
-         needle="class 7 outside"),
+         needle="error: class 7 outside [0, 2)"),
     _bad("export-duplicate-classes", "export --checkpoint {ckpt} --classes 0,1,0 "
-         "--out {tmp}/b", needle="duplicate class ids"),
+         "--out {tmp}/b", needle="error: duplicate class ids in --classes: 0,1,0"),
     _bad("export-k-too-large", f"{EXPORT} --k-list 0 999 --out {{tmp}}/bundle",
          needle="k=999 outside"),
     _bad("export-duplicate-k", f"{EXPORT} --k-list 1 3 1 --out {{tmp}}/b",
-         needle="duplicate values in --k-list"),
+         needle="error: duplicate values in --k-list: 1 3 1"),
     _bad("export-k-list-only", "export --checkpoint {ckpt} --k-list 0 2 --out {tmp}/bundle",
          needle="--dataset-path and --k-list"),
     _bad("export-dataset-only", f"{EXPORT} --out {{tmp}}/bundle",
@@ -982,9 +840,9 @@ BAD_INPUT = [
          needle="{tmp}/taken", files={"taken": "keep\n"}),
     _bad("counterfactual-k-too-large", f"{CF} --k-list 999", needle="outside"),
     _bad("counterfactual-duplicate-k", f"{CF} --k-list 1 3 1",
-         needle="duplicate values in --k-list"),
+         needle="error: duplicate values in --k-list: 1 3 1"),
     *[_bad(f"counterfactual-class{c}", "counterfactual --checkpoint {ckpt} --dataset-path "
-           f"{{test}} --class {c} --k-list 1", needle=f"class {c} outside [0, 2)")
+           f"{{test}} --class {c} --k-list 1", needle=f"error: class {c} outside [0, 2)")
       for c in ("-1", "2")],
 ]
 
@@ -1012,9 +870,48 @@ def test_bad_input_exits_with_one_error_line(dataset_files, trained_run, tmp_pat
     stderr = capsys.readouterr().err
     err = [line for line in stderr.splitlines() if not line.startswith("warning: ")]
     assert len(err) == 1 and err[0].startswith("error: "), stderr
-    assert needle.format(**names) in err[0]
+    needle = needle.format(**names)
+    assert err[0] == needle if needle.startswith("error: ") else needle in err[0]
     assert "Traceback" not in stderr and "Errno" not in stderr
     assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("command,text", [
+    ("evaluate", _split_text(["0", *EIGHT], ["1", *EIGHT[:2]])),
+    ("evaluate", _split_text(["0", *EIGHT], ["1", *EIGHT[:7], "xyz"])),
+    ("evaluate", _split_text(["0", *EIGHT], ["1", "NaN", *EIGHT[1:]])),
+    ("evaluate", ""),
+    ("evaluate", _split_text(["0", *EIGHT], ["7", *EIGHT])),
+    ("train", _split_text(["1", *EIGHT], ["1", *EIGHT])),
+], ids=["ragged-row", "bad-token", "nan-value", "empty-file", "unknown-label",
+        "one-class-train"])
+def test_bad_split_exits_2_with_one_line(trained_run, tmp_path, capsys,
+                                         command, text):
+    p = tmp_path / "split.tsv"
+    p.write_text(text)
+    if command == "evaluate":
+        argv = ["evaluate", "--checkpoint", str(trained_run / "checkpoint.json"),
+                "--dataset-path", str(p)]
+    else:
+        argv = ["train", "--train-path", str(p), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError(), "error: out of memory"),
+    (MemoryError("Unable to allocate 8.00 EiB"),
+     "error: out of memory: Unable to allocate 8.00 EiB"),
+], ids=["bare", "with-message"])
+def test_out_of_memory_exits_1_with_one_line(monkeypatch, capsys, exc, line):
+    # The command raises as an allocation that fails would; nothing is allocated.
+    def cmd_evaluate(args):
+        raise exc
+    monkeypatch.setattr(cli_mod, "cmd_evaluate", cmd_evaluate)
+    assert main(["evaluate", "--checkpoint", "ckpt.json", "--dataset-path", "split.tsv"]) == 1
+    assert capsys.readouterr().err == line + "\n"
 
 
 # -------------------------------------------------------------------- help

@@ -31,9 +31,19 @@ def test_load_two_row_file(tmp_path):
 
 
 def test_load_comma_delimited(tmp_path):
-    p = write(tmp_path, "1,0.5,0.7\n2,0.1,0.2\n")
-    ds = load_ucr(p)
-    assert ds.horizon == 2 and ds.num_classes == 2
+    # The archive's tab/LF files, comma-separated ones and CRLF line ends
+    # all load to the same series, class ids and labels.
+    rows = [["3", "0.5", "-0.7", "1e-3"], ["-1", "0.1", "0.25", "2"], ["3", "4", "5", "6"]]
+    want = load_ucr(write(tmp_path, "".join("\t".join(r) + "\n" for r in rows)))
+    comma = write(tmp_path, "".join(",".join(r) + "\n" for r in rows), "comma.csv")
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes("".join("\t".join(r) + "\r\n" for r in rows).encode())
+    for p in (comma, crlf):
+        ds = load_ucr(p)
+        assert ds.horizon == 3 and ds.num_classes == 2
+        np.testing.assert_array_equal(ds.features(), want.features())
+        np.testing.assert_array_equal(ds.labels(), want.labels())
+        np.testing.assert_array_equal(ds.classes, want.classes)
 
 
 def test_label_remap_is_sorted_and_bijective(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -13,7 +14,6 @@ from neuroview.interpret import (
     export_report,
     export_similarity_csv,
     export_weight_map_csv,
-    load_weight_map_csv,
     rank_timesteps,
     sweep,
     time_analysis,
@@ -57,7 +57,7 @@ def test_weight_map_flatten_is_lossless():
         model = nv_model(layers=layers, bidir=bidir, seed=3)
         for c in range(model.num_classes):
             m = weight_map(model.head, model.encoder, c)
-            np.testing.assert_array_equal(m.flatten(), model.head.V[c])
+            np.testing.assert_array_equal(m.per_unit.reshape(-1), model.head.V[c])
 
 
 def test_weight_map_requires_nv_head():
@@ -82,7 +82,7 @@ def test_similarity_scale_parallel_orthogonal_opposite():
     V[2] = [0, 1, 0, 0, -1, 0]  # orthogonal to row 0 -> 0
     V[3] = -V[0]                # opposite -> -1
     head = HeadParams(HeadKind.NEUROVIEW, V)
-    S = class_similarity(head).values
+    S = class_similarity(head)
     assert S[0, 1] == pytest.approx(1.0, abs=1e-12)
     assert S[0, 2] == pytest.approx(0.0, abs=1e-12)
     assert S[0, 3] == pytest.approx(-1.0, abs=1e-12)
@@ -93,9 +93,9 @@ def test_similarity_scale_parallel_orthogonal_opposite():
 
 def test_similarity_invariant_under_positive_rescaling():
     model = nv_model(d=3, seed=5)
-    S1 = class_similarity(model.head).values
+    S1 = class_similarity(model.head)
     model.head.V[1] *= 250.0
-    S2 = class_similarity(model.head).values
+    S2 = class_similarity(model.head)
     np.testing.assert_allclose(S1, S2, atol=1e-14)
 
 
@@ -485,9 +485,17 @@ def test_weight_map_csv_roundtrip_bit_exact(tmp_path):
         m = weight_map(model.head, model.encoder, 1)
         p = tmp_path / f"map_{layers}_{bidir}.csv"
         export_weight_map_csv(m, model.encoder, p)
-        loaded = load_weight_map_csv(p, model.encoder, 1)
-        np.testing.assert_array_equal(loaded.per_unit, m.per_unit)
-        np.testing.assert_array_equal(loaded.flatten(), model.head.V[1])
+        with open(p, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        loaded = np.zeros_like(m.per_unit)
+        for row in rows:
+            if header[0] == "layer":
+                layer, direction, t = map(int, row[:3])
+            else:
+                layer, direction, t = 0, 0, int(row[0])
+            loaded[layer, t, direction] = [float(v) for v in row[header.index("unit_0"):]]
+        np.testing.assert_array_equal(loaded, m.per_unit)
+        np.testing.assert_array_equal(loaded.reshape(-1), model.head.V[1])
 
 
 def test_weight_map_csv_schema(tmp_path):
@@ -532,4 +540,4 @@ def test_similarity_csv_roundtrip(tmp_path):
     values = np.array(
         [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
     )
-    np.testing.assert_array_equal(values, sim.values)
+    np.testing.assert_array_equal(values, sim)

@@ -26,7 +26,6 @@ from neuroview.network import (
     head_forward,
     init_head,
     network_backward,
-    predict,
 )
 from neuroview.train import param_tree, softmax_xent
 
@@ -245,37 +244,6 @@ def test_bidirectional_step_width():
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, n=5, bidir=True)
     trace = encode(model, np.random.default_rng(0).normal(size=(1, 4, 2)))
     assert trace.hidden[0].shape[2] == 10
-
-
-# ----------------------------------------------------------------- predict
-
-def test_predict_tie_breaks_to_lowest_index():
-    model = make_model(CellKind.SIMPLE_RNN, HeadKind.NEUROVIEW)
-    model.head.V[:] = 0.0  # logits (0, 0) for any input
-    cls, logits = predict(model, np.zeros((1, 4, 2)))
-    np.testing.assert_array_equal(logits, [[0.0, 0.0]])
-    np.testing.assert_array_equal(cls, [0])
-
-
-def test_predict_argmax():
-    model = make_model(CellKind.SIMPLE_RNN, HeadKind.NEUROVIEW)
-    # sigmoid states are positive, so an all-positive class-1 row wins
-    model.head.V[0, :] = -1.0
-    model.head.V[1, :] = 3.0
-    cls, logits = predict(model, np.random.default_rng(5).normal(size=(1, 4, 2)))
-    assert logits[0, 1] > logits[0, 0]
-    np.testing.assert_array_equal(cls, [1])
-
-
-def test_predict_argmax_invariant_under_positive_scaling():
-    rng = np.random.default_rng(6)
-    for seed in range(10):
-        model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, d=4, seed=seed)
-        x = rng.normal(size=(1, 4, 2))
-        cls, _ = predict(model, x)
-        model.head.V *= 37.5
-        cls_scaled, _ = predict(model, x)
-        np.testing.assert_array_equal(cls, cls_scaled)
 
 
 # ---------------------------------------------------------------- backward
@@ -717,8 +685,6 @@ def test_forward_only_pass_with_a_horizon_below_chunk(cell, head):
     np.testing.assert_array_equal(got, want)
     for got_h, want_h in zip(trace.hidden, full.hidden):
         np.testing.assert_array_equal(got_h, want_h)
-    _, logits = predict(model, x)
-    np.testing.assert_array_equal(logits, want)
 
 
 @pytest.mark.parametrize("cell", list(CellKind), ids=lambda c: c.value)
