@@ -12,6 +12,7 @@ per timestep as a bar strip, and exports the analysis CSVs.
 import numpy as np
 
 from neuroview import (
+    AblationMode,
     CellKind,
     EncoderConfig,
     HeadKind,
@@ -21,6 +22,7 @@ from neuroview import (
     class_similarity,
     export_report,
     fit,
+    rank_timesteps,
     synth_separable,
     weight_map,
 )
@@ -45,10 +47,9 @@ print("(each class's evidence window sits at a different early position)\n")
 maps = []
 for c in range(train.num_classes):
     m = weight_map(model.head, encoder, c)
-    means = m.timestep_means()
-    top = np.argsort(-means, kind="stable")[:4]
+    top = rank_timesteps(model.head, encoder, c, AblationMode.TOP_POSITIVE)[:4]
     maps.append(m)
-    print(f"class {c}: {strip(means)}  top steps {sorted(int(t) for t in top)}")
+    print(f"class {c}: {strip(m.timestep_means())}  top steps {sorted(int(t) for t in top)}")
 
 sim = class_similarity(model.head)
 print("\ncosine similarity between class weight rows:")

@@ -21,8 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from neuroview import (
     AblationMode,
     AblationTarget,
@@ -35,8 +33,8 @@ from neuroview import (
     evaluate,
     fit,
     load_ucr,
+    rank_timesteps,
     sweep,
-    weight_map,
 )
 from neuroview.cli import UsageError, resolve_dataset
 
@@ -85,8 +83,7 @@ acc, model = best
 print(f"\nbest test accuracy: {acc:.4f}")
 
 for c in range(train_ds.num_classes):
-    means = weight_map(model.head, encoder, c).timestep_means()
-    top = np.argsort(-means, kind="stable")[:4]
+    top = rank_timesteps(model.head, encoder, c, AblationMode.TOP_POSITIVE)[:4]
     print(f"class {c} top-4 timesteps by mean weight: {sorted(int(t) for t in top)}")
 
 print("\ninput-zeroing counterfactual, class 0 ranking:")

@@ -173,10 +173,11 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 def _decode_array(section: dict, key: str, where: str) -> np.ndarray:
     """The array ``_encode_array`` wrote to ``section[key]``: its base64
-    ``data`` must hold exactly the float64 entries of its ``shape``."""
+    ``data`` must hold exactly the float64 entries of its ``shape``, all
+    finite."""
     obj = _typed(section, key, "object", where)
     field = f"{where}.{key}"
-    shape = obj["shape"]
+    shape = _typed(obj, "shape", None, field)
     if type(shape) is not list or not all(type(s) is int and s >= 0 for s in shape):
         raise ValueError(f"field '{field}.shape' must be a list of sizes, got {json.dumps(shape)}")
     try:
@@ -186,24 +187,22 @@ def _decode_array(section: dict, key: str, where: str) -> np.ndarray:
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"field '{field}.data' holds {len(raw)} bytes, "
                          f"not 8 per entry of shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").astype(DTYPE).reshape(shape)
+    arr = np.frombuffer(raw, dtype="<f8").astype(DTYPE).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"field '{field}' contains non-finite entries")
+    return arr
 
 
 def save_checkpoint(path, model: Model, run_config: RunConfig,
                     metrics: Optional[dict] = None, classes=None) -> None:
     """Write a versioned JSON checkpoint; identical state gives identical
     bytes, so save -> load -> save is a fixed point. ``classes`` holds the
-    raw label of each class id (default: the ids themselves). A model
-    that ``load_checkpoint`` would reject, with non-finite parameters,
-    raises ``ValueError`` with its message, and nothing is written."""
+    raw label of each class id (default: the ids themselves). The document
+    passes through ``load_checkpoint``'s decoder first: what that would
+    reject (non-finite parameters, labels that are not one increasing
+    label per class, a run config field of the wrong type, ...) raises
+    ``ValueError`` with its message, and nothing is written."""
     cfg = model.encoder
-    cells = [named_views(cfg.cell, cfg.hidden_dim, *cell) for cell in model.cells]
-    try:
-        for i, arrays in enumerate(cells):
-            pack(cfg.cell, cfg.cell_input_dim(i), cfg.hidden_dim, arrays)
-        HeadParams(model.head.kind, model.head.V)
-    except ValueError as e:
-        raise ValueError(f"checkpoint {path}: {e}") from None
     if classes is None:
         classes = np.arange(model.num_classes)
     doc = {
@@ -216,13 +215,18 @@ def save_checkpoint(path, model: Model, run_config: RunConfig,
             "V": _encode_array(model.head.V),
         },
         "cells": [
-            {name: _encode_array(arr) for name, arr in arrays.items()}
-            for arrays in cells
+            {name: _encode_array(arr)
+             for name, arr in named_views(cfg.cell, cfg.hidden_dim, *cell).items()}
+            for cell in model.cells
         ],
         "classes": [float(c) for c in classes],
         "metrics": metrics,
         "seed": run_config.seed,
     }
+    try:
+        _decode_checkpoint(doc)
+    except (TypeError, ValueError, UsageError) as e:
+        raise ValueError(f"checkpoint {path}: {e}") from None
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -240,8 +244,6 @@ def load_checkpoint(path):
             json.loads(path.read_text()))
     except json.JSONDecodeError as e:
         raise UsageError(f"checkpoint {path}: invalid JSON ({e})") from None
-    except KeyError as e:
-        raise UsageError(f"checkpoint {path}: missing key {e}") from None
     except (TypeError, ValueError, UsageError) as e:
         raise UsageError(f"checkpoint {path}: {e}") from None
     if classes is None:
@@ -257,53 +259,64 @@ _JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "float": (float, i
                "object": (dict,)}
 
 
-def _typed(section: dict, key: str, type_name: str, where: str = ""):
-    """``section[key]``, which must hold a JSON value of ``type_name``;
-    ``where`` names the section, empty for the top level."""
+def _typed(section: dict, key: str, type_name: Optional[str], where: str = ""):
+    """``section[key]``, which must be present and, unless ``type_name`` is
+    None, hold a JSON value of that type; ``where`` names the section,
+    empty for the top level."""
+    field = f"{where}.{key}" if where else key
+    if key not in section:
+        raise ValueError(f"field '{field}' is missing")
     value = section[key]
-    if type(value) not in _JSON_TYPES[type_name]:
-        field = f"{where}.{key}" if where else key
+    if type_name is not None and type(value) not in _JSON_TYPES[type_name]:
         raise ValueError(f"field '{field}' must be {type_name}, got {json.dumps(value)}")
     return value
 
 
 def _decode_checkpoint(doc: dict):
+    """``(model, run_config, metrics, classes)`` from a checkpoint document;
+    whatever a field holds that these cannot, the error names the field."""
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise UsageError(
             f"format version {version!r} not supported "
             f"(expected 1 or {CHECKPOINT_VERSION})"
         )
     enc = _typed(doc, "encoder", "object")
-    cfg = EncoderConfig(_parse_enum(CellKind, enc["cell"], "cell"),
+    cfg = EncoderConfig(_parse_enum(CellKind, _typed(enc, "cell", None, "encoder"), "encoder.cell"),
                         *(_typed(enc, f.name, f.type, "encoder")
                           for f in dataclasses.fields(EncoderConfig)[1:]))
-    blobs = doc["cells"]
+    blobs = _typed(doc, "cells", None)
     if type(blobs) is not list or not all(type(blob) is dict for blob in blobs):
         raise ValueError("field 'cells' must be a list of objects")
-    cells = [pack(cfg.cell, cfg.cell_input_dim(i), cfg.hidden_dim,
-                  {name: _decode_array(blob, name, f"cells[{i}]") for name in blob})
-             for i, blob in enumerate(blobs)]
+    cells = []
+    for i, blob in enumerate(blobs):
+        arrays = {name: _decode_array(blob, name, f"cells[{i}]") for name in blob}
+        try:
+            cells.append(pack(cfg.cell, cfg.cell_input_dim(i), cfg.hidden_dim, arrays))
+        except ValueError as e:
+            raise ValueError(f"field 'cells[{i}]': {e}") from None
     head_doc = _typed(doc, "head", "object")
     head = HeadParams(
-        _parse_enum(HeadKind, head_doc["kind"], "head"),
+        _parse_enum(HeadKind, _typed(head_doc, "kind", None, "head"), "head.kind"),
         _decode_array(head_doc, "V", "head"),
         _typed(head_doc, "mean_pool", "bool", "head"),
     )
     model = Model(cfg, cells, head)
     rc = _typed(doc, "run_config", "object")
-    for f in dataclasses.fields(RunConfig):
-        if f.name in rc:
-            _typed(rc, f.name, f.type, "run_config")
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    for key in rc:
+        if key not in types:
+            raise ValueError(f"field 'run_config.{key}' is not a run config field")
+        _typed(rc, key, types[key], "run_config")
     run_config = RunConfig(**rc)
     classes = None
     if version == CHECKPOINT_VERSION:
-        classes = doc["classes"]
+        classes = _typed(doc, "classes", None)
         if type(classes) is not list or not all(type(c) in _JSON_TYPES["float"] for c in classes):
             raise ValueError("field 'classes' must be a list of numbers")
         classes = np.asarray(classes, dtype=DTYPE)
         if classes.shape != (model.num_classes,) or not np.all(np.diff(classes) > 0):
-            raise ValueError(f"classes must be {model.num_classes} increasing labels")
+            raise ValueError(f"field 'classes' must be {model.num_classes} increasing labels")
     return model, run_config, doc.get("metrics"), classes
 
 
@@ -496,21 +509,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _require_nv_checkpoint(model: Model):
-    if model.head.kind is not HeadKind.NEUROVIEW:
-        raise UsageError(
-            f"this checkpoint uses the {model.head.kind.value!r} head; "
-            "weight inspection and counterfactuals need the per-timestep "
-            "'nv' head, whose classifier has one weight block per timestep"
-        )
-
-
-def _check_classes(classes: List[int], num_classes: int) -> None:
-    for c in classes:
-        if not 0 <= c < num_classes:
-            raise UsageError(f"class {c} outside [0, {num_classes})")
-
-
 def _parse_classes(spec: str, num_classes: int) -> List[int]:
     if spec == "all":
         return list(range(num_classes))
@@ -518,34 +516,51 @@ def _parse_classes(spec: str, num_classes: int) -> List[int]:
         classes = [int(c) for c in spec.split(",") if c.strip() != ""]
     except ValueError:
         raise UsageError(f"bad class list {spec!r}") from None
-    _check_classes(classes, num_classes)
+    for c in classes:
+        if not 0 <= c < num_classes:
+            raise UsageError(f"class {c} outside [0, {num_classes})")
     if len(set(classes)) != len(classes):
         raise UsageError(f"duplicate class ids in --classes: {spec}")
     return classes
 
 
-def _check_k_list(ks: List[int], horizon: int) -> None:
-    for k in ks:
+def _nv_checkpoint(args, class_spec: str):
+    """``args.checkpoint``, which must have the nv head, with the class ids
+    of ``class_spec`` and ``args.k_list`` checked against it before any
+    split is read; returns ``(model, run_config, labels, classes)``."""
+    model, rc, _, labels = load_checkpoint(args.checkpoint)
+    if model.head.kind is not HeadKind.NEUROVIEW:
+        raise UsageError(
+            f"this checkpoint uses the {model.head.kind.value!r} head; "
+            "weight inspection and counterfactuals need the per-timestep "
+            "'nv' head, whose classifier has one weight block per timestep"
+        )
+    classes = _parse_classes(class_spec, model.num_classes)
+    horizon = model.encoder.max_len
+    for k in args.k_list:
         if not 0 <= k <= horizon:
             raise UsageError(f"k={k} outside [0, {horizon}] for this model")
-    if len(set(ks)) != len(ks):
-        raise UsageError(f"duplicate values in --k-list: {' '.join(map(str, ks))}")
+    if len(set(args.k_list)) != len(args.k_list):
+        raise UsageError(f"duplicate values in --k-list: {' '.join(map(str, args.k_list))}")
+    return model, rc, labels, classes
+
+
+def _sweep(args, model: Model, rc: RunConfig, labels, classes: List[int],
+           target: interpret.AblationTarget) -> list:
+    """The counterfactual rows of ``classes`` x ``args.k_list`` on the split
+    ``args.dataset_path``."""
+    ds = _split_for(model, args.dataset_path, rc, labels)
+    mode = interpret.AblationMode(args.mode)
+    return interpret.sweep(model, ds, [(c, k, mode, target) for c in classes
+                                       for k in args.k_list])
 
 
 def cmd_counterfactual(args) -> int:
     if args.out:
         _check_out(args.out, "file")
-    model, rc, _, class_labels = load_checkpoint(args.checkpoint)
-    _require_nv_checkpoint(model)
-    _check_classes([args.class_index], model.num_classes)
-    _check_k_list(args.k_list, model.encoder.max_len)
-    ds = _split_for(model, args.dataset_path, rc, class_labels)
-    mode = _parse_enum(interpret.AblationMode, args.mode, "mode")
-    target = _parse_enum(interpret.AblationTarget, args.target, "target")
-    results = interpret.sweep(
-        model, ds, [(args.class_index, k, mode, target) for k in args.k_list])
-    rows = interpret.counterfactual_rows(results)
-    text = json.dumps(rows, indent=2)
+    model, rc, labels, classes = _nv_checkpoint(args, str(args.class_index))
+    results = _sweep(args, model, rc, labels, classes, interpret.AblationTarget(args.target))
+    text = json.dumps(interpret.counterfactual_rows(results), indent=2)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text + "\n")
@@ -562,25 +577,18 @@ def cmd_export(args) -> int:
         raise UsageError("--dataset-path and --k-list go together: give both "
                          "for a counterfactual sweep, or neither")
     _check_out(args.out)
-    model, rc, _, class_labels = load_checkpoint(args.checkpoint)
-    _require_nv_checkpoint(model)
+    model, rc, labels, classes = _nv_checkpoint(args, args.classes)
     cfg = model.encoder
-    classes = _parse_classes(args.classes, model.num_classes)
-    _check_k_list(args.k_list, cfg.max_len)
     maps = [interpret.weight_map(model.head, cfg, c) for c in classes]
     sim = interpret.class_similarity(model.head) if model.num_classes >= 2 else None
     results = []
     if args.dataset_path:
-        ds = _split_for(model, args.dataset_path, rc, class_labels)
-        mode = _parse_enum(interpret.AblationMode, args.mode, "mode")
-        inputs = interpret.AblationTarget.INPUTS
-        results = interpret.sweep(
-            model, ds, [(c, k, mode, inputs) for c in classes for k in args.k_list])
+        results = _sweep(args, model, rc, labels, classes, interpret.AblationTarget.INPUTS)
     files = interpret.export_report(maps, sim, results, cfg, args.out)
-    for m in maps:
-        top = np.argsort(-m.timestep_means(), kind="stable")[:5]
-        steps = ", ".join(str(int(t)) for t in top)
-        print(f"class {m.class_index}: top-5 timesteps by mean weight: {steps}")
+    for c in classes:
+        top = interpret.rank_timesteps(model.head, cfg, c, interpret.AblationMode.TOP_POSITIVE)
+        steps = ", ".join(str(int(t)) for t in top[:5])
+        print(f"class {c}: top-5 timesteps by mean weight: {steps}")
     print(f"wrote {len(files)} files to {args.out}")
     return 0
 

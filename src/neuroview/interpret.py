@@ -90,9 +90,7 @@ def weight_map(head: HeadParams, cfg: EncoderConfig, class_index: int) -> Weight
             f"class {class_index} outside [0, {head.num_classes})"
         )
     row = head.V[class_index]
-    per_unit = row.reshape(
-        cfg.layers, cfg.max_len, cfg.directions, cfg.hidden_dim
-    ).copy()
+    per_unit = row.reshape(*cfg.nv_shape[:2], cfg.directions, cfg.hidden_dim).copy()
     means = per_unit.mean(axis=3).transpose(0, 2, 1)  # (L, dir, T)
     return WeightMap(class_index, per_unit, means)
 
@@ -171,7 +169,7 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
     trace = encode(model, X, gates=False)
     base_logits = head_forward(model, trace)
     logits_of = {(target, ()): base_logits for target in AblationTarget}
-    q = trace.q.reshape(len(X), cfg.layers, cfg.max_len, cfg.step_width)
+    q = trace.q.reshape(len(X), *cfg.nv_shape)
     for *_, target, steps in plans:
         if target is AblationTarget.WEIGHTS and (target, steps) not in logits_of:
             kept = q[:, layer, steps]
@@ -212,26 +210,15 @@ def export_weight_map_csv(m: WeightMap, cfg: EncoderConfig, path) -> None:
     bidirectional maps prepend layer and direction columns. Floats are
     written with full round-trip precision.
     """
-    n = cfg.hidden_dim
-    unit_cols = [f"unit_{u}" for u in range(n)]
+    lead_cols = ["layer", "direction"] if cfg.layers > 1 or cfg.bidirectional else []
+    header = lead_cols + ["timestep", "mean_weight"] + [f"unit_{u}" for u in range(cfg.hidden_dim)]
     rows = []
-    if cfg.layers == 1 and cfg.directions == 1:
-        header = ["timestep", "mean_weight"] + unit_cols
-        for t in range(cfg.max_len):
-            rows.append(
-                [t, repr(float(m.per_timestep_mean[0, 0, t]))]
-                + [repr(float(v)) for v in m.per_unit[0, t, 0]]
-            )
-    else:
-        header = ["layer", "direction", "timestep", "mean_weight"] + unit_cols
-        for layer in range(cfg.layers):
-            for direction in range(cfg.directions):
-                for t in range(cfg.max_len):
-                    rows.append(
-                        [layer, direction, t,
-                         repr(float(m.per_timestep_mean[layer, direction, t]))]
-                        + [repr(float(v)) for v in m.per_unit[layer, t, direction]]
-                    )
+    for layer in range(cfg.layers):
+        for direction in range(cfg.directions):
+            lead = [layer, direction] if lead_cols else []
+            for t in range(cfg.max_len):
+                rows.append(lead + [t, repr(float(m.per_timestep_mean[layer, direction, t]))]
+                            + [repr(float(v)) for v in m.per_unit[layer, t, direction]])
     _write_csv(Path(path), header, rows)
 
 

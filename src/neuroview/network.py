@@ -30,6 +30,7 @@ bidirectional encoders the per-timestep state is the concatenation
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -72,9 +73,15 @@ class EncoderConfig:
         """Per-timestep feature width of one layer's output."""
         return self.hidden_dim * self.directions
 
+    @property
+    def nv_shape(self) -> tuple:
+        """One sample's nv features, ``(layers, T, step_width)``: the
+        layout of ``q`` and of each class's row of the nv head's ``V``."""
+        return self.layers, self.max_len, self.step_width
+
     def head_width(self, kind: HeadKind) -> int:
         if kind is HeadKind.NEUROVIEW:
-            return self.layers * self.max_len * self.step_width
+            return math.prod(self.nv_shape)
         return self.step_width
 
     def num_cells(self) -> int:
@@ -114,8 +121,8 @@ class ForwardTrace(Buffered):
     the input each direction consumed, its hidden outputs, its packed
     activated gates and its per-kind auxiliary state, with the reverse
     direction in processing order (index i is time T-1-i).
-    NeuroView-only fields (``q``, ``logits``, ``step_logits``) are filled
-    by ``head_forward``.
+    NeuroView-only fields (``q``, ``step_logits``) are filled by
+    ``head_forward``.
 
     A forward-only pass (``encode(..., gates=False)``, ``gates`` False
     here) keeps what the head and a resumed pass read and no more: its
@@ -137,7 +144,6 @@ class ForwardTrace(Buffered):
     t0: int = 0
     gates: bool = True
     q: Optional[np.ndarray] = None
-    logits: Optional[np.ndarray] = None
     step_logits: Optional[np.ndarray] = None  # (layers, T, B, d)
     buffers: dict = field(default_factory=dict, repr=False)
 
@@ -235,7 +241,7 @@ def head_forward(model: Model, trace: ForwardTrace) -> np.ndarray:
     elif head.kind is HeadKind.NEUROVIEW:
         # q is every retained hidden state, rectified, laid out (B, L, T,
         # sw); the steps before t0 are in place already.
-        shape = (cfg.layers, T, cfg.step_width)
+        shape = cfg.nv_shape
         q = trace.buffer("q", (B, *shape))
         t0 = trace.t0
         for layer, H in enumerate(trace.hidden):
@@ -249,7 +255,6 @@ def head_forward(model: Model, trace: ForwardTrace) -> np.ndarray:
         q = q.reshape(B, head.V.shape[1])
         logits = q @ head.V.T
         trace.q = q
-        trace.logits = logits
     else:
         raise ValueError(f"unknown head kind {head.kind!r}")
 
@@ -302,7 +307,7 @@ def network_backward(model: Model, trace: ForwardTrace, grad_logits: np.ndarray,
         dH, trace.q = trace.q.reshape(cfg.layers, T, B, sw), None
         # (B, d) @ (T, d, sw) per layer gives the (T, B, sw) gradient at q,
         # which the ReLU passes where the hidden state is positive.
-        blocks = head.V.reshape(-1, cfg.layers, T, sw).transpose(1, 2, 0, 3)
+        blocks = head.V.reshape(-1, *cfg.nv_shape).transpose(1, 2, 0, 3)
         positive = trace.buffer("positive", dH.shape, bool)
         for layer in range(cfg.layers):
             np.matmul(gl, blocks[layer], out=dH[layer])

@@ -191,8 +191,6 @@ def fit(dataset: DataSet, cfg: TrainConfig, encoder: EncoderConfig,
         )
     model = build_model(encoder, head_kind, dataset.num_classes, init, mean_pool)
     history: List[tuple] = []
-    if cfg.epochs == 0:
-        return model, history
 
     X = dataset.features()
     y = dataset.labels()

@@ -212,6 +212,14 @@ def _V_data_not_base64(doc):
     doc["head"]["V"]["data"] = "abc"
 
 
+def _cell_data_missing(doc):
+    del doc["cells"][0]["U"]["data"]
+
+
+def _version_bool(doc):
+    doc["format_version"] = True
+
+
 def _huge_hidden_dim(doc):
     doc["encoder"]["hidden_dim"] = 10**15
 
@@ -220,15 +228,20 @@ CORRUPTIONS = [_drop_encoder, _unknown_run_config_key, _bad_payload_shape, "trun
                _nan_in_V, _inf_in_V, _nan_in_cell, _inf_in_cell, _classes_not_increasing,
                _layers_bool, _cells_object, _cell_list, _znorm_string, _mean_pool_string,
                _classes_strings, _head_list, _encoder_list, _V_list, _run_config_list,
-               _V_data_short, _V_shape_string, _V_data_not_base64]
-# The field that the error line names, for a field of the wrong JSON type or
-# an array whose data does not fill its shape.
-FIELD_OF = {_layers_bool: "encoder.layers", _cells_object: "cells", _cell_list: "cells",
+               _V_data_short, _V_shape_string, _V_data_not_base64, _cell_data_missing,
+               _version_bool]
+# The field that the error line names: every corruption but the truncated
+# file, which is not JSON, and the format version.
+FIELD_OF = {_drop_encoder: "encoder", _unknown_run_config_key: "run_config.no_such_field",
+            _nan_in_V: "head.V", _inf_in_V: "head.V", _nan_in_cell: "cells[0].U",
+            _inf_in_cell: "cells[0].b", _classes_not_increasing: "classes",
+            _layers_bool: "encoder.layers", _cells_object: "cells", _cell_list: "cells",
             _znorm_string: "run_config.znorm", _mean_pool_string: "head.mean_pool",
             _classes_strings: "classes", _head_list: "head", _encoder_list: "encoder",
             _V_list: "head.V", _run_config_list: "run_config",
             _bad_payload_shape: "head.V.data", _V_data_short: "head.V.data",
-            _V_shape_string: "head.V.shape", _V_data_not_base64: "head.V.data"}
+            _V_shape_string: "head.V.shape", _V_data_not_base64: "head.V.data",
+            _cell_data_missing: "cells[0].U.data"}
 
 
 def _write_checkpoint(p, head=HeadKind.NEUROVIEW, corrupt=None):
@@ -245,27 +258,58 @@ def _write_checkpoint(p, head=HeadKind.NEUROVIEW, corrupt=None):
         p.write_text(json.dumps(doc))
 
 
-@pytest.mark.parametrize("where", ["cell", "head"])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path, where, value):
+def _nonfinite(where, value):
+    def edit(model, doc):
+        # A model's parameters are views into one buffer, as fit updates them.
+        (param_tree(model)["cell0.W_hz"] if where == "cell" else model.head.V)[0, 0] = value
+        _set_first(doc["cells"][0]["W_hz"] if where == "cell" else doc["head"]["V"], value)
+        return {}
+    return edit
+
+
+def _classes(labels):
+    def edit(model, doc):
+        doc["classes"] = labels
+        return {"classes": labels}
+    return edit
+
+
+def _layers_string(model, doc):
+    doc["run_config"]["layers"] = "two"
+    return {"run_config": RunConfig(layers="two")}
+
+
+@pytest.mark.parametrize("edit,needle", [
+    pytest.param(_nonfinite(where, value), f"field '{field}' contains non-finite entries",
+                 id=f"{value}-{where}")
+    for value in (np.nan, np.inf)
+    for where, field in (("cell", "cells[0].W_hz"), ("head", "head.V"))
+] + [
+    pytest.param(_classes([2.0, 1.0]), "field 'classes' must be 2 increasing labels",
+                 id="classes-decreasing"),
+    pytest.param(_classes([0.0, 1.0, 2.0]), "field 'classes' must be 2 increasing labels",
+                 id="classes-count"),
+    pytest.param(_layers_string, "field 'run_config.layers' must be int",
+                 id="run_config-layers-string"),
+])
+def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path, edit, needle):
     enc = EncoderConfig(CellKind.GRU, 1, 3, 8)
     model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme())
     good = tmp_path / "good.json"
     save_checkpoint(good, model, RunConfig())
-    # A model's parameters are views into one buffer, as fit updates them.
-    (param_tree(model)["cell0.W_hz"] if where == "cell" else model.head.V)[0, 0] = value
     doc = json.loads(good.read_text())
-    _set_first(doc["cells"][0]["W_hz"] if where == "cell" else doc["head"]["V"], value)
-    # The checkpoint load_checkpoint would be given.
+    # The same fault in the model or arguments given to save_checkpoint and
+    # in the document given to load_checkpoint.
+    kwargs = {"run_config": RunConfig(), **edit(model, doc)}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(UsageError) as rejected:
         load_checkpoint(bad)
     p = tmp_path / "run" / "ckpt.json"
     with pytest.raises(ValueError) as refused:
-        save_checkpoint(p, model, RunConfig())
+        save_checkpoint(p, model, **kwargs)
     assert str(refused.value) == str(rejected.value).replace(str(bad), str(p))
-    assert "non-finite" in str(refused.value)
+    assert needle in str(refused.value)
     assert not p.exists()
 
 
@@ -769,8 +813,8 @@ BAD_INPUT = [
     _bad("train-unknown-dataset", "train --dataset nothere --data-root {tmp} --out {tmp}/o",
          needle="could not resolve"),
     _bad("train-one-class-split", "train --train-path {tmp}/split.tsv --out {tmp}/run",
-         needle="{tmp}/split.tsv: ", files={"split.tsv": _split_text(["1"] + EIGHT,
-                                                                    ["1"] + EIGHT)}),
+         needle="error: {tmp}/split.tsv: found 1 class(es); need at least 2",
+         files={"split.tsv": _split_text(["1"] + EIGHT, ["1"] + EIGHT)}),
     _bad("sweep-duplicate-sizes", "sweep --train-path {train} --test-path {test} "
          "--sizes 4 4 --out {tmp}/s", needle="duplicate"),
     _bad("train-overflowing-step", "train --train-path {tmp}/long.tsv --head avg "
@@ -788,21 +832,27 @@ BAD_INPUT = [
     # pack checks the shapes before it allocates blocks for this hidden size
     _bad("evaluate-checkpoint-huge-hidden-dim",
          "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}",
-         needle="checkpoint {tmp}/ckpt.json: parameter 'W': expected shape "
-                f"{(10**15, 10**15)}, got (3, 3)",
+         needle="error: checkpoint {tmp}/ckpt.json: field 'cells[0]': parameter 'W': "
+                f"expected shape {(10**15, 10**15)}, got (3, 3)",
          files={"ckpt.json": lambda p: _write_checkpoint(p, corrupt=_huge_hidden_dim)}),
     _bad("evaluate-checkpoint-nested-too-deep",
          "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}", code=1,
          needle="recursion too deep", files={"ckpt.json": "[" * 100000 + "]" * 100000}),
     *[_bad(f"evaluate-split-{case}", "evaluate --checkpoint {ckpt} --dataset-path "
-           "{tmp}/split.tsv", needle="{tmp}/split.tsv: ", files={"split.tsv": text})
-      for case, text in [
-          ("ragged-row", _split_text(["0"] + EIGHT, ["1"] + EIGHT[:2])),
-          ("bad-token", _split_text(["0"] + EIGHT, ["1"] + EIGHT[:7] + ["xyz"])),
-          ("nan-value", _split_text(["0"] + EIGHT, ["1", "NaN"] + EIGHT[1:])),
-          ("empty-file", ""),
-          ("unknown-label", _split_text(["0"] + EIGHT, ["7"] + EIGHT)),
-          ("not-utf8", b"\xff\xfe\n")]],
+           "{tmp}/split.tsv", needle="error: {tmp}/split.tsv: " + line,
+           files={"split.tsv": text})
+      for case, text, line in [
+          ("ragged-row", _split_text(["0"] + EIGHT, ["1"] + EIGHT[:2]),
+           "line 2: ragged row, expected 9 fields, got 3"),
+          ("bad-token", _split_text(["0"] + EIGHT, ["1"] + EIGHT[:7] + ["xyz"]),
+           "line 2, field 8: could not parse 'xyz'"),
+          ("nan-value", _split_text(["0"] + EIGHT, ["1", "NaN"] + EIGHT[1:]),
+           "line 2, field 1: missing or non-finite value 'NaN'"),
+          ("empty-file", "", "no data rows"),
+          ("unknown-label", _split_text(["0"] + EIGHT, ["7"] + EIGHT),
+           "label 7 is not one of the known classes (0, 1)"),
+          ("not-utf8", b"\xff\xfe\n",
+           "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")]],
     *[_bad(f"{command}-v1-split-with-more-labels",
            f"{command} --checkpoint {{v1}} --dataset-path {{tmp}}/split.tsv{extra}",
            needle="the split has 3 labels",
@@ -874,30 +924,6 @@ def test_bad_input_exits_with_one_error_line(dataset_files, trained_run, tmp_pat
     assert err[0] == needle if needle.startswith("error: ") else needle in err[0]
     assert "Traceback" not in stderr and "Errno" not in stderr
     assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
-
-
-@pytest.mark.parametrize("command,text", [
-    ("evaluate", _split_text(["0", *EIGHT], ["1", *EIGHT[:2]])),
-    ("evaluate", _split_text(["0", *EIGHT], ["1", *EIGHT[:7], "xyz"])),
-    ("evaluate", _split_text(["0", *EIGHT], ["1", "NaN", *EIGHT[1:]])),
-    ("evaluate", ""),
-    ("evaluate", _split_text(["0", *EIGHT], ["7", *EIGHT])),
-    ("train", _split_text(["1", *EIGHT], ["1", *EIGHT])),
-], ids=["ragged-row", "bad-token", "nan-value", "empty-file", "unknown-label",
-        "one-class-train"])
-def test_bad_split_exits_2_with_one_line(trained_run, tmp_path, capsys,
-                                         command, text):
-    p = tmp_path / "split.tsv"
-    p.write_text(text)
-    if command == "evaluate":
-        argv = ["evaluate", "--checkpoint", str(trained_run / "checkpoint.json"),
-                "--dataset-path", str(p)]
-    else:
-        argv = ["train", "--train-path", str(p), "--out", str(tmp_path / "run")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {p}: ")
-    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("exc,line", [
