@@ -72,7 +72,12 @@ earlier trace passed as ``out``. Gates are held gate-major,
 both directions; the GEMMs read the layer's stacked weights. The reverse
 direction is stored in processing order. The GRU forms each new state in
 one of two contiguous (n, D, B) buffers and copies it once into the
-batch-major ``ha``, which the hidden GEMM reads as before.
+batch-major ``ha``, which the hidden GEMM reads.
+
+Neither time loop allocates or slices an array per step: every numpy
+call, the sigmoid's included, writes through ``out`` into arrays made
+once per call, and each step zips views made once per chunk. Every
+operation keeps the operands and order of the formulas above.
 
 A forward-only pass (``gates=False``), which no backward pass follows,
 keeps no inputs and no gate trace: the loop runs over chunks of
@@ -106,7 +111,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -292,6 +297,13 @@ def _initial_state(kind, n, D, B, h0, c0):
     return h0a, np.array(c0.transpose(2, 0, 1))
 
 
+def _gate_blocks(G, n: int) -> list:
+    """The k gate blocks of a gate-major (steps, k*n, D, B) array, padded
+    to four with ``repeat(None)``, for the time loops to zip."""
+    blocks = [G[:, j:j + n] for j in range(0, G.shape[1], n)]
+    return blocks + [repeat(None)] * (4 - len(blocks))
+
+
 # Steps per input-projection GEMM in a forward-only pass: the gates of
 # CHUNK steps of a UMD-shape GRU-32 layer (B = 144) take 0.9 MB, so the
 # loop reads them back from cache.
@@ -353,8 +365,9 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
         G = scratch(old.gates, (T, rows, D, B))
     else:
         G = trace.buffer("gates", (span, rows, D, B))
-    gh = np.empty((rows, D, B), dtype=DTYPE)
-    ghT = gh.transpose(1, 0, 2)
+    # Work arrays: the hidden projection and the sigmoid's ``e`` (lstm: then ``tmp``).
+    gh, sw = np.empty((rows, D, B), dtype=DTYPE), np.empty((s, D, B), dtype=DTYPE)
+    ghT, gh_s, gh_n, tmp = gh.transpose(1, 0, 2), gh[:s], gh[s:], sw[:n]
     if kind is CellKind.GRU:
         # The new state is formed in one contiguous (n, D, B) buffer, the
         # previous one in another, and copied once into ``ha``; ``zn`` holds
@@ -372,32 +385,38 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
             xc[:, 1, :, :m] = X[::-1][lo:hi]
         np.matmul(W_i, xc.transpose(0, 1, 3, 2),
                   out=(A if kind is CellKind.SIMPLE_RNN else Gc).transpose(0, 2, 1, 3))
-        for g, h, a, hT in zip(Gc, H[lo:hi], repeat(None) if A is None else A, haT[lo:hi]):
+        for g, g_s, b0, b1, b2, b3, h, a, hT in zip(
+                Gc, Gc[:, :s], *_gate_blocks(Gc, n), H[lo:hi],
+                repeat(None) if A is None else A, haT[lo:hi]):
             np.matmul(W_h, hT_prev, out=ghT)
             if kind is CellKind.SIMPLE_RNN:
                 a += gh
-                h[...] = sigmoid(a)
+                np.copyto(h, sigmoid(a, out=gh, work=sw))
             elif kind is CellKind.GRU:
-                g[:s] += gh[:s]
-                g[:s] = sigmoid(g[:s])
+                r, z, g_n = b0, b1, b2
+                g_s += gh_s
+                sigmoid(g_s, out=g_s, work=sw)
                 if a is not None:
-                    a[...] = gh[s:]
-                gh[s:] *= g[:n]
-                g[s:] += gh[s:]
-                np.tanh(g[s:], out=g[s:])
-                np.multiply(h_prev, g[n:s], out=new)
-                np.subtract(1.0, g[n:s], out=zn)
-                zn *= g[s:]
+                    np.copyto(a, gh_n)
+                gh_n *= r
+                g_n += gh_n
+                np.tanh(g_n, out=g_n)
+                np.multiply(h_prev, z, out=new)
+                np.subtract(1.0, z, out=zn)
+                zn *= g_n
                 new += zn
                 np.copyto(h, new)
                 h_prev, new = new, h_prev
             else:
+                i_g, f, o, g_g = b0, b1, b2, b3
                 g += gh
-                g[:s] = sigmoid(g[:s])
-                np.tanh(g[s:], out=g[s:])
-                np.multiply(g[n:2 * n], c, out=a)
-                a += g[:n] * g[s:]
-                np.multiply(g[2 * n:s], np.tanh(a), out=h)
+                sigmoid(g_s, out=g_s, work=sw)
+                np.tanh(g_g, out=g_g)
+                np.multiply(f, c, out=a)
+                np.multiply(i_g, g_g, out=tmp)
+                a += tmp
+                np.tanh(a, out=tmp)
+                np.multiply(o, tmp, out=h)
                 c = a
             hT_prev = hT
 
@@ -464,50 +483,80 @@ def sequence_backward(kind: CellKind, weights: tuple, trace: SequenceTrace,
     if kind is CellKind.LSTM:
         carry_c = (np.zeros((n, D, B), dtype=DTYPE) if grad_c is None
                    else np.array(grad_c.transpose(2, 0, 1)))
+    # Work arrays for the gate factors; dG's sigmoid slice and gate blocks.
+    w1, w2, tanh_c, dc = np.empty((4, n, D, B), dtype=DTYPE)
+    ws = np.empty((s, D, B), dtype=DTYPE)
+    dG_s, dG_T, dGd_n = dG[:s], dG.transpose(1, 0, 2), dGd[:, s:]
+    dGb = [dG[j:j + n] for j in range(0, rows, n)]
 
-    # Backward runs against the processing order; step i's previous state
-    # came from step i-1, and step 0 read the initial state.
-    for i in range(T - 1, -1, -1):
-        hp = trace.ha[i - 1] if i else trace.h0a
-        g = trace.gates[i]
+    # Backward runs against the processing order; step i's previous states
+    # came from step i-1, and step 0 read the initial ones, which end the
+    # reversed views of them: ``hp`` for the GEMM, and ``prev`` unit-major
+    # (lstm: the cell state).
+    Gr = trace.gates[::-1]
+    P, P0 = (trace.aux, trace.c0) if kind is CellKind.LSTM else (H, H0)
+    steps = zip(Gr[:, :s], *_gate_blocks(Gr, n),
+                trace.aux[::-1], dHp[::-1], trace.xa[::-1],
+                repeat(None) if dX is None else dXp[::-1],
+                chain(trace.ha[-2::-1], (trace.h0a,)), chain(P[-2::-1], (P0,)),
+                Gr[:, :n].transpose(0, 2, 1, 3) if kind is CellKind.GRU else repeat(None))
+    for g_s, b0, b1, b2, b3, a, dh_in, xa, dx, hp, prev, rT in steps:
         dh = carry_h
-        dh += dHp[i]
+        dh += dh_in
         # dG <- gradient at the input pre-activations (W_i x + b_i).
         if kind is CellKind.SIMPLE_RNN:
-            np.multiply(dh * g, 1.0 - g, out=dG)
+            np.multiply(dh, b0, out=dG)
+            np.subtract(1.0, b0, out=w1)
+            dG *= w1
         elif kind is CellKind.GRU:
-            z, n_g = g[n:s], g[s:]
-            np.multiply(dh * (1.0 - z), 1.0 - n_g * n_g, out=dG[s:])
-            np.multiply(dG[s:], trace.aux[i], out=dG[:n])
-            np.multiply(dh, (H[i - 1] if i else H0) - n_g, out=dG[n:s])
-            dG[:s] *= g[:s] * (1.0 - g[:s])
+            z, n_g = b1, b2
+            dG_r, dG_z, dG_n = dGb
+            np.subtract(1.0, z, out=w1)
+            np.multiply(dh, w1, out=w1)
+            np.multiply(n_g, n_g, out=w2)
+            np.subtract(1.0, w2, out=w2)
+            np.multiply(w1, w2, out=dG_n)
+            np.multiply(dG_n, a, out=dG_r)
+            np.subtract(prev, n_g, out=w1)
+            np.multiply(dh, w1, out=dG_z)
         else:
-            cp = trace.aux[i - 1] if i else trace.c0
-            tanh_c = np.tanh(trace.aux[i])
-            dc = dh * g[2 * n:s] * (1.0 - tanh_c * tanh_c)
+            i_g, f, o, g_g = b0, b1, b2, b3
+            dG_i, dG_f, dG_o, dG_g = dGb
+            np.tanh(a, out=tanh_c)
+            np.multiply(dh, o, out=dc)
+            np.multiply(tanh_c, tanh_c, out=w1)
+            np.subtract(1.0, w1, out=w1)
+            dc *= w1
             dc += carry_c
-            np.multiply(dc, g[s:], out=dG[:n])
-            np.multiply(dc, cp, out=dG[n:2 * n])
-            np.multiply(dh, tanh_c, out=dG[2 * n:s])
-            np.multiply(dc * g[:n], 1.0 - g[s:] * g[s:], out=dG[s:])
-            dG[:s] *= g[:s] * (1.0 - g[:s])
-            carry_c = dc * g[n:2 * n]
+            np.multiply(dc, g_g, out=dG_i)
+            np.multiply(dc, prev, out=dG_f)
+            np.multiply(dh, tanh_c, out=dG_o)
+            np.multiply(dc, i_g, out=w1)
+            np.multiply(g_g, g_g, out=w2)
+            np.subtract(1.0, w2, out=w2)
+            np.multiply(w1, w2, out=dG_g)
+            np.multiply(dc, f, out=carry_c)
+        if kind is not CellKind.SIMPLE_RNN:
+            np.subtract(1.0, g_s, out=ws)
+            np.multiply(g_s, ws, out=ws)
+            dG_s *= ws
         if D == 2:
-            np.copyto(dGd, dG.transpose(1, 0, 2))
-        np.matmul(dGd, trace.xa[i], out=step_i)
-        if dX is not None:
-            np.matmul(dGdT, W_x, out=dXp[i])
+            np.copyto(dGd, dG_T)
+        np.matmul(dGd, xa, out=step_i)
+        if dx is not None:
+            np.matmul(dGdT, W_x, out=dx)
         # dG <- gradient at the hidden pre-activations (W_h h + b_h); only
         # the GRU's n block differs, as W_hn h + b_hn enters scaled by r.
         if kind is CellKind.GRU:
-            dGd[:, s:] *= g[:n].transpose(1, 0, 2)
+            dGd_n *= rT
         np.matmul(dGd, hp, out=step_h)
         dW_i += step_i
         dW_h += step_h
         np.matmul(W_hh, dGd, out=spareT)
         carry_h, carry_hT, spare, spareT = spare, spareT, carry_h, carry_hT
         if kind is CellKind.GRU:
-            carry_h += dh * z
+            np.multiply(dh, z, out=w1)
+            carry_h += w1
 
     if dX is not None:
         # Time order again, and the forward direction's share added first.

@@ -187,7 +187,11 @@ def _decode_array(section: dict, key: str, where: str) -> np.ndarray:
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"field '{field}.data' holds {len(raw)} bytes, "
                          f"not 8 per entry of shape {shape}")
-    arr = np.frombuffer(raw, dtype="<f8").astype(DTYPE).reshape(shape)
+    try:
+        arr = np.frombuffer(raw, dtype="<f8").astype(DTYPE).reshape(shape)
+    except ValueError:  # a size past numpy's limits (empty data), or too many axes
+        raise ValueError(f"field '{field}.shape' is not a shape numpy can hold: "
+                         f"{json.dumps(shape)}") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"field '{field}' contains non-finite entries")
     return arr

@@ -1,7 +1,7 @@
 """The float64 dtype, the sigmoid shared by the numerical modules, and
 the rule by which they reuse work arrays.
 
-The sigmoid is a pure function: it never mutates its input, and
+The sigmoid never mutates its input unless asked to write over it, and
 identical inputs produce bit-identical outputs.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 DTYPE = np.float64
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out=None, work=None) -> np.ndarray:
     """Numerically stable logistic function, finite for all finite inputs.
 
     Branch-free form of ``1 / (1 + exp(-x))`` for ``x >= 0`` and
@@ -20,10 +20,21 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     since ``e <= 1`` the numerator ``max(e, x >= 0)`` is 1 or ``e`` as
     needed. The result is bit-identical to evaluating the two branches
     separately.
+
+    Given ``out`` (``x`` itself or a strided view will do) and ``work``
+    of ``x``'s shape, it allocates nothing and returns ``out``; either one
+    omitted is allocated, and with ``out`` omitted it is pure.
     """
     x = np.asarray(x, dtype=DTYPE)
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    out = np.empty(x.shape, dtype=DTYPE) if out is None else out
+    e = np.empty(x.shape, dtype=DTYPE) if work is None else work
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0, out=out)
+    np.maximum(e, out, out=out)
+    np.add(1.0, e, out=e)
+    return np.divide(out, e, out=out)
 
 
 def scratch(old, shape: tuple, dtype=DTYPE) -> np.ndarray:

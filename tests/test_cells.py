@@ -112,6 +112,34 @@ def test_forward_is_deterministic_and_pure():
         np.testing.assert_array_equal(W, W0)
 
 
+@pytest.mark.parametrize("D", [1, 2])
+@pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.value)
+def test_kernels_leave_inputs_and_trace_unchanged(kind, D):
+    # The time loops write only into work arrays of their own: the
+    # weights, the inputs, the upstream gradients and every array of the
+    # trace keep their bytes through a gated, a forward-only and a
+    # backward pass.
+    T, B, m, n = 11, 3, 2, 4
+    rng = np.random.default_rng(D)
+    weights = stack_cells([random_params(kind, m, n, d) for d in range(D)])
+    X, h0, dH = (rng.normal(size=shape) for shape in ((T, B, m), (D, B, n), (T, B, D * n)))
+    lstm = kind is CellKind.LSTM
+    c0, grad_c = (rng.normal(size=(D, B, n)) for _ in range(2)) if lstm else (None, None)
+
+    def snapshot(arrays):
+        return [None if a is None else a.tobytes() for a in arrays]
+
+    inputs = [*weights, X, h0, c0, dH, grad_c]
+    before = snapshot(inputs)
+    trace = sequence_forward(kind, weights, X, h0, c0)
+    fields = [trace.xa, trace.ha, trace.gates, trace.aux, trace.h0a, trace.c0]
+    kept = snapshot(fields)
+    sequence_forward(kind, weights, X, h0, c0, gates=False)
+    sequence_backward(kind, weights, trace, dH, grad_c, np.zeros_like(X))
+    assert snapshot(inputs) == before
+    assert snapshot(fields) == kept
+
+
 def test_hidden_state_ranges():
     rng = np.random.default_rng(4)
     for kind, lo, hi in [

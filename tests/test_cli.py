@@ -224,6 +224,10 @@ def _huge_hidden_dim(doc):
     doc["encoder"]["hidden_dim"] = 10**15
 
 
+def _huge_empty_V(doc):
+    doc["head"]["V"] = {"shape": [0, 10**30], "data": ""}
+
+
 CORRUPTIONS = [_drop_encoder, _unknown_run_config_key, _bad_payload_shape, "truncated",
                _nan_in_V, _inf_in_V, _nan_in_cell, _inf_in_cell, _classes_not_increasing,
                _layers_bool, _cells_object, _cell_list, _znorm_string, _mean_pool_string,
@@ -835,6 +839,12 @@ BAD_INPUT = [
          needle="error: checkpoint {tmp}/ckpt.json: field 'cells[0]': parameter 'W': "
                 f"expected shape {(10**15, 10**15)}, got (3, 3)",
          files={"ckpt.json": lambda p: _write_checkpoint(p, corrupt=_huge_hidden_dim)}),
+    # an empty array whose shape numpy cannot make
+    _bad("evaluate-checkpoint-huge-empty-shape",
+         "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}",
+         needle="error: checkpoint {tmp}/ckpt.json: field 'head.V.shape' is not a shape "
+                f"numpy can hold: [0, {10**30}]",
+         files={"ckpt.json": lambda p: _write_checkpoint(p, corrupt=_huge_empty_V)}),
     _bad("evaluate-checkpoint-nested-too-deep",
          "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}", code=1,
          needle="recursion too deep", files={"ckpt.json": "[" * 100000 + "]" * 100000}),

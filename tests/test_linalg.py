@@ -43,7 +43,25 @@ def test_sigmoid_bit_identical_to_two_branch_form():
         745.2, -745.2, 1e4, -1e4, 1.7e308, -1.7e308,
     ])
     for x in (rng.normal(size=(58, 64)), rng.normal(size=500) * 300, extremes):
+        x0 = x.copy()
         with np.errstate(under="ignore"):
-            got, want = linalg.sigmoid(x), two_branch(x)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+            want = two_branch(x)
+            got = linalg.sigmoid(x)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert x.tobytes() == x0.tobytes()  # the allocating form is pure
+            # The in-place form: into fresh arrays, over its input, and
+            # into a strided, transposed view such as the rnn's states.
+            out, work = np.empty_like(x), np.empty_like(x)
+            assert linalg.sigmoid(x, out=out, work=work) is out
+            assert out.tobytes() == want.tobytes() and x.tobytes() == x0.tobytes()
+            assert linalg.sigmoid(x, out=out).tobytes() == want.tobytes()
+            assert linalg.sigmoid(x, work=work).tobytes() == want.tobytes()
+            alias = x.copy()
+            linalg.sigmoid(alias, out=alias, work=work)
+            assert alias.tobytes() == want.tobytes()
+            block = np.full(x.shape[::-1] + (3,), 7.0)
+            view = block[..., 1].T
+            linalg.sigmoid(x, out=view, work=work)
+            assert view.tobytes() == want.tobytes()
+            assert np.all(block[..., [0, 2]] == 7.0)
