@@ -65,14 +65,16 @@ input in one time loop: at loop index i the forward direction handles
 time i and the reverse direction time T-1-i, so each numpy call covers
 both directions. It forms ``gi`` for every step and direction in one
 GEMM, then per step does one hidden GEMM, one sigmoid over the sigmoid
-slice and a few elementwise updates, writing into preallocated
-per-timestep arrays of a ``SequenceTrace``: fresh ones, or those of an
-earlier trace passed as ``out``. Gates are held gate-major,
-(T, k*n, D, B), so that each gate slice is one contiguous block covering
-both directions; the GEMMs read the layer's stacked weights. The reverse
-direction is stored in processing order. The GRU forms each new state in
-one of two contiguous (n, D, B) buffers and copies it once into the
-batch-major ``ha``, which the hidden GEMM reads.
+slice and a few elementwise updates, writing into per-timestep arrays
+from the ``buffers`` of a ``SequenceTrace``: fresh ones, or those of an
+earlier trace passed as ``out``, which ``t0`` > 0 resumes in place from
+its states at step ``t0 - 1``. Gates are held gate-major, (T, k*n, D, B),
+so that each gate slice is one contiguous block covering both
+directions; the GEMMs read the layer's stacked weights. The reverse
+direction is stored in processing order; the trace's ``y`` is the
+layer's output in time order. The GRU forms each new state in one of two
+contiguous (n, D, B) buffers and copies it once into the batch-major
+``ha``, which the hidden GEMM reads.
 
 Neither time loop allocates or slices an array per step: every numpy
 call, the sigmoid's included, writes through ``out`` into arrays made
@@ -116,7 +118,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DTYPE, Buffered, scratch, sigmoid
+from .linalg import DTYPE, Buffered, sigmoid
 
 
 class CellKind(enum.Enum):
@@ -264,37 +266,31 @@ class SequenceTrace(Buffered):
                              lstm: cell state c
       h0a    (D, B, n+1)     initial hidden state;  c0 (n, D, B): initial
                              cell state (lstm only)
+      y      (T, B, D*n)     the layer's output in time order, the forward
+                             direction's units first: a view of ``ha``
+                             when D = 1, a copy when D = 2
     A forward-only trace has no ``xa`` and no ``gates``, and no ``aux``
-    but the lstm's. ``buffers`` holds the kernels' work arrays: the GRU's
-    state buffers, a forward-only pass's CHUNK-step input and gate
-    buffers and
-    ``sequence_backward``'s per-timestep arrays; a trace built with this
-    one as ``out`` takes them over.
+    but the lstm's. ``buffers`` holds by name every array the kernels
+    allocate for a trace but ``h0a`` and ``c0``: ``ha``, ``xa``, ``gates``,
+    ``aux`` and (D = 2) ``y``, the GRU's state buffers and
+    ``sequence_backward``'s per-timestep arrays; in a forward-only pass
+    ``xa``, ``gates`` and the rnn's ``aux`` hold CHUNK steps. A trace
+    built with this one as ``out`` takes them over.
     """
 
     kind: CellKind
-    xa: np.ndarray
-    ha: np.ndarray
-    gates: Optional[np.ndarray]
-    aux: Optional[np.ndarray]
-    h0a: np.ndarray
+    xa: Optional[np.ndarray] = None
+    ha: Optional[np.ndarray] = None
+    gates: Optional[np.ndarray] = None
+    aux: Optional[np.ndarray] = None
+    y: Optional[np.ndarray] = None
+    h0a: Optional[np.ndarray] = None
     c0: Optional[np.ndarray] = None
     buffers: dict = field(default_factory=dict, repr=False)
 
     @property
     def h(self) -> np.ndarray:
         return self.ha[..., :-1]
-
-
-def _initial_state(kind, n, D, B, h0, c0):
-    """``(h0a, c0)`` in trace layout from (D, B, n) states; zeros where not
-    given."""
-    h0a = _with_ones(np.zeros((D, B, n), dtype=DTYPE) if h0 is None else h0)
-    if kind is not CellKind.LSTM:
-        return h0a, None
-    if c0 is None:
-        return h0a, np.zeros((n, D, B), dtype=DTYPE)
-    return h0a, np.array(c0.transpose(2, 0, 1))
 
 
 def _gate_blocks(G, n: int) -> list:
@@ -314,17 +310,24 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
                      h0: Optional[np.ndarray] = None,
                      c0: Optional[np.ndarray] = None,
                      out: Optional[SequenceTrace] = None,
-                     gates: bool = True) -> SequenceTrace:
+                     gates: bool = True, t0: int = 0) -> SequenceTrace:
     """Run one layer's D directions (1, or 2 for forward and reverse) over
     a (T, B, m) input in one time loop, from the (D, B, n) state
     ``(h0, c0)`` (zeros when omitted); the second direction reads the
     input reversed in time. ``weights`` is the layer's stacked packed
     blocks ``(W_i, W_h)``, (D, k*n, m+1) and (D, k*n, n+1). Shapes are
-    trusted: callers check them once.
+    trusted, callers checking them once, but for a resumed ``out``'s.
 
-    ``out``, an earlier trace, lends its per-timestep arrays: each one of
-    the right shape is overwritten instead of allocated, with the values a
-    fresh run would give; ``out`` must not be read afterwards.
+    ``out``, an earlier trace, lends its arrays through its ``buffers``:
+    each one of the right shape is overwritten instead of allocated, with
+    the values a fresh run would give; ``out`` must not be read afterwards.
+
+    ``t0`` > 0 resumes ``out``, a run of the same kind, shapes and
+    ``gates`` (else ``ValueError``) over an input equal to ``X`` before
+    step ``t0``, in place: only steps ``t0..T-1`` are recomputed, from
+    ``out``'s states at step ``t0 - 1`` and with its ``h0a``/``c0``
+    (``h0``/``c0`` are not read), and every array equals a fresh run's
+    over ``X``.
 
     ``gates=False`` makes a forward-only pass, which ``sequence_backward``
     rejects: the inputs, the gates and the rnn's ``aux`` live in
@@ -336,35 +339,40 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
     T, B, m = X.shape
     n = W_h.shape[-1] - 1
     s = _SIGMOID_GATES[kind] * n
-    old = out if out is not None else SequenceTrace(kind, *[None] * 5)
-    ha = scratch(old.ha, (T, D, B, n + 1))
-    ha[..., n] = 1.0
-    trace = SequenceTrace(kind, None, ha, None, None,
-                          *_initial_state(kind, n, D, B, h0, c0), old.buffers)
-    c = trace.c0
+    # A resumed run reads ``out``'s states and (gates) inputs before t0.
+    if t0 and (out is None or out.kind is not kind or out.ha.shape != (T, D, B, n + 1)
+               or (out.gates is None) == gates or gates and out.xa.shape != (T, D, B, m + 1)):
+        raise ValueError("a run resumes into a trace of the same kind, shapes and gates")
+    trace = SequenceTrace(kind, buffers={} if out is None else out.buffers)
+    if t0:
+        trace.h0a, trace.c0 = out.h0a, out.c0
+    else:
+        # The initial state in trace layout; zeros where not given.
+        trace.h0a = _with_ones(np.zeros((D, B, n), dtype=DTYPE) if h0 is None else h0)
+        if kind is CellKind.LSTM:
+            trace.c0 = (np.zeros((n, D, B), dtype=DTYPE) if c0 is None
+                        else np.array(c0.transpose(2, 0, 1)))
+    trace.ha = ha = trace.buffer("ha", (T, D, B, n + 1))
+    ha[t0:, ..., n] = 1.0
     # Unit-major views of the states, (n, D, B) per step, and the GEMM
-    # operands (n+1, B) per step and direction.
+    # operands (n+1, B) per step and direction. The loop starts from the
+    # initial state or, resumed, from step t0 - 1's in place: the same
+    # (D, B, n+1) layout either way, so the GEMM gives the same bits.
     H = ha[..., :n].transpose(0, 3, 1, 2)
-    haT, hT_prev = ha.transpose(0, 1, 3, 2), trace.h0a.transpose(0, 2, 1)
+    haT, h_start = ha.transpose(0, 1, 3, 2), ha[t0 - 1] if t0 else trace.h0a
+    hT_prev = h_start.transpose(0, 2, 1)
     # Inputs, gates and aux hold every step, or CHUNK steps in a
     # forward-only pass, where the lstm's cell states still hold every
     # step and the GRU forms no aux. The input projections, biases
     # included, go into the gates (rnn: aux) in one GEMM per chunk.
     span = T if gates else min(T, CHUNK)
-    xa = scratch(old.xa, (T, D, B, m + 1)) if gates else trace.buffer("xa", (span, D, B, m + 1))
+    xa = trace.buffer("xa", (span, D, B, m + 1))
     xa[..., m] = 1.0
-    if gates or kind is CellKind.LSTM:
-        aux = scratch(old.aux, (T, n, D, B))
-    elif kind is CellKind.SIMPLE_RNN:
-        aux = trace.buffer("aux", (span, n, D, B))
-    else:
-        aux = None
-    if kind is CellKind.SIMPLE_RNN:
-        G = H
-    elif gates:
-        G = scratch(old.gates, (T, rows, D, B))
-    else:
-        G = trace.buffer("gates", (span, rows, D, B))
+    aux = (None if kind is CellKind.GRU and not gates
+           else trace.buffer("aux", (T if kind is CellKind.LSTM else span, n, D, B)))
+    G = H if kind is CellKind.SIMPLE_RNN else trace.buffer("gates", (span, rows, D, B))
+    # The lstm's previous cell state: the initial one, or step t0 - 1's.
+    c = aux[t0 - 1] if t0 and kind is CellKind.LSTM else trace.c0
     # Work arrays: the hidden projection and the sigmoid's ``e`` (lstm: then ``tmp``).
     gh, sw = np.empty((rows, D, B), dtype=DTYPE), np.empty((s, D, B), dtype=DTYPE)
     ghT, gh_s, gh_n, tmp = gh.transpose(1, 0, 2), gh[:s], gh[s:], sw[:n]
@@ -373,9 +381,9 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
         # previous one in another, and copied once into ``ha``; ``zn`` holds
         # the (1 - z) * n term.
         new, h_prev, zn = trace.buffer("state", (3, n, D, B))
-        h_prev[...] = trace.h0a[..., :n].transpose(2, 0, 1)
+        h_prev[...] = h_start[..., :n].transpose(2, 0, 1)
 
-    for lo in range(0, T, span):
+    for lo in range(t0, T, span):
         hi = min(lo + span, T)
         # Steps lo..hi-1: of an array of all T steps, or a chunk buffer.
         Gc, A, xc = (a if a is None else a[lo:hi] if len(a) == T else a[:hi - lo]
@@ -424,6 +432,14 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
         trace.xa, trace.gates, trace.aux = xa, G, aux
     elif kind is CellKind.LSTM:
         trace.aux = aux
+    # The output in time order: the reverse direction's states go back
+    # from processing order.
+    if D == 1:
+        trace.y = trace.h[:, 0]
+    else:
+        trace.y = trace.buffer("y", (T, B, D * n))
+        trace.y[..., :n] = trace.h[:, 0]
+        trace.y[..., n:] = trace.h[::-1, 1]
     return trace
 
 

@@ -37,21 +37,15 @@ def sigmoid(x: np.ndarray, out=None, work=None) -> np.ndarray:
     return np.divide(out, e, out=out)
 
 
-def scratch(old, shape: tuple, dtype=DTYPE) -> np.ndarray:
-    """``old`` when it is a C-contiguous array of ``shape`` and ``dtype``,
-    else a fresh one; the caller overwrites its contents."""
-    if (old is not None and old.shape == shape and old.dtype == dtype
-            and old.flags.c_contiguous):
-        return old
-    return np.empty(shape, dtype=dtype)
-
-
 class Buffered:
-    """Mixin for a record whose ``buffers`` dict holds reusable work
-    arrays by name."""
+    """Mixin for a record whose ``buffers`` dict holds its arrays by name:
+    a record built on another's dict reuses them, the one way arrays pass
+    from one pass to the next."""
 
     def buffer(self, name: str, shape: tuple, dtype=DTYPE) -> np.ndarray:
         """The buffer ``name``, reused when it has this shape and dtype and
-        fresh otherwise; the caller overwrites its contents."""
-        self.buffers[name] = scratch(self.buffers.get(name), shape, dtype)
-        return self.buffers[name]
+        allocated fresh otherwise; the caller overwrites its contents."""
+        old = self.buffers.get(name)
+        if old is None or old.shape != shape or old.dtype != dtype:
+            old = self.buffers[name] = np.empty(shape, dtype=dtype)
+        return old

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .linalg import DTYPE, Buffered, scratch
+from .linalg import DTYPE, Buffered
 from .cells import CellKind, packed_shapes, sequence_backward, sequence_forward
 
 
@@ -114,15 +114,12 @@ class HeadParams:
 class ForwardTrace(Buffered):
     """Everything one forward pass retains.
 
-    ``hidden[layer]`` has shape (T, B, step_width); forward-direction units
-    occupy ``[:, :, :hidden_dim]`` and reverse-direction units the rest.
     ``gate_traces[layer]`` is the ``SequenceTrace`` of that layer, whose
-    one time loop ran both directions: preallocated per-timestep arrays of
-    the input each direction consumed, its hidden outputs, its packed
-    activated gates and its per-kind auxiliary state, with the reverse
-    direction in processing order (index i is time T-1-i).
-    NeuroView-only fields (``q``, ``step_logits``) are filled by
-    ``head_forward``.
+    one time loop ran both directions (see ``cells``); ``hidden[layer]``
+    is its output ``y``, (T, B, step_width) in time order, with the
+    forward-direction units in ``[:, :, :hidden_dim]`` and the
+    reverse-direction ones after them. NeuroView-only fields (``q``,
+    ``step_logits``) are filled by ``head_forward``.
 
     A forward-only pass (``encode(..., gates=False)``, ``gates`` False
     here) keeps what the head and a resumed pass read and no more: its
@@ -139,13 +136,20 @@ class ForwardTrace(Buffered):
     arrays; a trace built with this one as ``out`` shares them.
     """
 
-    hidden: List[np.ndarray]
     gate_traces: list
     t0: int = 0
-    gates: bool = True
     q: Optional[np.ndarray] = None
     step_logits: Optional[np.ndarray] = None  # (layers, T, B, d)
     buffers: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def hidden(self) -> List[np.ndarray]:
+        return [tr.y for tr in self.gate_traces]
+
+    @property
+    def gates(self) -> bool:
+        """False for a forward-only pass."""
+        return self.gate_traces[0].gates is not None
 
 
 def _as_time_major(cfg: EncoderConfig, x) -> np.ndarray:
@@ -160,7 +164,8 @@ def _as_time_major(cfg: EncoderConfig, x) -> np.ndarray:
 def encode(model: Model, x, resume: int = 0, out: Optional[ForwardTrace] = None,
            gates: bool = True) -> ForwardTrace:
     """Unroll a model's encoder over a batch of sequences, one kernel call
-    per layer on its stacked weights ``model.layers[l]``.
+    per layer on its stacked weights ``model.layers[l]``, each layer
+    reading the output ``y`` of the one below.
 
     ``x`` is a (B, T, m) batch, one sequence being a batch of one,
     already padded/truncated to exactly ``max_len`` steps.
@@ -174,11 +179,11 @@ def encode(model: Model, x, resume: int = 0, out: Optional[ForwardTrace] = None,
     fresh pass, and ``out`` must not be read afterwards.
 
     ``resume=t0`` recomputes only steps ``t0..T-1`` of a unidirectional
-    encoder, into ``out``'s own arrays: ``out`` must be a pass of the same
-    ``gates`` over a batch of the same size that equals ``x`` before step
-    ``t0``. Every layer runs on from ``out``'s states at ``t0 - 1`` and
-    writes no earlier step, and the result equals a fresh pass over ``x``
-    in every array.
+    encoder, in place: each layer's kernel resumes ``out``'s trace of it
+    at ``t0`` (``sequence_forward``'s ``t0``). ``out`` must be a pass of
+    this encoder with the same ``gates``, over a batch of the same size
+    that equals ``x`` before step ``t0``; the result equals a fresh pass
+    over ``x`` in every array.
     """
     cfg = model.encoder
     X = _as_time_major(cfg, x)
@@ -187,38 +192,17 @@ def encode(model: Model, x, resume: int = 0, out: Optional[ForwardTrace] = None,
         raise ValueError(f"resume must be in [0, {cfg.max_len}), got {t0}")
     if t0 and cfg.bidirectional:
         raise ValueError("only a unidirectional encoder can resume mid-sequence")
-    if t0 and (out is None or out.gates != gates or out.hidden[0].shape[1] != X.shape[1]):
-        raise ValueError("a pass resumes into a trace of the same batch size and gates")
+    # The kernels check the rest, at layer 0 before anything is written.
+    if t0 and (out is None or len(out.gate_traces) != cfg.layers):
+        raise ValueError("a pass resumes into a trace of the same encoder, batch size and gates")
 
-    hidden: List[np.ndarray] = []
     gate_traces = []
-    D, n = cfg.directions, cfg.hidden_dim
     for layer, weights in enumerate(model.layers):
-        old = out and out.gate_traces[layer]
-        state = {}
-        if t0:
-            # Steps t0.. go into views of ``old``'s arrays from step t0 on,
-            # from its states at step t0 - 1 (an lstm's cell state is aux).
-            state["h0"] = old.h[t0 - 1]
-            if cfg.cell is CellKind.LSTM:
-                state["c0"] = old.aux[t0 - 1].transpose(1, 2, 0)
-            old = replace(old, **{name: getattr(old, name)[t0:] for name in
-                                  ("xa", "ha", "gates", "aux") if getattr(old, name) is not None})
-        trace = sequence_forward(cfg.cell, weights, X[t0:], out=old, gates=gates, **state)
-        if t0:
-            trace = out.gate_traces[layer]
-        if D == 1:
-            X = trace.h[:, 0]
-        else:
-            # The reverse direction's states, stored in processing order,
-            # go back to time order.
-            X = scratch(out and out.hidden[layer], X.shape[:2] + (cfg.step_width,))
-            X[..., :n] = trace.h[:, 0]
-            X[..., n:] = trace.h[::-1, 1]
-        hidden.append(X)
+        trace = sequence_forward(cfg.cell, weights, X, out=out and out.gate_traces[layer],
+                                 gates=gates, t0=t0)
         gate_traces.append(trace)
-
-    return ForwardTrace(hidden, gate_traces, t0 if t0 and out.q is not None else 0, gates,
+        X = trace.y
+    return ForwardTrace(gate_traces, t0 if t0 and out.q is not None else 0,
                         buffers={} if out is None else out.buffers)
 
 

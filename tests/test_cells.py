@@ -132,7 +132,7 @@ def test_kernels_leave_inputs_and_trace_unchanged(kind, D):
     inputs = [*weights, X, h0, c0, dH, grad_c]
     before = snapshot(inputs)
     trace = sequence_forward(kind, weights, X, h0, c0)
-    fields = [trace.xa, trace.ha, trace.gates, trace.aux, trace.h0a, trace.c0]
+    fields = [trace.xa, trace.ha, trace.gates, trace.aux, trace.y, trace.h0a, trace.c0]
     kept = snapshot(fields)
     sequence_forward(kind, weights, X, h0, c0, gates=False)
     sequence_backward(kind, weights, trace, dH, grad_c, np.zeros_like(X))

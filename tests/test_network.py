@@ -626,6 +626,20 @@ def test_a_pass_resumes_only_into_a_matching_trace():
     for t0 in (-1, 5):
         with pytest.raises(ValueError, match=r"resume must be in \[0, 5\)"):
             encode(model, x, t0, base)
+    # Nor into a pass of another encoder: one of two layers of the same
+    # width, one of another hidden size, one of another cell and, where
+    # the trace keeps its inputs, one of another input width.
+    for cell in CellKind:
+        model = make_model(cell, HeadKind.NEUROVIEW, T=5)
+        other_cell = CellKind.GRU if cell is CellKind.LSTM else CellKind.LSTM
+        for other, modes in ((make_model(cell, HeadKind.NEUROVIEW, T=5, layers=2), (True, False)),
+                             (make_model(cell, HeadKind.NEUROVIEW, n=4, T=5), (True, False)),
+                             (make_model(other_cell, HeadKind.NEUROVIEW, T=5), (True, False)),
+                             (make_model(cell, HeadKind.NEUROVIEW, m=3, T=5), (True,))):
+            for gates in modes:
+                _, out = other.forward(np.ones((2, 5, other.encoder.input_dim)), gates=gates)
+                with pytest.raises(ValueError, match="resumes into a trace"):
+                    encode(model, x, 2, out, gates=gates)
 
 
 # ------------------------------------------------------ forward-only passes
@@ -697,6 +711,16 @@ def test_forward_only_pass_into_an_earlier_one_reuses_its_chunk_buffers(cell):
     lent = dict(prev.gate_traces[0].buffers)
     assert lent
     trace = encode(model, x2, out=prev, gates=False)
+    np.testing.assert_array_equal(head_forward(model, trace), want)
+    for name, arr in lent.items():
+        assert np.shares_memory(trace.gate_traces[0].buffers[name], arr), name
+    # So does a pass resumed inside the short last chunk, which runs fewer
+    # than CHUNK steps.
+    t0 = T - 2
+    x3 = x2.copy()
+    x3[:, t0:] = -x2[:, t0:]
+    want, _ = model.forward(x3)
+    trace = encode(model, x3, t0, trace, gates=False)
     np.testing.assert_array_equal(head_forward(model, trace), want)
     for name, arr in lent.items():
         assert np.shares_memory(trace.gate_traces[0].buffers[name], arr), name
