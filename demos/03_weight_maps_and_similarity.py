@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Read a trained classifier's per-timestep weights.
 
-After training, row i of the global classifier matrix scores class i as an
-inner product with the concatenated rectified hidden states, so slicing
-that row into per-timestep blocks says exactly which timesteps push a
-prediction toward (positive weights) or away from (negative weights) each
-class. This script trains a small model, prints each class's mean weight
-per timestep as a bar strip, and exports the analysis CSVs.
+After training, row i of the global classifier matrix ``model.V`` scores
+class i as an inner product with the concatenated rectified hidden
+states, so slicing that row into per-timestep blocks says exactly which
+timesteps push a prediction toward (positive weights) or away from
+(negative weights) each class. This script trains a small model, prints
+each class's mean weight per timestep as a bar strip, and exports the
+analysis CSVs. Every reader here takes the model itself.
 """
 
 import numpy as np
@@ -46,16 +47,16 @@ print("per-timestep mean classifier weight, one strip per class")
 print("(each class's evidence window sits at a different early position)\n")
 maps = []
 for c in range(train.num_classes):
-    m = weight_map(model.head, encoder, c)
-    top = rank_timesteps(model.head, encoder, c, AblationMode.TOP_POSITIVE)[:4]
+    m = weight_map(model, c)
+    top = rank_timesteps(model, c, AblationMode.TOP_POSITIVE)[:4]
     maps.append(m)
     print(f"class {c}: {strip(m.timestep_means())}  top steps {sorted(int(t) for t in top)}")
 
-sim = class_similarity(model.head)
+sim = class_similarity(model)
 print("\ncosine similarity between class weight rows:")
 print(np.round(sim, 3))
 
-files = export_report(maps, sim, [], encoder, "analysis")
+files = export_report(maps, sim, [], "analysis")
 print(f"\nexported {len(files)} files to analysis/:")
 for f in files:
     print("  ", f.name)

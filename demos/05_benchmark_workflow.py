@@ -83,7 +83,7 @@ acc, model = best
 print(f"\nbest test accuracy: {acc:.4f}")
 
 for c in range(train_ds.num_classes):
-    top = rank_timesteps(model.head, encoder, c, AblationMode.TOP_POSITIVE)[:4]
+    top = rank_timesteps(model, c, AblationMode.TOP_POSITIVE)[:4]
     print(f"class {c} top-4 timesteps by mean weight: {sorted(int(t) for t in top)}")
 
 print("\ninput-zeroing counterfactual, class 0 ranking:")

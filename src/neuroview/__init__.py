@@ -28,7 +28,6 @@ from .network import (
     EncoderConfig,
     ForwardTrace,
     HeadKind,
-    HeadParams,
     Model,
     encode,
     head_forward,

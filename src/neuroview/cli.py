@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import DTYPE
 from .cells import CellKind, InitKind, InitScheme, named_views, pack
-from .network import EncoderConfig, HeadKind, HeadParams, Model
+from .network import EncoderConfig, HeadKind, Model
 from .train import (
     EvalReport,
     TrainConfig,
@@ -214,9 +214,9 @@ def save_checkpoint(path, model: Model, run_config: RunConfig,
         "run_config": dataclasses.asdict(run_config),
         "encoder": {**dataclasses.asdict(cfg), "cell": cfg.cell.value},
         "head": {
-            "kind": model.head.kind.value,
-            "mean_pool": model.head.mean_pool,
-            "V": _encode_array(model.head.V),
+            "kind": model.head_kind.value,
+            "mean_pool": model.mean_pool,
+            "V": _encode_array(model.V),
         },
         "cells": [
             {name: _encode_array(arr)
@@ -292,6 +292,9 @@ def _decode_checkpoint(doc: dict):
     blobs = _typed(doc, "cells", None)
     if type(blobs) is not list or not all(type(blob) is dict for blob in blobs):
         raise ValueError("field 'cells' must be a list of objects")
+    if len(blobs) != cfg.num_cells():
+        raise ValueError(f"field 'cells' holds {len(blobs)} cells, the encoder needs "
+                         f"{cfg.num_cells()} ({cfg.layers} layers x {cfg.directions} directions)")
     cells = []
     for i, blob in enumerate(blobs):
         arrays = {name: _decode_array(blob, name, f"cells[{i}]") for name in blob}
@@ -300,12 +303,13 @@ def _decode_checkpoint(doc: dict):
         except ValueError as e:
             raise ValueError(f"field 'cells[{i}]': {e}") from None
     head_doc = _typed(doc, "head", "object")
-    head = HeadParams(
-        _parse_enum(HeadKind, _typed(head_doc, "kind", None, "head"), "head.kind"),
-        _decode_array(head_doc, "V", "head"),
-        _typed(head_doc, "mean_pool", "bool", "head"),
-    )
-    model = Model(cfg, cells, head)
+    head = (_parse_enum(HeadKind, _typed(head_doc, "kind", None, "head"), "head.kind"),
+            _decode_array(head_doc, "V", "head"),
+            _typed(head_doc, "mean_pool", "bool", "head"))
+    try:  # pack checked every cell and their count is checked above: Model rejects only V
+        model = Model(cfg, cells, *head)
+    except ValueError as e:
+        raise ValueError(f"field 'head.V': {e}") from None
     rc = _typed(doc, "run_config", "object")
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for key in rc:
@@ -533,9 +537,9 @@ def _nv_checkpoint(args, class_spec: str):
     of ``class_spec`` and ``args.k_list`` checked against it before any
     split is read; returns ``(model, run_config, labels, classes)``."""
     model, rc, _, labels = load_checkpoint(args.checkpoint)
-    if model.head.kind is not HeadKind.NEUROVIEW:
+    if model.head_kind is not HeadKind.NEUROVIEW:
         raise UsageError(
-            f"this checkpoint uses the {model.head.kind.value!r} head; "
+            f"this checkpoint uses the {model.head_kind.value!r} head; "
             "weight inspection and counterfactuals need the per-timestep "
             "'nv' head, whose classifier has one weight block per timestep"
         )
@@ -582,15 +586,14 @@ def cmd_export(args) -> int:
                          "for a counterfactual sweep, or neither")
     _check_out(args.out)
     model, rc, labels, classes = _nv_checkpoint(args, args.classes)
-    cfg = model.encoder
-    maps = [interpret.weight_map(model.head, cfg, c) for c in classes]
-    sim = interpret.class_similarity(model.head) if model.num_classes >= 2 else None
+    maps = [interpret.weight_map(model, c) for c in classes]
+    sim = interpret.class_similarity(model) if model.num_classes >= 2 else None
     results = []
     if args.dataset_path:
         results = _sweep(args, model, rc, labels, classes, interpret.AblationTarget.INPUTS)
-    files = interpret.export_report(maps, sim, results, cfg, args.out)
+    files = interpret.export_report(maps, sim, results, args.out)
     for c in classes:
-        top = interpret.rank_timesteps(model.head, cfg, c, interpret.AblationMode.TOP_POSITIVE)
+        top = interpret.rank_timesteps(model, c, interpret.AblationMode.TOP_POSITIVE)
         steps = ", ".join(str(int(t)) for t in top[:5])
         print(f"class {c}: top-5 timesteps by mean weight: {steps}")
     print(f"wrote {len(files)} files to {args.out}")

@@ -1,11 +1,11 @@
 """Reading the classifier: timestep weight maps, class similarity, and
 input-ablation counterfactuals.
 
-Everything here works off the trained global matrix V of a per-timestep
-("NeuroView") head. Row i of V scores class i as an inner product with the
-rectified, concatenated hidden states, so the row decomposes exactly into
-one block per (layer, timestep, direction). Those blocks are the raw
-material for:
+Everything here takes a model with the per-timestep ("NeuroView") head
+and works off its trained global matrix ``model.V``. Row i of V scores
+class i as an inner product with the rectified, concatenated hidden
+states, so the row decomposes exactly into one block per (layer,
+timestep, direction). Those blocks are the raw material for:
 
 * weight maps   -- per-timestep mean weights and per-unit grids per class;
 * similarity    -- cosine similarity between any two classes' rows;
@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .network import EncoderConfig, HeadKind, HeadParams, Model, encode, head_forward
+from .network import HeadKind, Model, encode, head_forward
 from .data import DataSet
 from .train import EvalReport, eval_report
 
@@ -74,59 +74,58 @@ class CounterfactualResult:
     report: EvalReport
 
 
-def _require_nv(head: HeadParams):
-    if head.kind is not HeadKind.NEUROVIEW:
+def _require_nv(model: Model):
+    if model.head_kind is not HeadKind.NEUROVIEW:
         raise ValueError(
             "interpretability requires the per-timestep (NeuroView) head; "
-            f"got {head.kind.value!r}"
+            f"got {model.head_kind.value!r}"
         )
 
 
-def weight_map(head: HeadParams, cfg: EncoderConfig, class_index: int) -> WeightMap:
-    """Reshape one class's classifier row into per-timestep blocks."""
-    _require_nv(head)
-    if not 0 <= class_index < head.num_classes:
-        raise ValueError(
-            f"class {class_index} outside [0, {head.num_classes})"
-        )
-    row = head.V[class_index]
-    per_unit = row.reshape(*cfg.nv_shape[:2], cfg.directions, cfg.hidden_dim).copy()
+def weight_map(model: Model, class_index: int) -> WeightMap:
+    """Reshape one class's row of ``model.V`` into per-timestep blocks."""
+    _require_nv(model)
+    if not 0 <= class_index < model.num_classes:
+        raise ValueError(f"class {class_index} outside [0, {model.num_classes})")
+    cfg = model.encoder
+    per_unit = model.V[class_index].reshape(*cfg.nv_shape[:2], cfg.directions,
+                                            cfg.hidden_dim).copy()
     means = per_unit.mean(axis=3).transpose(0, 2, 1)  # (L, dir, T)
     return WeightMap(class_index, per_unit, means)
 
 
-def class_similarity(head: HeadParams) -> np.ndarray:
-    """(d, d) cosine similarity between every pair of class weight rows:
-    symmetric, with a unit diagonal."""
-    _require_nv(head)
-    d = head.num_classes
+def class_similarity(model: Model) -> np.ndarray:
+    """(d, d) cosine similarity between every pair of rows of the model's
+    ``V``: symmetric, with a unit diagonal."""
+    _require_nv(model)
+    d = model.num_classes
     if d < 2:
         raise ValueError(f"similarity needs at least 2 classes, got {d}")
-    norms = np.linalg.norm(head.V, axis=1)
+    norms = np.linalg.norm(model.V, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise ValueError(f"class {int(zero[0])} has a zero weight row")
-    R = head.V / norms[:, None]
+    R = model.V / norms[:, None]
     S = R @ R.T
     S = np.clip((S + S.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(S, 1.0)
     return S
 
 
-def rank_timesteps(head: HeadParams, cfg: EncoderConfig, class_index: int,
-                   mode: AblationMode, layer: int = 0,
-                   direction: int = 0) -> np.ndarray:
+def rank_timesteps(model: Model, class_index: int, mode: AblationMode,
+                   layer: int = 0, direction: int = 0) -> np.ndarray:
     """Timesteps ordered by the class's mean block weight in one
-    ``layer`` and ``direction``.
+    ``layer`` and ``direction`` of the model's ``V``.
 
     Descending for TOP_POSITIVE, ascending for TOP_NEGATIVE; ties resolve
     toward the lower timestep index, so rankings are reproducible.
     """
+    cfg = model.encoder
     if not 0 <= layer < cfg.layers:
         raise ValueError(f"layer {layer} outside [0, {cfg.layers})")
     if not 0 <= direction < cfg.directions:
         raise ValueError(f"direction {direction} outside [0, {cfg.directions})")
-    means = weight_map(head, cfg, class_index).timestep_means(layer, direction)
+    means = weight_map(model, class_index).timestep_means(layer, direction)
     key = -means if mode is AblationMode.TOP_POSITIVE else means
     return np.argsort(key, kind="stable")
 
@@ -153,7 +152,7 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
     of a bidirectional encoder, rewrite the whole trace and run last. All
     scores are bit-identical to fresh full passes'.
     """
-    _require_nv(model.head)
+    _require_nv(model)
     cfg = model.encoder
     plans = []
     for class_index, k, mode, target in rows:
@@ -161,7 +160,7 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
             raise ValueError(f"class {class_index} outside [0, {model.num_classes})")
         if not 0 <= k <= cfg.max_len:
             raise ValueError(f"k must be in [0, {cfg.max_len}], got {k}")
-        order = rank_timesteps(model.head, cfg, class_index, mode, layer, direction)
+        order = rank_timesteps(model, class_index, mode, layer, direction)
         steps = [int(t) for t in order[:k]]
         plans.append((class_index, k, steps, mode, target, tuple(sorted(steps))))
 
@@ -174,7 +173,7 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
         if target is AblationTarget.WEIGHTS and (target, steps) not in logits_of:
             kept = q[:, layer, steps]
             q[:, layer, steps] = 0.0
-            logits_of[target, steps] = trace.q @ model.head.V.T
+            logits_of[target, steps] = trace.q @ model.V.T
             q[:, layer, steps] = kept
     ablated = {steps for *_, target, steps in plans if steps and target is AblationTarget.INPUTS}
     for steps in sorted(ablated, key=lambda steps: -steps[0]):
@@ -203,20 +202,21 @@ def _write_csv(path: Path, header: List[str], rows) -> None:
         w.writerows(rows)
 
 
-def export_weight_map_csv(m: WeightMap, cfg: EncoderConfig, path) -> None:
+def export_weight_map_csv(m: WeightMap, path) -> None:
     """One CSV per class: timestep, mean_weight, unit_0..unit_{n-1}.
 
     Single-layer unidirectional maps write exactly that schema; deeper or
     bidirectional maps prepend layer and direction columns. Floats are
     written with full round-trip precision.
     """
-    lead_cols = ["layer", "direction"] if cfg.layers > 1 or cfg.bidirectional else []
-    header = lead_cols + ["timestep", "mean_weight"] + [f"unit_{u}" for u in range(cfg.hidden_dim)]
+    layers, T, directions, n = m.per_unit.shape
+    lead_cols = ["layer", "direction"] if layers > 1 or directions > 1 else []
+    header = lead_cols + ["timestep", "mean_weight"] + [f"unit_{u}" for u in range(n)]
     rows = []
-    for layer in range(cfg.layers):
-        for direction in range(cfg.directions):
+    for layer in range(layers):
+        for direction in range(directions):
             lead = [layer, direction] if lead_cols else []
-            for t in range(cfg.max_len):
+            for t in range(T):
                 rows.append(lead + [t, repr(float(m.per_timestep_mean[layer, direction, t]))]
                             + [repr(float(v)) for v in m.per_unit[layer, t, direction]])
     _write_csv(Path(path), header, rows)
@@ -251,8 +251,7 @@ def counterfactual_rows(results: Sequence[CounterfactualResult]) -> List[dict]:
 
 
 def export_report(maps: Sequence[WeightMap], similarity: Optional[np.ndarray],
-                  counterfactuals: Sequence[CounterfactualResult],
-                  cfg: EncoderConfig, out_dir) -> List[Path]:
+                  counterfactuals: Sequence[CounterfactualResult], out_dir) -> List[Path]:
     """Write the analysis bundle: one CSV per weight map, one similarity
     CSV, one JSON of counterfactual rows, plus a manifest listing them."""
     out = Path(out_dir)
@@ -260,7 +259,7 @@ def export_report(maps: Sequence[WeightMap], similarity: Optional[np.ndarray],
     written: List[Path] = []
     for m in maps:
         p = out / f"weight_map_class{m.class_index}.csv"
-        export_weight_map_csv(m, cfg, p)
+        export_weight_map_csv(m, p)
         written.append(p)
     if similarity is not None:
         p = out / "class_similarity.csv"

@@ -14,6 +14,9 @@ hidden state. Three heads turn the retained states into class scores:
                        additive share of every class score, which is what
                        the interpretability tooling reads off.
 
+A ``Model`` holds its head as three fields: ``head_kind``, the matrix ``V``
+(one row per class) and ``mean_pool``.
+
 Feature vector layout (also the column layout of the NeuroView ``V``):
 layer-major, then timestep, then direction, then hidden unit::
 
@@ -93,24 +96,6 @@ class EncoderConfig:
 
 
 @dataclass
-class HeadParams:
-    kind: HeadKind
-    V: np.ndarray  # (num_classes, width)
-    mean_pool: bool = False
-
-    def __post_init__(self):
-        self.V = np.asarray(self.V, dtype=DTYPE)
-        if self.V.ndim != 2:
-            raise ValueError(f"head matrix must be 2-D, got shape {self.V.shape}")
-        if not np.all(np.isfinite(self.V)):
-            raise ValueError("head matrix contains non-finite entries")
-
-    @property
-    def num_classes(self) -> int:
-        return self.V.shape[0]
-
-
-@dataclass
 class ForwardTrace(Buffered):
     """Everything one forward pass retains.
 
@@ -175,8 +160,9 @@ def encode(model: Model, x, resume: int = 0, out: Optional[ForwardTrace] = None,
 
     ``out``, an earlier trace of the same encoder, lends its arrays: each
     one of the right shape is overwritten instead of allocated, so a batch
-    of another size gets fresh ones. The result is bit-identical to a
-    fresh pass, and ``out`` must not be read afterwards.
+    of another size gets fresh ones; a trace of another layer count is
+    rejected. The result is bit-identical to a fresh pass, and ``out``
+    must not be read afterwards.
 
     ``resume=t0`` recomputes only steps ``t0..T-1`` of a unidirectional
     encoder, in place: each layer's kernel resumes ``out``'s trace of it
@@ -193,8 +179,9 @@ def encode(model: Model, x, resume: int = 0, out: Optional[ForwardTrace] = None,
     if t0 and cfg.bidirectional:
         raise ValueError("only a unidirectional encoder can resume mid-sequence")
     # The kernels check the rest, at layer 0 before anything is written.
-    if t0 and (out is None or len(out.gate_traces) != cfg.layers):
-        raise ValueError("a pass resumes into a trace of the same encoder, batch size and gates")
+    if out is None and t0 or out is not None and len(out.gate_traces) != cfg.layers:
+        raise ValueError("a pass resumes into a trace of the same encoder, batch size and "
+                         "gates, and borrows only from a trace of as many layers")
 
     gate_traces = []
     for layer, weights in enumerate(model.layers):
@@ -209,20 +196,20 @@ def encode(model: Model, x, resume: int = 0, out: Optional[ForwardTrace] = None,
 def head_forward(model: Model, trace: ForwardTrace) -> np.ndarray:
     """(B, d) class scores for a forward trace of ``model``'s encoder;
     fills the trace's NeuroView fields."""
-    head, cfg = model.head, model.encoder
+    cfg, kind, V = model.encoder, model.head_kind, model.V
     top = trace.hidden[-1]
     T = cfg.max_len
     B = top.shape[1]
-    d = head.num_classes
+    d = model.num_classes
 
-    if head.kind is HeadKind.LAST_STATE:
-        logits = top[T - 1] @ head.V.T
-    elif head.kind is HeadKind.AVERAGE_POOL:
+    if kind is HeadKind.LAST_STATE:
+        logits = top[T - 1] @ V.T
+    elif kind is HeadKind.AVERAGE_POOL:
         pooled = top.sum(axis=0)
-        if head.mean_pool:
+        if model.mean_pool:
             pooled = pooled / T
-        logits = pooled @ head.V.T
-    elif head.kind is HeadKind.NEUROVIEW:
+        logits = pooled @ V.T
+    elif kind is HeadKind.NEUROVIEW:
         # q is every retained hidden state, rectified, laid out (B, L, T,
         # sw); the steps before t0 are in place already.
         shape = cfg.nv_shape
@@ -234,13 +221,13 @@ def head_forward(model: Model, trace: ForwardTrace) -> np.ndarray:
             # Every (layer, t) block of q against its block of V, in one
             # matmul: (L, T, B, sw) @ (L, T, sw, d).
             trace.step_logits = np.matmul(
-                q.transpose(1, 2, 0, 3), head.V.reshape(d, *shape).transpose(1, 2, 3, 0),
+                q.transpose(1, 2, 0, 3), V.reshape(d, *shape).transpose(1, 2, 3, 0),
                 out=trace.buffer("step_logits", (cfg.layers, T, B, d)))
-        q = q.reshape(B, head.V.shape[1])
-        logits = q @ head.V.T
+        q = q.reshape(B, V.shape[1])
+        logits = q @ V.T
         trace.q = q
     else:
-        raise ValueError(f"unknown head kind {head.kind!r}")
+        raise ValueError(f"unknown head kind {kind!r}")
 
     return logits
 
@@ -269,29 +256,29 @@ def network_backward(model: Model, trace: ForwardTrace, grad_logits: np.ndarray,
     ``grad_logits`` is (B, d); gradients are summed over the batch
     (softmax_xent's mean reduction already carries the 1/B factor).
     """
-    cfg, head = model.encoder, model.head
+    cfg, kind, V = model.encoder, model.head_kind, model.V
     gl = np.asarray(grad_logits, dtype=DTYPE)
     T = cfg.max_len
     sw = cfg.step_width
     B = trace.hidden[0].shape[1]
-    if gl.shape != (B, head.num_classes):
+    if gl.shape != (B, model.num_classes):
         raise ValueError(f"grad_logits shape {gl.shape} != "
-                         f"(batch {B}, {head.num_classes} classes)")
+                         f"(batch {B}, {model.num_classes} classes)")
     if not trace.gates:
         raise ValueError("a forward-only trace serves the forward pass only")
     _, grad_layers, grad_V = _carve([(W_i.shape, W_h.shape) for W_i, W_h in model.layers],
-                                    head.V.shape, out)
+                                    V.shape, out)
 
     # Upstream gradient arriving at each layer's per-timestep output; the
     # nv head's takes over the buffer of q, which it reads first.
-    if head.kind is HeadKind.NEUROVIEW:
+    if kind is HeadKind.NEUROVIEW:
         if trace.q is None:
             raise ValueError("trace has no NeuroView features; run head_forward first")
         np.matmul(gl.T, trace.q, out=grad_V)
         dH, trace.q = trace.q.reshape(cfg.layers, T, B, sw), None
         # (B, d) @ (T, d, sw) per layer gives the (T, B, sw) gradient at q,
         # which the ReLU passes where the hidden state is positive.
-        blocks = head.V.reshape(-1, *cfg.nv_shape).transpose(1, 2, 0, 3)
+        blocks = V.reshape(-1, *cfg.nv_shape).transpose(1, 2, 0, 3)
         positive = trace.buffer("positive", dH.shape, bool)
         for layer in range(cfg.layers):
             np.matmul(gl, blocks[layer], out=dH[layer])
@@ -300,15 +287,15 @@ def network_backward(model: Model, trace: ForwardTrace, grad_logits: np.ndarray,
     else:
         dH = trace.buffer("dH", (cfg.layers, T, B, sw))
         dH.fill(0.0)
-        if head.kind is HeadKind.LAST_STATE:
+        if kind is HeadKind.LAST_STATE:
             np.matmul(gl.T, trace.hidden[-1][T - 1], out=grad_V)
-            dH[-1][T - 1] += gl @ head.V
-        elif head.kind is HeadKind.AVERAGE_POOL:
-            scale = 1.0 / T if head.mean_pool else 1.0
+            dH[-1][T - 1] += gl @ V
+        elif kind is HeadKind.AVERAGE_POOL:
+            scale = 1.0 / T if model.mean_pool else 1.0
             np.multiply(scale, gl.T @ trace.hidden[-1].sum(axis=0), out=grad_V)
-            dH[-1] += scale * (gl @ head.V)[None, :, :]
+            dH[-1] += scale * (gl @ V)[None, :, :]
         else:
-            raise ValueError(f"unknown head kind {head.kind!r}")
+            raise ValueError(f"unknown head kind {kind!r}")
 
     for layer in range(cfg.layers - 1, -1, -1):
         # The input gradient of layer l is the upstream gradient of layer l-1.
@@ -324,20 +311,24 @@ class Model:
     """A trained (or trainable) classifier: encoder cells plus one head.
 
     Each cell is a pair of packed blocks ``(W_i | b_i, W_h | b_h)`` (see
-    ``cells``). Construction checks the cells' count and block shapes
-    against the encoder config once and copies cells and head into a
-    fresh flat buffer, ``params``, laid out layer by layer: layer l's
-    stacked ``W_i | b_i`` block (D, k*n, m_l+1) and ``W_h | b_h`` block
-    (D, k*n, n+1), then ``V``. ``layers[l]`` is that ``(W_i, W_h)`` pair,
-    the kernels' weights; cell ``l*D + d`` becomes the pair of their
-    ``[d]`` slices and the head's ``V`` is the tail, all views into
-    ``params``, so no two models share storage. Cells are ordered
+    ``cells``). The head is its kind, its matrix ``V`` (num_classes,
+    ``encoder.head_width(head_kind)``) and, for the ``AVERAGE_POOL`` head,
+    ``mean_pool``. Construction checks the cells' count and block shapes
+    and ``V``'s shape and values against the encoder config once and
+    copies cells and ``V`` into a fresh flat buffer, ``params``, laid out
+    layer by layer: layer l's stacked ``W_i | b_i`` block (D, k*n, m_l+1)
+    and ``W_h | b_h`` block (D, k*n, n+1), then ``V``. ``layers[l]`` is
+    that ``(W_i, W_h)`` pair, the kernels' weights; cell ``l*D + d``
+    becomes the pair of their ``[d]`` slices and ``V`` the tail, all views
+    into ``params``, so no two models share storage. Cells are ordered
     layer-major with the forward direction first:
     ``[l0_fwd, l0_rev, l1_fwd, l1_rev, ...]``."""
 
     encoder: EncoderConfig
     cells: List[tuple]
-    head: HeadParams
+    head_kind: HeadKind
+    V: np.ndarray
+    mean_pool: bool = False
     params: np.ndarray = field(init=False, repr=False)
     layers: List[tuple] = field(init=False, repr=False)
 
@@ -355,26 +346,27 @@ class Model:
             if got != want:
                 raise ValueError(f"cell {idx}: blocks of shapes {got} do not fit the config's "
                                  f"{cfg.cell.value} cell of dims ({m}, {cfg.hidden_dim}), {want}")
-        if self.head.V.shape[1] != cfg.head_width(self.head.kind):
-            raise ValueError(
-                f"head V has {self.head.V.shape[1]} columns, encoder provides "
-                f"{cfg.head_width(self.head.kind)}"
-            )
+        V = np.asarray(self.V, dtype=DTYPE)
+        width = cfg.head_width(self.head_kind)
+        if V.ndim != 2:
+            raise ValueError(f"head V must be 2-D, got shape {V.shape}")
+        if V.shape[1] != width:
+            raise ValueError(f"head V has {V.shape[1]} columns, encoder provides {width}")
+        if not np.all(np.isfinite(V)):
+            raise ValueError("head V contains non-finite entries")
         D = cfg.directions
-        self.params, self.layers, V = _carve(
-            [tuple((D,) + np.shape(W) for W in cell) for cell in self.cells[::D]],
-            self.head.V.shape)
+        self.params, self.layers, self.V = _carve(
+            [tuple((D,) + np.shape(W) for W in cell) for cell in self.cells[::D]], V.shape)
         for i, cell in enumerate(self.cells):
             for W, block in zip(self.layers[i // D], cell):
                 W[i % D] = block
         self.cells = [tuple(W[i % D] for W in self.layers[i // D])
                       for i in range(len(self.cells))]
-        V[...] = self.head.V
-        self.head = HeadParams(self.head.kind, V, self.head.mean_pool)
+        self.V[...] = V
 
     @property
     def num_classes(self) -> int:
-        return self.head.num_classes
+        return self.V.shape[0]
 
     def forward(self, x, gates: bool = True) -> tuple:
         """``(logits, trace)``; ``gates`` as in ``encode``."""
@@ -383,11 +375,9 @@ class Model:
         return logits, trace
 
 
-def init_head(cfg: EncoderConfig, kind: HeadKind, num_classes: int,
-              seed: int, mean_pool: bool = False) -> HeadParams:
-    """Uniform fan-in initialization for the classifier matrix."""
+def init_head(cfg: EncoderConfig, kind: HeadKind, num_classes: int, seed: int) -> np.ndarray:
+    """Uniform fan-in initialization for the classifier matrix ``V``."""
     width = cfg.head_width(kind)
     bound = 1.0 / np.sqrt(width)
     rng = np.random.default_rng(seed)
-    V = rng.uniform(-bound, bound, size=(num_classes, width))
-    return HeadParams(kind, V, mean_pool)
+    return rng.uniform(-bound, bound, size=(num_classes, width))

@@ -149,7 +149,7 @@ def param_tree(model: Model) -> dict:
     for i, cell in enumerate(model.cells):
         for name, arr in named_views(cfg.cell, cfg.hidden_dim, *cell).items():
             tree[f"cell{i}.{name}"] = arr
-    tree["head.V"] = model.head.V
+    tree["head.V"] = model.V
     return tree
 
 
@@ -163,8 +163,8 @@ def build_model(encoder: EncoderConfig, head_kind: HeadKind, num_classes: int,
     cells = [init_params(encoder.cell, encoder.cell_input_dim(i), encoder.hidden_dim,
                          InitScheme(init.kind, init.seed + i))
              for i in range(encoder.num_cells())]
-    head = init_head(encoder, head_kind, num_classes, init.seed + 10007, mean_pool)
-    return Model(encoder, cells, head)
+    V = init_head(encoder, head_kind, num_classes, init.seed + 10007)
+    return Model(encoder, cells, head_kind, V, mean_pool)
 
 
 def fit(dataset: DataSet, cfg: TrainConfig, encoder: EncoderConfig,

@@ -490,6 +490,6 @@ def test_model_layers_are_layer_major_views_of_params(kind, layers, bidir):
             for P, W in zip(model.cells[layer * D + d], blocks):
                 assert np.shares_memory(P, model.params)
                 np.testing.assert_array_equal(P, W[d])
-    V = model.head.V
+    V = model.V
     np.testing.assert_array_equal(V.ravel(), np.arange(offset, offset + V.size))
     assert offset + V.size == model.params.size

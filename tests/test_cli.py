@@ -88,15 +88,21 @@ def test_run_config_rejects_bad_value(tmp_path):
 
 # ------------------------------------------------------------- checkpoints
 
-def test_checkpoint_roundtrip_bytes_and_predictions(tmp_path):
+@pytest.mark.parametrize("head,mean_pool", [(HeadKind.NEUROVIEW, False),
+                                            (HeadKind.LAST_STATE, False),
+                                            (HeadKind.AVERAGE_POOL, False),
+                                            (HeadKind.AVERAGE_POOL, True)],
+                         ids=["nv", "last", "avg", "avg-mean_pool"])
+def test_checkpoint_roundtrip_bytes_and_predictions(tmp_path, head, mean_pool):
     ds = synth_separable(2, 8, 1, 6, seed=5)
     enc = EncoderConfig(CellKind.GRU, 1, 4, ds.horizon)
     model, _ = fit(ds, TrainConfig(epochs=20, seed=5), enc,
-                   HeadKind.NEUROVIEW, InitScheme(InitKind.UNIFORM, 5))
+                   head, InitScheme(InitKind.UNIFORM, 5), mean_pool)
     p = tmp_path / "ckpt.json"
-    save_checkpoint(p, model, RunConfig(seed=5), metrics={"train_accuracy": 1.0},
-                    classes=[-1.0, 2.5])
+    save_checkpoint(p, model, RunConfig(head=head.value, mean_pool=mean_pool, seed=5),
+                    metrics={"train_accuracy": 1.0}, classes=[-1.0, 2.5])
     loaded, rc, metrics, classes = load_checkpoint(p)
+    assert (loaded.head_kind, loaded.mean_pool) == (head, mean_pool)
     assert metrics == {"train_accuracy": 1.0}
     np.testing.assert_array_equal(classes, [-1.0, 2.5])
     logits_a, _ = model.forward(ds.features())
@@ -220,6 +226,18 @@ def _version_bool(doc):
     doc["format_version"] = True
 
 
+def _V_one_axis(doc):
+    doc["head"]["V"]["shape"] = [48]
+
+
+def _V_narrow(doc):
+    doc["head"]["V"]["shape"] = [3, 16]
+
+
+def _no_cells(doc):
+    doc["cells"] = []
+
+
 def _huge_hidden_dim(doc):
     doc["encoder"]["hidden_dim"] = 10**15
 
@@ -233,7 +251,7 @@ CORRUPTIONS = [_drop_encoder, _unknown_run_config_key, _bad_payload_shape, "trun
                _layers_bool, _cells_object, _cell_list, _znorm_string, _mean_pool_string,
                _classes_strings, _head_list, _encoder_list, _V_list, _run_config_list,
                _V_data_short, _V_shape_string, _V_data_not_base64, _cell_data_missing,
-               _version_bool]
+               _version_bool, _V_one_axis, _V_narrow, _no_cells]
 # The field that the error line names: every corruption but the truncated
 # file, which is not JSON, and the format version.
 FIELD_OF = {_drop_encoder: "encoder", _unknown_run_config_key: "run_config.no_such_field",
@@ -245,7 +263,8 @@ FIELD_OF = {_drop_encoder: "encoder", _unknown_run_config_key: "run_config.no_su
             _V_list: "head.V", _run_config_list: "run_config",
             _bad_payload_shape: "head.V.data", _V_data_short: "head.V.data",
             _V_shape_string: "head.V.shape", _V_data_not_base64: "head.V.data",
-            _cell_data_missing: "cells[0].U.data"}
+            _cell_data_missing: "cells[0].U.data", _V_one_axis: "head.V",
+            _V_narrow: "head.V", _no_cells: "cells"}
 
 
 def _write_checkpoint(p, head=HeadKind.NEUROVIEW, corrupt=None):
@@ -265,7 +284,7 @@ def _write_checkpoint(p, head=HeadKind.NEUROVIEW, corrupt=None):
 def _nonfinite(where, value):
     def edit(model, doc):
         # A model's parameters are views into one buffer, as fit updates them.
-        (param_tree(model)["cell0.W_hz"] if where == "cell" else model.head.V)[0, 0] = value
+        (param_tree(model)["cell0.W_hz"] if where == "cell" else model.V)[0, 0] = value
         _set_first(doc["cells"][0]["W_hz"] if where == "cell" else doc["head"]["V"], value)
         return {}
     return edit
@@ -402,7 +421,7 @@ def test_train_epochs_zero_writes_initial_model(dataset_files, tmp_path):
     fresh = build_model(
         model.encoder, HeadKind.NEUROVIEW, 2, InitScheme(InitKind.UNIFORM, rc.seed)
     )
-    np.testing.assert_array_equal(model.head.V, fresh.head.V)
+    np.testing.assert_array_equal(model.V, fresh.V)
     got, want = param_tree(model), param_tree(fresh)
     assert list(got) == list(want)
     for k in want:
@@ -422,8 +441,8 @@ def test_train_seed_env_override(dataset_files, tmp_path, monkeypatch):
     b, rc_b, _, _ = load_checkpoint(out2 / "checkpoint.json")
     c, rc_c, _, _ = load_checkpoint(out3 / "checkpoint.json")
     assert rc_a.seed == 11 and rc_c.seed == 12
-    np.testing.assert_array_equal(a.head.V, b.head.V)
-    assert not np.array_equal(a.head.V, c.head.V)
+    np.testing.assert_array_equal(a.V, b.V)
+    assert not np.array_equal(a.V, c.V)
 
 
 def test_labels_keep_their_class_across_splits(tmp_path, capsys):

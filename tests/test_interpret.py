@@ -21,7 +21,7 @@ from neuroview.interpret import (
 )
 from neuroview import interpret
 from neuroview.cli import RunConfig, main, save_checkpoint
-from neuroview.network import EncoderConfig, HeadKind, HeadParams, Model, encode, head_forward
+from neuroview.network import EncoderConfig, HeadKind, Model, encode, head_forward
 from neuroview.train import TrainConfig, build_model, eval_report, evaluate, fit
 
 
@@ -36,17 +36,17 @@ def nv_model(n=4, m=1, T=6, d=2, layers=1, bidir=False, seed=0):
 
 def test_weight_map_all_ones_row():
     model = nv_model(n=4, T=5)
-    model.head.V[0, :] = 1.0
-    m = weight_map(model.head, model.encoder, 0)
+    model.V[0, :] = 1.0
+    m = weight_map(model, 0)
     np.testing.assert_array_equal(m.timestep_means(), np.ones(5))
 
 
 def test_weight_map_onehot_block():
     model = nv_model(n=4, T=5)
-    model.head.V[1, :] = 0.0
+    model.V[1, :] = 0.0
     t_star = 3
-    model.head.V[1, t_star * 4] = 1.0  # one unit inside block t*
-    m = weight_map(model.head, model.encoder, 1)
+    model.V[1, t_star * 4] = 1.0  # one unit inside block t*
+    m = weight_map(model, 1)
     expected = np.zeros(5)
     expected[t_star] = 1.0 / 4.0
     np.testing.assert_array_equal(m.timestep_means(), expected)
@@ -56,21 +56,21 @@ def test_weight_map_flatten_is_lossless():
     for layers, bidir in [(1, False), (2, True)]:
         model = nv_model(layers=layers, bidir=bidir, seed=3)
         for c in range(model.num_classes):
-            m = weight_map(model.head, model.encoder, c)
-            np.testing.assert_array_equal(m.per_unit.reshape(-1), model.head.V[c])
+            m = weight_map(model, c)
+            np.testing.assert_array_equal(m.per_unit.reshape(-1), model.V[c])
 
 
 def test_weight_map_requires_nv_head():
     enc = EncoderConfig(CellKind.SIMPLE_RNN, 1, 4, 6)
     model = build_model(enc, HeadKind.LAST_STATE, 2, InitScheme())
     with pytest.raises(ValueError, match="NeuroView"):
-        weight_map(model.head, enc, 0)
+        weight_map(model, 0)
 
 
 def test_weight_map_class_range():
     model = nv_model()
     with pytest.raises(ValueError, match="outside"):
-        weight_map(model.head, model.encoder, 2)
+        weight_map(model, 2)
 
 
 # -------------------------------------------------------------- similarity
@@ -81,8 +81,9 @@ def test_similarity_scale_parallel_orthogonal_opposite():
     V[1] = 2.0 * V[0]           # parallel -> 1
     V[2] = [0, 1, 0, 0, -1, 0]  # orthogonal to row 0 -> 0
     V[3] = -V[0]                # opposite -> -1
-    head = HeadParams(HeadKind.NEUROVIEW, V)
-    S = class_similarity(head)
+    model = nv_model(n=3, T=2, d=4)
+    model.V[...] = V
+    S = class_similarity(model)
     assert S[0, 1] == pytest.approx(1.0, abs=1e-12)
     assert S[0, 2] == pytest.approx(0.0, abs=1e-12)
     assert S[0, 3] == pytest.approx(-1.0, abs=1e-12)
@@ -93,55 +94,53 @@ def test_similarity_scale_parallel_orthogonal_opposite():
 
 def test_similarity_invariant_under_positive_rescaling():
     model = nv_model(d=3, seed=5)
-    S1 = class_similarity(model.head)
-    model.head.V[1] *= 250.0
-    S2 = class_similarity(model.head)
+    S1 = class_similarity(model)
+    model.V[1] *= 250.0
+    S2 = class_similarity(model)
     np.testing.assert_allclose(S1, S2, atol=1e-14)
 
 
 def test_similarity_zero_row_names_class():
     model = nv_model(d=3)
-    model.head.V[1, :] = 0.0
+    model.V[1, :] = 0.0
     with pytest.raises(ValueError, match="class 1"):
-        class_similarity(model.head)
+        class_similarity(model)
 
 
 def test_similarity_requires_nv():
     enc = EncoderConfig(CellKind.SIMPLE_RNN, 1, 4, 6)
     model = build_model(enc, HeadKind.AVERAGE_POOL, 2, InitScheme())
     with pytest.raises(ValueError, match="NeuroView"):
-        class_similarity(model.head)
+        class_similarity(model)
 
 
 # ----------------------------------------------------------------- ranking
 
 def test_rank_tie_break_prefers_lower_timestep():
     model = nv_model(n=2, T=4)
-    model.head.V[0, :] = 1.0  # all blocks identical
-    order = rank_timesteps(model.head, model.encoder, 0, AblationMode.TOP_POSITIVE)
+    model.V[0, :] = 1.0  # all blocks identical
+    order = rank_timesteps(model, 0, AblationMode.TOP_POSITIVE)
     np.testing.assert_array_equal(order, [0, 1, 2, 3])
-    order = rank_timesteps(model.head, model.encoder, 0, AblationMode.TOP_NEGATIVE)
+    order = rank_timesteps(model, 0, AblationMode.TOP_NEGATIVE)
     np.testing.assert_array_equal(order, [0, 1, 2, 3])
 
 
 def test_rank_orders_by_mean_weight():
     model = nv_model(n=1, T=4)
-    model.head.V[0, :] = [0.5, -2.0, 3.0, 0.0]
-    pos = rank_timesteps(model.head, model.encoder, 0, AblationMode.TOP_POSITIVE)
+    model.V[0, :] = [0.5, -2.0, 3.0, 0.0]
+    pos = rank_timesteps(model, 0, AblationMode.TOP_POSITIVE)
     np.testing.assert_array_equal(pos, [2, 0, 3, 1])
-    neg = rank_timesteps(model.head, model.encoder, 0, AblationMode.TOP_NEGATIVE)
+    neg = rank_timesteps(model, 0, AblationMode.TOP_NEGATIVE)
     np.testing.assert_array_equal(neg, [1, 3, 0, 2])
 
 
 def test_top_positive_and_negative_disjoint():
     rng = np.random.default_rng(0)
     model = nv_model(n=3, T=10)
-    model.head.V[0] = rng.normal(size=30)
+    model.V[0] = rng.normal(size=30)
     k = 4
-    pos = set(rank_timesteps(model.head, model.encoder, 0,
-                             AblationMode.TOP_POSITIVE)[:k].tolist())
-    neg = set(rank_timesteps(model.head, model.encoder, 0,
-                             AblationMode.TOP_NEGATIVE)[:k].tolist())
+    pos = set(rank_timesteps(model, 0, AblationMode.TOP_POSITIVE)[:k].tolist())
+    neg = set(rank_timesteps(model, 0, AblationMode.TOP_NEGATIVE)[:k].tolist())
     assert not pos & neg
 
 
@@ -193,8 +192,7 @@ def test_time_analysis_validates_args(trained):
         with pytest.raises(ValueError, match=rf"direction {direction} outside \[0, 1\)"):
             time_analysis(model, ds, 0, 1, direction=direction)
         with pytest.raises(ValueError, match="direction"):
-            rank_timesteps(model.head, model.encoder, 0, AblationMode.TOP_POSITIVE,
-                           direction=direction)
+            rank_timesteps(model, 0, AblationMode.TOP_POSITIVE, direction=direction)
 
 
 def test_time_analysis_weights_target_full_zeroing(trained):
@@ -208,11 +206,11 @@ def test_time_analysis_weights_target_full_zeroing(trained):
 
 def test_time_analysis_does_not_mutate_inputs(trained):
     model, ds = trained
-    V_before = model.head.V.copy()
+    V_before = model.V.copy()
     feats_before = ds.features().copy()
     time_analysis(model, ds, 0, 3)
     time_analysis(model, ds, 0, 3, target=AblationTarget.WEIGHTS)
-    np.testing.assert_array_equal(model.head.V, V_before)
+    np.testing.assert_array_equal(model.V, V_before)
     np.testing.assert_array_equal(ds.features(), feats_before)
 
 
@@ -227,13 +225,12 @@ def _rebuilt_counterfactual(model, ds, steps, target, layer):
             X.append(feats)
         return evaluate(model, DataSet(np.stack(X), ds.labels(), ds.classes))
     cfg = model.encoder
-    V = model.head.V.copy()
+    V = model.V.copy()
     sw, T = cfg.step_width, cfg.max_len
     for t in steps:
         start = (layer * T + t) * sw
         V[:, start:start + sw] = 0.0
-    head = HeadParams(model.head.kind, V, model.head.mean_pool)
-    return evaluate(Model(cfg, model.cells, head), ds)
+    return evaluate(Model(cfg, model.cells, model.head_kind, V, model.mean_pool), ds)
 
 
 @pytest.mark.parametrize("cell,layers,bidir", [
@@ -245,7 +242,7 @@ def test_time_analysis_matches_rebuilt_model_and_dataset(cell, layers, bidir):
     ds = synth_separable(d, T, 1, 5, seed=4)
     enc = EncoderConfig(cell, 1, 4, T, layers=layers, bidirectional=bidir)
     model = build_model(enc, HeadKind.NEUROVIEW, d, InitScheme(InitKind.UNIFORM, 4))
-    model.head.V *= 20.0  # spread the scores so the zeroed blocks move argmaxes
+    model.V *= 20.0  # spread the scores so the zeroed blocks move argmaxes
     empty = DataSet(np.zeros((0, T, 1)), [], np.arange(d))
     for target in AblationTarget:
         for mode in AblationMode:
@@ -277,7 +274,7 @@ def test_sweep_matches_row_by_row_time_analysis(cell, layers, bidir):
     ds = synth_separable(d, T, 1, 5, seed=4)
     enc = EncoderConfig(cell, 1, 4, T, layers=layers, bidirectional=bidir)
     model = build_model(enc, HeadKind.NEUROVIEW, d, InitScheme(InitKind.UNIFORM, 4))
-    model.head.V *= 20.0
+    model.V *= 20.0
     rows = [(c, k, mode, target) for target in AblationTarget
             for mode in AblationMode for k in (0, 1, 3, T) for c in range(d)]
     for layer in range(layers):
@@ -435,7 +432,7 @@ def test_sweep_rows_in_any_order_equal_fresh_passes(monkeypatch, cell, layers, b
     # Class 0's layer-0 weights rise with the step and class 1's fall, so
     # class 0's top-positive sets start late and its top-negative ones,
     # like class 1's top-positive ones, hold step 0.
-    blocks = model.head.V.reshape(d, layers, T, enc.directions, -1)
+    blocks = model.V.reshape(d, layers, T, enc.directions, -1)
     blocks[0, 0, :, 0] = np.arange(T)[:, None] * 0.1
     blocks[1, 0, :, 0] = -np.arange(T)[:, None] * 0.1
     pos, neg = AblationMode.TOP_POSITIVE, AblationMode.TOP_NEGATIVE
@@ -452,8 +449,7 @@ def test_sweep_rows_in_any_order_equal_fresh_passes(monkeypatch, cell, layers, b
     results = sweep(model, ds, rows)
     assert [(r.class_index, r.k, r.mode, r.target) for r in results] == rows
     for r, logits in zip(results, scored):
-        assert r.zeroed_steps == rank_timesteps(model.head, enc, r.class_index,
-                                                r.mode)[:r.k].tolist()
+        assert r.zeroed_steps == rank_timesteps(model, r.class_index, r.mode)[:r.k].tolist()
         X = ds.features().copy()
         if r.target is inputs:
             X[:, r.zeroed_steps] = 0.0
@@ -462,7 +458,7 @@ def test_sweep_rows_in_any_order_equal_fresh_passes(monkeypatch, cell, layers, b
             _, trace = model.forward(X)
             q = trace.q.reshape(len(X), layers, T, -1)
             q[:, 0, r.zeroed_steps] = 0.0
-            want = trace.q @ model.head.V.T
+            want = trace.q @ model.V.T
         np.testing.assert_array_equal(logits, want)
 
 
@@ -482,9 +478,9 @@ def test_counterfactual_rows_schema(trained):
 def test_weight_map_csv_roundtrip_bit_exact(tmp_path):
     for layers, bidir in [(1, False), (2, True)]:
         model = nv_model(layers=layers, bidir=bidir, seed=7)
-        m = weight_map(model.head, model.encoder, 1)
+        m = weight_map(model, 1)
         p = tmp_path / f"map_{layers}_{bidir}.csv"
-        export_weight_map_csv(m, model.encoder, p)
+        export_weight_map_csv(m, p)
         with open(p, newline="") as fh:
             header, *rows = csv.reader(fh)
         loaded = np.zeros_like(m.per_unit)
@@ -495,14 +491,14 @@ def test_weight_map_csv_roundtrip_bit_exact(tmp_path):
                 layer, direction, t = 0, 0, int(row[0])
             loaded[layer, t, direction] = [float(v) for v in row[header.index("unit_0"):]]
         np.testing.assert_array_equal(loaded, m.per_unit)
-        np.testing.assert_array_equal(loaded.reshape(-1), model.head.V[1])
+        np.testing.assert_array_equal(loaded.reshape(-1), model.V[1])
 
 
 def test_weight_map_csv_schema(tmp_path):
     model = nv_model(n=3, T=4)
-    m = weight_map(model.head, model.encoder, 0)
+    m = weight_map(model, 0)
     p = tmp_path / "map.csv"
-    export_weight_map_csv(m, model.encoder, p)
+    export_weight_map_csv(m, p)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "timestep,mean_weight,unit_0,unit_1,unit_2"
     assert len(lines) == 5
@@ -511,9 +507,9 @@ def test_weight_map_csv_schema(tmp_path):
 def test_export_report_file_count(tmp_path):
     d = 5
     model = nv_model(d=d, seed=1)
-    maps = [weight_map(model.head, model.encoder, c) for c in range(d)]
-    sim = class_similarity(model.head)
-    files = export_report(maps, sim, [], model.encoder, tmp_path / "out")
+    maps = [weight_map(model, c) for c in range(d)]
+    sim = class_similarity(model)
+    files = export_report(maps, sim, [], tmp_path / "out")
     names = sorted(f.name for f in files)
     assert len([n for n in names if n.startswith("weight_map_")]) == d
     assert "class_similarity.csv" in names
@@ -524,15 +520,15 @@ def test_export_report_file_count(tmp_path):
 
 def test_export_report_empty_maps(tmp_path):
     model = nv_model()
-    sim = class_similarity(model.head)
-    files = export_report([], sim, [], model.encoder, tmp_path / "out")
+    sim = class_similarity(model)
+    files = export_report([], sim, [], tmp_path / "out")
     names = [f.name for f in files]
     assert names == ["class_similarity.csv", "manifest.json"]
 
 
 def test_similarity_csv_roundtrip(tmp_path):
     model = nv_model(d=3, seed=9)
-    sim = class_similarity(model.head)
+    sim = class_similarity(model)
     p = tmp_path / "sim.csv"
     export_similarity_csv(sim, p)
     lines = p.read_text().strip().splitlines()

@@ -20,7 +20,6 @@ from neuroview.cells import (
 from neuroview.network import (
     EncoderConfig,
     HeadKind,
-    HeadParams,
     Model,
     encode,
     head_forward,
@@ -39,13 +38,12 @@ def make_model(cell, head, n=3, m=2, T=4, d=2, layers=1, bidir=False, seed=0):
         layer = i // cfg.directions
         in_dim = m if layer == 0 else cfg.step_width
         cells.append(init_params(cell, in_dim, n, InitScheme(InitKind.UNIFORM, seed + i)))
-    head_params = init_head(cfg, head, d, seed + 100)
-    return Model(cfg, cells, head_params)
+    return Model(cfg, cells, head, init_head(cfg, head, d, seed + 100))
 
 
 def model_of(cfg, cells):
     """A model of the given cells with a two-class nv head, for ``encode``."""
-    return Model(cfg, cells, init_head(cfg, HeadKind.NEUROVIEW, 2, 0))
+    return Model(cfg, cells, HeadKind.NEUROVIEW, init_head(cfg, HeadKind.NEUROVIEW, 2, 0))
 
 
 # ------------------------------------------------------------------ encode
@@ -108,7 +106,7 @@ def test_encode_wrong_cell_count():
     # A model checks its cells once, at construction, not on each encode.
     model = make_model(CellKind.GRU, HeadKind.NEUROVIEW)
     with pytest.raises(ValueError, match="needs 1 cells"):
-        Model(model.encoder, model.cells * 2, model.head)
+        Model(model.encoder, model.cells * 2, model.head_kind, model.V)
 
 
 def test_encode_wrong_horizon():
@@ -124,7 +122,7 @@ def test_encode_wrong_horizon():
 
 def test_nv_zero_matrix_gives_zero_logits():
     model = make_model(CellKind.LSTM, HeadKind.NEUROVIEW)
-    model.head.V[:] = 0.0
+    model.V[:] = 0.0
     logits, _ = model.forward(np.random.default_rng(0).normal(size=(1, 4, 2)))
     np.testing.assert_array_equal(logits, np.zeros((1, 2)))
 
@@ -173,8 +171,7 @@ def test_nv_hand_computed_logits():
     p = pack(CellKind.SIMPLE_RNN, 1, 1, {k: np.zeros(s) for k, s in shapes.items()})
     # zero params: h1 = h2 = 0.5, q = (0.5, 0.5)
     V = np.array([[1.0, 2.0], [3.0, -4.0]])
-    head = HeadParams(HeadKind.NEUROVIEW, V)
-    model = Model(cfg, [p], head)
+    model = Model(cfg, [p], HeadKind.NEUROVIEW, V)
     logits, trace = model.forward(np.array([[[0.7], [-0.2]]]))
     assert logits[0, 0] == pytest.approx(1.0 * 0.5 + 2.0 * 0.5, rel=1e-15)
     assert logits[0, 1] == pytest.approx(3.0 * 0.5 - 4.0 * 0.5, rel=1e-15)
@@ -208,7 +205,7 @@ def test_last_state_head_uses_only_final_step():
     x = np.random.default_rng(2).normal(size=(1, 4, 2))
     logits, trace = model.forward(x)
     np.testing.assert_allclose(
-        logits[0], model.head.V @ trace.hidden[0][-1, 0], rtol=1e-15
+        logits[0], model.V @ trace.hidden[0][-1, 0], rtol=1e-15
     )
 
 
@@ -217,9 +214,9 @@ def test_average_pool_sums_by_default_and_means_on_flag():
     x = np.random.default_rng(3).normal(size=(1, 4, 2))
     logits_sum, trace = model.forward(x)
     pooled = trace.hidden[0][:, 0, :].sum(axis=0)
-    np.testing.assert_allclose(logits_sum[0], model.head.V @ pooled, rtol=1e-15)
+    np.testing.assert_allclose(logits_sum[0], model.V @ pooled, rtol=1e-15)
 
-    model.head.mean_pool = True
+    model.mean_pool = True
     logits_mean, _ = model.forward(x)
     np.testing.assert_allclose(logits_mean, logits_sum / 4.0, rtol=1e-15)
 
@@ -230,10 +227,8 @@ def test_nv_padded_tail_contributes_nothing_extra():
     n, m, T, d = 3, 2, 4, 2
     model_last = make_model(CellKind.SIMPLE_RNN, HeadKind.LAST_STATE, n=n, m=m, T=T, d=d)
     V_nv = np.zeros((d, n * T))
-    V_nv[:, (T - 1) * n:] = model_last.head.V
-    model_nv = Model(
-        model_last.encoder, model_last.cells, HeadParams(HeadKind.NEUROVIEW, V_nv)
-    )
+    V_nv[:, (T - 1) * n:] = model_last.V
+    model_nv = Model(model_last.encoder, model_last.cells, HeadKind.NEUROVIEW, V_nv)
     x = np.random.default_rng(4).normal(size=(1, T, m))
     logits_last, _ = model_last.forward(x)
     logits_nv, _ = model_nv.forward(x)
@@ -288,13 +283,15 @@ def test_full_network_fd_last_state():
     _full_network_fd(CellKind.GRU, HeadKind.LAST_STATE, 1, False, seed=0)
 
 
-def _stacked_fd(cell, head, layers, bidir, seed, tol=1e-6, n=3, m=2, T=4, d=2):
+def _stacked_fd(cell, head, layers, bidir, seed, tol=1e-6, n=3, m=2, T=4, d=2,
+                mean_pool=False):
     # Deep-stack parameters see tiny cross-entropy gradients that drown in
     # difference-quotient noise, so this check differentiates a random O(1)
     # combination of the class scores instead.
     rng = np.random.default_rng(seed)
     model = make_model(cell, head, n=n, m=m, T=T, d=d,
                        layers=layers, bidir=bidir, seed=seed)
+    model.mean_pool = mean_pool
     x = rng.normal(size=(1, T, m))
     w = rng.normal(size=(1, d))
 
@@ -313,6 +310,7 @@ def test_full_network_fd_stacked_bidirectional():
     _stacked_fd(CellKind.GRU, HeadKind.NEUROVIEW, 2, True, seed=3)
     _stacked_fd(CellKind.LSTM, HeadKind.NEUROVIEW, 2, True, seed=3)
     _stacked_fd(CellKind.SIMPLE_RNN, HeadKind.AVERAGE_POOL, 2, True, seed=0)
+    _stacked_fd(CellKind.SIMPLE_RNN, HeadKind.AVERAGE_POOL, 2, True, seed=0, mean_pool=True)
     _stacked_fd(CellKind.LSTM, HeadKind.LAST_STATE, 2, False, seed=0)
 
 
@@ -345,7 +343,7 @@ def _stepwise_network(model, x, grad_logits):
         hidden.append(X)
         steps.append(recs)
 
-    V = model.head.V
+    V = model.V
     q = np.concatenate(
         [np.maximum(H, 0.0).transpose(1, 0, 2).reshape(B, -1) for H in hidden], axis=1)
     grad_q = (grad_logits @ V).reshape(B, cfg.layers, T, cfg.step_width)
@@ -417,7 +415,7 @@ def test_model_validates_head_width():
     cfg = EncoderConfig(CellKind.GRU, 2, 3, 4)
     cells = [init_params(CellKind.GRU, 2, 3, InitScheme())]
     with pytest.raises(ValueError, match="columns"):
-        Model(cfg, cells, HeadParams(HeadKind.NEUROVIEW, np.zeros((2, 5))))
+        Model(cfg, cells, HeadKind.NEUROVIEW, np.zeros((2, 5)))
 
 
 @pytest.mark.parametrize("case", ["input", "hidden", "one-block"])
@@ -460,17 +458,17 @@ def test_models_built_from_the_same_cells_do_not_alias():
     cfg = EncoderConfig(CellKind.GRU, 2, 3, 4, layers=2, bidirectional=True)
     cells = [init_params(CellKind.GRU, 2 if i < 2 else 6, 3,
                          InitScheme(InitKind.UNIFORM, i)) for i in range(4)]
-    head = init_head(cfg, HeadKind.NEUROVIEW, 2, 9)
-    a, b = Model(cfg, cells, head), Model(cfg, cells, head)
+    V = init_head(cfg, HeadKind.NEUROVIEW, 2, 9)
+    a, b = Model(cfg, cells, HeadKind.NEUROVIEW, V), Model(cfg, cells, HeadKind.NEUROVIEW, V)
     assert not np.shares_memory(a.params, b.params)
     for cell in cells:
         for W in cell:
             assert not np.shares_memory(W, a.params)
-    assert not np.shares_memory(head.V, a.params)
+    assert not np.shares_memory(V, a.params)
     np.testing.assert_array_equal(a.params, b.params)
     a.params += 1.0
     np.testing.assert_array_equal(b.params + 1.0, a.params)
-    np.testing.assert_array_equal(b.head.V, head.V)
+    np.testing.assert_array_equal(b.V, V)
     for got, want in zip(b.cells, cells):
         for W_got, W_want in zip(got, want):
             np.testing.assert_array_equal(W_got, W_want)
@@ -640,6 +638,13 @@ def test_a_pass_resumes_only_into_a_matching_trace():
                 _, out = other.forward(np.ones((2, 5, other.encoder.input_dim)), gates=gates)
                 with pytest.raises(ValueError, match="resumes into a trace"):
                     encode(model, x, 2, out, gates=gates)
+    # A pass that only borrows arrays takes them from a trace of as many
+    # layers, deeper or shallower.
+    one, two = (make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=5, layers=k) for k in (1, 2))
+    for model, other in ((two, one), (one, two)):
+        _, out = other.forward(x)
+        with pytest.raises(ValueError, match="as many layers"):
+            encode(model, x, out=out)
 
 
 # ------------------------------------------------------ forward-only passes

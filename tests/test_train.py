@@ -329,7 +329,7 @@ def test_fit_matches_name_keyed_reference_bit_for_bit(cell, head):
                 np.testing.assert_array_equal(got[k], want[k])
             schema = sum(int(np.prod(s)) for i in range(enc.num_cells())
                          for s in param_shapes(cell, enc.cell_input_dim(i), 3).values())
-            assert sum(a.size for a in got.values()) == schema + model.head.V.size
+            assert sum(a.size for a in got.values()) == schema + model.V.size
             if cell is CellKind.SIMPLE_RNN:
                 # The hidden-side bias column is no parameter: it stays 0.0.
                 for _, W_h in model.cells:
@@ -365,8 +365,8 @@ def test_grad_clip_option_trains():
 def test_evaluate_constant_predictor_on_balanced_set():
     ds, enc, _, init = small_setup()
     model = build_model(enc, HeadKind.NEUROVIEW, 2, init)
-    model.head.V[0, :] = 1.0   # sigmoid states are positive: class 0 wins
-    model.head.V[1, :] = -1.0
+    model.V[0, :] = 1.0   # sigmoid states are positive: class 0 wins
+    model.V[1, :] = -1.0
     report = evaluate(model, ds)
     assert report.overall_accuracy == 0.5
     np.testing.assert_array_equal(report.per_class_accuracy, [1.0, 0.0])
