@@ -5,9 +5,10 @@ After training, row i of the global classifier matrix ``model.V`` scores
 class i as an inner product with the concatenated rectified hidden
 states, so slicing that row into per-timestep blocks says exactly which
 timesteps push a prediction toward (positive weights) or away from
-(negative weights) each class. This script trains a small model, prints
-each class's mean weight per timestep as a bar strip, and exports the
-analysis CSVs. Every reader here takes the model itself.
+(negative weights) each class. ``weight_map(model, c)`` is that row as a
+``(layers, T, directions, hidden_dim)`` array. This script trains a small
+model, prints each class's mean weight per timestep as a bar strip, and
+exports the analysis CSVs. Every reader here takes the model itself.
 """
 
 import numpy as np
@@ -45,18 +46,16 @@ model, _ = fit(train, TrainConfig(epochs=400, seed=7), encoder,
 
 print("per-timestep mean classifier weight, one strip per class")
 print("(each class's evidence window sits at a different early position)\n")
-maps = []
 for c in range(train.num_classes):
-    m = weight_map(model, c)
+    means = weight_map(model, c).mean(axis=3)[0, :, 0]  # layer 0, forward
     top = rank_timesteps(model, c, AblationMode.TOP_POSITIVE)[:4]
-    maps.append(m)
-    print(f"class {c}: {strip(m.timestep_means())}  top steps {sorted(int(t) for t in top)}")
+    print(f"class {c}: {strip(means)}  top steps {sorted(int(t) for t in top)}")
 
 sim = class_similarity(model)
 print("\ncosine similarity between class weight rows:")
 print(np.round(sim, 3))
 
-files = export_report(maps, sim, [], "analysis")
+files = export_report(model, range(train.num_classes), [], "analysis")
 print(f"\nexported {len(files)} files to analysis/:")
 for f in files:
     print("  ", f.name)

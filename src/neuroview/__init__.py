@@ -59,7 +59,6 @@ from .interpret import (
     AblationMode,
     AblationTarget,
     CounterfactualResult,
-    WeightMap,
     class_similarity,
     export_report,
     rank_timesteps,

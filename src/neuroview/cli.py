@@ -524,6 +524,8 @@ def _parse_classes(spec: str, num_classes: int) -> List[int]:
         classes = [int(c) for c in spec.split(",") if c.strip() != ""]
     except ValueError:
         raise UsageError(f"bad class list {spec!r}") from None
+    if not classes:
+        raise UsageError(f"--classes names no class: {spec!r}")
     for c in classes:
         if not 0 <= c < num_classes:
             raise UsageError(f"class {c} outside [0, {num_classes})")
@@ -586,12 +588,10 @@ def cmd_export(args) -> int:
                          "for a counterfactual sweep, or neither")
     _check_out(args.out)
     model, rc, labels, classes = _nv_checkpoint(args, args.classes)
-    maps = [interpret.weight_map(model, c) for c in classes]
-    sim = interpret.class_similarity(model) if model.num_classes >= 2 else None
     results = []
     if args.dataset_path:
         results = _sweep(args, model, rc, labels, classes, interpret.AblationTarget.INPUTS)
-    files = interpret.export_report(maps, sim, results, args.out)
+    files = interpret.export_report(model, classes, results, args.out)
     for c in classes:
         top = interpret.rank_timesteps(model, c, interpret.AblationMode.TOP_POSITIVE)
         steps = ", ".join(str(int(t)) for t in top[:5])

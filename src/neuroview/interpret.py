@@ -7,7 +7,8 @@ class i as an inner product with the rectified, concatenated hidden
 states, so the row decomposes exactly into one block per (layer,
 timestep, direction). Those blocks are the raw material for:
 
-* weight maps   -- per-timestep mean weights and per-unit grids per class;
+* weight maps   -- a class's row viewed as its (layer, t, direction,
+                   unit) blocks, and their means over the units;
 * similarity    -- cosine similarity between any two classes' rows;
 * time analysis -- zero the inputs (or the classifier blocks) at a
                    class's top-K (most positive or most negative)
@@ -27,7 +28,7 @@ import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -44,24 +45,6 @@ class AblationMode(enum.Enum):
 class AblationTarget(enum.Enum):
     INPUTS = "inputs"    # zero the input features at the chosen timesteps
     WEIGHTS = "weights"  # zero the classifier blocks at the chosen timesteps
-
-
-@dataclass
-class WeightMap:
-    """One class's view of the classifier matrix.
-
-    ``per_unit`` has shape (layers, T, directions, hidden_dim); its
-    ``reshape(-1)`` is the class's V row exactly. ``per_timestep_mean``
-    has shape (layers, directions, T): the mean over hidden units of each
-    block.
-    """
-
-    class_index: int
-    per_unit: np.ndarray
-    per_timestep_mean: np.ndarray
-
-    def timestep_means(self, layer: int = 0, direction: int = 0) -> np.ndarray:
-        return self.per_timestep_mean[layer, direction]
 
 
 @dataclass
@@ -82,16 +65,16 @@ def _require_nv(model: Model):
         )
 
 
-def weight_map(model: Model, class_index: int) -> WeightMap:
-    """Reshape one class's row of ``model.V`` into per-timestep blocks."""
+def weight_map(model: Model, class_index: int) -> np.ndarray:
+    """A copy of class ``class_index``'s row of ``model.V`` as a
+    ``(layers, T, directions, hidden_dim)`` array of per-timestep blocks;
+    ``.mean(axis=3)`` gives each block's mean weight."""
     _require_nv(model)
     if not 0 <= class_index < model.num_classes:
         raise ValueError(f"class {class_index} outside [0, {model.num_classes})")
     cfg = model.encoder
-    per_unit = model.V[class_index].reshape(*cfg.nv_shape[:2], cfg.directions,
-                                            cfg.hidden_dim).copy()
-    means = per_unit.mean(axis=3).transpose(0, 2, 1)  # (L, dir, T)
-    return WeightMap(class_index, per_unit, means)
+    return model.V[class_index].reshape(*cfg.nv_shape[:2], cfg.directions,
+                                        cfg.hidden_dim).copy()
 
 
 def class_similarity(model: Model) -> np.ndarray:
@@ -125,7 +108,9 @@ def rank_timesteps(model: Model, class_index: int, mode: AblationMode,
         raise ValueError(f"layer {layer} outside [0, {cfg.layers})")
     if not 0 <= direction < cfg.directions:
         raise ValueError(f"direction {direction} outside [0, {cfg.directions})")
-    means = weight_map(model, class_index).timestep_means(layer, direction)
+    if not isinstance(mode, AblationMode):
+        raise ValueError(f"mode must be an AblationMode, got {mode!r}")
+    means = weight_map(model, class_index).mean(axis=3)[layer, :, direction]
     key = -means if mode is AblationMode.TOP_POSITIVE else means
     return np.argsort(key, kind="stable")
 
@@ -160,6 +145,8 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
             raise ValueError(f"class {class_index} outside [0, {model.num_classes})")
         if not 0 <= k <= cfg.max_len:
             raise ValueError(f"k must be in [0, {cfg.max_len}], got {k}")
+        if not isinstance(target, AblationTarget):
+            raise ValueError(f"target must be an AblationTarget, got {target!r}")
         order = rank_timesteps(model, class_index, mode, layer, direction)
         steps = [int(t) for t in order[:k]]
         plans.append((class_index, k, steps, mode, target, tuple(sorted(steps))))
@@ -202,14 +189,16 @@ def _write_csv(path: Path, header: List[str], rows) -> None:
         w.writerows(rows)
 
 
-def export_weight_map_csv(m: WeightMap, path) -> None:
-    """One CSV per class: timestep, mean_weight, unit_0..unit_{n-1}.
+def export_weight_map_csv(m: np.ndarray, path) -> None:
+    """One CSV per class: timestep, mean_weight, unit_0..unit_{n-1}, for a
+    ``weight_map`` array ``m``.
 
     Single-layer unidirectional maps write exactly that schema; deeper or
     bidirectional maps prepend layer and direction columns. Floats are
     written with full round-trip precision.
     """
-    layers, T, directions, n = m.per_unit.shape
+    layers, T, directions, n = m.shape
+    means = m.mean(axis=3)
     lead_cols = ["layer", "direction"] if layers > 1 or directions > 1 else []
     header = lead_cols + ["timestep", "mean_weight"] + [f"unit_{u}" for u in range(n)]
     rows = []
@@ -217,8 +206,8 @@ def export_weight_map_csv(m: WeightMap, path) -> None:
         for direction in range(directions):
             lead = [layer, direction] if lead_cols else []
             for t in range(T):
-                rows.append(lead + [t, repr(float(m.per_timestep_mean[layer, direction, t]))]
-                            + [repr(float(v)) for v in m.per_unit[layer, t, direction]])
+                rows.append(lead + [t, repr(float(means[layer, t, direction]))]
+                            + [repr(float(v)) for v in m[layer, t, direction]])
     _write_csv(Path(path), header, rows)
 
 
@@ -250,15 +239,20 @@ def counterfactual_rows(results: Sequence[CounterfactualResult]) -> List[dict]:
     return rows
 
 
-def export_report(maps: Sequence[WeightMap], similarity: Optional[np.ndarray],
+def export_report(model: Model, classes: Sequence[int],
                   counterfactuals: Sequence[CounterfactualResult], out_dir) -> List[Path]:
-    """Write the analysis bundle: one CSV per weight map, one similarity
-    CSV, one JSON of counterfactual rows, plus a manifest listing them."""
+    """Write the analysis bundle of ``model``: one weight-map CSV per class
+    in ``classes``, the class-similarity CSV when the model has 2 or more
+    classes, one JSON of counterfactual rows, plus a manifest listing
+    them. The maps and the similarity are formed before any file is
+    written, so a model they reject leaves no file."""
+    maps = [(c, weight_map(model, c)) for c in classes]
+    similarity = class_similarity(model) if model.num_classes >= 2 else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
-    for m in maps:
-        p = out / f"weight_map_class{m.class_index}.csv"
+    for c, m in maps:
+        p = out / f"weight_map_class{c}.csv"
         export_weight_map_csv(m, p)
         written.append(p)
     if similarity is not None:

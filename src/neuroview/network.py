@@ -59,6 +59,8 @@ class EncoderConfig:
     bidirectional: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.cell, CellKind):
+            raise ValueError(f"cell must be a CellKind, got {self.cell!r}")
         if self.input_dim < 1 or self.hidden_dim < 1:
             raise ValueError(f"dimensions must be >= 1, got input_dim={self.input_dim}, "
                              f"hidden_dim={self.hidden_dim}")
@@ -209,7 +211,7 @@ def head_forward(model: Model, trace: ForwardTrace) -> np.ndarray:
         if model.mean_pool:
             pooled = pooled / T
         logits = pooled @ V.T
-    elif kind is HeadKind.NEUROVIEW:
+    else:  # NEUROVIEW
         # q is every retained hidden state, rectified, laid out (B, L, T,
         # sw); the steps before t0 are in place already.
         shape = cfg.nv_shape
@@ -226,8 +228,6 @@ def head_forward(model: Model, trace: ForwardTrace) -> np.ndarray:
         q = q.reshape(B, V.shape[1])
         logits = q @ V.T
         trace.q = q
-    else:
-        raise ValueError(f"unknown head kind {kind!r}")
 
     return logits
 
@@ -290,12 +290,10 @@ def network_backward(model: Model, trace: ForwardTrace, grad_logits: np.ndarray,
         if kind is HeadKind.LAST_STATE:
             np.matmul(gl.T, trace.hidden[-1][T - 1], out=grad_V)
             dH[-1][T - 1] += gl @ V
-        elif kind is HeadKind.AVERAGE_POOL:
+        else:  # AVERAGE_POOL
             scale = 1.0 / T if model.mean_pool else 1.0
             np.multiply(scale, gl.T @ trace.hidden[-1].sum(axis=0), out=grad_V)
             dH[-1] += scale * (gl @ V)[None, :, :]
-        else:
-            raise ValueError(f"unknown head kind {kind!r}")
 
     for layer in range(cfg.layers - 1, -1, -1):
         # The input gradient of layer l is the upstream gradient of layer l-1.
@@ -334,6 +332,8 @@ class Model:
 
     def __post_init__(self):
         cfg = self.encoder
+        if not isinstance(self.head_kind, HeadKind):
+            raise ValueError(f"head_kind must be a HeadKind, got {self.head_kind!r}")
         if len(self.cells) != cfg.num_cells():
             raise ValueError(
                 f"encoder needs {cfg.num_cells()} cells "

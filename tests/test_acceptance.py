@@ -188,7 +188,7 @@ def test_c03_chinatown_reproduction():
     model, test_ds, best_acc, per_seed = _chinatown_models()
     print(f"\nChinatown NV-GRU32 per-seed test accuracy: {per_seed}")
     top4 = np.argsort(
-        -weight_map(model, 0).timestep_means(),
+        -weight_map(model, 0).mean(axis=3)[0, :, 0],
         kind="stable",
     )[:4]
     print(f"class-0 top-4 mean-weight steps (soft check vs {{4,5,6,7}}): "

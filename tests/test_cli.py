@@ -903,6 +903,10 @@ BAD_INPUT = [
          needle="head", files={"last.json": lambda p: _write_checkpoint(p, HeadKind.LAST_STATE)}),
     _bad("inspect-class-out-of-range", "inspect --checkpoint {ckpt} --classes 7 --out {tmp}/x",
          needle="error: class 7 outside [0, 2)"),
+    *[_bad(f"{command}-no-class", f"{command} --checkpoint {{ckpt}} --classes , "
+           f"--out {{tmp}}/b{extra}", needle="error: --classes names no class: ','")
+      for command, extra in [("inspect", ""),
+                             ("export", " --dataset-path {test} --k-list 1")]],
     _bad("export-duplicate-classes", "export --checkpoint {ckpt} --classes 0,1,0 "
          "--out {tmp}/b", needle="error: duplicate class ids in --classes: 0,1,0"),
     _bad("export-k-too-large", f"{EXPORT} --k-list 0 999 --out {{tmp}}/bundle",

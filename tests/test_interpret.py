@@ -38,7 +38,7 @@ def test_weight_map_all_ones_row():
     model = nv_model(n=4, T=5)
     model.V[0, :] = 1.0
     m = weight_map(model, 0)
-    np.testing.assert_array_equal(m.timestep_means(), np.ones(5))
+    np.testing.assert_array_equal(m.mean(axis=3)[0, :, 0], np.ones(5))
 
 
 def test_weight_map_onehot_block():
@@ -49,7 +49,7 @@ def test_weight_map_onehot_block():
     m = weight_map(model, 1)
     expected = np.zeros(5)
     expected[t_star] = 1.0 / 4.0
-    np.testing.assert_array_equal(m.timestep_means(), expected)
+    np.testing.assert_array_equal(m.mean(axis=3)[0, :, 0], expected)
 
 
 def test_weight_map_flatten_is_lossless():
@@ -57,7 +57,12 @@ def test_weight_map_flatten_is_lossless():
         model = nv_model(layers=layers, bidir=bidir, seed=3)
         for c in range(model.num_classes):
             m = weight_map(model, c)
-            np.testing.assert_array_equal(m.per_unit.reshape(-1), model.V[c])
+            assert m.shape == (layers, 6, 2 if bidir else 1, 4)
+            np.testing.assert_array_equal(m.reshape(-1), model.V[c])
+            # The map is a copy: writing into it leaves the model alone.
+            before = model.params.copy()
+            m[...] = 7.0
+            np.testing.assert_array_equal(model.params, before)
 
 
 def test_weight_map_requires_nv_head():
@@ -100,11 +105,15 @@ def test_similarity_invariant_under_positive_rescaling():
     np.testing.assert_allclose(S1, S2, atol=1e-14)
 
 
-def test_similarity_zero_row_names_class():
+def test_similarity_zero_row_names_class(tmp_path):
     model = nv_model(d=3)
     model.V[1, :] = 0.0
     with pytest.raises(ValueError, match="class 1"):
         class_similarity(model)
+    # export_report forms the similarity before it writes any file.
+    with pytest.raises(ValueError, match="^class 1 has a zero weight row$"):
+        export_report(model, [0], [], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_similarity_requires_nv():
@@ -193,6 +202,13 @@ def test_time_analysis_validates_args(trained):
             time_analysis(model, ds, 0, 1, direction=direction)
         with pytest.raises(ValueError, match="direction"):
             rank_timesteps(model, 0, AblationMode.TOP_POSITIVE, direction=direction)
+    # A mode or target is its enum member; its string value is not coerced.
+    with pytest.raises(ValueError, match="^mode must be an AblationMode, got 'top-positive'$"):
+        rank_timesteps(model, 0, "top-positive")
+    with pytest.raises(ValueError, match="^mode must be an AblationMode, got 'top-positive'$"):
+        time_analysis(model, ds, 0, 1, mode="top-positive")
+    with pytest.raises(ValueError, match="^target must be an AblationTarget, got 'inputs'$"):
+        time_analysis(model, ds, 0, 1, target="inputs")
 
 
 def test_time_analysis_weights_target_full_zeroing(trained):
@@ -476,21 +492,26 @@ def test_counterfactual_rows_schema(trained):
 # ------------------------------------------------------------------ export
 
 def test_weight_map_csv_roundtrip_bit_exact(tmp_path):
-    for layers, bidir in [(1, False), (2, True)]:
+    for layers, bidir in [(1, False), (1, True), (2, False), (2, True)]:
         model = nv_model(layers=layers, bidir=bidir, seed=7)
         m = weight_map(model, 1)
         p = tmp_path / f"map_{layers}_{bidir}.csv"
         export_weight_map_csv(m, p)
         with open(p, newline="") as fh:
             header, *rows = csv.reader(fh)
-        loaded = np.zeros_like(m.per_unit)
+        assert (header[0] == "layer") == (layers > 1 or bidir)
+        assert len(rows) == m.shape[0] * m.shape[1] * m.shape[2]
+        loaded = np.zeros_like(m)
+        means = np.zeros(m.shape[:3])
         for row in rows:
             if header[0] == "layer":
                 layer, direction, t = map(int, row[:3])
             else:
                 layer, direction, t = 0, 0, int(row[0])
             loaded[layer, t, direction] = [float(v) for v in row[header.index("unit_0"):]]
-        np.testing.assert_array_equal(loaded, m.per_unit)
+            means[layer, t, direction] = float(row[header.index("mean_weight")])
+        np.testing.assert_array_equal(loaded, m)
+        np.testing.assert_array_equal(means, m.mean(axis=3))
         np.testing.assert_array_equal(loaded.reshape(-1), model.V[1])
 
 
@@ -507,9 +528,7 @@ def test_weight_map_csv_schema(tmp_path):
 def test_export_report_file_count(tmp_path):
     d = 5
     model = nv_model(d=d, seed=1)
-    maps = [weight_map(model, c) for c in range(d)]
-    sim = class_similarity(model)
-    files = export_report(maps, sim, [], tmp_path / "out")
+    files = export_report(model, range(d), [], tmp_path / "out")
     names = sorted(f.name for f in files)
     assert len([n for n in names if n.startswith("weight_map_")]) == d
     assert "class_similarity.csv" in names
@@ -520,8 +539,7 @@ def test_export_report_file_count(tmp_path):
 
 def test_export_report_empty_maps(tmp_path):
     model = nv_model()
-    sim = class_similarity(model)
-    files = export_report([], sim, [], tmp_path / "out")
+    files = export_report(model, [], [], tmp_path / "out")
     names = [f.name for f in files]
     assert names == ["class_similarity.csv", "manifest.json"]
 

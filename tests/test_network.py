@@ -145,6 +145,8 @@ def test_encoder_config_validation():
         EncoderConfig(CellKind.GRU, 2, 3, 4, layers=0)
     with pytest.raises(ValueError, match="max_len"):
         EncoderConfig(CellKind.GRU, 2, 3, 0)
+    with pytest.raises(ValueError, match="^cell must be a CellKind, got 'gru'$"):
+        EncoderConfig("gru", 2, 3, 4)
 
 
 def test_encode_rejects_kind_mismatch():
@@ -416,6 +418,8 @@ def test_model_validates_head_width():
     cells = [init_params(CellKind.GRU, 2, 3, InitScheme())]
     with pytest.raises(ValueError, match="columns"):
         Model(cfg, cells, HeadKind.NEUROVIEW, np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="^head_kind must be a HeadKind, got 'avg'$"):
+        Model(cfg, cells, "avg", np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("case", ["input", "hidden", "one-block"])
