@@ -18,7 +18,10 @@ timestep, direction). Those blocks are the raw material for:
 classifier-block row masks that pass's nv features in place, input rows
 with the same zeroed steps share one pass, and each such pass writes into
 the unablated pass's arrays, a unidirectional encoder's from its first
-zeroed step on.
+zeroed step on. On Linux with two usable CPUs, a process with a single
+OS thread (BLAS pinned to one thread) forks one child that runs about
+half of those passes on its copy of the arrays; the results are the same
+bits either way.
 """
 
 from __future__ import annotations
@@ -26,9 +29,12 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import os
+import signal
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -136,6 +142,14 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
     states and ``q`` before its own. Sets that zero step 0, and every pass
     of a bidirectional encoder, rewrite the whole trace and run last. All
     scores are bit-identical to fresh full passes'.
+
+    When ``_two_processes`` holds (Linux, two usable CPUs, two or more
+    step sets and a process with one OS thread, as with BLAS pinned to
+    one thread), a forked child runs about half of the sets, each side in
+    descending ``t0`` on its own copy of the unablated trace, and sends
+    their logits back through a pipe. If the child cannot start or fails,
+    this process runs its sets too. The scores do not depend on which
+    process ran a set.
     """
     _require_nv(model)
     cfg = model.encoder
@@ -143,6 +157,9 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
     for class_index, k, mode, target in rows:
         if not 0 <= class_index < model.num_classes:
             raise ValueError(f"class {class_index} outside [0, {model.num_classes})")
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {k!r}")
+        k = int(k)
         if not 0 <= k <= cfg.max_len:
             raise ValueError(f"k must be in [0, {cfg.max_len}], got {k}")
         if not isinstance(target, AblationTarget):
@@ -162,16 +179,130 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
             q[:, layer, steps] = 0.0
             logits_of[target, steps] = trace.q @ model.V.T
             q[:, layer, steps] = kept
-    ablated = {steps for *_, target, steps in plans if steps and target is AblationTarget.INPUTS}
-    for steps in sorted(ablated, key=lambda steps: -steps[0]):
-        Xa = X.copy()
-        Xa[:, steps] = 0.0
-        trace = encode(model, Xa, 0 if cfg.bidirectional else steps[0], trace, gates=False)
-        logits_of[AblationTarget.INPUTS, steps] = head_forward(model, trace)
+    ablated = sorted({steps for *_, target, steps in plans
+                      if steps and target is AblationTarget.INPUTS})
+    for steps, logits in _ablated_logits(model, X, trace, ablated).items():
+        logits_of[AblationTarget.INPUTS, steps] = logits
     return [CounterfactualResult(class_index, k, steps, mode, target,
                                  eval_report(logits_of[target, key], dataset.labels(),
                                              model.num_classes))
             for class_index, k, steps, mode, target, key in plans]
+
+
+def _two_processes(n_sets: int) -> bool:
+    """Whether ``sweep`` forks a child for part of its ``n_sets`` ablated
+    passes: on Linux with ``os.fork``, two or more usable CPUs and sets,
+    and only in a process with one OS thread, since a fork that copies a
+    live BLAS or OpenMP thread pool can deadlock the child."""
+    if n_sets < 2 or not sys.platform.startswith("linux") or not hasattr(os, "fork"):
+        return False
+    try:
+        return (len(os.sched_getaffinity(0)) >= 2
+                and len(os.listdir("/proc/self/task")) == 1)
+    except OSError:
+        return False
+
+
+def _split(sets: Sequence[tuple], T: int, bidirectional: bool) -> tuple:
+    """The step sets as two lists that hold each set once, balanced by a
+    longest-first greedy split on the steps each pass recomputes (``T -
+    t0``, or ``T`` for a bidirectional encoder), each in descending
+    ``t0``."""
+    def load(steps):
+        return T if bidirectional else T - steps[0]
+
+    sides, loads = ([], []), [0, 0]
+    for steps in sorted(sets, key=lambda steps: (-load(steps), steps)):
+        side = 0 if loads[0] <= loads[1] else 1
+        sides[side].append(steps)
+        loads[side] += load(steps)
+    return tuple(sorted(side, key=lambda steps: -steps[0]) for side in sides)
+
+
+def _passes(model: Model, X: np.ndarray, trace, sets: Sequence[tuple]) -> List[np.ndarray]:
+    """The logits of one forward pass per step set, over ``X`` with the
+    set's steps zeroed, in the order given: descending first zeroed step
+    ``t0``. Each pass writes into ``trace`` from its ``t0`` on (from 0 for
+    a bidirectional encoder), so each finds the states before its ``t0``
+    as ``trace`` had them. With no ``trace``, the first pass makes one."""
+    out = []
+    for steps in sets:
+        Xa = X.copy()
+        Xa[:, steps] = 0.0
+        t0 = 0 if trace is None or model.encoder.bidirectional else steps[0]
+        trace = encode(model, Xa, t0, trace, gates=False)
+        out.append(head_forward(model, trace))
+    return out
+
+
+def _start_child(model: Model, X: np.ndarray, trace, sets: Sequence[tuple]):
+    """Fork a child that runs ``_passes`` over ``sets`` on its
+    copy-on-write copy of ``trace`` and writes the raw float64 bytes of
+    their logits, in order, to a pipe. Returns the child's pid and the
+    pipe's read end, or None if no child started."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        # Only os._exit ends the child: no atexit handler or stdio flush
+        # of the parent's runs in it.
+        code = 1
+        try:
+            os.close(r)
+            data = b"".join(logits.tobytes() for logits in _passes(model, X, trace, sets))
+            with open(w, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _collect(child, shape: tuple) -> Optional[np.ndarray]:
+    """Read the child's pipe to EOF and reap it. Returns its logits as a
+    ``shape`` array, or None if it exited non-zero or sent another byte
+    count."""
+    pid, pipe = child
+    try:
+        with pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0 or len(data) != 8 * int(np.prod(shape)):
+        return None
+    return np.frombuffer(data, dtype=np.float64).reshape(shape)
+
+
+def _ablated_logits(model: Model, X: np.ndarray, trace, sets: Sequence[tuple]) -> dict:
+    """Each step set's logits from ``_passes``, which start on the
+    unablated ``trace``. When ``_two_processes`` holds, a forked child
+    takes one side of ``_split``; if it does not deliver, this process
+    runs that side too, from a fresh trace."""
+    if not _two_processes(len(sets)):
+        sets = sorted(sets, key=lambda steps: -steps[0])
+        return dict(zip(sets, _passes(model, X, trace, sets)))
+    mine, theirs = _split(sets, model.encoder.max_len, model.encoder.bidirectional)
+    child = _start_child(model, X, trace, theirs)
+    try:
+        logits = dict(zip(mine, _passes(model, X, trace, mine)))
+    except BaseException:
+        if child:
+            os.kill(child[0], signal.SIGKILL)
+            _collect(child, (0,))
+        raise
+    got = _collect(child, (len(theirs), len(X), model.num_classes)) if child else None
+    if got is None:
+        got = _passes(model, X, None, theirs)
+    logits.update(zip(theirs, got))
+    return logits
 
 
 def time_analysis(model: Model, dataset: DataSet, class_index: int, k: int,
@@ -245,7 +376,12 @@ def export_report(model: Model, classes: Sequence[int],
     in ``classes``, the class-similarity CSV when the model has 2 or more
     classes, one JSON of counterfactual rows, plus a manifest listing
     them. The maps and the similarity are formed before any file is
-    written, so a model they reject leaves no file."""
+    written, so a model they reject, or a class listed twice, leaves no
+    file."""
+    classes = list(classes)
+    for i, c in enumerate(classes):
+        if c in classes[:i]:
+            raise ValueError(f"class {c} is listed twice")
     maps = [(c, weight_map(model, c)) for c in classes]
     similarity = class_similarity(model) if model.num_classes >= 2 else None
     out = Path(out_dir)

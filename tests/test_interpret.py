@@ -193,6 +193,14 @@ def test_time_analysis_validates_args(trained):
         time_analysis(model, ds, 9, 1)
     with pytest.raises(ValueError, match="k must be"):
         time_analysis(model, ds, 0, ds.horizon + 1)
+    # k is an integer: not a float, even a whole one, and not a bool. A
+    # numpy integer is one, and comes back as a plain int.
+    for k in (1.5, 2.0, True, np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match=rf"^k must be an integer, got {k!r}$"):
+            time_analysis(model, ds, 0, k)
+    r = time_analysis(model, ds, 0, np.int64(2))
+    assert type(r.k) is int and r.k == 2
+    assert r.zeroed_steps == time_analysis(model, ds, 0, 2).zeroed_steps
     # A one-layer, one-direction model has only layer 0 and direction 0.
     for layer in (1, -1):
         with pytest.raises(ValueError, match=rf"layer {layer} outside \[0, 1\)"):
@@ -353,7 +361,9 @@ def test_bidirectional_encoder_does_not_resume():
 
 def _count_passes(monkeypatch):
     """Patch the ``encode`` that ``sweep`` calls to record each encoder
-    pass as ``(t0, trace)``, ``t0`` the step it resumed at."""
+    pass as ``(t0, trace)``, ``t0`` the step it resumed at. The passes
+    all run in this process: a forked child's would not be recorded."""
+    monkeypatch.setattr(interpret, "_two_processes", lambda n_sets: False)
     passes = []
     real = interpret.encode
 
@@ -535,6 +545,14 @@ def test_export_report_file_count(tmp_path):
     assert "manifest.json" in names
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert len(manifest["files"]) == d + 1
+
+
+def test_export_report_rejects_a_repeated_class_before_writing(tmp_path):
+    model = nv_model(d=3, seed=1)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="^class 0 is listed twice$"):
+        export_report(model, [0, 1, 0], [], out)
+    assert not out.exists()
 
 
 def test_export_report_empty_maps(tmp_path):
