@@ -20,8 +20,9 @@ with the same zeroed steps share one pass, and each such pass writes into
 the unablated pass's arrays, a unidirectional encoder's from its first
 zeroed step on. On Linux with two usable CPUs, a process with a single
 OS thread (BLAS pinned to one thread) forks one child that runs about
-half of those passes on its copy of the arrays; the results are the same
-bits either way.
+half of those passes on its copy of the arrays and writes their logits
+into an array in shared memory; the results are the same bits either
+way.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import mmap
 import os
 import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -71,13 +73,27 @@ def _require_nv(model: Model):
         )
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int; a bool or a non-integer is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _index(name: str, value, stop: int) -> int:
+    """``value`` as a plain int in ``[0, stop)``."""
+    value = _integer(name, value)
+    if not 0 <= value < stop:
+        raise ValueError(f"{name} {value} outside [0, {stop})")
+    return value
+
+
 def weight_map(model: Model, class_index: int) -> np.ndarray:
     """A copy of class ``class_index``'s row of ``model.V`` as a
     ``(layers, T, directions, hidden_dim)`` array of per-timestep blocks;
     ``.mean(axis=3)`` gives each block's mean weight."""
     _require_nv(model)
-    if not 0 <= class_index < model.num_classes:
-        raise ValueError(f"class {class_index} outside [0, {model.num_classes})")
+    class_index = _index("class", class_index, model.num_classes)
     cfg = model.encoder
     return model.V[class_index].reshape(*cfg.nv_shape[:2], cfg.directions,
                                         cfg.hidden_dim).copy()
@@ -110,10 +126,8 @@ def rank_timesteps(model: Model, class_index: int, mode: AblationMode,
     toward the lower timestep index, so rankings are reproducible.
     """
     cfg = model.encoder
-    if not 0 <= layer < cfg.layers:
-        raise ValueError(f"layer {layer} outside [0, {cfg.layers})")
-    if not 0 <= direction < cfg.directions:
-        raise ValueError(f"direction {direction} outside [0, {cfg.directions})")
+    layer = _index("layer", layer, cfg.layers)
+    direction = _index("direction", direction, cfg.directions)
     if not isinstance(mode, AblationMode):
         raise ValueError(f"mode must be an AblationMode, got {mode!r}")
     means = weight_map(model, class_index).mean(axis=3)[layer, :, direction]
@@ -146,20 +160,17 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
     When ``_two_processes`` holds (Linux, two usable CPUs, two or more
     step sets and a process with one OS thread, as with BLAS pinned to
     one thread), a forked child runs about half of the sets, each side in
-    descending ``t0`` on its own copy of the unablated trace, and sends
-    their logits back through a pipe. If the child cannot start or fails,
-    this process runs its sets too. The scores do not depend on which
-    process ran a set.
+    descending ``t0`` on its own copy of the unablated trace, and writes
+    their logits into an array in shared memory. If the child cannot
+    start, or does not exit 0, this process runs its sets too. The scores
+    do not depend on which process ran a set.
     """
     _require_nv(model)
     cfg = model.encoder
     plans = []
     for class_index, k, mode, target in rows:
-        if not 0 <= class_index < model.num_classes:
-            raise ValueError(f"class {class_index} outside [0, {model.num_classes})")
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ValueError(f"k must be an integer, got {k!r}")
-        k = int(k)
+        class_index = _index("class", class_index, model.num_classes)
+        k = _integer("k", k)
         if not 0 <= k <= cfg.max_len:
             raise ValueError(f"k must be in [0, {cfg.max_len}], got {k}")
         if not isinstance(target, AblationTarget):
@@ -235,71 +246,44 @@ def _passes(model: Model, X: np.ndarray, trace, sets: Sequence[tuple]) -> List[n
     return out
 
 
-def _start_child(model: Model, X: np.ndarray, trace, sets: Sequence[tuple]):
-    """Fork a child that runs ``_passes`` over ``sets`` on its
-    copy-on-write copy of ``trace`` and writes the raw float64 bytes of
-    their logits, in order, to a pipe. Returns the child's pid and the
-    pipe's read end, or None if no child started."""
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        # Only os._exit ends the child: no atexit handler or stdio flush
-        # of the parent's runs in it.
-        code = 1
-        try:
-            os.close(r)
-            data = b"".join(logits.tobytes() for logits in _passes(model, X, trace, sets))
-            with open(w, "wb") as pipe:
-                pipe.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _collect(child, shape: tuple) -> Optional[np.ndarray]:
-    """Read the child's pipe to EOF and reap it. Returns its logits as a
-    ``shape`` array, or None if it exited non-zero or sent another byte
-    count."""
-    pid, pipe = child
-    try:
-        with pipe:
-            data = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0 or len(data) != 8 * int(np.prod(shape)):
-        return None
-    return np.frombuffer(data, dtype=np.float64).reshape(shape)
-
-
 def _ablated_logits(model: Model, X: np.ndarray, trace, sets: Sequence[tuple]) -> dict:
     """Each step set's logits from ``_passes``, which start on the
     unablated ``trace``. When ``_two_processes`` holds, a forked child
-    takes one side of ``_split``; if it does not deliver, this process
-    runs that side too, from a fresh trace."""
+    takes one side of ``_split`` and writes its logits, one row per set,
+    into an array in shared memory; unless it exits 0, this process runs
+    that side too, from a fresh trace."""
     if not _two_processes(len(sets)):
         sets = sorted(sets, key=lambda steps: -steps[0])
         return dict(zip(sets, _passes(model, X, trace, sets)))
     mine, theirs = _split(sets, model.encoder.max_len, model.encoder.bidirectional)
-    child = _start_child(model, X, trace, theirs)
+    shape = (len(theirs), len(X), model.num_classes)
+    pid = None
+    try:
+        shared = mmap.mmap(-1, 8 * int(np.prod(shape)))
+        pid = os.fork()
+    except OSError:
+        pass
+    if pid == 0:
+        # Only os._exit ends the child, and exit status 0 only after its
+        # last row: no atexit handler or stdio flush of the parent's runs.
+        code = 1
+        try:
+            rows = np.ndarray(shape, np.float64, buffer=shared)
+            for row, logits in zip(rows, _passes(model, X, trace, theirs)):
+                row[...] = logits
+            code = 0
+        finally:
+            os._exit(code)
     try:
         logits = dict(zip(mine, _passes(model, X, trace, mine)))
     except BaseException:
-        if child:
-            os.kill(child[0], signal.SIGKILL)
-            _collect(child, (0,))
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         raise
-    got = _collect(child, (len(theirs), len(X), model.num_classes)) if child else None
-    if got is None:
+    if pid and os.waitpid(pid, 0)[1] == 0:
+        got = np.ndarray(shape, np.float64, buffer=shared).copy()
+    else:
         got = _passes(model, X, None, theirs)
     logits.update(zip(theirs, got))
     return logits
@@ -379,10 +363,10 @@ def export_report(model: Model, classes: Sequence[int],
     written, so a model they reject, or a class listed twice, leaves no
     file."""
     classes = list(classes)
+    maps = [(c, weight_map(model, c)) for c in classes]
     for i, c in enumerate(classes):
         if c in classes[:i]:
             raise ValueError(f"class {c} is listed twice")
-    maps = [(c, weight_map(model, c)) for c in classes]
     similarity = class_similarity(model) if model.num_classes >= 2 else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

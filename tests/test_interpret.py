@@ -187,7 +187,7 @@ def test_time_analysis_full_horizon_equals_zero_input(trained):
     np.testing.assert_array_equal(r.report.confusion, expected_conf)
 
 
-def test_time_analysis_validates_args(trained):
+def test_time_analysis_validates_args(trained, tmp_path):
     model, ds = trained
     with pytest.raises(ValueError, match="class"):
         time_analysis(model, ds, 9, 1)
@@ -210,6 +210,27 @@ def test_time_analysis_validates_args(trained):
             time_analysis(model, ds, 0, 1, direction=direction)
         with pytest.raises(ValueError, match="direction"):
             rank_timesteps(model, 0, AblationMode.TOP_POSITIVE, direction=direction)
+    # A class, layer or direction is an integer in the same sense as k:
+    # a bool would index as a mask (direction=False ranks no step at all)
+    # and a float would not index. A numpy integer comes back as an int,
+    # so the counterfactual rows stay JSON.
+    for bad in (True, False, np.bool_(True), 1.0, "1", None):
+        with pytest.raises(ValueError, match=rf"^class must be an integer, got {bad!r}$"):
+            time_analysis(model, ds, bad, 1)
+        with pytest.raises(ValueError, match=rf"^class must be an integer, got {bad!r}$"):
+            weight_map(model, bad)
+        with pytest.raises(ValueError, match=rf"^class must be an integer, got {bad!r}$"):
+            export_report(model, [bad], [], tmp_path / "out")
+        for name in ("layer", "direction"):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {bad!r}$"):
+                time_analysis(model, ds, 0, 2, **{name: bad})
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {bad!r}$"):
+                rank_timesteps(model, 0, AblationMode.TOP_POSITIVE, **{name: bad})
+    assert not (tmp_path / "out").exists()
+    r = time_analysis(model, ds, np.int64(1), 2, layer=np.int64(0), direction=np.int64(0))
+    assert type(r.class_index) is int and r.class_index == 1
+    assert r.zeroed_steps == time_analysis(model, ds, 1, 2).zeroed_steps
+    json.dumps(counterfactual_rows([r]))
     # A mode or target is its enum member; its string value is not coerced.
     with pytest.raises(ValueError, match="^mode must be an AblationMode, got 'top-positive'$"):
         rank_timesteps(model, 0, "top-positive")

@@ -2,17 +2,21 @@
 
 A sweep that may fork runs half of its ablated passes in a child; the
 scores must be the same bits as the serial loop's, whatever the child
-does, and no child may outlive the sweep. A fork that copies live BLAS
-threads can deadlock the child, so the tests that force the fork run in
-one child interpreter with BLAS pinned to one thread, as
+does, and neither the child nor the shared array it writes its logits
+into may outlive the sweep. A fork that copies live BLAS threads can
+deadlock the child, so the tests that force the fork run in one child
+interpreter with BLAS pinned to one thread, as
 ``tests/test_checkpoint_fuzz.py`` runs its mutants. Run as a script, this
 file is that interpreter: ``python tests/test_sweep_processes.py`` prints
 one JSON report of the problems found in each case.
 """
 
+import contextlib
 import json
+import mmap
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -23,14 +27,16 @@ import pytest
 
 from neuroview import interpret
 from neuroview.cells import CellKind, InitKind, InitScheme
-from neuroview.data import synth_separable
+from neuroview.data import DataSet, synth_separable
 from neuroview.interpret import AblationMode, AblationTarget, sweep
 from neuroview.network import EncoderConfig, HeadKind
 from neuroview.train import build_model
 
 SHAPES = {"1-uni": (1, False), "2-uni": (2, False), "2-bidir": (2, True)}
 BIT_CASES = [f"{cell.value}-{shape}" for cell in CellKind for shape in SHAPES]
-FAULT_CASES = ["child-fails", "child-sends-short", "fork-raises", "parent-raises"]
+FAULT_CASES = ["child-fails", "child-killed", "child-wrong-shape", "fork-raises",
+               "mmap-raises", "empty-split", "parent-raises"]
+CASES = BIT_CASES + FAULT_CASES + ["shared-maps-freed"]
 
 POS, NEG = AblationMode.TOP_POSITIVE, AblationMode.TOP_NEGATIVE
 INPUTS = AblationTarget.INPUTS
@@ -54,38 +60,44 @@ def _model(cell, layers, bidir, T=10, d=2):
     return model, synth_separable(d, T, 1, 4, seed=5)
 
 
-def _scores(model, ds, two_processes):
-    """Each row's logits from one ``sweep`` with the fork forced on or off,
-    and the number of forks it made."""
-    scored, forks = [], []
-    real_report, real_fork, real_pred = interpret.eval_report, os.fork, interpret._two_processes
-    interpret.eval_report = lambda logits, *a: scored.append(logits) or real_report(logits, *a)
-    os.fork = lambda: forks.append(1) or real_fork()
-    interpret._two_processes = lambda n_sets: two_processes
+@contextlib.contextmanager
+def _patched(owner, **names):
+    """``owner``'s attributes in ``names`` replaced for the block."""
+    saved = {name: getattr(owner, name) for name in names}
+    for name, value in names.items():
+        setattr(owner, name, value)
     try:
-        sweep(model, ds, ROWS)
-    finally:
-        interpret.eval_report, os.fork, interpret._two_processes = real_report, real_fork, real_pred
-    return scored, len(forks)
-
-
-def _problems(model, ds, want, **patches):
-    """What is wrong with a forced two-process sweep of ``ROWS`` while
-    ``interpret``'s names in ``patches`` are replaced: scores that are not
-    ``want``'s bits, or a child left behind."""
-    saved = {name: getattr(interpret, name) for name in patches}
-    for name, value in patches.items():
-        setattr(interpret, name, value)
-    try:
-        got, forks = _scores(model, ds, True)
+        yield
     finally:
         for name, value in saved.items():
-            setattr(interpret, name, value)
-    problems = []
-    if [g.tobytes() for g in got] != [w.tobytes() for w in want]:
-        problems.append("scores differ from the serial sweep's")
-    problems += _leftover_children()
-    return problems, forks
+            setattr(owner, name, value)
+
+
+def _scores(model, ds, two_processes):
+    """Each row's logits and report from one ``sweep`` with the fork
+    forced on or off, as bytes, and the number of forks it made."""
+    scored, forks = [], []
+    real_report, real_fork = interpret.eval_report, os.fork
+
+    def report(logits, *args):
+        scored.append(logits.tobytes())
+        return real_report(logits, *args)
+
+    with _patched(interpret, eval_report=report, _two_processes=lambda n_sets: two_processes), \
+            _patched(os, fork=lambda: forks.append(1) or real_fork()):
+        results = sweep(model, ds, ROWS)
+    reports = [(repr(r.report.overall_accuracy), r.report.per_class_accuracy.tobytes(),
+                r.report.confusion.tobytes()) for r in results]
+    return scored + reports, len(forks)
+
+
+def _problems(model, ds, want):
+    """What is wrong with a forced two-process sweep of ``ROWS``: scores
+    that are not ``want``'s bits, or a child left behind; and its number
+    of forks."""
+    got, forks = _scores(model, ds, True)
+    problems = [] if got == want else ["scores differ from the serial sweep's"]
+    return problems + _leftover_children(), forks
 
 
 def _leftover_children():
@@ -96,13 +108,18 @@ def _leftover_children():
     return ["a child outlived the sweep"]
 
 
+def _shared_maps():
+    """The number of anonymous shared mappings of this process."""
+    with open("/proc/self/maps") as fh:
+        return sum("/dev/zero" in line for line in fh)
+
+
 def run_cases():
     """The report: every case id mapped to its list of problems."""
     report = {}
     threads = len(os.listdir("/proc/self/task"))
     if threads != 1:
-        return {case: [f"{threads} threads: BLAS is not pinned"]
-                for case in BIT_CASES + FAULT_CASES}
+        return {case: [f"{threads} threads: BLAS is not pinned"] for case in CASES}
     for cell in CellKind:
         for shape, (layers, bidir) in SHAPES.items():
             model, ds = _model(cell, layers, bidir)
@@ -116,32 +133,50 @@ def run_cases():
     want, _ = _scores(model, ds, False)
     encode, head_forward = interpret.encode, interpret.head_forward
     parent = os.getpid()
+    child_passes = []
 
     def fails_in_child(*args, **kwargs):
         if os.getpid() != parent:
             raise RuntimeError("child fault")
         return encode(*args, **kwargs)
 
-    def short(model, trace):
+    def killed_in_second_child_pass(*args, **kwargs):
+        if os.getpid() != parent:
+            child_passes.append(1)
+            if len(child_passes) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return encode(*args, **kwargs)
+
+    def wrong_shape(model, trace):
         logits = head_forward(model, trace)
         return logits if os.getpid() == parent else logits[1:]
 
-    def no_fork():
-        raise OSError("no fork")
+    def raises(*args):
+        raise OSError("refused")
 
-    for case, patches in [("child-fails", {"encode": fails_in_child}),
-                          ("child-sends-short", {"head_forward": short})]:
-        problems, forks = _problems(model, ds, want, **patches)
-        report[case] = problems + ([] if forks == 1 else [f"{forks} forks"])
+    # Each case: the name replaced, and the number of forks the sweep makes.
+    for case, owner, names, want_forks in [
+            ("child-fails", interpret, {"encode": fails_in_child}, 1),
+            ("child-killed", interpret, {"encode": killed_in_second_child_pass}, 1),
+            ("child-wrong-shape", interpret, {"head_forward": wrong_shape}, 1),
+            ("fork-raises", os, {"fork": raises}, 1),
+            ("mmap-raises", mmap, {"mmap": raises}, 0)]:
+        try:
+            with _patched(owner, **names):
+                problems, forks = _problems(model, ds, want)
+            report[case] = problems + ([] if forks == want_forks else [f"{forks} forks"])
+        except Exception as e:
+            report[case] = [f"sweep raised {e!r}"] + _leftover_children()
 
-    real_fork = os.fork
-    os.fork = no_fork
+    # No samples: the child's array would be 0 bytes, which mmap refuses,
+    # so this process runs both sides and reports NaN, as the serial loop.
+    empty = DataSet(ds.X[:0], ds.y[:0], ds.classes)
     try:
-        report["fork-raises"] = _problems(model, ds, want)[0]
-    except OSError as e:
-        report["fork-raises"] = [f"sweep raised {e!r}"]
-    finally:
-        os.fork = real_fork
+        empty_want, _ = _scores(model, empty, False)
+        problems, forks = _problems(model, empty, empty_want)
+        report["empty-split"] = problems + ([] if forks == 0 else [f"{forks} forks"])
+    except Exception as e:
+        report["empty-split"] = [f"sweep raised {e!r}"] + _leftover_children()
 
     # The parent's own passes fail: the error propagates, and the child
     # is killed and reaped first.
@@ -154,11 +189,23 @@ def run_cases():
         return encode(*args, **kwargs)
 
     try:
-        _problems(model, ds, want, encode=fails_on_second_pass)
+        with _patched(interpret, encode=fails_on_second_pass):
+            _problems(model, ds, want)
         problems = ["the parent's error did not propagate"]
     except RuntimeError as e:
         problems = [] if str(e) == "parent fault" else [f"raised {e!r}"]
     report["parent-raises"] = problems + _leftover_children()
+
+    # Every sweep unmaps its child's array before it returns.
+    before, problems = _shared_maps(), []
+    for _ in range(30):
+        got, forks = _scores(model, ds, True)
+        if got != want or forks != 1:
+            problems.append(f"scores differ or {forks} forks")
+    after = _shared_maps()
+    if after > before:
+        problems.append(f"{after - before} shared mappings outlived their sweeps")
+    report["shared-maps-freed"] = problems + _leftover_children()
     return report
 
 
@@ -171,7 +218,7 @@ def report():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert sorted(report) == sorted(BIT_CASES + FAULT_CASES)
+    assert sorted(report) == sorted(CASES)
     return report
 
 
@@ -189,6 +236,11 @@ def test_forked_sweep_scores_equal_serial_bits(report, case):
 @pytest.mark.parametrize("case", FAULT_CASES)
 def test_forked_sweep_survives_a_fault_with_the_same_bits(report, case):
     assert report[case] == []
+
+
+@needs_fork
+def test_forked_sweeps_leave_no_shared_mapping(report):
+    assert report["shared-maps-freed"] == []
 
 
 @pytest.mark.parametrize("bidirectional", [False, True], ids=["uni", "bidir"])
