@@ -19,10 +19,10 @@ classifier-block row masks that pass's nv features in place, input rows
 with the same zeroed steps share one pass, and each such pass writes into
 the unablated pass's arrays, a unidirectional encoder's from its first
 zeroed step on. On Linux with two usable CPUs, a process with a single
-OS thread (BLAS pinned to one thread) forks one child that runs about
-half of those passes on its copy of the arrays and writes their logits
-into an array in shared memory; the results are the same bits either
-way.
+OS thread (BLAS pinned to one thread) forks one child before the
+unablated pass; the child runs about half of the input passes from the
+inputs alone, on arrays of its own, and writes their logits into an
+array in shared memory. The results are the same bits either way.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .network import HeadKind, Model, encode, head_forward
+from .network import HeadKind, Model, _integer, encode, head_forward
 from .data import DataSet
 from .train import EvalReport, eval_report
 
@@ -71,13 +71,6 @@ def _require_nv(model: Model):
             "interpretability requires the per-timestep (NeuroView) head; "
             f"got {model.head_kind.value!r}"
         )
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a plain int; a bool or a non-integer is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _index(name: str, value, stop: int) -> int:
@@ -159,11 +152,11 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
 
     When ``_two_processes`` holds (Linux, two usable CPUs, two or more
     step sets and a process with one OS thread, as with BLAS pinned to
-    one thread), a forked child runs about half of the sets, each side in
-    descending ``t0`` on its own copy of the unablated trace, and writes
-    their logits into an array in shared memory. If the child cannot
-    start, or does not exit 0, this process runs its sets too. The scores
-    do not depend on which process ran a set.
+    one thread), a child forked before the unablated pass runs about half
+    of the sets from the inputs alone, in descending ``t0`` on a trace of
+    its own, and writes their logits into an array in shared memory. If
+    it cannot start, or does not exit 0, this process runs its sets too,
+    the same way. The scores do not depend on which process ran a set.
     """
     _require_nv(model)
     cfg = model.encoder
@@ -180,19 +173,35 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
         plans.append((class_index, k, steps, mode, target, tuple(sorted(steps))))
 
     X = dataset.features()
-    trace = encode(model, X, gates=False)
-    base_logits = head_forward(model, trace)
-    logits_of = {(target, ()): base_logits for target in AblationTarget}
-    q = trace.q.reshape(len(X), *cfg.nv_shape)
-    for *_, target, steps in plans:
-        if target is AblationTarget.WEIGHTS and (target, steps) not in logits_of:
-            kept = q[:, layer, steps]
-            q[:, layer, steps] = 0.0
-            logits_of[target, steps] = trace.q @ model.V.T
-            q[:, layer, steps] = kept
     ablated = sorted({steps for *_, target, steps in plans
-                      if steps and target is AblationTarget.INPUTS})
-    for steps, logits in _ablated_logits(model, X, trace, ablated).items():
+                      if steps and target is AblationTarget.INPUTS},
+                     key=lambda steps: (-steps[0], steps))
+    mine, theirs, pid = ablated, [], None
+    if _two_processes(len(ablated)):
+        mine, theirs = _split(ablated, cfg.max_len, cfg.bidirectional)
+        pid, shared = _fork(model, X, theirs)
+    try:
+        trace = encode(model, X, gates=False)
+        base_logits = head_forward(model, trace)
+        logits_of = {(target, ()): base_logits for target in AblationTarget}
+        q = trace.q.reshape(len(X), *cfg.nv_shape)
+        for *_, target, steps in plans:
+            if target is AblationTarget.WEIGHTS and (target, steps) not in logits_of:
+                kept = q[:, layer, steps]
+                q[:, layer, steps] = 0.0
+                logits_of[target, steps] = trace.q @ model.V.T
+                q[:, layer, steps] = kept
+        got = _passes(model, X, trace, mine)
+    except BaseException:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    if pid and os.waitpid(pid, 0)[1] == 0:
+        got += list(shared.copy())
+    else:
+        got += _passes(model, X, None, theirs)
+    for steps, logits in zip(mine + theirs, got):
         logits_of[AblationTarget.INPUTS, steps] = logits
     return [CounterfactualResult(class_index, k, steps, mode, target,
                                  eval_report(logits_of[target, key], dataset.labels(),
@@ -246,47 +255,26 @@ def _passes(model: Model, X: np.ndarray, trace, sets: Sequence[tuple]) -> List[n
     return out
 
 
-def _ablated_logits(model: Model, X: np.ndarray, trace, sets: Sequence[tuple]) -> dict:
-    """Each step set's logits from ``_passes``, which start on the
-    unablated ``trace``. When ``_two_processes`` holds, a forked child
-    takes one side of ``_split`` and writes its logits, one row per set,
-    into an array in shared memory; unless it exits 0, this process runs
-    that side too, from a fresh trace."""
-    if not _two_processes(len(sets)):
-        sets = sorted(sets, key=lambda steps: -steps[0])
-        return dict(zip(sets, _passes(model, X, trace, sets)))
-    mine, theirs = _split(sets, model.encoder.max_len, model.encoder.bidirectional)
-    shape = (len(theirs), len(X), model.num_classes)
-    pid = None
+def _fork(model: Model, X: np.ndarray, sets: Sequence[tuple]) -> tuple:
+    """``(pid, rows)``: a forked child that runs ``_passes(model, X, None,
+    sets)`` and writes its logits, one row per set, into ``rows``, an
+    array in shared memory, and exits 0 after the last row; ``(None,
+    None)`` when the mapping or the fork raised ``OSError``."""
+    shape = (len(sets), len(X), model.num_classes)
     try:
-        shared = mmap.mmap(-1, 8 * int(np.prod(shape)))
+        rows = np.ndarray(shape, np.float64, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
         pid = os.fork()
     except OSError:
-        pass
+        return None, None
     if pid == 0:
-        # Only os._exit ends the child, and exit status 0 only after its
-        # last row: no atexit handler or stdio flush of the parent's runs.
-        code = 1
+        # Only os._exit ends the child, and exit status 0 only once every
+        # row is written: no atexit handler or stdio flush of the parent's.
         try:
-            rows = np.ndarray(shape, np.float64, buffer=shared)
-            for row, logits in zip(rows, _passes(model, X, trace, theirs)):
-                row[...] = logits
-            code = 0
+            rows[...] = _passes(model, X, None, sets)
+            os._exit(0)
         finally:
-            os._exit(code)
-    try:
-        logits = dict(zip(mine, _passes(model, X, trace, mine)))
-    except BaseException:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    if pid and os.waitpid(pid, 0)[1] == 0:
-        got = np.ndarray(shape, np.float64, buffer=shared).copy()
-    else:
-        got = _passes(model, X, None, theirs)
-    logits.update(zip(theirs, got))
-    return logits
+            os._exit(1)
+    return pid, rows
 
 
 def time_analysis(model: Model, dataset: DataSet, class_index: int, k: int,

@@ -139,6 +139,13 @@ class ForwardTrace(Buffered):
         return self.gate_traces[0].gates is not None
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int; a bool or a non-integer is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_time_major(cfg: EncoderConfig, x) -> np.ndarray:
     """A (B, T, m) batch as a (T, B, m) view."""
     feats = np.asarray(x, dtype=DTYPE)
@@ -175,7 +182,7 @@ def encode(model: Model, x, resume: int = 0, out: Optional[ForwardTrace] = None,
     """
     cfg = model.encoder
     X = _as_time_major(cfg, x)
-    t0 = resume
+    t0 = _integer("resume", resume)
     if not 0 <= t0 < cfg.max_len:
         raise ValueError(f"resume must be in [0, {cfg.max_len}), got {t0}")
     if t0 and cfg.bidirectional:

@@ -445,6 +445,14 @@ def test_train_seed_env_override(dataset_files, tmp_path, monkeypatch):
     assert not np.array_equal(a.V, c.V)
 
 
+def test_train_seed_env_not_an_integer_exits_2(dataset_files, tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.setenv("NV_SEED", "abc")
+    assert run_train(dataset_files, tmp_path / "run") == 2
+    assert capsys.readouterr().err == "error: NV_SEED must be an integer, got 'abc'\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_labels_keep_their_class_across_splits(tmp_path, capsys):
     # Train on raw labels {1, 2, 3}, score splits holding {1, 3} and {3}:
     # raw 3 is class 2 in every split, whatever else the split holds.
@@ -819,6 +827,16 @@ BAD_INPUT = [
          needle="no_such_key", files={"run.cfg": "no_such_key = 1\n"}),
     _bad("train-config-bad-value", f"{TRAIN} --config {{tmp}}/run.cfg",
          needle="'layers'", files={"run.cfg": "layers = two\n"}),
+    _bad("train-config-no-equals", f"{TRAIN} --config {{tmp}}/run.cfg",
+         needle="error: {tmp}/run.cfg:1: expected 'key = value'",
+         files={"run.cfg": "layers 2\n"}),
+    _bad("train-config-bad-bool", f"{TRAIN} --config {{tmp}}/run.cfg",
+         needle="error: {tmp}/run.cfg:1: bad value 'yes' for field 'znorm'",
+         files={"run.cfg": "znorm = yes\n"}),
+    _bad("train-config-unknown-cell",
+         "train --train-path {train} --config {tmp}/run.cfg --out {tmp}/run",
+         needle="invalid cell 'foo'; expected one of: ",
+         files={"run.cfg": "cell = foo\n"}),
     _bad("train-config-missing", f"{TRAIN} --config {{tmp}}/missing.cfg",
          needle="{tmp}/missing.cfg"),
     _bad("train-config-not-utf8", f"{TRAIN} --config {{tmp}}/run.cfg",
@@ -838,6 +856,8 @@ BAD_INPUT = [
     _bad("train-one-class-split", "train --train-path {tmp}/split.tsv --out {tmp}/run",
          needle="error: {tmp}/split.tsv: found 1 class(es); need at least 2",
          files={"split.tsv": _split_text(["1"] + EIGHT, ["1"] + EIGHT)}),
+    _bad("sweep-no-test-split", "sweep --train-path {train} --sizes 3 4 --out {tmp}/s",
+         needle="error: sweep selection needs a test split"),
     _bad("sweep-duplicate-sizes", "sweep --train-path {train} --test-path {test} "
          "--sizes 4 4 --out {tmp}/s", needle="duplicate"),
     _bad("train-overflowing-step", "train --train-path {tmp}/long.tsv --head avg "
@@ -878,6 +898,8 @@ BAD_INPUT = [
           ("nan-value", _split_text(["0"] + EIGHT, ["1", "NaN"] + EIGHT[1:]),
            "line 2, field 1: missing or non-finite value 'NaN'"),
           ("empty-file", "", "no data rows"),
+          ("label-only-row", _split_text(["0"]),
+           "line 1: expected a label and at least one value"),
           ("unknown-label", _split_text(["0"] + EIGHT, ["7"] + EIGHT),
            "label 7 is not one of the known classes (0, 1)"),
           ("not-utf8", b"\xff\xfe\n",
@@ -907,6 +929,8 @@ BAD_INPUT = [
            f"--out {{tmp}}/b{extra}", needle="error: --classes names no class: ','")
       for command, extra in [("inspect", ""),
                              ("export", " --dataset-path {test} --k-list 1")]],
+    _bad("export-bad-class-list", "export --checkpoint {ckpt} --classes 0,a --out {tmp}/b",
+         needle="error: bad class list '0,a'"),
     _bad("export-duplicate-classes", "export --checkpoint {ckpt} --classes 0,1,0 "
          "--out {tmp}/b", needle="error: duplicate class ids in --classes: 0,1,0"),
     _bad("export-k-too-large", f"{EXPORT} --k-list 0 999 --out {{tmp}}/bundle",

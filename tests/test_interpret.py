@@ -116,6 +116,11 @@ def test_similarity_zero_row_names_class(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_similarity_needs_two_classes():
+    with pytest.raises(ValueError, match="^similarity needs at least 2 classes, got 1$"):
+        class_similarity(nv_model(d=1))
+
+
 def test_similarity_requires_nv():
     enc = EncoderConfig(CellKind.SIMPLE_RNN, 1, 4, 6)
     model = build_model(enc, HeadKind.AVERAGE_POOL, 2, InitScheme())

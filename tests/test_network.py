@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -422,6 +423,16 @@ def test_model_validates_head_width():
         Model(cfg, cells, "avg", np.zeros((2, 3)))
 
 
+def test_model_rejects_a_non_finite_head():
+    cfg = EncoderConfig(CellKind.GRU, 2, 3, 4)
+    cells = [init_params(CellKind.GRU, 2, 3, InitScheme())]
+    for bad in (np.nan, np.inf, -np.inf):
+        V = np.zeros((2, 12))
+        V[1, 5] = bad
+        with pytest.raises(ValueError, match="^head V contains non-finite entries$"):
+            Model(cfg, cells, HeadKind.NEUROVIEW, V)
+
+
 @pytest.mark.parametrize("case", ["input", "hidden", "one-block"])
 def test_model_rejects_a_cell_of_the_wrong_block_shape(case):
     # A cell is its pair of packed blocks, checked against the config by
@@ -614,6 +625,27 @@ def test_pass_resumed_in_place_equals_a_fresh_pass(cell, layers, gates):
             network_backward(model, got, gl, grads[0])
             network_backward(model, want, gl, grads[1])
             np.testing.assert_array_equal(*grads)
+
+
+@pytest.mark.parametrize("t0", [True, False, 1.5, 2.0, "2", None], ids=repr)
+def test_resume_must_be_an_integer(t0):
+    model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=5)
+    x = np.ones((2, 5, 2))
+    _, base = model.forward(x, gates=False)
+    line = f"resume must be an integer, got {t0!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        encode(model, x, t0, base, gates=False)
+
+
+def test_resume_takes_a_numpy_integer():
+    model = make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=5)
+    x = np.ones((2, 5, 2))
+    want, _ = model.forward(x, gates=False)
+    for t0 in (np.int64(2), np.int32(4)):
+        _, base = model.forward(x, gates=False)
+        got = encode(model, x, t0, base, gates=False)
+        assert type(got.t0) is int and got.t0 == t0
+        np.testing.assert_array_equal(head_forward(model, got), want)
 
 
 def test_a_pass_resumes_only_into_a_matching_trace():

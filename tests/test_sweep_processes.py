@@ -1,14 +1,16 @@
 """The two-process path of ``interpret.sweep``.
 
-A sweep that may fork runs half of its ablated passes in a child; the
-scores must be the same bits as the serial loop's, whatever the child
-does, and neither the child nor the shared array it writes its logits
-into may outlive the sweep. A fork that copies live BLAS threads can
-deadlock the child, so the tests that force the fork run in one child
-interpreter with BLAS pinned to one thread, as
-``tests/test_checkpoint_fuzz.py`` runs its mutants. Run as a script, this
-file is that interpreter: ``python tests/test_sweep_processes.py`` prints
-one JSON report of the problems found in each case.
+A sweep that may fork starts a child before its unablated pass, and the
+child runs about half of the ablated passes from the inputs alone, on a
+trace of its own. The scores must be the same bits as the serial loop's,
+whatever the child does, and neither the child nor the shared array it
+writes its logits into may outlive the sweep, even when this process
+fails first. A fork that copies live BLAS threads can deadlock the child,
+so the tests that force the fork run in one child interpreter with BLAS
+pinned to one thread, as ``tests/test_checkpoint_fuzz.py`` runs its
+mutants. Run as a script, this file is that interpreter: ``python
+tests/test_sweep_processes.py`` prints one JSON report of the problems
+found in each case.
 """
 
 import contextlib
@@ -35,7 +37,7 @@ from neuroview.train import build_model
 SHAPES = {"1-uni": (1, False), "2-uni": (2, False), "2-bidir": (2, True)}
 BIT_CASES = [f"{cell.value}-{shape}" for cell in CellKind for shape in SHAPES]
 FAULT_CASES = ["child-fails", "child-killed", "child-wrong-shape", "fork-raises",
-               "mmap-raises", "empty-split", "parent-raises"]
+               "mmap-raises", "empty-split", "parent-raises", "unablated-raises"]
 CASES = BIT_CASES + FAULT_CASES + ["shared-maps-freed"]
 
 POS, NEG = AblationMode.TOP_POSITIVE, AblationMode.TOP_NEGATIVE
@@ -75,7 +77,10 @@ def _patched(owner, **names):
 
 def _scores(model, ds, two_processes):
     """Each row's logits and report from one ``sweep`` with the fork
-    forced on or off, as bytes, and the number of forks it made."""
+    forced on or off, as bytes, and the number of forks it made. Forced
+    on, the child is forked before this process's unablated pass and
+    runs its sets from the inputs, so none of its logits come from this
+    process's trace."""
     scored, forks = [], []
     real_report, real_fork = interpret.eval_report, os.fork
 
@@ -195,6 +200,27 @@ def run_cases():
     except RuntimeError as e:
         problems = [] if str(e) == "parent fault" else [f"raised {e!r}"]
     report["parent-raises"] = problems + _leftover_children()
+
+    # The parent's unablated pass fails, after the fork: the error
+    # propagates, and neither the child nor its shared array is left.
+    def fails_in_parent(*args, **kwargs):
+        if os.getpid() == parent:
+            raise RuntimeError("unablated fault")
+        return encode(*args, **kwargs)
+
+    maps, forks, real_fork = _shared_maps(), [], os.fork
+    try:
+        with _patched(interpret, encode=fails_in_parent), \
+                _patched(os, fork=lambda: forks.append(1) or real_fork()):
+            _scores(model, ds, True)
+        problems = ["the parent's error did not propagate"]
+    except RuntimeError as e:
+        problems = [] if str(e) == "unablated fault" else [f"raised {e!r}"]
+    if len(forks) != 1:
+        problems.append(f"{len(forks)} forks")
+    if _shared_maps() > maps:
+        problems.append("the child's shared array outlived the sweep")
+    report["unablated-raises"] = problems + _leftover_children()
 
     # Every sweep unmaps its child's array before it returns.
     before, problems = _shared_maps(), []

@@ -50,6 +50,12 @@ def test_xent_label_out_of_range():
         softmax_xent(np.zeros(3), 0)
 
 
+def test_xent_label_shape_mismatch():
+    for labels, shape in (([0], r"\(1,\)"), ([[0, 1]], r"\(1, 2\)"), ([0, 1, 0], r"\(3,\)")):
+        with pytest.raises(ValueError, match=rf"^labels shape {shape} != \(2,\)$"):
+            softmax_xent(np.zeros((2, 3)), labels)
+
+
 def test_xent_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(1, 5)) * 3
@@ -210,6 +216,13 @@ def test_fit_horizon_mismatch_rejected():
     ds, enc, head, init = small_setup()
     bad_enc = EncoderConfig(enc.cell, enc.input_dim, enc.hidden_dim, ds.horizon + 1)
     with pytest.raises(ValueError, match="pad_dataset"):
+        fit(ds, TrainConfig(epochs=1), bad_enc, head, init)
+
+
+def test_fit_feature_dim_mismatch_rejected():
+    ds, enc, head, init = small_setup()
+    bad_enc = EncoderConfig(enc.cell, 2, enc.hidden_dim, ds.horizon)
+    with pytest.raises(ValueError, match="^dataset feature_dim 1 != encoder input_dim 2$"):
         fit(ds, TrainConfig(epochs=1), bad_enc, head, init)
 
 
