@@ -317,6 +317,21 @@ def _decode_checkpoint(doc: dict):
             raise ValueError(f"field 'run_config.{key}' is not a run config field")
         _typed(rc, key, types[key], "run_config")
     run_config = RunConfig(**rc)
+    # The run config repeats the architecture, and the top level the seed:
+    # where both copies are present they must agree. A max_len of 0 means
+    # the split's length.
+    facts = {"cell": cfg.cell.value, "head": model.head_kind.value,
+             "hidden_dim": cfg.hidden_dim, "layers": cfg.layers,
+             "bidirectional": cfg.bidirectional, "mean_pool": model.mean_pool,
+             "max_len": cfg.max_len}
+    for key, value in facts.items():
+        said = rc.get(key, value)
+        if said != value and not (key == "max_len" and said == 0):
+            raise ValueError(f"field 'run_config.{key}' is {json.dumps(said)}, "
+                             f"but the model's {key} is {json.dumps(value)}")
+    if "seed" in doc and _typed(doc, "seed", "int") != rc.get("seed", doc["seed"]):
+        raise ValueError(f"field 'seed' is {doc['seed']}, but field 'run_config.seed' "
+                         f"is {rc['seed']}")
     classes = None
     if version == CHECKPOINT_VERSION:
         classes = _typed(doc, "classes", None)
@@ -377,10 +392,16 @@ def _split_for(model: Model, path: str, run_config: RunConfig, classes) -> DataS
     """A split to score with ``model``; under a format-1 checkpoint (no
     ``classes``) it may hold more labels than the model has classes."""
     ds = _load_split(path, run_config, model.encoder.max_len, classes)
+    _check_channels(ds, path, model.encoder.input_dim, "the checkpoint's model reads")
     if ds.num_classes > model.num_classes:
         raise UsageError(f"{path}: the split has {ds.num_classes} labels, but the "
                          f"checkpoint has only {model.num_classes} classes")
     return ds
+
+
+def _check_channels(ds: DataSet, path: str, want: int, whose: str) -> None:
+    if ds.feature_dim != want:
+        raise UsageError(f"{path}: the split has {ds.feature_dim} channels, but {whose} {want}")
 
 
 def _apply_env_seed(rc: RunConfig) -> RunConfig:
@@ -434,6 +455,8 @@ def _train_once(rc: RunConfig):
         test_ds = None
         if rc.test_path:
             test_ds = _load_split(rc.test_path, rc, train_ds.horizon, train_ds.classes)
+            _check_channels(test_ds, rc.test_path, train_ds.feature_dim,
+                            "the training split has")
         encoder = rc.encoder(train_ds.feature_dim, train_ds.horizon)
     except ValueError as e:
         raise UsageError(str(e)) from None

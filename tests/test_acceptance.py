@@ -26,7 +26,7 @@ from neuroview.cli import (
     resolve_dataset,
     save_checkpoint,
 )
-from neuroview.data import load_ucr, synth_separable
+from neuroview.data import DataSet, load_ucr, save_ucr, synth_separable
 from neuroview.interpret import AblationMode, time_analysis, weight_map
 from neuroview.network import (
     EncoderConfig,
@@ -91,21 +91,21 @@ def _require_ucr(name: str):
     return train, load_ucr(test_path, classes=train.classes)
 
 
-def _train_nv_gru32(train_ds, seed):
+def _train_nv_gru32(train_ds, seed, epochs=1000):
     enc = EncoderConfig(CellKind.GRU, train_ds.feature_dim, 32, train_ds.horizon)
-    cfg = TrainConfig(learning_rate=0.001, epochs=1000, seed=seed)
+    cfg = TrainConfig(learning_rate=0.001, epochs=epochs, seed=seed)
     model, _ = fit(train_ds, cfg, enc, HeadKind.NEUROVIEW,
                    InitScheme(InitKind.UNIFORM, seed))
     return model
 
 
 @functools.lru_cache(maxsize=1)
-def _chinatown_models():
+def _chinatown_models(epochs=1000):
     """Best NV-GRU32 over three seeds, shared by criteria 3, 6, 7."""
     train_ds, test_ds = _require_ucr("Chinatown")
     results = []
     for seed in (0, 1, 2):
-        model = _train_nv_gru32(train_ds, seed)
+        model = _train_nv_gru32(train_ds, seed, epochs)
         acc = evaluate(model, test_ds).overall_accuracy
         results.append((acc, seed, model))
     results.sort(key=lambda r: (-r[0], r[1]))
@@ -184,15 +184,18 @@ def test_c02_decomposition_identity():
 #    three seeds reaches >= 94% test accuracy.
 # --------------------------------------------------------------------------
 
+def _c03_measure(epochs=1000):
+    """The best seed's test accuracy, each ``(seed, accuracy)``, and class
+    0's top-4 steps by mean weight."""
+    model, _, best_acc, per_seed = _chinatown_models(epochs)
+    top4 = np.argsort(-weight_map(model, 0).mean(axis=3)[0, :, 0], kind="stable")[:4]
+    return best_acc, per_seed, sorted(int(t) for t in top4)
+
+
 def test_c03_chinatown_reproduction():
-    model, test_ds, best_acc, per_seed = _chinatown_models()
+    best_acc, per_seed, top4 = _c03_measure()
     print(f"\nChinatown NV-GRU32 per-seed test accuracy: {per_seed}")
-    top4 = np.argsort(
-        -weight_map(model, 0).mean(axis=3)[0, :, 0],
-        kind="stable",
-    )[:4]
-    print(f"class-0 top-4 mean-weight steps (soft check vs {{4,5,6,7}}): "
-          f"{sorted(int(t) for t in top4)}")
+    print(f"class-0 top-4 mean-weight steps (soft check vs {{4,5,6,7}}): {top4}")
     assert best_acc >= 0.94
 
 
@@ -201,11 +204,16 @@ def test_c03_chinatown_reproduction():
 #    1000 epochs.
 # --------------------------------------------------------------------------
 
+def _c04_measure(name, epochs=1000):
+    """Test accuracy of seed 0's NV-GRU32 on archive dataset ``name``."""
+    train_ds, test_ds = _require_ucr(name)
+    model = _train_nv_gru32(train_ds, 0, epochs)
+    return evaluate(model, test_ds).overall_accuracy
+
+
 @pytest.mark.parametrize("name", ["Wine", "UMD"])
 def test_c04_wine_umd_reproduction(name):
-    train_ds, test_ds = _require_ucr(name)
-    model = _train_nv_gru32(train_ds, seed=0)
-    acc = evaluate(model, test_ds).overall_accuracy
+    acc = _c04_measure(name)
     print(f"\n{name} NV-GRU32 test accuracy: {acc:.4f}")
     assert acc >= 0.95
 
@@ -234,11 +242,17 @@ def test_c05_head_ordering_on_separable_data():
 #    model's top-5 positive timesteps costs >= 20 accuracy points.
 # --------------------------------------------------------------------------
 
-def test_c06_counterfactual_drop():
-    model, test_ds, _, _ = _chinatown_models()
+def _c06_measure(epochs=1000):
+    """Test accuracy before and after zeroing class 0's top-5 steps."""
+    model, test_ds, _, _ = _chinatown_models(epochs)
     base = time_analysis(model, test_ds, 0, 0).report.overall_accuracy
     hit = time_analysis(model, test_ds, 0, 5,
                         AblationMode.TOP_POSITIVE).report.overall_accuracy
+    return base, hit
+
+
+def test_c06_counterfactual_drop():
+    base, hit = _c06_measure()
     print(f"\nChinatown overall accuracy: k=0 {base:.4f} -> k=5 {hit:.4f}")
     assert base - hit >= 0.20
 
@@ -248,17 +262,59 @@ def test_c06_counterfactual_drop():
 #    not meaningfully hurt the targeted class (drop <= 2 points).
 # --------------------------------------------------------------------------
 
+def _c07_measure(epochs=1000):
+    """Class 0's test accuracy, and by k its accuracy after zeroing its k
+    most negative steps."""
+    model, test_ds, _, _ = _chinatown_models(epochs)
+    base = time_analysis(model, test_ds, 0, 0).report.per_class_accuracy[0]
+    return base, {k: time_analysis(model, test_ds, 0, k, AblationMode.TOP_NEGATIVE)
+                  .report.per_class_accuracy[0] for k in (1, 5)}
+
+
 def test_c07_negative_counterfactual_non_degradation():
-    model, test_ds, _, _ = _chinatown_models()
-    cls = 0
-    base = time_analysis(model, test_ds, cls, 0).report.per_class_accuracy[cls]
-    for k in (1, 5):
-        acc = time_analysis(
-            model, test_ds, cls, k, AblationMode.TOP_NEGATIVE
-        ).report.per_class_accuracy[cls]
-        print(f"\nclass {cls} accuracy, negative zeroing k={k}: "
-              f"{base:.4f} -> {acc:.4f}")
+    base, accs = _c07_measure()
+    for k, acc in accs.items():
+        print(f"\nclass 0 accuracy, negative zeroing k={k}: {base:.4f} -> {acc:.4f}")
         assert acc >= base - 0.02
+
+
+# --------------------------------------------------------------------------
+# The code of criteria 3, 4, 6 and 7 on a planted archive. It checks only
+# the plumbing: the lookup, the loader's class order and the sweep rows.
+# The paper's thresholds mean nothing on planted data, so none is asserted.
+# --------------------------------------------------------------------------
+
+# Planted datasets of the archive's shapes: classes, length, and samples per
+# class in the training and test splits.
+PLANTED = {"Chinatown": (2, 24, 10, 172), "Wine": (2, 234, 29, 27), "UMD": (3, 150, 12, 48)}
+
+
+def test_archive_criteria_code_runs_on_a_planted_archive(tmp_path, monkeypatch):
+    for name, (k, T, n_train, n_test) in PLANTED.items():
+        (tmp_path / name).mkdir()
+        for split, n, seed in (("TRAIN", n_train, 0), ("TEST", n_test, 1)):
+            ds = synth_separable(k, T, 1, n, seed=seed)
+            # Labelled 1..k, as the archive is.
+            save_ucr(DataSet(ds.X, ds.y, np.arange(1, k + 1)),
+                     tmp_path / name / f"{name}_{split}.tsv")
+    monkeypatch.setenv("NV_UCR_DIR", str(tmp_path))
+    _chinatown_models.cache_clear()
+    try:
+        for name, (k, T, n_train, n_test) in PLANTED.items():
+            assert _find_ucr(name) == tuple(str(tmp_path / name / f"{name}_{split}.tsv")
+                                            for split in ("TRAIN", "TEST"))
+            train_ds, test_ds = _require_ucr(name)
+            assert (train_ds.X.shape, test_ds.X.shape) == ((k * n_train, T, 1),
+                                                           (k * n_test, T, 1))
+            assert train_ds.classes.tolist() == test_ds.classes.tolist() == list(range(1, k + 1))
+        best_acc, per_seed, top4 = _c03_measure(epochs=2)
+        assert [seed for seed, _ in per_seed] == [0, 1, 2] and len(set(top4)) == 4
+        c07_base, c07 = _c07_measure(epochs=2)
+        accuracies = [best_acc, *(acc for _, acc in per_seed), _c04_measure("Wine", 2),
+                      _c04_measure("UMD", 2), *_c06_measure(epochs=2), c07_base, *c07.values()]
+        assert all(0.0 <= acc <= 1.0 for acc in accuracies), accuracies
+    finally:
+        _chinatown_models.cache_clear()
 
 
 # --------------------------------------------------------------------------

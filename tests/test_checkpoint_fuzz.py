@@ -28,6 +28,13 @@ RETYPED = [None, True, False, 0, 1, 2.5, "x", "", [], {}, [0], {"a": 1},
 HUGE_OR_NEGATIVE = [-1, -(2**31), 2**31, 2**63, 10**15, 10**30, -(10**18)]
 DEPTHS = [2, 64, 5000]
 DEEP = "__deep__"
+# The facts a checkpoint stores twice, as the paths of their two copies.
+COPIES = ([(("run_config", key), ("encoder", key))
+           for key in ("cell", "hidden_dim", "layers", "bidirectional", "max_len")]
+          + [(("run_config", "head"), ("head", "kind")),
+             (("run_config", "mean_pool"), ("head", "mean_pool")),
+             (("run_config", "seed"), ("seed",))])
+NAMES = ["rnn", "gru", "lstm", "nv", "last", "avg"]
 
 
 def _target(doc, rng):
@@ -43,16 +50,37 @@ def _target(doc, rng):
         container = value
 
 
+def _change_a_copy(doc, rng):
+    """One copy of a fact that ``doc`` stores twice, if it is still there,
+    given another value of its type."""
+    *parents, key = rng.choice(rng.choice(COPIES))
+    container = doc
+    for name in parents:
+        container = container.get(name) if isinstance(container, dict) else None
+    if not isinstance(container, dict) or key not in container:
+        return
+    value = container[key]
+    if isinstance(value, bool):
+        container[key] = not value
+    elif isinstance(value, int):
+        container[key] = value + rng.choice([-1, 1, 2])
+    elif isinstance(value, str):
+        container[key] = rng.choice([name for name in NAMES if name != value])
+
+
 def mutate(text, rng):
     """``text``, a checkpoint, with one to three of: a value of another JSON
     type, a deleted key or entry, an added key, a huge or negative integer,
-    a deeply nested array; then, one time in eight, cut short."""
+    a deeply nested array, one copy of a fact stored twice changed; then,
+    one time in eight, cut short."""
     doc = json.loads(text)
     depth = rng.choice(DEPTHS)
     for _ in range(rng.randint(1, 3)):
         container, key = _target(doc, rng)
-        op = rng.choice(["retype", "delete", "add", "int", "nest"])
-        if op == "delete":
+        op = rng.choice(["retype", "delete", "add", "int", "nest", "copy"])
+        if op == "copy":
+            _change_a_copy(doc, rng)
+        elif op == "delete":
             del container[key]
         elif op == "add" and isinstance(container, dict):
             container[f"extra{rng.randint(0, 9)}"] = rng.choice(RETYPED)

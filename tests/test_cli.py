@@ -99,7 +99,8 @@ def test_checkpoint_roundtrip_bytes_and_predictions(tmp_path, head, mean_pool):
     model, _ = fit(ds, TrainConfig(epochs=20, seed=5), enc,
                    head, InitScheme(InitKind.UNIFORM, 5), mean_pool)
     p = tmp_path / "ckpt.json"
-    save_checkpoint(p, model, RunConfig(head=head.value, mean_pool=mean_pool, seed=5),
+    save_checkpoint(p, model, RunConfig(head=head.value, hidden_dim=4, mean_pool=mean_pool,
+                                        seed=5),
                     metrics={"train_accuracy": 1.0}, classes=[-1.0, 2.5])
     loaded, rc, metrics, classes = load_checkpoint(p)
     assert (loaded.head_kind, loaded.mean_pool) == (head, mean_pool)
@@ -119,7 +120,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     enc = EncoderConfig(CellKind.SIMPLE_RNN, 1, 3, ds.horizon)
     model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme())
     p = tmp_path / "ckpt.json"
-    save_checkpoint(p, model, RunConfig())
+    save_checkpoint(p, model, RunConfig(cell="rnn", hidden_dim=3))
     doc = json.loads(p.read_text())
     doc["format_version"] = 99
     p.write_text(json.dumps(doc))
@@ -246,12 +247,22 @@ def _huge_empty_V(doc):
     doc["head"]["V"] = {"shape": [0, 10**30], "data": ""}
 
 
+def _run_config_hidden_dim(doc):
+    doc["run_config"]["hidden_dim"] = 64
+
+
+def _seed_copy(doc):
+    doc["run_config"]["seed"] = 7
+    doc["seed"] = 99
+
+
 CORRUPTIONS = [_drop_encoder, _unknown_run_config_key, _bad_payload_shape, "truncated",
                _nan_in_V, _inf_in_V, _nan_in_cell, _inf_in_cell, _classes_not_increasing,
                _layers_bool, _cells_object, _cell_list, _znorm_string, _mean_pool_string,
                _classes_strings, _head_list, _encoder_list, _V_list, _run_config_list,
                _V_data_short, _V_shape_string, _V_data_not_base64, _cell_data_missing,
-               _version_bool, _V_one_axis, _V_narrow, _no_cells]
+               _version_bool, _V_one_axis, _V_narrow, _no_cells, _run_config_hidden_dim,
+               _seed_copy]
 # The field that the error line names: every corruption but the truncated
 # file, which is not JSON, and the format version.
 FIELD_OF = {_drop_encoder: "encoder", _unknown_run_config_key: "run_config.no_such_field",
@@ -264,14 +275,16 @@ FIELD_OF = {_drop_encoder: "encoder", _unknown_run_config_key: "run_config.no_su
             _bad_payload_shape: "head.V.data", _V_data_short: "head.V.data",
             _V_shape_string: "head.V.shape", _V_data_not_base64: "head.V.data",
             _cell_data_missing: "cells[0].U.data", _V_one_axis: "head.V",
-            _V_narrow: "head.V", _no_cells: "cells"}
+            _V_narrow: "head.V", _no_cells: "cells",
+            _run_config_hidden_dim: "run_config.hidden_dim", _seed_copy: "seed"}
 
 
 def _write_checkpoint(p, head=HeadKind.NEUROVIEW, corrupt=None):
     """An untrained 2-class rnn checkpoint for T = 8 splits, optionally
     corrupted: cut in half (``"truncated"``) or edited as a document."""
     enc = EncoderConfig(CellKind.SIMPLE_RNN, 1, 3, 8)
-    save_checkpoint(p, build_model(enc, head, 2, InitScheme()), RunConfig())
+    save_checkpoint(p, build_model(enc, head, 2, InitScheme()),
+                    RunConfig(cell="rnn", head=head.value, hidden_dim=3))
     if corrupt == "truncated":
         text = p.read_text()
         p.write_text(text[:len(text) // 2])
@@ -297,9 +310,21 @@ def _classes(labels):
     return edit
 
 
+# test_save_checkpoint_refuses_what_load_checkpoint_rejects's model: a
+# 2-class nv GRU of hidden size 3 for T = 8 splits, and its run config.
+MATCHING = RunConfig(hidden_dim=3)
+
+
 def _layers_string(model, doc):
     doc["run_config"]["layers"] = "two"
-    return {"run_config": RunConfig(layers="two")}
+    return {"run_config": dataclasses.replace(MATCHING, layers="two")}
+
+
+def _run_config_says(**fields):
+    def edit(model, doc):
+        doc["run_config"].update(fields)
+        return {"run_config": dataclasses.replace(MATCHING, **fields)}
+    return edit
 
 
 @pytest.mark.parametrize("edit,needle", [
@@ -314,16 +339,28 @@ def _layers_string(model, doc):
                  id="classes-count"),
     pytest.param(_layers_string, "field 'run_config.layers' must be int",
                  id="run_config-layers-string"),
+] + [
+    pytest.param(_run_config_says(**{key: value}),
+                 f"field 'run_config.{key}' is {json.dumps(value)}, but the model's {key} is ",
+                 id=f"run_config-{key}-disagrees")
+    for key, value in [("cell", "lstm"), ("head", "last"), ("hidden_dim", 64), ("layers", 2),
+                       ("bidirectional", True), ("mean_pool", True), ("max_len", 7)]
+] + [
+    # Several copies disagree: the first in the decoder's order is named.
+    pytest.param(_run_config_says(cell="lstm", head="nv", hidden_dim=64, layers=2,
+                                  bidirectional=True, mean_pool=True),
+                 "field 'run_config.cell' is \"lstm\", but the model's cell is \"gru\"",
+                 id="run_config-several-disagree"),
 ])
 def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path, edit, needle):
     enc = EncoderConfig(CellKind.GRU, 1, 3, 8)
     model = build_model(enc, HeadKind.NEUROVIEW, 2, InitScheme())
     good = tmp_path / "good.json"
-    save_checkpoint(good, model, RunConfig())
+    save_checkpoint(good, model, MATCHING)
     doc = json.loads(good.read_text())
     # The same fault in the model or arguments given to save_checkpoint and
     # in the document given to load_checkpoint.
-    kwargs = {"run_config": RunConfig(), **edit(model, doc)}
+    kwargs = {"run_config": MATCHING, **edit(model, doc)}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(UsageError) as rejected:
@@ -784,7 +821,8 @@ def test_inspect_writes_what_export_writes_without_a_sweep(trained_run, tmp_path
 # usage, config and input errors, 1 for numerical failures) with exactly one
 # stderr line, ``error: ...``, besides any ``warning:`` line the CLI prints,
 # and without a traceback, a Python warning, an OS error number or an
-# exception escaping ``main``, and writes no file. ``needle`` must appear in
+# exception escaping ``main``, and writes no file; an exit-2 row trains no
+# epoch, for ``fit`` fails the row if it is called. ``needle`` must appear in
 # that line, or be that whole line if it starts with ``error: ``.
 # Placeholders: {train}/{test} the T = 8 splits, {ckpt} a trained nv
 # checkpoint, {v1} the format-1 fixture, {tmp} a fresh directory holding
@@ -805,6 +843,10 @@ EIGHT = ["0.5"] * 8
 
 def _long_split(p):
     save_ucr(synth_separable(2, 40, 1, 3, seed=0), p)
+
+
+def _two_channels(p):
+    save_ucr(synth_separable(2, 8, 2, 3, seed=0), p)
 
 
 def _bad(case, argv, code=2, needle="", files=None):
@@ -860,6 +902,10 @@ BAD_INPUT = [
          needle="error: sweep selection needs a test split"),
     _bad("sweep-duplicate-sizes", "sweep --train-path {train} --test-path {test} "
          "--sizes 4 4 --out {tmp}/s", needle="duplicate"),
+    _bad("train-test-split-of-another-channel-count",
+         "train --train-path {train} --test-path {tmp}/split.tsv --out {tmp}/run",
+         needle="error: {tmp}/split.tsv: the split has 2 channels, but the training split has 1",
+         files={"split.tsv": _two_channels}),
     _bad("train-overflowing-step", "train --train-path {tmp}/long.tsv --head avg "
          "--hidden 3 --epochs 2 --lr 1e308 --out {tmp}/run", code=1,
          needle="non-finite parameters at epoch 1", files={"long.tsv": _long_split}),
@@ -910,6 +956,12 @@ BAD_INPUT = [
            files={"split.tsv": lambda p: save_ucr(synth_separable(3, 4, 1, 2, seed=5), p)})
       for command, extra in [("evaluate", ""), ("counterfactual", " --class 0 --k-list 1"),
                              ("export", " --k-list 1 --out {tmp}/bundle")]],
+    *[_bad(f"{command}-split-of-another-channel-count",
+           f"{command} --checkpoint {{ckpt}} --dataset-path {{tmp}}/split.tsv{extra}",
+           needle="error: {tmp}/split.tsv: the split has 2 channels, but the checkpoint's "
+                  "model reads 1", files={"split.tsv": _two_channels})
+      for command, extra in [("evaluate", ""), ("counterfactual", " --class 0 --k-list 1"),
+                             ("export", " --k-list 1 --out {tmp}/bundle")]],
     # inspect, export and counterfactual: classes, k lists and output paths
     *[_bad(f"{command}-out-existing-file",
            f"{command} --checkpoint {{ckpt}} --out {{tmp}}/taken{extra}",
@@ -956,8 +1008,12 @@ BAD_INPUT = [
 
 @pytest.mark.parametrize("argv,code,needle,files", BAD_INPUT)
 def test_bad_input_exits_with_one_error_line(dataset_files, trained_run, tmp_path, capsys,
-                                             argv, code, needle, files):
+                                             monkeypatch, argv, code, needle, files):
     _, train_p, test_p = dataset_files
+    if code == 2:
+        def fit(*args, **kwargs):
+            raise AssertionError("an input error was found only after training")
+        monkeypatch.setattr(cli_mod, "fit", fit)
     names = {"train": train_p, "test": test_p, "ckpt": trained_run / "checkpoint.json",
              "v1": V1_CHECKPOINT, "tmp": tmp_path}
     for name, content in files.items():
