@@ -377,6 +377,14 @@ def test_resumed_forward_equals_full_forward(cell, layers):
                     resumed.gate_traces[layer].aux, full.gate_traces[layer].aux)
 
 
+def test_bidirectional_encoder_does_not_resume():
+    model = nv_model(T=5, bidir=True)
+    X = np.ones((2, 5, 1))
+    _, base = model.forward(X)
+    with pytest.raises(ValueError, match="unidirectional"):
+        encode(model, X, 2, base)
+
+
 def _count_passes(monkeypatch):
     """Patch the ``encode`` that ``sweep`` calls to record each encoder
     pass as ``(t0, trace)``, ``t0`` the step it resumed at. The passes

@@ -648,6 +648,41 @@ def test_resume_takes_a_numpy_integer():
         np.testing.assert_array_equal(head_forward(model, got), want)
 
 
+def test_a_pass_resumes_only_into_a_matching_trace():
+    model = make_model(CellKind.LSTM, HeadKind.NEUROVIEW, T=5)
+    x = np.ones((2, 5, 2))
+    _, base = model.forward(x)
+    _, forward_only = model.forward(x, gates=False)
+    for out, batch, gates in ((None, x, True), (base, x[:1], True), (base, x, False),
+                              (forward_only, x, True)):
+        with pytest.raises(ValueError, match="resumes into a trace"):
+            encode(model, batch, 2, out, gates=gates)
+    for t0 in (-1, 5):
+        with pytest.raises(ValueError, match=r"resume must be in \[0, 5\)"):
+            encode(model, x, t0, base)
+    # Nor into a pass of another encoder: one of two layers of the same
+    # width, one of another hidden size, one of another cell and, where
+    # the trace keeps its inputs, one of another input width.
+    for cell in CellKind:
+        model = make_model(cell, HeadKind.NEUROVIEW, T=5)
+        other_cell = CellKind.GRU if cell is CellKind.LSTM else CellKind.LSTM
+        for other, modes in ((make_model(cell, HeadKind.NEUROVIEW, T=5, layers=2), (True, False)),
+                             (make_model(cell, HeadKind.NEUROVIEW, n=4, T=5), (True, False)),
+                             (make_model(other_cell, HeadKind.NEUROVIEW, T=5), (True, False)),
+                             (make_model(cell, HeadKind.NEUROVIEW, m=3, T=5), (True,))):
+            for gates in modes:
+                _, out = other.forward(np.ones((2, 5, other.encoder.input_dim)), gates=gates)
+                with pytest.raises(ValueError, match="resumes into a trace"):
+                    encode(model, x, 2, out, gates=gates)
+    # A pass that only borrows arrays takes them from a trace of as many
+    # layers, deeper or shallower.
+    one, two = (make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=5, layers=k) for k in (1, 2))
+    for model, other in ((two, one), (one, two)):
+        _, out = other.forward(x)
+        with pytest.raises(ValueError, match="as many layers"):
+            encode(model, x, out=out)
+
+
 # ------------------------------------------------------ forward-only passes
 
 _SHAPES = [(1, False), (2, True), (2, False)]
