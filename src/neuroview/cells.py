@@ -143,6 +143,10 @@ class InitScheme:
     kind: InitKind = InitKind.UNIFORM
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 # Parameter schemas: name -> shape kind ("hh" = n x n, "ih" = n x m, "b" = n).
 # Insertion order is the canonical draw/serialization order.

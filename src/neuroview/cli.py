@@ -315,21 +315,21 @@ def _decode_checkpoint(doc: dict):
     for key in rc:
         if key not in types:
             raise ValueError(f"field 'run_config.{key}' is not a run config field")
-        _typed(rc, key, types[key], "run_config")
-    run_config = RunConfig(**rc)
-    # The run config repeats the architecture, and the top level the seed:
-    # where both copies are present they must agree. A max_len of 0 means
-    # the split's length.
+    run_config = RunConfig(**{key: _typed(rc, key, kind, "run_config")
+                              for key, kind in types.items()})
+    # The run config repeats the architecture, and the top level (if it
+    # holds one) the seed: the copies must agree. A max_len of 0 means the
+    # split's length.
     facts = {"cell": cfg.cell.value, "head": model.head_kind.value,
              "hidden_dim": cfg.hidden_dim, "layers": cfg.layers,
              "bidirectional": cfg.bidirectional, "mean_pool": model.mean_pool,
              "max_len": cfg.max_len}
     for key, value in facts.items():
-        said = rc.get(key, value)
+        said = rc[key]
         if said != value and not (key == "max_len" and said == 0):
             raise ValueError(f"field 'run_config.{key}' is {json.dumps(said)}, "
                              f"but the model's {key} is {json.dumps(value)}")
-    if "seed" in doc and _typed(doc, "seed", "int") != rc.get("seed", doc["seed"]):
+    if "seed" in doc and _typed(doc, "seed", "int") != rc["seed"]:
         raise ValueError(f"field 'seed' is {doc['seed']}, but field 'run_config.seed' "
                          f"is {rc['seed']}")
     classes = None

@@ -63,6 +63,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.grad_clip is not None and not (
                 math.isfinite(self.grad_clip) and self.grad_clip > 0):
             raise ValueError(f"grad_clip must be finite and > 0, got {self.grad_clip}")
@@ -203,29 +205,33 @@ def fit(dataset: DataSet, cfg: TrainConfig, encoder: EncoderConfig,
     # step of that size overwrites.
     traces = {}
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(B)
-        losses, hits, seen = [], 0, 0
-        for start in range(0, B, batch):
-            idx = order[start:start + batch]
-            trace = traces[len(idx)] = encode(model, X[idx], out=traces.get(len(idx)))
-            logits = head_forward(model, trace)
-            loss, grad_logits = softmax_xent(logits, y[idx])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch)
-            network_backward(model, trace, grad_logits, grad)
-            norm = float(np.sqrt(grad @ grad))
-            if not np.isfinite(norm):
-                raise TrainingDiverged(epoch, "gradient")
-            if cfg.grad_clip is not None and norm > cfg.grad_clip:
-                grad *= cfg.grad_clip / norm
-            adam_step(model.params, grad, state, cfg)
-            if not np.isfinite(model.params).all():
-                raise TrainingDiverged(epoch, "parameters")
-            losses.append(loss * len(idx))
-            hits += int((np.argmax(logits, axis=1) == y[idx]).sum())
-            seen += len(idx)
-        history.append((epoch, sum(losses) / seen, hits / seen))
+    # A diverging run overflows inside a pass before any check below sees
+    # it; the checks end every divergence in TrainingDiverged, so numpy's
+    # warnings would only repeat that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(B)
+            losses, hits, seen = [], 0, 0
+            for start in range(0, B, batch):
+                idx = order[start:start + batch]
+                trace = traces[len(idx)] = encode(model, X[idx], out=traces.get(len(idx)))
+                logits = head_forward(model, trace)
+                loss, grad_logits = softmax_xent(logits, y[idx])
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(epoch)
+                network_backward(model, trace, grad_logits, grad)
+                norm = float(np.sqrt(grad @ grad))
+                if not np.isfinite(norm):
+                    raise TrainingDiverged(epoch, "gradient")
+                if cfg.grad_clip is not None and norm > cfg.grad_clip:
+                    grad *= cfg.grad_clip / norm
+                adam_step(model.params, grad, state, cfg)
+                if not np.isfinite(model.params).all():
+                    raise TrainingDiverged(epoch, "parameters")
+                losses.append(loss * len(idx))
+                hits += int((np.argmax(logits, axis=1) == y[idx]).sum())
+                seen += len(idx)
+            history.append((epoch, sum(losses) / seen, hits / seen))
     return model, history
 
 

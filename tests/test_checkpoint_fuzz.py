@@ -12,12 +12,12 @@ memory. Run as a script, this file is that child:
 import contextlib
 import io
 import json
-import os
 import random
-import subprocess
 import sys
 import warnings
 from pathlib import Path
+
+from helpers import run_pinned
 
 SEED = 0
 MUTANTS = 400
@@ -144,13 +144,7 @@ def _limit_address_space():
 
 
 def test_checkpoint_mutants_exit_cleanly_with_one_error_line(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, __file__, str(tmp_path)], capture_output=True,
-                          text=True, env=env, timeout=120, preexec_fn=_limit_address_space)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    report = run_pinned(__file__, str(tmp_path), preexec_fn=_limit_address_space)
     assert report["failures"] == []
     # Every outcome occurs: a load that succeeds, a rejected checkpoint and
     # a nesting too deep to parse, and nothing else.

@@ -256,13 +256,21 @@ def _seed_copy(doc):
     doc["seed"] = 99
 
 
+def _run_config_znorm_missing(doc):
+    del doc["run_config"]["znorm"]
+
+
+def _run_config_empty(doc):
+    doc["run_config"] = {}
+
+
 CORRUPTIONS = [_drop_encoder, _unknown_run_config_key, _bad_payload_shape, "truncated",
                _nan_in_V, _inf_in_V, _nan_in_cell, _inf_in_cell, _classes_not_increasing,
                _layers_bool, _cells_object, _cell_list, _znorm_string, _mean_pool_string,
                _classes_strings, _head_list, _encoder_list, _V_list, _run_config_list,
                _V_data_short, _V_shape_string, _V_data_not_base64, _cell_data_missing,
                _version_bool, _V_one_axis, _V_narrow, _no_cells, _run_config_hidden_dim,
-               _seed_copy]
+               _seed_copy, _run_config_znorm_missing, _run_config_empty]
 # The field that the error line names: every corruption but the truncated
 # file, which is not JSON, and the format version.
 FIELD_OF = {_drop_encoder: "encoder", _unknown_run_config_key: "run_config.no_such_field",
@@ -276,7 +284,9 @@ FIELD_OF = {_drop_encoder: "encoder", _unknown_run_config_key: "run_config.no_su
             _V_shape_string: "head.V.shape", _V_data_not_base64: "head.V.data",
             _cell_data_missing: "cells[0].U.data", _V_one_axis: "head.V",
             _V_narrow: "head.V", _no_cells: "cells",
-            _run_config_hidden_dim: "run_config.hidden_dim", _seed_copy: "seed"}
+            _run_config_hidden_dim: "run_config.hidden_dim", _seed_copy: "seed",
+            _run_config_znorm_missing: "run_config.znorm",
+            _run_config_empty: "run_config.train_path"}
 
 
 def _write_checkpoint(p, head=HeadKind.NEUROVIEW, corrupt=None):
@@ -487,6 +497,13 @@ def test_train_seed_env_not_an_integer_exits_2(dataset_files, tmp_path, monkeypa
     monkeypatch.setenv("NV_SEED", "abc")
     assert run_train(dataset_files, tmp_path / "run") == 2
     assert capsys.readouterr().err == "error: NV_SEED must be an integer, got 'abc'\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_seed_env_negative_exits_2(dataset_files, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NV_SEED", "-1")
+    assert run_train(dataset_files, tmp_path / "run") == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -859,12 +876,16 @@ BAD_INPUT = [
       for flag, value in [("--lr", "0"), ("--epochs", "-1"), ("--batch-size", "-2"),
                           ("--grad-clip", "-1"), ("--hidden", "0"), ("--layers", "0"),
                           ("--max-len", "-3"), ("--lr", "nan"), ("--lr", "inf"),
-                          ("--grad-clip", "nan")]],
+                          ("--grad-clip", "nan"), ("--seed", "-1")]],
     *[_bad(f"train-config-{line.split(' = ')[0]}={line.split(' = ')[1]}",
            f"{TRAIN} --config {{tmp}}/run.cfg", needle=line.split(" = ")[0],
            files={"run.cfg": line + "\n"})
       for line in ["beta1 = 1.0", "beta2 = -0.5", "eps = 0.0", "eps = nan",
                    "learning_rate = inf"]],
+    # TRAIN's --seed flag would override the config's seed
+    _bad("train-config-seed=-1", "train --train-path {train} --config {tmp}/run.cfg "
+         "--out {tmp}/run", needle="error: seed must be >= 0, got -1",
+         files={"run.cfg": "seed = -1\n"}),
     _bad("train-config-unknown-key", f"{TRAIN} --config {{tmp}}/run.cfg",
          needle="no_such_key", files={"run.cfg": "no_such_key = 1\n"}),
     _bad("train-config-bad-value", f"{TRAIN} --config {{tmp}}/run.cfg",
@@ -909,6 +930,10 @@ BAD_INPUT = [
     _bad("train-overflowing-step", "train --train-path {tmp}/long.tsv --head avg "
          "--hidden 3 --epochs 2 --lr 1e308 --out {tmp}/run", code=1,
          needle="non-finite parameters at epoch 1", files={"long.tsv": _long_split}),
+    # the default nv GRU-32, whose forward pass overflows before any check
+    _bad("train-diverging-forward", "train --train-path {tmp}/short.tsv --epochs 2 "
+         "--lr 1e308 --out {tmp}/run", code=1, needle="training diverged: non-finite",
+         files={"short.tsv": lambda p: save_ucr(synth_separable(2, 6, 1, 4, seed=1), p)}),
     # evaluate: checkpoints and splits
     _bad("evaluate-checkpoint-missing",
          "evaluate --checkpoint {tmp}/none.json --dataset-path {test}", needle="not found"),

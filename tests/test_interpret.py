@@ -21,8 +21,10 @@ from neuroview.interpret import (
 )
 from neuroview import interpret
 from neuroview.cli import RunConfig, main, save_checkpoint
-from neuroview.network import EncoderConfig, HeadKind, Model, encode, head_forward
-from neuroview.train import TrainConfig, build_model, eval_report, evaluate, fit
+from neuroview.network import EncoderConfig, HeadKind, Model
+from neuroview.train import TrainConfig, build_model, evaluate, fit
+
+from helpers import pass_problems, sweep_problems
 
 
 def nv_model(n=4, m=1, T=6, d=2, layers=1, bidir=False, seed=0):
@@ -360,29 +362,17 @@ def test_resumed_forward_equals_full_forward(cell, layers):
     for steps in ([0], [T - 1], [2, 3, 6]):
         Xa = X.copy()
         Xa[:, steps] = 0.0
-        t0 = min(steps)
-        want, full = model.forward(Xa)
-        _, base = model.forward(X)
-        resumed = encode(model, Xa, t0, base)
-        got = head_forward(model, resumed)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(resumed.q, full.q)
-        np.testing.assert_array_equal(resumed.step_logits, full.step_logits)
-        for layer in range(layers):
-            # A resumed pass holds the states of all T steps, in place.
-            assert np.shares_memory(resumed.hidden[layer], base.hidden[layer])
-            np.testing.assert_array_equal(resumed.hidden[layer], full.hidden[layer])
-            if cell is CellKind.LSTM:
-                np.testing.assert_array_equal(
-                    resumed.gate_traces[layer].aux, full.gate_traces[layer].aux)
+        lender = (model, X, True, model.forward(X)[1])
+        assert pass_problems(model, Xa, min(steps), lender, True, None)[0] == []
 
 
 def test_bidirectional_encoder_does_not_resume():
     model = nv_model(T=5, bidir=True)
     X = np.ones((2, 5, 1))
-    _, base = model.forward(X)
-    with pytest.raises(ValueError, match="unidirectional"):
-        encode(model, X, 2, base)
+    lender = (model, X, True, model.forward(X)[1])
+    problems, after = pass_problems(model, X, 2, lender, True, None)
+    # The checker gives the lender back after the refusal it predicts.
+    assert problems == [] and after is lender
 
 
 def _count_passes(monkeypatch):
@@ -476,7 +466,7 @@ def test_sweep_keeps_no_gate_arrays(trained, monkeypatch, cell, target):
 @pytest.mark.parametrize("layers,bidir", [(1, False), (2, False), (2, True)],
                          ids=["1-uni", "2-uni", "2-bidir"])
 @pytest.mark.parametrize("cell", [CellKind.GRU, CellKind.LSTM], ids=lambda c: c.value)
-def test_sweep_rows_in_any_order_equal_fresh_passes(monkeypatch, cell, layers, bidir):
+def test_sweep_rows_in_any_order_equal_fresh_passes(cell, layers, bidir):
     T, d = 10, 2
     ds = synth_separable(d, T, 1, 4, seed=5)
     enc = EncoderConfig(cell, 1, 4, T, layers=layers, bidirectional=bidir)
@@ -494,24 +484,9 @@ def test_sweep_rows_in_any_order_equal_fresh_passes(monkeypatch, cell, layers, b
             + [(1, 3, pos, inputs), (0, 3, neg, inputs)]    # step 0
             + [(0, 2, pos, weights), (1, 4, neg, inputs)]   # repeats
             + [(0, 3, pos, inputs), (1, 1, neg, inputs), (0, 0, pos, inputs)])
-    scored = []
-    real = interpret.eval_report
-    monkeypatch.setattr(interpret, "eval_report",
-                        lambda logits, *a: scored.append(logits) or real(logits, *a))
-    results = sweep(model, ds, rows)
-    assert [(r.class_index, r.k, r.mode, r.target) for r in results] == rows
-    for r, logits in zip(results, scored):
-        assert r.zeroed_steps == rank_timesteps(model, r.class_index, r.mode)[:r.k].tolist()
-        X = ds.features().copy()
-        if r.target is inputs:
-            X[:, r.zeroed_steps] = 0.0
-            want, _ = model.forward(X)
-        else:
-            _, trace = model.forward(X)
-            q = trace.q.reshape(len(X), layers, T, -1)
-            q[:, 0, r.zeroed_steps] = 0.0
-            want = trace.q @ model.V.T
-        np.testing.assert_array_equal(logits, want)
+    # The fork as ``sweep`` decides it: on only in a process of one thread.
+    two_processes = interpret._two_processes(len(rows))
+    assert sweep_problems(model, ds, rows, 0, 0, two_processes) == []
 
 
 def test_counterfactual_rows_schema(trained):

@@ -29,7 +29,7 @@ from neuroview.network import (
 )
 from neuroview.train import param_tree, softmax_xent
 
-from helpers import finite_diff_tree, grad_tree, max_tree_rel_err, named_cell_grads
+from helpers import finite_diff_tree, grad_tree, max_tree_rel_err, named_cell_grads, pass_problems
 
 
 def make_model(cell, head, n=3, m=2, T=4, d=2, layers=1, bidir=False, seed=0):
@@ -491,19 +491,6 @@ def test_models_built_from_the_same_cells_do_not_alias():
 
 # ------------------------------------------------------------- buffer reuse
 
-_TRACE_ARRAYS = ("xa", "ha", "gates", "aux", "h0a", "c0")
-
-
-def _pass(model, x, gl, out=None):
-    """Forward and backward; returns the logits, the trace and the flat
-    gradient."""
-    trace = encode(model, x, out=out)
-    logits = head_forward(model, trace)
-    grad = np.empty_like(model.params)
-    network_backward(model, trace, gl, grad)
-    return logits, trace, grad
-
-
 @pytest.mark.parametrize("head", [HeadKind.NEUROVIEW, HeadKind.AVERAGE_POOL],
                          ids=lambda h: h.value)
 @pytest.mark.parametrize("layers,bidir", [(1, False), (2, True)], ids=["1-uni", "2-bidir"])
@@ -513,58 +500,15 @@ def test_pass_into_an_earlier_trace_equals_a_fresh_pass(cell, layers, bidir, hea
     rng = np.random.default_rng(3)
     x1, x2 = rng.normal(size=(2, 5, 7, 2))
     gl1, gl2 = rng.normal(size=(2, 5, 3))
-    want_logits, want, want_grad = _pass(model, x2, gl2)
-    _, prev, _ = _pass(model, x1, gl1)
-    lent = dict(prev.buffers)
-    lent.update({(layer, name): getattr(tr, name)
-                 for layer, tr in enumerate(prev.gate_traces) for name in _TRACE_ARRAYS[:4]})
-    lent.update({(layer, "buffers", name): arr for layer, tr in enumerate(prev.gate_traces)
-                 for name, arr in tr.buffers.items()})
-    if bidir:
-        lent.update({("hidden", layer): H for layer, H in enumerate(prev.hidden)})
-
-    logits, got, grad = _pass(model, x2, gl2, out=prev)
-    np.testing.assert_array_equal(logits, want_logits)
-    np.testing.assert_array_equal(grad, want_grad)
-    for layer in range(layers):
-        np.testing.assert_array_equal(got.hidden[layer], want.hidden[layer])
-        tr, tw = got.gate_traces[layer], want.gate_traces[layer]
-        for name in _TRACE_ARRAYS:
-            if getattr(tw, name) is not None:
-                np.testing.assert_array_equal(getattr(tr, name), getattr(tw, name))
-    if head is HeadKind.NEUROVIEW:
-        # network_backward wrote the gradient at q over q.
-        assert got.q is None and want.q is None
-        np.testing.assert_array_equal(got.step_logits, want.step_logits)
-    # Every per-timestep array, q, the step logits and the backward's work
-    # arrays, the kernel's own included, were written into the earlier
-    # trace's memory.
-    assert set(got.buffers) == {name for name in lent if isinstance(name, str)}
-    for name, arr in lent.items():
-        if isinstance(name, str):
-            now = got.buffers[name]
-        elif name[0] == "hidden":
-            now = got.hidden[name[1]]
-        elif name[1] == "buffers":
-            now = got.gate_traces[name[0]].buffers[name[2]]
-        else:
-            now = getattr(got.gate_traces[name[0]], name[1])
-        assert np.shares_memory(now, arr), name
-
-    # A batch of another size gets fresh arrays and the same values as a
-    # fresh pass.
+    _, prev = model.forward(x1)
+    network_backward(model, prev, gl1)
+    names = set(prev.buffers)
+    problems, lender = pass_problems(model, x2, 0, (model, x1, True, prev), True, gl2)
+    # q, the step logits and the backward's work arrays took the earlier
+    # trace's arrays and no others; a batch of another size gets fresh ones.
+    assert problems == [] and set(lender[3].buffers) == names
     x3 = rng.normal(size=(3, 7, 2))
-    want3 = _pass(model, x3, gl2[:3])
-    got3 = _pass(model, x3, gl2[:3], out=got)
-    np.testing.assert_array_equal(got3[0], want3[0])
-    np.testing.assert_array_equal(got3[2], want3[2])
-    for layer, tr in enumerate(got3[1].gate_traces):
-        for name in _TRACE_ARRAYS[:4]:
-            assert not np.shares_memory(getattr(tr, name), lent[layer, name])
-        for name, arr in tr.buffers.items():
-            assert not np.shares_memory(arr, lent[layer, "buffers", name]), name
-    for name, arr in got3[1].buffers.items():
-        assert not np.shares_memory(arr, lent[name]), name
+    assert pass_problems(model, x3, 0, lender, True, gl2[:3])[0] == []
 
 
 def test_nv_backward_writes_over_q():
@@ -602,29 +546,8 @@ def test_pass_resumed_in_place_equals_a_fresh_pass(cell, layers, gates):
     for t0 in (1, CHUNK, T - 1):
         xa = x.copy()
         xa[:, t0:] = rng.normal(size=(5, T - t0, 2))
-        want = encode(model, xa, gates=gates)
-        want_logits = head_forward(model, want)
-        base = encode(model, x, gates=gates)
-        head_forward(model, base)
-        got = encode(model, xa, t0, base, gates=gates)
-        np.testing.assert_array_equal(head_forward(model, got),
-                                      want_logits)
-        assert np.shares_memory(got.q, base.q)
-        np.testing.assert_array_equal(got.q, want.q)
-        np.testing.assert_array_equal(got.step_logits, want.step_logits)
-        for layer in range(layers):
-            assert np.shares_memory(got.hidden[layer], base.hidden[layer])
-            np.testing.assert_array_equal(got.hidden[layer], want.hidden[layer])
-            tr, tw = got.gate_traces[layer], want.gate_traces[layer]
-            for name in _TRACE_ARRAYS:
-                assert (getattr(tr, name) is None) == (getattr(tw, name) is None), name
-                if getattr(tw, name) is not None:
-                    np.testing.assert_array_equal(getattr(tr, name), getattr(tw, name))
-        if gates:
-            grads = [np.empty_like(model.params) for _ in range(2)]
-            network_backward(model, got, gl, grads[0])
-            network_backward(model, want, gl, grads[1])
-            np.testing.assert_array_equal(*grads)
+        lender = (model, x, gates, model.forward(x, gates=gates)[1])
+        assert pass_problems(model, xa, t0, lender, gates, gl if gates else None)[0] == []
 
 
 @pytest.mark.parametrize("t0", [True, False, 1.5, 2.0, "2", None], ids=repr)
@@ -649,17 +572,20 @@ def test_resume_takes_a_numpy_integer():
 
 
 def test_a_pass_resumes_only_into_a_matching_trace():
+    def lender(model, x, gates=True):
+        return model, x, gates, model.forward(x, gates=gates)[1]
+
+    def refused(model, x, t0, held, gates=True):
+        # The checker gives the lender back after the refusal it predicts.
+        problems, after = pass_problems(model, x, t0, held, gates, None)
+        return problems == [] and after is held
+
     model = make_model(CellKind.LSTM, HeadKind.NEUROVIEW, T=5)
     x = np.ones((2, 5, 2))
-    _, base = model.forward(x)
-    _, forward_only = model.forward(x, gates=False)
-    for out, batch, gates in ((None, x, True), (base, x[:1], True), (base, x, False),
-                              (forward_only, x, True)):
-        with pytest.raises(ValueError, match="resumes into a trace"):
-            encode(model, batch, 2, out, gates=gates)
-    for t0 in (-1, 5):
-        with pytest.raises(ValueError, match=r"resume must be in \[0, 5\)"):
-            encode(model, x, t0, base)
+    base = lender(model, x)
+    assert refused(model, x, 2, None) and refused(model, x[:1], 2, base)
+    assert refused(model, x, 2, base, False) and refused(model, x, 2, lender(model, x, False))
+    assert refused(model, x, -1, base) and refused(model, x, 5, base)
     # Nor into a pass of another encoder: one of two layers of the same
     # width, one of another hidden size, one of another cell and, where
     # the trace keeps its inputs, one of another input width.
@@ -670,38 +596,17 @@ def test_a_pass_resumes_only_into_a_matching_trace():
                              (make_model(cell, HeadKind.NEUROVIEW, n=4, T=5), (True, False)),
                              (make_model(other_cell, HeadKind.NEUROVIEW, T=5), (True, False)),
                              (make_model(cell, HeadKind.NEUROVIEW, m=3, T=5), (True,))):
-            for gates in modes:
-                _, out = other.forward(np.ones((2, 5, other.encoder.input_dim)), gates=gates)
-                with pytest.raises(ValueError, match="resumes into a trace"):
-                    encode(model, x, 2, out, gates=gates)
+            y = np.ones((2, 5, other.encoder.input_dim))
+            assert all(refused(model, x, 2, lender(other, y, gates), gates) for gates in modes)
     # A pass that only borrows arrays takes them from a trace of as many
     # layers, deeper or shallower.
     one, two = (make_model(CellKind.GRU, HeadKind.NEUROVIEW, T=5, layers=k) for k in (1, 2))
-    for model, other in ((two, one), (one, two)):
-        _, out = other.forward(x)
-        with pytest.raises(ValueError, match="as many layers"):
-            encode(model, x, out=out)
+    assert refused(two, x, 0, lender(one, x)) and refused(one, x, 0, lender(two, x))
 
 
 # ------------------------------------------------------ forward-only passes
 
 _SHAPES = [(1, False), (2, True), (2, False)]
-
-
-def _assert_forward_only_equals_full(got, got_trace, want, want_trace, cell):
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got_trace.q, want_trace.q)
-    assert not got_trace.gates and got_trace.step_logits is None
-    for layer, tr in enumerate(got_trace.gate_traces):
-        full = want_trace.gate_traces[layer]
-        np.testing.assert_array_equal(got_trace.hidden[layer], want_trace.hidden[layer])
-        np.testing.assert_array_equal(tr.ha, full.ha)
-        assert tr.gates is None and tr.xa is None
-        if cell is CellKind.LSTM:
-            # The cell states stay, for a pass that resumes from this one.
-            np.testing.assert_array_equal(tr.aux, full.aux)
-        else:
-            assert tr.aux is None
 
 
 @pytest.mark.parametrize("B", [1, 3, 58])
@@ -713,20 +618,16 @@ def test_forward_only_pass_equals_the_full_pass(cell, layers, bidir, B):
     model = make_model(cell, HeadKind.NEUROVIEW, n=5, m=2, T=T, d=3, layers=layers,
                        bidir=bidir, seed=4)
     x = np.random.default_rng(B).normal(size=(B, T, 2))
-    want, full = model.forward(x)
-    got, trace = model.forward(x, gates=False)
-    _assert_forward_only_equals_full(got, trace, want, full, cell)
-    if not bidir:
-        # Forward-only passes resumed in place, at steps in the short last
-        # chunk, on a chunk boundary and inside the first chunk; each one
-        # reads only steps that the ones before it left as they were.
-        xa = x.copy()
-        for t0 in (2 * CHUNK + 1, CHUNK, 1):
-            xa[:, t0:] = -x[:, t0:]
-            want, full = model.forward(xa)
-            trace = encode(model, xa, t0, trace, gates=False)
-            got = head_forward(model, trace)
-            _assert_forward_only_equals_full(got, trace, want, full, cell)
+    problems, lender = pass_problems(model, x, 0, None, False, None)
+    # Unidirectional, forward-only passes resumed in place, at steps in the
+    # short last chunk, on a chunk boundary and inside the first chunk; each
+    # one reads only steps that the ones before it left as they were.
+    xa = x.copy()
+    for t0 in () if bidir else (2 * CHUNK + 1, CHUNK, 1):
+        xa[:, t0:] = -x[:, t0:]
+        found, lender = pass_problems(model, xa, t0, lender, False, None)
+        problems += found
+    assert problems == []
 
 
 @pytest.mark.parametrize("head", list(HeadKind), ids=lambda h: h.value)
@@ -735,11 +636,7 @@ def test_forward_only_pass_with_a_horizon_below_chunk(cell, head):
     T = CHUNK - 3
     model = make_model(cell, head, n=4, m=2, T=T, d=3, layers=2, bidir=True, seed=5)
     x = np.random.default_rng(9).normal(size=(6, T, 2))
-    want, full = model.forward(x)
-    got, trace = model.forward(x, gates=False)
-    np.testing.assert_array_equal(got, want)
-    for got_h, want_h in zip(trace.hidden, full.hidden):
-        np.testing.assert_array_equal(got_h, want_h)
+    assert pass_problems(model, x, 0, None, False, None)[0] == []
 
 
 @pytest.mark.parametrize("cell", list(CellKind), ids=lambda c: c.value)
@@ -747,24 +644,15 @@ def test_forward_only_pass_into_an_earlier_one_reuses_its_chunk_buffers(cell):
     T = 2 * CHUNK + 1
     model = make_model(cell, HeadKind.NEUROVIEW, n=4, m=2, T=T, d=3, seed=6)
     x1, x2 = np.random.default_rng(2).normal(size=(2, 5, T, 2))
-    want, _ = model.forward(x2)
     prev = encode(model, x1, gates=False)
-    lent = dict(prev.gate_traces[0].buffers)
-    assert lent
-    trace = encode(model, x2, out=prev, gates=False)
-    np.testing.assert_array_equal(head_forward(model, trace), want)
-    for name, arr in lent.items():
-        assert np.shares_memory(trace.gate_traces[0].buffers[name], arr), name
-    # So does a pass resumed inside the short last chunk, which runs fewer
-    # than CHUNK steps.
+    # The kernel's chunk buffers are lent, to this pass and to one resumed
+    # inside the short last chunk, which runs fewer than CHUNK steps.
+    assert prev.gate_traces[0].buffers
+    problems, lender = pass_problems(model, x2, 0, (model, x1, False, prev), False, None)
     t0 = T - 2
     x3 = x2.copy()
     x3[:, t0:] = -x2[:, t0:]
-    want, _ = model.forward(x3)
-    trace = encode(model, x3, t0, trace, gates=False)
-    np.testing.assert_array_equal(head_forward(model, trace), want)
-    for name, arr in lent.items():
-        assert np.shares_memory(trace.gate_traces[0].buffers[name], arr), name
+    assert problems + pass_problems(model, x3, t0, lender, False, None)[0] == []
 
 
 def test_forward_only_trace_cannot_be_backpropagated():

@@ -5,21 +5,21 @@ child runs about half of the ablated passes from the inputs alone, on a
 trace of its own. The scores must be the same bits as the serial loop's,
 whatever the child does, and neither the child nor the shared array it
 writes its logits into may outlive the sweep, even when this process
-fails first. A fork that copies live BLAS threads can deadlock the child,
-so the tests that force the fork run in one child interpreter with BLAS
-pinned to one thread, as ``tests/test_checkpoint_fuzz.py`` runs its
-mutants. Run as a script, this file is that interpreter: ``python
-tests/test_sweep_processes.py`` prints one JSON report of the problems
-found in each case.
+fails first. The bit cases run the trace contracts' checker,
+``sweep_problems`` in ``tests/helpers.py``, with the fork forced off and
+on; the fault cases compare the forced sweep with the serial one. A fork
+that copies live BLAS threads can deadlock the child, so the tests that
+force the fork run in one child interpreter with BLAS pinned to one
+thread (``run_pinned``). Run as a script, this file is that interpreter:
+``python tests/test_sweep_processes.py`` prints one JSON report of the
+problems found in each case.
 """
 
-import contextlib
 import json
 import mmap
 import os
 import random
 import signal
-import subprocess
 import sys
 import threading
 import warnings
@@ -30,9 +30,11 @@ import pytest
 from neuroview import interpret
 from neuroview.cells import CellKind, InitKind, InitScheme
 from neuroview.data import DataSet, synth_separable
-from neuroview.interpret import AblationMode, AblationTarget, sweep
+from neuroview.interpret import AblationMode, AblationTarget
 from neuroview.network import EncoderConfig, HeadKind
 from neuroview.train import build_model
+
+from helpers import _leftover_children, _patched, counted_sweep, run_pinned, sweep_problems
 
 SHAPES = {"1-uni": (1, False), "2-uni": (2, False), "2-bidir": (2, True)}
 BIT_CASES = [f"{cell.value}-{shape}" for cell in CellKind for shape in SHAPES]
@@ -62,55 +64,16 @@ def _model(cell, layers, bidir, T=10, d=2):
     return model, synth_separable(d, T, 1, 4, seed=5)
 
 
-@contextlib.contextmanager
-def _patched(owner, **names):
-    """``owner``'s attributes in ``names`` replaced for the block."""
-    saved = {name: getattr(owner, name) for name in names}
-    for name, value in names.items():
-        setattr(owner, name, value)
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            setattr(owner, name, value)
-
-
 def _scores(model, ds, two_processes):
-    """Each row's logits and report from one ``sweep`` with the fork
-    forced on or off, as bytes, and the number of forks it made. Forced
-    on, the child is forked before this process's unablated pass and
-    runs its sets from the inputs, so none of its logits come from this
-    process's trace."""
-    scored, forks = [], []
-    real_report, real_fork = interpret.eval_report, os.fork
-
-    def report(logits, *args):
-        scored.append(logits.tobytes())
-        return real_report(logits, *args)
-
-    with _patched(interpret, eval_report=report, _two_processes=lambda n_sets: two_processes), \
-            _patched(os, fork=lambda: forks.append(1) or real_fork()):
-        results = sweep(model, ds, ROWS)
-    reports = [(repr(r.report.overall_accuracy), r.report.per_class_accuracy.tobytes(),
-                r.report.confusion.tobytes()) for r in results]
-    return scored + reports, len(forks)
-
-
-def _problems(model, ds, want):
-    """What is wrong with a forced two-process sweep of ``ROWS``: scores
-    that are not ``want``'s bits, or a child left behind; and its number
-    of forks."""
-    got, forks = _scores(model, ds, True)
-    problems = [] if got == want else ["scores differ from the serial sweep's"]
-    return problems + _leftover_children(), forks
-
-
-def _leftover_children():
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return []
-    return ["a child outlived the sweep"]
+    """Each row's logits and report from one ``sweep`` of ``ROWS`` with
+    the fork forced on or off, as bytes, and the number of forks it made.
+    Forced on, the child is forked before this process's unablated pass
+    and runs its sets from the inputs, so none of its logits come from
+    this process's trace."""
+    results, scored, forks = counted_sweep(model, ds, ROWS, 0, 0, two_processes)
+    return [logits.tobytes() for logits in scored] + [
+        (repr(r.report.overall_accuracy), r.report.per_class_accuracy.tobytes(),
+         r.report.confusion.tobytes()) for r in results], forks
 
 
 def _shared_maps():
@@ -128,14 +91,10 @@ def run_cases():
     for cell in CellKind:
         for shape, (layers, bidir) in SHAPES.items():
             model, ds = _model(cell, layers, bidir)
-            want, serial_forks = _scores(model, ds, False)
-            problems, forks = _problems(model, ds, want)
-            if (serial_forks, forks) != (0, 1):
-                problems.append(f"{serial_forks} and {forks} forks, not 0 and 1")
-            report[f"{cell.value}-{shape}"] = problems
+            report[f"{cell.value}-{shape}"] = (sweep_problems(model, ds, ROWS, 0, 0, False)
+                                              + sweep_problems(model, ds, ROWS, 0, 0, True))
 
     model, ds = _model(CellKind.GRU, 2, False)
-    want, _ = _scores(model, ds, False)
     encode, head_forward = interpret.encode, interpret.head_forward
     parent = os.getpid()
     child_passes = []
@@ -159,29 +118,26 @@ def run_cases():
     def raises(*args):
         raise OSError("refused")
 
-    # Each case: the name replaced, and the number of forks the sweep makes.
-    for case, owner, names, want_forks in [
-            ("child-fails", interpret, {"encode": fails_in_child}, 1),
-            ("child-killed", interpret, {"encode": killed_in_second_child_pass}, 1),
-            ("child-wrong-shape", interpret, {"head_forward": wrong_shape}, 1),
-            ("fork-raises", os, {"fork": raises}, 1),
-            ("mmap-raises", mmap, {"mmap": raises}, 0)]:
+    # Each case: the name replaced, the split and the number of forks the
+    # sweep makes. With no samples the child's array would be 0 bytes,
+    # which mmap refuses, so this process runs both sides and reports NaN,
+    # as the serial loop.
+    empty = DataSet(ds.X[:0], ds.y[:0], ds.classes)
+    for case, owner, names, data, want_forks in [
+            ("child-fails", interpret, {"encode": fails_in_child}, ds, 1),
+            ("child-killed", interpret, {"encode": killed_in_second_child_pass}, ds, 1),
+            ("child-wrong-shape", interpret, {"head_forward": wrong_shape}, ds, 1),
+            ("fork-raises", os, {"fork": raises}, ds, 1),
+            ("mmap-raises", mmap, {"mmap": raises}, ds, 0),
+            ("empty-split", mmap, {}, empty, 0)]:
         try:
+            want, _ = _scores(model, data, False)
             with _patched(owner, **names):
-                problems, forks = _problems(model, ds, want)
-            report[case] = problems + ([] if forks == want_forks else [f"{forks} forks"])
+                got, forks = _scores(model, data, True)
+            report[case] = ([] if got == want else ["scores differ from the serial sweep's"]) + (
+                [] if forks == want_forks else [f"{forks} forks"]) + _leftover_children()
         except Exception as e:
             report[case] = [f"sweep raised {e!r}"] + _leftover_children()
-
-    # No samples: the child's array would be 0 bytes, which mmap refuses,
-    # so this process runs both sides and reports NaN, as the serial loop.
-    empty = DataSet(ds.X[:0], ds.y[:0], ds.classes)
-    try:
-        empty_want, _ = _scores(model, empty, False)
-        problems, forks = _problems(model, empty, empty_want)
-        report["empty-split"] = problems + ([] if forks == 0 else [f"{forks} forks"])
-    except Exception as e:
-        report["empty-split"] = [f"sweep raised {e!r}"] + _leftover_children()
 
     # The parent's own passes fail: the error propagates, and the child
     # is killed and reaped first.
@@ -195,7 +151,7 @@ def run_cases():
 
     try:
         with _patched(interpret, encode=fails_on_second_pass):
-            _problems(model, ds, want)
+            _scores(model, ds, True)
         problems = ["the parent's error did not propagate"]
     except RuntimeError as e:
         problems = [] if str(e) == "parent fault" else [f"raised {e!r}"]
@@ -223,6 +179,7 @@ def run_cases():
     report["unablated-raises"] = problems + _leftover_children()
 
     # Every sweep unmaps its child's array before it returns.
+    want, _ = _scores(model, ds, False)
     before, problems = _shared_maps(), []
     for _ in range(30):
         got, forks = _scores(model, ds, True)
@@ -237,13 +194,7 @@ def run_cases():
 
 @pytest.fixture(scope="module")
 def report():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    report = run_pinned(__file__)
     assert sorted(report) == sorted(CASES)
     return report
 
