@@ -428,7 +428,8 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
                 np.multiply(i_g, g_g, out=tmp)
                 a += tmp
                 np.tanh(a, out=tmp)
-                np.multiply(o, tmp, out=h)
+                tmp *= o
+                np.copyto(h, tmp)
                 c = a
             hT_prev = hT
 
@@ -525,8 +526,9 @@ def sequence_backward(kind: CellKind, weights: tuple, trace: SequenceTrace,
         dh += dh_in
         # dG <- gradient at the input pre-activations (W_i x + b_i).
         if kind is CellKind.SIMPLE_RNN:
-            np.multiply(dh, b0, out=dG)
-            np.subtract(1.0, b0, out=w1)
+            np.copyto(w1, b0)
+            np.multiply(dh, w1, out=dG)
+            np.subtract(1.0, w1, out=w1)
             dG *= w1
         elif kind is CellKind.GRU:
             z, n_g = b1, b2

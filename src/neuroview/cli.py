@@ -43,6 +43,12 @@ from .data import DataSet, load_ucr, pad_dataset
 from . import interpret
 
 CHECKPOINT_VERSION = 2
+# The facts a checkpoint stores twice, in the order they are checked: each
+# run config key and the document path of its other copy.
+TWICE_STORED = ([(key, ("encoder", key))
+                 for key in ("cell", "hidden_dim", "layers", "bidirectional", "max_len")]
+                + [("head", ("head", "kind")), ("mean_pool", ("head", "mean_pool")),
+                   ("seed", ("seed",))])
 
 
 class UsageError(Exception):
@@ -204,7 +210,7 @@ def save_checkpoint(path, model: Model, run_config: RunConfig,
     raw label of each class id (default: the ids themselves). The document
     passes through ``load_checkpoint``'s decoder first: what that would
     reject (non-finite parameters, labels that are not one increasing
-    label per class, a run config field of the wrong type, ...) raises
+    label per class, a run config that train refuses, ...) raises
     ``ValueError`` with its message, and nothing is written."""
     cfg = model.encoder
     if classes is None:
@@ -317,21 +323,22 @@ def _decode_checkpoint(doc: dict):
             raise ValueError(f"field 'run_config.{key}' is not a run config field")
     run_config = RunConfig(**{key: _typed(rc, key, kind, "run_config")
                               for key, kind in types.items()})
-    # The run config repeats the architecture, and the top level (if it
-    # holds one) the seed: the copies must agree. A max_len of 0 means the
-    # split's length.
-    facts = {"cell": cfg.cell.value, "head": model.head_kind.value,
-             "hidden_dim": cfg.hidden_dim, "layers": cfg.layers,
-             "bidirectional": cfg.bidirectional, "mean_pool": model.mean_pool,
-             "max_len": cfg.max_len}
-    for key, value in facts.items():
+    try:  # the objects train builds from a run config
+        run_config.train_config()
+        run_config.init_scheme()
+    except (ValueError, UsageError) as e:
+        raise ValueError(f"field 'run_config': {e}") from None
+    # Each run config copy agrees with the model's (a max_len of 0 means the
+    # split's length), and the seed with the top level's, if it holds one.
+    for key, path in TWICE_STORED:
         said = rc[key]
-        if said != value and not (key == "max_len" and said == 0):
-            raise ValueError(f"field 'run_config.{key}' is {json.dumps(said)}, "
-                             f"but the model's {key} is {json.dumps(value)}")
-    if "seed" in doc and _typed(doc, "seed", "int") != rc["seed"]:
-        raise ValueError(f"field 'seed' is {doc['seed']}, but field 'run_config.seed' "
-                         f"is {rc['seed']}")
+        if len(path) == 1:  # the top-level seed
+            if path[0] in doc and _typed(doc, path[0], "int") != said:
+                raise ValueError(f"field '{path[0]}' is {doc[path[0]]}, but field "
+                                 f"'run_config.{key}' is {said}")
+        elif said != doc[path[0]][path[1]] and not (key == "max_len" and said == 0):
+            raise ValueError(f"field 'run_config.{key}' is {json.dumps(said)}, but the "
+                             f"model's {key} is {json.dumps(doc[path[0]][path[1]])}")
     classes = None
     if version == CHECKPOINT_VERSION:
         classes = _typed(doc, "classes", None)

@@ -18,6 +18,7 @@ import warnings
 from pathlib import Path
 
 from helpers import run_pinned
+from neuroview.cli import TWICE_STORED
 
 SEED = 0
 MUTANTS = 400
@@ -29,11 +30,7 @@ HUGE_OR_NEGATIVE = [-1, -(2**31), 2**31, 2**63, 10**15, 10**30, -(10**18)]
 DEPTHS = [2, 64, 5000]
 DEEP = "__deep__"
 # The facts a checkpoint stores twice, as the paths of their two copies.
-COPIES = ([(("run_config", key), ("encoder", key))
-           for key in ("cell", "hidden_dim", "layers", "bidirectional", "max_len")]
-          + [(("run_config", "head"), ("head", "kind")),
-             (("run_config", "mean_pool"), ("head", "mean_pool")),
-             (("run_config", "seed"), ("seed",))])
+COPIES = [(("run_config", key), path) for key, path in TWICE_STORED]
 NAMES = ["rnn", "gru", "lstm", "nv", "last", "avg"]
 
 

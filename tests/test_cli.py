@@ -2,7 +2,9 @@ import base64
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -264,29 +266,44 @@ def _run_config_empty(doc):
     doc["run_config"] = {}
 
 
-CORRUPTIONS = [_drop_encoder, _unknown_run_config_key, _bad_payload_shape, "truncated",
-               _nan_in_V, _inf_in_V, _nan_in_cell, _inf_in_cell, _classes_not_increasing,
-               _layers_bool, _cells_object, _cell_list, _znorm_string, _mean_pool_string,
-               _classes_strings, _head_list, _encoder_list, _V_list, _run_config_list,
-               _V_data_short, _V_shape_string, _V_data_not_base64, _cell_data_missing,
-               _version_bool, _V_one_axis, _V_narrow, _no_cells, _run_config_hidden_dim,
-               _seed_copy, _run_config_znorm_missing, _run_config_empty]
-# The field that the error line names: every corruption but the truncated
-# file, which is not JSON, and the format version.
-FIELD_OF = {_drop_encoder: "encoder", _unknown_run_config_key: "run_config.no_such_field",
-            _nan_in_V: "head.V", _inf_in_V: "head.V", _nan_in_cell: "cells[0].U",
-            _inf_in_cell: "cells[0].b", _classes_not_increasing: "classes",
-            _layers_bool: "encoder.layers", _cells_object: "cells", _cell_list: "cells",
-            _znorm_string: "run_config.znorm", _mean_pool_string: "head.mean_pool",
-            _classes_strings: "classes", _head_list: "head", _encoder_list: "encoder",
-            _V_list: "head.V", _run_config_list: "run_config",
-            _bad_payload_shape: "head.V.data", _V_data_short: "head.V.data",
-            _V_shape_string: "head.V.shape", _V_data_not_base64: "head.V.data",
-            _cell_data_missing: "cells[0].U.data", _V_one_axis: "head.V",
-            _V_narrow: "head.V", _no_cells: "cells",
-            _run_config_hidden_dim: "run_config.hidden_dim", _seed_copy: "seed",
-            _run_config_znorm_missing: "run_config.znorm",
-            _run_config_empty: "run_config.train_path"}
+def _run_config_is(key, value):
+    """A corruption that gives the run config a ``value`` train refuses, and
+    the top level's seed the same ``value`` when ``key`` is seed."""
+    def corrupt(doc):
+        doc["run_config"][key] = value
+        if key == "seed":
+            doc["seed"] = value
+    corrupt.__name__ = f"run_config_{key}={value}"
+    return corrupt
+
+
+# Run config values that train refuses, and how it says so.
+REFUSED = [("seed", -1, "seed must be >= 0, got -1"),
+           ("learning_rate", 0, "learning_rate must be finite and > 0, got 0"),
+           ("epochs", -1, "epochs must be >= 0, got -1"),
+           ("batch_size", -2, "batch_size must be >= 1, got -2"),
+           ("beta1", 1.0, "beta1 must lie in [0, 1), got 1.0"),
+           ("eps", 0, "eps must be finite and > 0, got 0"),
+           ("grad_clip", -1, "grad_clip must be finite and > 0, got -1"),
+           ("init", "bogus", "invalid init 'bogus'; expected one of: uniform, ")]
+# Each corruption and the field its error line names: none for the
+# truncated file, which is not JSON, and the format version.
+CORRUPTIONS = [
+    (_drop_encoder, "encoder"), (_unknown_run_config_key, "run_config.no_such_field"),
+    (_bad_payload_shape, "head.V.data"), ("truncated", None),
+    (_nan_in_V, "head.V"), (_inf_in_V, "head.V"), (_nan_in_cell, "cells[0].U"),
+    (_inf_in_cell, "cells[0].b"), (_classes_not_increasing, "classes"),
+    (_layers_bool, "encoder.layers"), (_cells_object, "cells"), (_cell_list, "cells"),
+    (_znorm_string, "run_config.znorm"), (_mean_pool_string, "head.mean_pool"),
+    (_classes_strings, "classes"), (_head_list, "head"), (_encoder_list, "encoder"),
+    (_V_list, "head.V"), (_run_config_list, "run_config"), (_V_data_short, "head.V.data"),
+    (_V_shape_string, "head.V.shape"), (_V_data_not_base64, "head.V.data"),
+    (_cell_data_missing, "cells[0].U.data"), (_version_bool, None),
+    (_V_one_axis, "head.V"), (_V_narrow, "head.V"), (_no_cells, "cells"),
+    (_run_config_hidden_dim, "run_config.hidden_dim"), (_seed_copy, "seed"),
+    (_run_config_znorm_missing, "run_config.znorm"),
+    (_run_config_empty, "run_config.train_path"),
+] + [(_run_config_is(key, value), "run_config") for key, value, _ in REFUSED]
 
 
 def _write_checkpoint(p, head=HeadKind.NEUROVIEW, corrupt=None):
@@ -356,6 +373,10 @@ def _run_config_says(**fields):
     for key, value in [("cell", "lstm"), ("head", "last"), ("hidden_dim", 64), ("layers", 2),
                        ("bidirectional", True), ("mean_pool", True), ("max_len", 7)]
 ] + [
+    pytest.param(_run_config_says(**{key: value}), f"field 'run_config': {message}",
+                 id=f"run_config-{key}={value}")
+    for key, value, message in REFUSED
+] + [
     # Several copies disagree: the first in the decoder's order is named.
     pytest.param(_run_config_says(cell="lstm", head="nv", hidden_dim=64, layers=2,
                                   bidirectional=True, mean_pool=True),
@@ -381,6 +402,61 @@ def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path, edit, ne
     assert str(refused.value) == str(rejected.value).replace(str(bad), str(p))
     assert needle in str(refused.value)
     assert not p.exists()
+
+
+# Values of the run config fields that do not describe the model: those
+# train accepts, and those it refuses.
+NON_ARCHITECTURE = {
+    "train_path": (["", "a.tsv"], []), "test_path": (["", "b.tsv"], []),
+    "znorm": ([False, True], []), "output_dir": (["runs/latest", ""], []),
+    "init": ([kind.value for kind in InitKind], ["bogus", ""]),
+    "learning_rate": ([0.001, 1e308], [0.0, -1.0, math.nan, math.inf]),
+    "epochs": ([0, 5], [-1]), "batch_size": ([0, 4], [-2]),
+    "beta1": ([0.0, 0.9], [1.0, -0.5, math.nan]),
+    "beta2": ([0.0, 0.999], [1.0, -0.5, math.nan]),
+    "eps": ([1e-8], [0.0, -1.0, math.inf, math.nan]),
+    "seed": ([0, 7], [-1]), "grad_clip": ([0.0, 1.0], [-1.0, math.inf, math.nan]),
+}
+
+
+def test_save_checkpoint_accepts_exactly_the_run_configs_train_accepts(tmp_path):
+    # MATCHING's architecture, every other field drawn, each refused value
+    # with probability 1/10; a refusal carries load's message.
+    assert set(NON_ARCHITECTURE) == {f.name for f in dataclasses.fields(RunConfig)} - {
+        "cell", "head", "hidden_dim", "layers", "bidirectional", "max_len", "mean_pool"}
+    model = build_model(EncoderConfig(CellKind.GRU, 1, 3, 8), HeadKind.NEUROVIEW, 2,
+                        InitScheme())
+    good = tmp_path / "good.json"
+    save_checkpoint(good, model, MATCHING)
+    rng = random.Random(0)
+    outcomes = set()
+    for i in range(100):
+        rc = dataclasses.replace(MATCHING, **{
+            key: rng.choice(no if no and rng.random() < 0.1 else yes)
+            for key, (yes, no) in NON_ARCHITECTURE.items()})
+        try:
+            rc.train_config()
+            rc.init_scheme()
+            accepts = True
+        except (ValueError, UsageError):
+            accepts = False
+        p = tmp_path / f"{i}.json"
+        if accepts:
+            save_checkpoint(p, model, rc)
+            assert load_checkpoint(p)[1] == rc
+        else:
+            doc = json.loads(good.read_text())
+            doc["run_config"], doc["seed"] = dataclasses.asdict(rc), rc.seed
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(UsageError) as rejected:
+                load_checkpoint(bad)
+            with pytest.raises(ValueError) as refused:
+                save_checkpoint(p, model, rc)
+            assert str(refused.value) == str(rejected.value).replace(str(bad), str(p))
+            assert not p.exists()
+        outcomes.add(accepts)
+    assert outcomes == {True, False}
 
 
 V1_CHECKPOINT = Path(__file__).parent / "fixtures" / "checkpoint_v1_gru.json"
@@ -939,10 +1015,9 @@ BAD_INPUT = [
          "evaluate --checkpoint {tmp}/none.json --dataset-path {test}", needle="not found"),
     *[_bad(f"evaluate-checkpoint-{getattr(c, '__name__', c).lstrip('_')}",
            "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}",
-           needle="checkpoint {tmp}/ckpt.json: "
-                  + (f"field '{FIELD_OF[c]}'" if c in FIELD_OF else ""),
+           needle="checkpoint {tmp}/ckpt.json: " + (f"field '{field}'" if field else ""),
            files={"ckpt.json": lambda p, c=c: _write_checkpoint(p, corrupt=c)})
-      for c in CORRUPTIONS],
+      for c, field in CORRUPTIONS],
     # pack checks the shapes before it allocates blocks for this hidden size
     _bad("evaluate-checkpoint-huge-hidden-dim",
          "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}",
