@@ -428,8 +428,7 @@ def sequence_forward(kind: CellKind, weights: tuple, X: np.ndarray,
                 np.multiply(i_g, g_g, out=tmp)
                 a += tmp
                 np.tanh(a, out=tmp)
-                tmp *= o
-                np.copyto(h, tmp)
+                np.multiply(o, tmp, out=h)
                 c = a
             hT_prev = hT
 
@@ -526,9 +525,8 @@ def sequence_backward(kind: CellKind, weights: tuple, trace: SequenceTrace,
         dh += dh_in
         # dG <- gradient at the input pre-activations (W_i x + b_i).
         if kind is CellKind.SIMPLE_RNN:
-            np.copyto(w1, b0)
-            np.multiply(dh, w1, out=dG)
-            np.subtract(1.0, w1, out=w1)
+            np.multiply(dh, b0, out=dG)
+            np.subtract(1.0, b0, out=w1)
             dG *= w1
         elif kind is CellKind.GRU:
             z, n_g = b1, b2

@@ -43,12 +43,12 @@ from .data import DataSet, load_ucr, pad_dataset
 from . import interpret
 
 CHECKPOINT_VERSION = 2
-# The facts a checkpoint stores twice, in the order they are checked: each
-# run config key and the document path of its other copy.
+# The architecture a checkpoint stores twice, in the order it is checked:
+# each run config key and the section and key of its other copy. The seed,
+# which the top level may also hold, is checked apart.
 TWICE_STORED = ([(key, ("encoder", key))
                  for key in ("cell", "hidden_dim", "layers", "bidirectional", "max_len")]
-                + [("head", ("head", "kind")), ("mean_pool", ("head", "mean_pool")),
-                   ("seed", ("seed",))])
+                + [("head", ("head", "kind")), ("mean_pool", ("head", "mean_pool"))])
 
 
 class UsageError(Exception):
@@ -263,8 +263,8 @@ def load_checkpoint(path):
 
 
 # The JSON value types a checkpoint field may hold, by the field's Python
-# type or "object"; a float field also takes an integer, but no field takes
-# a boolean for a number.
+# type or "object"; a float field also takes an integer a float can hold,
+# but no field takes a boolean for a number.
 _JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "float": (float, int),
                "object": (dict,)}
 
@@ -279,6 +279,11 @@ def _typed(section: dict, key: str, type_name: Optional[str], where: str = ""):
     value = section[key]
     if type_name is not None and type(value) not in _JSON_TYPES[type_name]:
         raise ValueError(f"field '{field}' must be {type_name}, got {json.dumps(value)}")
+    if type_name == "float" and type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"field '{field}' is an integer too large for a float") from None
     return value
 
 
@@ -328,23 +333,25 @@ def _decode_checkpoint(doc: dict):
         run_config.init_scheme()
     except (ValueError, UsageError) as e:
         raise ValueError(f"field 'run_config': {e}") from None
-    # Each run config copy agrees with the model's (a max_len of 0 means the
-    # split's length), and the seed with the top level's, if it holds one.
-    for key, path in TWICE_STORED:
-        said = rc[key]
-        if len(path) == 1:  # the top-level seed
-            if path[0] in doc and _typed(doc, path[0], "int") != said:
-                raise ValueError(f"field '{path[0]}' is {doc[path[0]]}, but field "
-                                 f"'run_config.{key}' is {said}")
-        elif said != doc[path[0]][path[1]] and not (key == "max_len" and said == 0):
-            raise ValueError(f"field 'run_config.{key}' is {json.dumps(said)}, but the "
-                             f"model's {key} is {json.dumps(doc[path[0]][path[1]])}")
+    # The run config's copies agree with the model's (a max_len of 0 means
+    # the split's length), and its seed with the top level's, if it holds one.
+    for key, (section, name) in TWICE_STORED:
+        said, value = rc[key], doc[section][name]
+        if said != value and not (key == "max_len" and said == 0):
+            raise ValueError(f"field 'run_config.{key}' is {json.dumps(said)}, "
+                             f"but the model's {key} is {json.dumps(value)}")
+    if "seed" in doc and _typed(doc, "seed", "int") != rc["seed"]:
+        raise ValueError(f"field 'seed' is {doc['seed']}, but field 'run_config.seed' "
+                         f"is {rc['seed']}")
     classes = None
     if version == CHECKPOINT_VERSION:
         classes = _typed(doc, "classes", None)
         if type(classes) is not list or not all(type(c) in _JSON_TYPES["float"] for c in classes):
             raise ValueError("field 'classes' must be a list of numbers")
-        classes = np.asarray(classes, dtype=DTYPE)
+        try:
+            classes = np.asarray(classes, dtype=DTYPE)
+        except OverflowError:
+            raise ValueError("field 'classes' holds an integer too large for a float") from None
         if classes.shape != (model.num_classes,) or not np.all(np.diff(classes) > 0):
             raise ValueError(f"field 'classes' must be {model.num_classes} increasing labels")
     return model, run_config, doc.get("metrics"), classes

@@ -26,11 +26,12 @@ ADDRESS_SPACE = 1 << 30  # bytes
 
 RETYPED = [None, True, False, 0, 1, 2.5, "x", "", [], {}, [0], {"a": 1},
            float("nan"), float("inf")]
-HUGE_OR_NEGATIVE = [-1, -(2**31), 2**31, 2**63, 10**15, 10**30, -(10**18)]
+HUGE_OR_NEGATIVE = [-1, -(2**31), 2**31, 2**63, 10**15, 10**30, -(10**18), 10**400]
 DEPTHS = [2, 64, 5000]
 DEEP = "__deep__"
 # The facts a checkpoint stores twice, as the paths of their two copies.
-COPIES = [(("run_config", key), path) for key, path in TWICE_STORED]
+COPIES = ([(("run_config", key), path) for key, path in TWICE_STORED]
+          + [(("run_config", "seed"), ("seed",))])
 NAMES = ["rnn", "gru", "lstm", "nv", "last", "avg"]
 
 

@@ -266,6 +266,14 @@ def _run_config_empty(doc):
     doc["run_config"] = {}
 
 
+def _learning_rate_huge(doc):
+    doc["run_config"]["learning_rate"] = 10**400
+
+
+def _classes_huge(doc):
+    doc["classes"] = [0, 10**400]
+
+
 def _run_config_is(key, value):
     """A corruption that gives the run config a ``value`` train refuses, and
     the top level's seed the same ``value`` when ``key`` is seed."""
@@ -303,6 +311,7 @@ CORRUPTIONS = [
     (_run_config_hidden_dim, "run_config.hidden_dim"), (_seed_copy, "seed"),
     (_run_config_znorm_missing, "run_config.znorm"),
     (_run_config_empty, "run_config.train_path"),
+    (_learning_rate_huge, "run_config.learning_rate"), (_classes_huge, "classes"),
 ] + [(_run_config_is(key, value), "run_config") for key, value, _ in REFUSED]
 
 
@@ -366,6 +375,9 @@ def _run_config_says(**fields):
                  id="classes-count"),
     pytest.param(_layers_string, "field 'run_config.layers' must be int",
                  id="run_config-layers-string"),
+    pytest.param(_run_config_says(learning_rate=10**400),
+                 "field 'run_config.learning_rate' is an integer too large for a float",
+                 id="run_config-learning_rate-huge"),
 ] + [
     pytest.param(_run_config_says(**{key: value}),
                  f"field 'run_config.{key}' is {json.dumps(value)}, but the model's {key} is ",
@@ -410,11 +422,11 @@ NON_ARCHITECTURE = {
     "train_path": (["", "a.tsv"], []), "test_path": (["", "b.tsv"], []),
     "znorm": ([False, True], []), "output_dir": (["runs/latest", ""], []),
     "init": ([kind.value for kind in InitKind], ["bogus", ""]),
-    "learning_rate": ([0.001, 1e308], [0.0, -1.0, math.nan, math.inf]),
+    "learning_rate": ([0.001, 1e308, 1], [0.0, -1.0, math.nan, math.inf, 10**400]),
     "epochs": ([0, 5], [-1]), "batch_size": ([0, 4], [-2]),
     "beta1": ([0.0, 0.9], [1.0, -0.5, math.nan]),
     "beta2": ([0.0, 0.999], [1.0, -0.5, math.nan]),
-    "eps": ([1e-8], [0.0, -1.0, math.inf, math.nan]),
+    "eps": ([1e-8], [0.0, -1.0, math.inf, math.nan, 10**400]),
     "seed": ([0, 7], [-1]), "grad_clip": ([0.0, 1.0], [-1.0, math.inf, math.nan]),
 }
 
@@ -438,7 +450,7 @@ def test_save_checkpoint_accepts_exactly_the_run_configs_train_accepts(tmp_path)
             rc.train_config()
             rc.init_scheme()
             accepts = True
-        except (ValueError, UsageError):
+        except (ValueError, UsageError, OverflowError):
             accepts = False
         p = tmp_path / f"{i}.json"
         if accepts:
