@@ -68,15 +68,3 @@ from .interpret import (
 )
 
 __version__ = "0.1.0"
-
-# Re-exported lazily, so that ``python -m neuroview.cli`` does not find
-# the module already imported by this package.
-_CLI_EXPORTS = ("RunConfig", "load_checkpoint", "save_checkpoint")
-
-
-def __getattr__(name):
-    if name in _CLI_EXPORTS:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -118,7 +118,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DTYPE, Buffered, sigmoid
+from .linalg import DTYPE, Buffered, _integer, sigmoid
 
 
 class CellKind(enum.Enum):
@@ -144,7 +144,9 @@ class InitScheme:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
+        if not isinstance(self.kind, InitKind):
+            raise ValueError(f"kind must be an InitKind, got {self.kind!r}")
+        if _integer("seed", self.seed) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 

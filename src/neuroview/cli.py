@@ -1,5 +1,5 @@
-"""Command-line entry point: train, sweep, evaluate, inspect,
-counterfactual, and export subcommands.
+"""Command-line entry point: train, sweep, evaluate, counterfactual, and
+export (alias inspect) subcommands.
 
 Run configuration is a flat ``key = value`` text file; every field is
 written back explicitly on save so a run is fully self-describing.
@@ -96,7 +96,7 @@ class RunConfig:
     @classmethod
     def load(cls, path) -> "RunConfig":
         fields = {f.name: f for f in dataclasses.fields(cls)}
-        values = {}
+        values, line_of = {}, {}
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as e:
@@ -114,6 +114,10 @@ class RunConfig:
             key, raw = key.strip(), raw.strip()
             if key not in fields:
                 raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+            if key in line_of:
+                raise UsageError(f"{path}:{line_no}: config key {key!r} is already "
+                                 f"set on line {line_of[key]}")
+            line_of[key] = line_no
             ftype = fields[key].type
             try:
                 if ftype == "bool":
@@ -251,7 +255,7 @@ def load_checkpoint(path):
         raise UsageError(f"checkpoint not found: {path}")
     try:
         model, run_config, metrics, classes = _decode_checkpoint(
-            json.loads(path.read_text()))
+            json.loads(path.read_text(), object_pairs_hook=_unique_keys))
     except json.JSONDecodeError as e:
         raise UsageError(f"checkpoint {path}: invalid JSON ({e})") from None
     except (TypeError, ValueError, UsageError) as e:
@@ -260,6 +264,17 @@ def load_checkpoint(path):
         print(f"warning: checkpoint {path} is format 1, without class labels; "
               "each split maps its own sorted labels", file=sys.stderr)
     return model, run_config, metrics, classes
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key stated twice is refused, not read as
+    its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {json.dumps(key)} appears twice in one object")
+        obj[key] = value
+    return obj
 
 
 # The JSON value types a checkpoint field may hold, by the field's Python
@@ -457,7 +472,10 @@ def _config_from_args(args) -> RunConfig:
         overrides["test_path"] = test
     rc = dataclasses.replace(rc, **overrides)
     _check_out(rc.output_dir)
-    return _apply_env_seed(rc)
+    rc = _apply_env_seed(rc)
+    if not rc.train_path:
+        raise UsageError("a training dataset is required (--dataset or --train-path)")
+    return rc
 
 
 def _train_once(rc: RunConfig):
@@ -499,8 +517,6 @@ def _write_run_outputs(rc: RunConfig, model, history, train_report, test_report,
 
 def cmd_train(args) -> int:
     rc = _config_from_args(args)
-    if not rc.train_path:
-        raise UsageError("a training dataset is required (--dataset or --train-path)")
     ckpt, metrics = _write_run_outputs(rc, *_train_once(rc))
     print(f"checkpoint: {ckpt}")
     print(f"train accuracy: {metrics['train_accuracy']:.4f}")
@@ -511,8 +527,6 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     rc = _config_from_args(args)
-    if not rc.train_path:
-        raise UsageError("a training dataset is required (--dataset or --train-path)")
     sizes = args.sizes
     if len(sizes) != len(set(sizes)):
         raise UsageError(f"duplicate hidden sizes in sweep: {sizes}")
@@ -619,7 +633,7 @@ def cmd_counterfactual(args) -> int:
 
 def cmd_export(args) -> int:
     """Weight maps and class similarity, plus a counterfactual sweep when a
-    dataset and a k list are given (``inspect`` is the case without)."""
+    dataset and a k list are given; ``inspect`` is another name for it."""
     if bool(args.dataset_path) != bool(args.k_list):
         raise UsageError("--dataset-path and --k-list go together: give both "
                          "for a counterfactual sweep, or neither")
@@ -685,12 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="split file to evaluate")
     sp.set_defaults(func=cmd_evaluate)
 
-    sp = sub.add_parser("inspect", help="export weight maps and class similarity")
-    sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--classes", default="all", help="'all' or comma list of class ids")
-    sp.add_argument("--out", default="analysis", help="output directory")
-    sp.set_defaults(func=cmd_export, dataset_path=None, k_list=[])
-
     sp = sub.add_parser("counterfactual",
                         help="zero a class's top-K timesteps and re-evaluate")
     sp.add_argument("--checkpoint", required=True)
@@ -704,10 +712,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write the JSON table here instead of stdout")
     sp.set_defaults(func=cmd_counterfactual)
 
-    sp = sub.add_parser("export",
+    sp = sub.add_parser("export", aliases=["inspect"],
                         help="export the full analysis bundle for a checkpoint")
     sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--classes", default="all")
+    sp.add_argument("--classes", default="all", help="'all' or comma list of class ids")
     sp.add_argument("--dataset-path", dest="dataset_path",
                     help="needed for counterfactual rows")
     sp.add_argument("--k-list", dest="k_list", type=int, nargs="*", default=[])
@@ -730,10 +738,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except TrainingDiverged as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
+    except (TrainingDiverged, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (MemoryError, RecursionError) as e:

@@ -20,7 +20,8 @@ with the same zeroed steps share one pass, and each such pass writes into
 the unablated pass's arrays, a unidirectional encoder's from its first
 zeroed step on. On Linux with two usable CPUs, a process with a single
 OS thread (BLAS pinned to one thread) forks one child before the
-unablated pass; the child runs about half of the input passes from the
+unablated pass when the input passes hold enough work to repay a fork
+(``FORK_FLOOR``); the child runs about half of the input passes from the
 inputs alone, on arrays of its own, and writes their logits into an
 array in shared memory. The results are the same bits either way.
 """
@@ -40,7 +41,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .network import HeadKind, Model, _integer, encode, head_forward
+from .linalg import _integer
+from .network import HeadKind, Model, encode, head_forward
 from .data import DataSet
 from .train import EvalReport, eval_report
 
@@ -151,12 +153,13 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
     scores are bit-identical to fresh full passes'.
 
     When ``_two_processes`` holds (Linux, two usable CPUs, two or more
-    step sets and a process with one OS thread, as with BLAS pinned to
-    one thread), a child forked before the unablated pass runs about half
-    of the sets from the inputs alone, in descending ``t0`` on a trace of
-    its own, and writes their logits into an array in shared memory. If
-    it cannot start, or does not exit 0, this process runs its sets too,
-    the same way. The scores do not depend on which process ran a set.
+    step sets whose work reaches ``FORK_FLOOR``, and a process with one
+    OS thread, as with BLAS pinned to one thread), a child forked before
+    the unablated pass runs about half of the sets from the inputs alone,
+    in descending ``t0`` on a trace of its own, and writes their logits
+    into an array in shared memory. If it cannot start, or does not exit
+    0, this process runs its sets too, the same way. The scores do not
+    depend on which process ran a set.
     """
     _require_nv(model)
     cfg = model.encoder
@@ -177,7 +180,9 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
                       if steps and target is AblationTarget.INPUTS},
                      key=lambda steps: (-steps[0], steps))
     mine, theirs, pid = ablated, [], None
-    if _two_processes(len(ablated)):
+    work = len(X) * cfg.layers * sum(_recomputed(steps, cfg.max_len, cfg.bidirectional)
+                                     for steps in ablated)
+    if _two_processes(len(ablated), work):
         mine, theirs = _split(ablated, cfg.max_len, cfg.bidirectional)
         pid, shared = _fork(model, X, theirs)
     try:
@@ -209,12 +214,23 @@ def sweep(model: Model, dataset: DataSet, rows: Sequence[tuple],
             for class_index, k, steps, mode, target, key in plans]
 
 
-def _two_processes(n_sets: int) -> bool:
+# The least work, in ``_two_processes``'s units, for which a sweep forks.
+# Measured with BLAS pinned on a 2-CPU AVX-512 host (numpy 2.4.6), a forked
+# sweep of a 1-layer GRU-32 broke even with the serial one at about 10,000
+# to 16,000 units; other cells and shapes break even elsewhere.
+FORK_FLOOR = 16_000
+
+
+def _two_processes(n_sets: int, work: int) -> bool:
     """Whether ``sweep`` forks a child for part of its ``n_sets`` ablated
-    passes: on Linux with ``os.fork``, two or more usable CPUs and sets,
-    and only in a process with one OS thread, since a fork that copies a
-    live BLAS or OpenMP thread pool can deadlock the child."""
-    if n_sets < 2 or not sys.platform.startswith("linux") or not hasattr(os, "fork"):
+    passes, whose ``work`` is the batch size times the layers times the
+    steps the passes recompute (``_recomputed``): on Linux with
+    ``os.fork``, two or more usable CPUs and sets, only for ``work`` of at
+    least ``FORK_FLOOR``, and only in a process with one OS thread, since a
+    fork that copies a live BLAS or OpenMP thread pool can deadlock the
+    child."""
+    if (n_sets < 2 or work < FORK_FLOOR or not sys.platform.startswith("linux")
+            or not hasattr(os, "fork")):
         return False
     try:
         return (len(os.sched_getaffinity(0)) >= 2
@@ -223,13 +239,18 @@ def _two_processes(n_sets: int) -> bool:
         return False
 
 
+def _recomputed(steps: tuple, T: int, bidirectional: bool) -> int:
+    """The steps the pass of a step set recomputes per layer: ``T - t0``,
+    or ``T`` for a bidirectional encoder."""
+    return T if bidirectional else T - steps[0]
+
+
 def _split(sets: Sequence[tuple], T: int, bidirectional: bool) -> tuple:
     """The step sets as two lists that hold each set once, balanced by a
-    longest-first greedy split on the steps each pass recomputes (``T -
-    t0``, or ``T`` for a bidirectional encoder), each in descending
-    ``t0``."""
+    longest-first greedy split on the steps each pass recomputes, each in
+    descending ``t0``."""
     def load(steps):
-        return T if bidirectional else T - steps[0]
+        return _recomputed(steps, T, bidirectional)
 
     sides, loads = ([], []), [0, 0]
     for steps in sorted(sets, key=lambda steps: (-load(steps), steps)):

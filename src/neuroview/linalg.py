@@ -1,5 +1,6 @@
-"""The float64 dtype, the sigmoid shared by the numerical modules, and
-the rule by which they reuse work arrays.
+"""The float64 dtype, the sigmoid shared by the numerical modules, the
+rule by which they reuse work arrays, and the one rule for an integer
+argument.
 
 The sigmoid never mutates its input unless asked to write over it, and
 identical inputs produce bit-identical outputs.
@@ -10,6 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 DTYPE = np.float64
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int; a bool or a non-integer is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def sigmoid(x: np.ndarray, out=None, work=None) -> np.ndarray:

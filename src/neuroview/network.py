@@ -39,7 +39,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linalg import DTYPE, Buffered
+from .linalg import DTYPE, Buffered, _integer
 from .cells import CellKind, packed_shapes, sequence_backward, sequence_forward
 
 
@@ -61,6 +61,8 @@ class EncoderConfig:
     def __post_init__(self):
         if not isinstance(self.cell, CellKind):
             raise ValueError(f"cell must be a CellKind, got {self.cell!r}")
+        for name in ("input_dim", "hidden_dim", "max_len", "layers"):
+            _integer(name, getattr(self, name))
         if self.input_dim < 1 or self.hidden_dim < 1:
             raise ValueError(f"dimensions must be >= 1, got input_dim={self.input_dim}, "
                              f"hidden_dim={self.hidden_dim}")
@@ -137,13 +139,6 @@ class ForwardTrace(Buffered):
     def gates(self) -> bool:
         """False for a forward-only pass."""
         return self.gate_traces[0].gates is not None
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a plain int; a bool or a non-integer is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _as_time_major(cfg: EncoderConfig, x) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .linalg import DTYPE
+from .linalg import DTYPE, _integer
 from .cells import InitScheme, init_params, named_views
 from .network import (
     EncoderConfig,
@@ -54,16 +54,16 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.epochs < 0:
+        if _integer("epochs", self.epochs) < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size is not None and _integer("batch_size", self.batch_size) < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
-        if self.seed < 0:
+        if _integer("seed", self.seed) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.grad_clip is not None and not (
                 math.isfinite(self.grad_clip) and self.grad_clip > 0):

@@ -205,7 +205,7 @@ def counted_sweep(model, ds, rows, layer, direction, two_processes):
     scored, forks = [], []
     real_report, real_fork = interpret.eval_report, os.fork
     with _patched(interpret, eval_report=lambda logits, *a: scored.append(logits)
-                  or real_report(logits, *a), _two_processes=lambda n: two_processes), \
+                  or real_report(logits, *a), _two_processes=lambda *_: two_processes), \
             _patched(os, fork=lambda: forks.append(1) or real_fork()):
         return sweep(model, ds, rows, layer, direction), scored, len(forks)
 

@@ -388,6 +388,12 @@ def test_identity_requires_square():
         scheme_matrix(InitKind.ORTHOGONAL, (3, 2), rng)
 
 
+def test_init_scheme_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        InitScheme(seed=-1)
+    assert InitScheme(seed=0).seed == 0
+
+
 def test_init_rejects_bad_dims():
     with pytest.raises(ValueError, match=">= 1"):
         init_params(CellKind.GRU, 0, 4, InitScheme())

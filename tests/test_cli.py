@@ -81,6 +81,12 @@ def test_run_config_rejects_unknown_key(tmp_path):
         RunConfig.load(p)
 
 
+def test_run_config_skips_blank_and_comment_lines(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_text("# a short run\n\n   \nepochs = 7\n  # layers = 3\n")
+    assert RunConfig.load(p) == RunConfig(epochs=7)
+
+
 def test_run_config_rejects_bad_value(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text("epochs = many\n")
@@ -580,6 +586,21 @@ def test_train_seed_env_override(dataset_files, tmp_path, monkeypatch):
     assert not np.array_equal(a.V, c.V)
 
 
+def test_train_dataset_name_sets_both_splits(dataset_files, tmp_path, capsys):
+    _, train_p, test_p = dataset_files
+    folder = tmp_path / "data" / "Synth"
+    folder.mkdir(parents=True)
+    for split in (train_p, test_p):
+        (folder / split.name).write_bytes(split.read_bytes())
+    assert main(["train", "--dataset", "synth", "--data-root", str(tmp_path / "data"),
+                 "--cell", "rnn", "--hidden", "3", "--epochs", "2",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert "test accuracy: " in capsys.readouterr().out
+    rc = RunConfig.load(tmp_path / "run" / "run_config.txt")
+    assert (rc.train_path, rc.test_path) == (str(folder / train_p.name),
+                                             str(folder / test_p.name))
+
+
 def test_train_seed_env_not_an_integer_exits_2(dataset_files, tmp_path, monkeypatch,
                                                capsys):
     monkeypatch.setenv("NV_SEED", "abc")
@@ -954,6 +975,14 @@ def _two_channels(p):
     save_ucr(synth_separable(2, 8, 2, 3, seed=0), p)
 
 
+def _epochs_twice(p):
+    """A checkpoint whose run config states ``epochs`` twice, 1000 then 5."""
+    _write_checkpoint(p)
+    text = p.read_text()
+    assert text.count('"epochs": 1000,') == 1
+    p.write_text(text.replace('"epochs": 1000,', '"epochs": 1000, "epochs": 5,'))
+
+
 def _bad(case, argv, code=2, needle="", files=None):
     return pytest.param(argv, code, needle, files or {}, id=case)
 
@@ -974,6 +1003,9 @@ BAD_INPUT = [
     _bad("train-config-seed=-1", "train --train-path {train} --config {tmp}/run.cfg "
          "--out {tmp}/run", needle="error: seed must be >= 0, got -1",
          files={"run.cfg": "seed = -1\n"}),
+    _bad("train-config-key-twice", f"{TRAIN} --config {{tmp}}/run.cfg",
+         needle="error: {tmp}/run.cfg:3: config key 'epochs' is already set on line 1",
+         files={"run.cfg": "epochs = 3\nseed = 2\nepochs = 5\n"}),
     _bad("train-config-unknown-key", f"{TRAIN} --config {{tmp}}/run.cfg",
          needle="no_such_key", files={"run.cfg": "no_such_key = 1\n"}),
     _bad("train-config-bad-value", f"{TRAIN} --config {{tmp}}/run.cfg",
@@ -1007,6 +1039,8 @@ BAD_INPUT = [
     _bad("train-one-class-split", "train --train-path {tmp}/split.tsv --out {tmp}/run",
          needle="error: {tmp}/split.tsv: found 1 class(es); need at least 2",
          files={"split.tsv": _split_text(["1"] + EIGHT, ["1"] + EIGHT)}),
+    _bad("sweep-no-split", "sweep --test-path {test} --sizes 3 4 --out {tmp}/s",
+         needle="error: a training dataset is required (--dataset or --train-path)"),
     _bad("sweep-no-test-split", "sweep --train-path {train} --sizes 3 4 --out {tmp}/s",
          needle="error: sweep selection needs a test split"),
     _bad("sweep-duplicate-sizes", "sweep --train-path {train} --test-path {test} "
@@ -1030,6 +1064,10 @@ BAD_INPUT = [
            needle="checkpoint {tmp}/ckpt.json: " + (f"field '{field}'" if field else ""),
            files={"ckpt.json": lambda p, c=c: _write_checkpoint(p, corrupt=c)})
       for c, field in CORRUPTIONS],
+    _bad("evaluate-checkpoint-run_config-key-twice",
+         "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}",
+         needle='error: checkpoint {tmp}/ckpt.json: key "epochs" appears twice in one object',
+         files={"ckpt.json": _epochs_twice}),
     # pack checks the shapes before it allocates blocks for this hidden size
     _bad("evaluate-checkpoint-huge-hidden-dim",
          "evaluate --checkpoint {tmp}/ckpt.json --dataset-path {test}",
@@ -1163,6 +1201,23 @@ def test_out_of_memory_exits_1_with_one_line(monkeypatch, capsys, exc, line):
     monkeypatch.setattr(cli_mod, "cmd_evaluate", cmd_evaluate)
     assert main(["evaluate", "--checkpoint", "ckpt.json", "--dataset-path", "split.tsv"]) == 1
     assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("command,extra", [("evaluate", []),
+                                           ("counterfactual", ["--class", "0", "--k-list", "1"])])
+def test_empty_dataset_path_exits_2(trained_run, capsys, command, extra):
+    ckpt = str(trained_run / "checkpoint.json")
+    assert main([command, "--checkpoint", ckpt, "--dataset-path", "", *extra]) == 2
+    assert capsys.readouterr().err == "error: no dataset path given\n"
+
+
+def test_os_error_exits_1_with_one_line(monkeypatch, capsys):
+    # The command raises as a write to a full disk would; nothing is written.
+    def cmd_evaluate(args):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli_mod, "cmd_evaluate", cmd_evaluate)
+    assert main(["evaluate", "--checkpoint", "ckpt.json", "--dataset-path", "split.tsv"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 # -------------------------------------------------------------------- help

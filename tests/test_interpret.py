@@ -379,7 +379,7 @@ def _count_passes(monkeypatch):
     """Patch the ``encode`` that ``sweep`` calls to record each encoder
     pass as ``(t0, trace)``, ``t0`` the step it resumed at. The passes
     all run in this process: a forked child's would not be recorded."""
-    monkeypatch.setattr(interpret, "_two_processes", lambda n_sets: False)
+    monkeypatch.setattr(interpret, "_two_processes", lambda *_: False)
     passes = []
     real = interpret.encode
 
@@ -484,8 +484,9 @@ def test_sweep_rows_in_any_order_equal_fresh_passes(cell, layers, bidir):
             + [(1, 3, pos, inputs), (0, 3, neg, inputs)]    # step 0
             + [(0, 2, pos, weights), (1, 4, neg, inputs)]   # repeats
             + [(0, 3, pos, inputs), (1, 1, neg, inputs), (0, 0, pos, inputs)])
-    # The fork as ``sweep`` decides it: on only in a process of one thread.
-    two_processes = interpret._two_processes(len(rows))
+    # The fork as ``sweep`` decides it for work past the floor: on only in
+    # a process of one thread.
+    two_processes = interpret._two_processes(len(rows), interpret.FORK_FLOOR)
     assert sweep_problems(model, ds, rows, 0, 0, two_processes) == []
 
 

@@ -40,7 +40,7 @@ SHAPES = {"1-uni": (1, False), "2-uni": (2, False), "2-bidir": (2, True)}
 BIT_CASES = [f"{cell.value}-{shape}" for cell in CellKind for shape in SHAPES]
 FAULT_CASES = ["child-fails", "child-killed", "child-wrong-shape", "fork-raises",
                "mmap-raises", "empty-split", "parent-raises", "unablated-raises"]
-CASES = BIT_CASES + FAULT_CASES + ["shared-maps-freed"]
+CASES = BIT_CASES + FAULT_CASES + ["shared-maps-freed", "work-floor"]
 
 POS, NEG = AblationMode.TOP_POSITIVE, AblationMode.TOP_NEGATIVE
 INPUTS = AblationTarget.INPUTS
@@ -189,6 +189,27 @@ def run_cases():
     if after > before:
         problems.append(f"{after - before} shared mappings outlived their sweeps")
     report["shared-maps-freed"] = problems + _leftover_children()
+
+    # Unpatched, a sweep forks only once the work of its input passes (B x
+    # layers x the steps they recompute) reaches the floor. ROWS holds 8
+    # input step sets, whose passes recompute 45 steps in all, or 80 steps
+    # in a bidirectional encoder; the split holds 8 samples.
+    def reports(results):
+        return [(r.report.overall_accuracy, r.report.confusion.tobytes()) for r in results]
+
+    problems = []
+    for bidir, work in [(False, 8 * 2 * 45), (True, 8 * 2 * 80)]:
+        model, ds = _model(CellKind.GRU, 2, bidir)
+        want = reports(counted_sweep(model, ds, ROWS, 0, 0, False)[0])
+        for floor, want_forks in [(work, 1), (work + 1, 0), (interpret.FORK_FLOOR, 0)]:
+            forks, real_fork = [], os.fork
+            with _patched(interpret, FORK_FLOOR=floor), \
+                    _patched(os, fork=lambda: forks.append(1) or real_fork()):
+                got = reports(interpret.sweep(model, ds, ROWS))
+            if got != want or len(forks) != want_forks:
+                problems.append(f"bidirectional={bidir}, floor {floor}: {len(forks)} "
+                                f"forks, the serial scores {'' if got == want else 'not '}kept")
+    report["work-floor"] = problems + _leftover_children()
     return report
 
 
@@ -238,14 +259,20 @@ def test_split_is_a_balanced_partition_in_descending_t0(bidirectional):
         assert abs(loads[0] - loads[1]) <= max(T if bidirectional else T - s[0] for s in sets)
 
 
+@needs_fork
+def test_sweep_forks_only_past_the_work_floor(report):
+    assert report["work-floor"] == []
+
+
 def test_no_fork_for_one_set_or_with_a_second_thread():
-    assert not interpret._two_processes(0)
-    assert not interpret._two_processes(1)
+    assert not interpret._two_processes(0, interpret.FORK_FLOOR)
+    assert not interpret._two_processes(1, interpret.FORK_FLOOR)
+    assert not interpret._two_processes(16, interpret.FORK_FLOOR - 1)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert not interpret._two_processes(16)
+        assert not interpret._two_processes(16, interpret.FORK_FLOOR)
     finally:
         stop.set()
         thread.join()

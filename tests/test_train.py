@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -457,3 +458,28 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match=name):
             TrainConfig(**kwargs)
     TrainConfig(beta1=0.0, beta2=0.0, eps=1e-300, grad_clip=1e-3)
+
+
+# The integer fields of the library's config records, each with the other
+# arguments its record needs.
+ENCODER = {"cell": CellKind.GRU, "input_dim": 1, "hidden_dim": 2, "max_len": 3}
+INTEGER_FIELDS = [(TrainConfig, {}, name) for name in ("epochs", "batch_size", "seed")] + [
+    (InitScheme, {}, "seed")] + [
+    (EncoderConfig, ENCODER, name) for name in ("input_dim", "hidden_dim", "max_len", "layers")]
+
+
+@pytest.mark.parametrize("record,args,name", INTEGER_FIELDS,
+                         ids=[f"{r.__name__}.{name}" for r, _, name in INTEGER_FIELDS])
+def test_config_integer_fields_reject_a_bool_or_a_non_integer(record, args, name):
+    for bad in (True, 2.5, 3.0, "3"):
+        line = f"{name} must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+            record(**{**args, name: bad})
+    for good in (3, np.int64(3), np.int32(3)):
+        assert getattr(record(**{**args, name: good}), name) == 3
+
+
+def test_init_scheme_takes_only_an_init_kind():
+    for bad in ("orthogonal", None, CellKind.GRU):
+        with pytest.raises(ValueError, match=re.escape(f"kind must be an InitKind, got {bad!r}")):
+            InitScheme(kind=bad)
